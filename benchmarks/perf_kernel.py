@@ -4,9 +4,10 @@ Times the slot-resolve tiers (:mod:`repro.sim.backend`) on two
 workloads and writes ``BENCH_kernel.json`` (repo root by default):
 
 * ``sweep`` — the BENCH_robustness reference workload (2D-4 32x16 loss
-  degradation, 8 rates x 32 trials) run through every engine plus a
-  trial-sharded pass, so the tier numbers are directly comparable to
-  the committed robustness baseline.
+  degradation, 8 rates x 32 trials) run through the one-trial baseline
+  (:mod:`serial_baseline`), every engine and a trial-sharded pass, so
+  the tier numbers are directly comparable to the committed robustness
+  baseline.
 * ``large_grid`` — one 256-trial Monte-Carlo cell on a 64x64 lattice,
   where the bit-packed word resolve (64 nodes per uint64 op), the
   pair-sparse loss draws, and the optional cffi/C kernel separate from
@@ -79,6 +80,7 @@ from repro.sim import (native_available, native_reason,
 from repro.sim.native import default_native_threads
 from repro.sim.recovery import RecoveryPolicy
 from repro.topology.builder import make_topology
+from serial_baseline import loss_curve
 
 SCHEMA = "repro-wsn/bench-kernel/v3"
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
@@ -135,15 +137,16 @@ def run_sweep(topology_label: str = "2D-4",
 
     entries = {}
     reference = None
-    modes = [("serial", dict(engine="serial"))]
-    modes += [(e, dict(engine=e)) for e in _engines()]
-    modes.append(("sharded", dict(engine="packed", workers=workers)))
-    for label, kwargs in modes:
+    modes = [("serial", loss_curve, {})]
+    modes += [(e, loss_degradation, dict(engine=e)) for e in _engines()]
+    modes.append(("sharded", loss_degradation,
+                  dict(engine="packed", workers=workers)))
+    for label, curve, kwargs in modes:
         best = None
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
-            points = loss_degradation(topology, source, loss_rates,
-                                      trials=trials, seed=seed, **kwargs)
+            points = curve(topology, source, loss_rates, trials=trials,
+                           seed=seed, **kwargs)
             secs = time.perf_counter() - t0
             if best is None or secs < best[1]:
                 best = (points, secs)

@@ -5,8 +5,9 @@ the reference case of the recovery extension (2D-4 16x16, Bernoulli
 ``p=0.2``) with both trial engines and writes ``BENCH_recovery.json``
 (repo root by default):
 
-* ``serial``  — ``engine="serial"``: per-trial loop through the
-  one-trial reactive engine with a :class:`RecoveryState` side-car.
+* ``serial``  — per-trial loop through the one-trial reactive engine
+  with a :class:`RecoveryState` side-car, over the same per-trial seeds
+  (:mod:`serial_baseline`).
 * ``batched`` — ``engine="batch"``: all trials advance together through
   ``run_reactive_batch`` with the vectorised ``BatchRecoveryState``.
 
@@ -49,6 +50,7 @@ from typing import List, Optional, Sequence
 from repro import profiling
 from repro.analysis.robustness import recovery_frontier
 from repro.topology.builder import make_topology
+from serial_baseline import frontier
 
 SCHEMA = "repro-wsn/bench-recovery/v1"
 DEFAULT_OUT = (Path(__file__).resolve().parent.parent
@@ -58,9 +60,13 @@ DEFAULT_OUT = (Path(__file__).resolve().parent.parent
 ACCEPTANCE_SAVING = 0.25
 
 
-def _timed_frontier(topology, source, **kwargs):
+def _timed_frontier(topology, source, serial=False, **kwargs):
     t0 = time.perf_counter()
-    points = recovery_frontier(topology, source, **kwargs)
+    if serial:
+        points = frontier(topology, source, **kwargs)
+    else:
+        points = recovery_frontier(topology, source, engine="batch",
+                                   **kwargs)
     return points, time.perf_counter() - t0
 
 
@@ -124,11 +130,11 @@ def run_benchmark(topology_label: str = "2D-4",
     entries = {}
     serial_points = None
     for label in ("serial", "batched"):
-        engine = "serial" if label == "serial" else "batch"
         best = None
         for _ in range(max(1, repeats)):
             points, secs = _timed_frontier(topology, source,
-                                           engine=engine, **sweep)
+                                           serial=label == "serial",
+                                           **sweep)
             if best is None or secs < best[1]:
                 best = (points, secs)
         points, secs = best

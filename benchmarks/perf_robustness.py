@@ -4,8 +4,9 @@ Times one loss-degradation curve (Monte-Carlo over Bernoulli channels)
 three ways and writes the results to ``BENCH_robustness.json`` (repo root
 by default):
 
-* ``serial``   — ``engine="serial"``: the per-trial loop through the
-  one-trial reactive engine, the pre-batching execution model.
+* ``serial``   — the per-trial loop through the one-trial reactive
+  engine over the same per-trial seeds (:mod:`serial_baseline`), the
+  pre-batching execution model.
 * ``batched``  — ``engine="batch"``: all trials of each loss rate advance
   together through :func:`~repro.sim.engine.run_reactive_batch` in
   summary mode (one CSR gather + 2D bincount per slot for the whole
@@ -43,6 +44,7 @@ from typing import List, Optional, Sequence
 from repro import profiling
 from repro.analysis.robustness import loss_degradation
 from repro.topology.builder import make_topology
+from serial_baseline import loss_curve
 
 SCHEMA = "repro-wsn/bench-robustness/v1"
 DEFAULT_OUT = (Path(__file__).resolve().parent.parent
@@ -50,9 +52,10 @@ DEFAULT_OUT = (Path(__file__).resolve().parent.parent
 DEFAULT_LOSS_RATES = (0.0, 0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3)
 
 
-def _timed_curve(topology, source, loss_rates, **kwargs):
+def _timed_curve(topology, source, loss_rates, serial=False, **kwargs):
+    curve = loss_curve if serial else loss_degradation
     t0 = time.perf_counter()
-    points = loss_degradation(topology, source, loss_rates, **kwargs)
+    points = curve(topology, source, loss_rates, **kwargs)
     return points, time.perf_counter() - t0
 
 
@@ -82,7 +85,7 @@ def run_benchmark(topology_label: str = "2D-4",
     for label in ("serial", "batched", "parallel"):
         kwargs = dict(trials=trials, seed=seed)
         if label == "serial":
-            kwargs["engine"] = "serial"
+            kwargs["serial"] = True
         elif label == "batched":
             kwargs["engine"] = "batch"
         else:

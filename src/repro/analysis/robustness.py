@@ -20,12 +20,15 @@ sweep point advance together through
 :func:`~repro.sim.engine.run_reactive_batch` /
 :func:`~repro.sim.engine.replay_batch` in ``summary`` mode, with the
 per-trial Bernoulli channels realised by the vectorised counter-based RNG
-(:class:`~repro.radio.impairments.BernoulliBatchLoss`).  ``engine=
-"serial"`` runs the same per-trial seeds through the one-trial engine and
-produces *identical* points — that equivalence is asserted by the test
-suite and by ``benchmarks/perf_robustness.py`` before it publishes
-timings.  Sweep points fan out over processes via ``workers=`` exactly
-like :func:`~repro.analysis.sweep.sweep_sources`.
+(:class:`~repro.radio.impairments.BernoulliBatchLoss`).  ``engine=``
+picks the slot-resolve tier (:data:`~repro.sim.backend.ENGINES`); every
+tier yields identical points, and trial *b* of a point equals a one-trial
+:func:`~repro.sim.engine.run_reactive` / :func:`~repro.sim.engine.replay`
+run with the same seed — the differential suites and
+``benchmarks/perf_robustness.py`` assert it.  ``workers=`` splits each
+point's trial dimension over processes (bit-identical for any count);
+the per-trial recompile branch of :func:`failure_degradation` fans its
+failure counts out instead.
 """
 
 from __future__ import annotations
@@ -42,20 +45,13 @@ from ..core.compiler import compile_broadcast
 from ..core.registry import protocol_for
 from ..radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
                             PAPER_SPACING_M)
-from ..radio.impairments import (BernoulliBatchLoss, CounterBernoulliLoss,
-                                 random_dead_mask, trial_seeds)
-from ..sim.engine import replay, run_reactive
+from ..radio.impairments import (BernoulliBatchLoss, random_dead_mask,
+                                 trial_seeds)
+from ..sim.backend import check_engine
 from ..sim.recovery import RecoveryPolicy
 from ..sim.shard import replay_batch_sharded, run_reactive_batch_sharded
 from ..topology.base import Topology
 from .sweep import effective_workers
-
-#: ``batch`` / ``packed`` / ``compiled`` / ``auto`` select the
-#: slot-resolve tier of the batched engine (see
-#: :mod:`repro.sim.backend`); ``serial`` runs the identical per-trial
-#: seeds through the one-trial engine.  All five produce identical
-#: curves — the differential suite asserts it.
-_ENGINES = ("batch", "packed", "compiled", "auto", "serial")
 
 
 @dataclass(frozen=True)
@@ -113,12 +109,6 @@ def harden_plan(plan: RelayPlan, repeats: int) -> RelayPlan:
     return hardened
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of "
-                         f"{_ENGINES}")
-
-
 def _point(parameter: float, reaches: np.ndarray,
            txs: np.ndarray) -> RobustnessPoint:
     return RobustnessPoint(
@@ -141,7 +131,8 @@ def _chunk(items: List, workers: int) -> List[List]:
 
 def _fan_out(points_fn, parameters: Sequence, workers: Optional[int],
              job_builder, worker_fn) -> List:
-    """Run *points_fn* over *parameters*, optionally across processes.
+    """Run *points_fn* over *parameters*, optionally across processes
+    (the per-trial recompile branch, whose trials cannot batch).
 
     Results are reassembled in submission order, so the parallel curve is
     identical to the serial one regardless of worker count.  The pool is
@@ -170,43 +161,21 @@ def _loss_point(topology: Topology, src: int, plan: RelayPlan,
                 recovery: Optional[RecoveryPolicy] = None,
                 shards: int = 1,
                 threads: Optional[int] = None) -> RobustnessPoint:
-    """One loss-rate point: *trials* Bernoulli channels, batched or not.
+    """One loss-rate point: *trials* Bernoulli channels in one batch.
 
     The per-trial seeds mix the loss rate into the stream
     (:func:`~repro.radio.impairments.trial_seeds`), so every point of the
-    curve draws independent randomness.  Batched engines split the trial
-    dimension over *shards* processes (bit-identical for any count).
+    curve draws independent randomness.  The trial dimension splits over
+    *shards* processes (bit-identical for any count).
     """
-    seeds = trial_seeds(seed, p, trials)
-    if engine != "serial":
-        s = run_reactive_batch_sharded(
-            topology, src, plan.relay_mask,
-            extra_delay=plan.extra_delay,
-            repeat_offsets=plan.repeat_offsets,
-            loss=BernoulliBatchLoss(p, seeds), summary=True,
-            recovery=recovery, engine=engine, workers=shards,
-            threads=threads)
-        return _point(p, s.reachability, s.num_tx)
-    reaches = np.empty(trials)
-    txs = np.empty(trials)
-    for b in range(trials):
-        trace = run_reactive(
-            topology, src, plan.relay_mask,
-            extra_delay=plan.extra_delay,
-            repeat_offsets=plan.repeat_offsets,
-            loss=CounterBernoulliLoss(p, int(seeds[b])),
-            recovery=recovery)
-        reaches[b] = trace.reachability
-        txs[b] = trace.num_tx
-    return _point(p, reaches, txs)
-
-
-def _loss_chunk(job) -> List[RobustnessPoint]:
-    """Worker-process entry point for parallel loss sweeps."""
-    topology, src, plan, rates, trials, seed, engine, recovery = job
-    return [_loss_point(topology, src, plan, p, trials, seed, engine,
-                        recovery)
-            for p in rates]
+    s = run_reactive_batch_sharded(
+        topology, src, plan.relay_mask,
+        extra_delay=plan.extra_delay,
+        repeat_offsets=plan.repeat_offsets,
+        loss=BernoulliBatchLoss(p, trial_seeds(seed, p, trials)),
+        summary=True, recovery=recovery, engine=engine, workers=shards,
+        threads=threads)
+    return _point(p, s.reachability, s.num_tx)
 
 
 def loss_degradation(
@@ -235,35 +204,22 @@ def loss_degradation(
     All trials of one loss rate run as one batch through
     :func:`~repro.sim.engine.run_reactive_batch` (``engine="batch"``,
     the default; ``"packed"`` / ``"compiled"`` select the faster
-    slot-resolve tiers); ``engine="serial"`` runs the identical
-    per-trial seeds through the one-trial engine and yields the same
-    points.  ``workers`` splits the **trial dimension** of each point
-    over processes for the batched engines (and falls back to fanning
-    the loss rates out, order-preserving, for ``serial``); either way
-    the curve is identical for any worker count.  ``threads`` sets the
+    slot-resolve tiers, with identical points).  ``workers`` splits the
+    **trial dimension** of each point over processes; the curve is
+    identical for any worker count.  ``threads`` sets the
     compiled tier's in-process kernel pool (``None`` = all cores when
     running unsharded, 1 inside process shards) — bit-identical at any
     width, like ``workers``.
     """
-    _check_engine(engine)
+    check_engine(engine)
     if protocol is None:
         protocol = protocol_for(topology)
     plan = harden_plan(protocol.relay_plan(topology, source), harden)
     src = topology.index(source)
-
-    if engine != "serial":
-        shards = effective_workers(workers, trials)
-        return [_loss_point(topology, src, plan, p, trials, seed, engine,
-                            recovery, shards, threads)
-                for p in loss_rates]
-
-    def job_builder(chunk):
-        return (topology, src, plan, chunk, trials, seed, engine, recovery)
-
-    return _fan_out(
-        lambda p: _loss_point(topology, src, plan, p, trials, seed, engine,
-                              recovery),
-        loss_rates, workers, job_builder, _loss_chunk)
+    shards = effective_workers(workers, trials)
+    return [_loss_point(topology, src, plan, p, trials, seed, engine,
+                        recovery, shards, threads)
+            for p in loss_rates]
 
 
 # ---------------------------------------------------------------------------
@@ -280,51 +236,31 @@ def _failure_dead_masks(topology: Topology, k: int, trials: int,
         for s in seeds])
 
 
-def _failure_point(topology: Topology, source, src: int,
-                   baseline_schedule, plan: Optional[RelayPlan],
-                   k: int, trials: int, seed: int, recompile: bool,
-                   engine: str,
-                   recovery: Optional[RecoveryPolicy] = None,
-                   shards: int = 1,
-                   threads: Optional[int] = None) -> RobustnessPoint:
+def _recompile_point(topology: Topology, src: int, plan: RelayPlan,
+                     k: int, trials: int, seed: int) -> RobustnessPoint:
+    """One failure count with the failures known to the compiler.
+
+    Per-trial compilation cannot batch (each trial compiles a different
+    schedule), but the invariant relay plan is computed once by the
+    caller rather than once per trial.
+    """
     dead_masks = _failure_dead_masks(topology, k, trials, seed, src)
     live = ~dead_masks
-    if recompile:
-        # Per-trial compilation cannot batch (each trial compiles a
-        # different schedule), but the invariant relay plan is computed
-        # once by the caller rather than once per trial.
-        reaches = np.empty(trials)
-        txs = np.empty(trials)
-        for b in range(trials):
-            compiled = compile_broadcast(topology, src, plan,
-                                         dead_mask=dead_masks[b])
-            reached = (compiled.trace.first_rx >= 0) & live[b]
-            reaches[b] = float(reached.sum()) / float(live[b].sum())
-            txs[b] = compiled.trace.num_tx
-        return _point(k, reaches, txs)
-    if engine != "serial":
-        s = replay_batch_sharded(topology, baseline_schedule, src,
-                                 dead_masks=dead_masks, summary=True,
-                                 recovery=recovery, engine=engine,
-                                 workers=shards, threads=threads)
-        return _point(k, s.live_reachability(dead_masks), s.num_tx)
     reaches = np.empty(trials)
     txs = np.empty(trials)
     for b in range(trials):
-        trace = replay(topology, baseline_schedule, src,
-                       dead_mask=dead_masks[b], recovery=recovery)
-        reached = (trace.first_rx >= 0) & live[b]
+        compiled = compile_broadcast(topology, src, plan,
+                                     dead_mask=dead_masks[b])
+        reached = (compiled.trace.first_rx >= 0) & live[b]
         reaches[b] = float(reached.sum()) / float(live[b].sum())
-        txs[b] = trace.num_tx
+        txs[b] = compiled.trace.num_tx
     return _point(k, reaches, txs)
 
 
-def _failure_chunk(job) -> List[RobustnessPoint]:
-    """Worker-process entry point for parallel failure sweeps."""
-    (topology, source, src, schedule, plan, counts, trials, seed,
-     recompile, engine, recovery) = job
-    return [_failure_point(topology, source, src, schedule, plan, k,
-                           trials, seed, recompile, engine, recovery)
+def _recompile_chunk(job) -> List[RobustnessPoint]:
+    """Worker-process entry point for parallel recompile sweeps."""
+    topology, src, plan, counts, trials, seed = job
+    return [_recompile_point(topology, src, plan, k, trials, seed)
             for k in counts]
 
 
@@ -352,40 +288,35 @@ def failure_degradation(
     The static branch replays all trials of one failure count as a batch
     (:func:`~repro.sim.engine.replay_batch`); the recompile branch
     compiles per trial (each trial yields a different schedule) but the
-    invariant relay plan is computed once.  ``workers`` fans the failure
-    counts out over processes; *cache* is the schedule cache used for the
-    baseline compilation.  *recovery* applies the closed-loop recovery
+    invariant relay plan is computed once.  ``workers`` splits each static
+    point's trials over processes, or fans the recompile branch's failure
+    counts out; *cache* is the schedule cache used for the baseline
+    compilation.  *recovery* applies the closed-loop recovery
     layer to the static replay (ignored by the recompile branch, which
     already routes around the known failures at compile time).
     """
-    _check_engine(engine)
+    check_engine(engine)
     if protocol is None:
         protocol = protocol_for(topology)
     src = topology.index(source)
     if recompile:
         plan = protocol.relay_plan(topology, source)
-        baseline_schedule = None
-    else:
-        plan = None
-        baseline_schedule = protocol.compile(topology, source,
-                                             cache=cache).schedule
-
-    if engine != "serial" and not recompile:
-        shards = effective_workers(workers, trials)
-        return [_failure_point(topology, source, src, baseline_schedule,
-                               plan, k, trials, seed, recompile, engine,
-                               recovery, shards, threads)
-                for k in failure_counts]
-
-    def job_builder(chunk):
-        return (topology, source, src, baseline_schedule, plan, chunk,
-                trials, seed, recompile, engine, recovery)
-
-    return _fan_out(
-        lambda k: _failure_point(topology, source, src, baseline_schedule,
-                                 plan, k, trials, seed, recompile, engine,
-                                 recovery),
-        failure_counts, workers, job_builder, _failure_chunk)
+        return _fan_out(
+            lambda k: _recompile_point(topology, src, plan, k, trials, seed),
+            failure_counts, workers,
+            lambda chunk: (topology, src, plan, chunk, trials, seed),
+            _recompile_chunk)
+    schedule = protocol.compile(topology, source, cache=cache).schedule
+    shards = effective_workers(workers, trials)
+    points = []
+    for k in failure_counts:
+        dead_masks = _failure_dead_masks(topology, k, trials, seed, src)
+        s = replay_batch_sharded(topology, schedule, src,
+                                 dead_masks=dead_masks, summary=True,
+                                 recovery=recovery, engine=engine,
+                                 workers=shards, threads=threads)
+        points.append(_point(k, s.live_reachability(dead_masks), s.num_tx))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -473,55 +404,41 @@ def _frontier_cell(topology: Topology, src: int,
     seeds = _frontier_seeds(seed, p, k, trials)
     dead_masks = (_failure_dead_masks(topology, k, trials, seed, src)
                   if k > 0 else None)
-    tx_e = PAPER_RADIO_MODEL.tx_energy(PAPER_PACKET_BITS, PAPER_SPACING_M)
-    rx_e = PAPER_RADIO_MODEL.rx_energy(PAPER_PACKET_BITS)
     out = []
     for label, plan, policy in strategies:
-        if engine != "serial":
-            s = run_reactive_batch_sharded(
-                topology, src, plan.relay_mask,
-                extra_delay=plan.extra_delay,
-                repeat_offsets=plan.repeat_offsets,
-                dead_masks=dead_masks,
-                loss=BernoulliBatchLoss(p, seeds) if p > 0 else None,
-                trials=trials, summary=True, recovery=policy,
-                engine=engine, workers=shards, threads=threads)
-            reaches = (s.live_reachability(dead_masks)
-                       if dead_masks is not None else s.reachability)
-            txs, rxs = s.num_tx.astype(float), s.num_rx.astype(float)
-        else:
-            reaches = np.empty(trials)
-            txs = np.empty(trials)
-            rxs = np.empty(trials)
-            for b in range(trials):
-                trace = run_reactive(
-                    topology, src, plan.relay_mask,
-                    extra_delay=plan.extra_delay,
-                    repeat_offsets=plan.repeat_offsets,
-                    dead_mask=None if dead_masks is None else dead_masks[b],
-                    loss=(CounterBernoulliLoss(p, int(seeds[b]))
-                          if p > 0 else None),
-                    recovery=policy)
-                if dead_masks is None:
-                    reaches[b] = trace.reachability
-                else:
-                    live = ~dead_masks[b]
-                    reached = (trace.first_rx >= 0) & live
-                    reaches[b] = float(reached.sum()) / float(live.sum())
-                txs[b] = trace.num_tx
-                rxs[b] = trace.num_rx
-        energy = txs * tx_e + rxs * rx_e
-        out.append(FrontierPoint(
-            strategy=label, loss_rate=float(p), failures=int(k),
-            trials=trials,
-            mean_reachability=float(np.mean(reaches)),
-            min_reachability=float(np.min(reaches)),
-            std_reach=float(np.std(reaches)),
-            p5_reach=float(np.percentile(reaches, 5)),
-            p50_reach=float(np.percentile(reaches, 50)),
-            mean_tx=float(np.mean(txs)), mean_rx=float(np.mean(rxs)),
-            mean_energy_j=float(np.mean(energy))))
+        s = run_reactive_batch_sharded(
+            topology, src, plan.relay_mask,
+            extra_delay=plan.extra_delay,
+            repeat_offsets=plan.repeat_offsets,
+            dead_masks=dead_masks,
+            loss=BernoulliBatchLoss(p, seeds) if p > 0 else None,
+            trials=trials, summary=True, recovery=policy,
+            engine=engine, workers=shards, threads=threads)
+        reaches = (s.live_reachability(dead_masks)
+                   if dead_masks is not None else s.reachability)
+        out.append(_frontier_point(label, p, k, reaches, s.num_tx,
+                                   s.num_rx))
     return _mark_pareto(out)
+
+
+def _frontier_point(label: str, p: float, k: int, reaches: np.ndarray,
+                    txs: np.ndarray, rxs: np.ndarray) -> FrontierPoint:
+    """One strategy's point from its per-trial reach and tx/rx counts;
+    energy uses the paper's radio model, packet size and spacing."""
+    txs, rxs = np.asarray(txs, dtype=float), np.asarray(rxs, dtype=float)
+    energy = (txs * PAPER_RADIO_MODEL.tx_energy(PAPER_PACKET_BITS,
+                                                PAPER_SPACING_M)
+              + rxs * PAPER_RADIO_MODEL.rx_energy(PAPER_PACKET_BITS))
+    return FrontierPoint(
+        strategy=label, loss_rate=float(p), failures=int(k),
+        trials=len(reaches),
+        mean_reachability=float(np.mean(reaches)),
+        min_reachability=float(np.min(reaches)),
+        std_reach=float(np.std(reaches)),
+        p5_reach=float(np.percentile(reaches, 5)),
+        p50_reach=float(np.percentile(reaches, 50)),
+        mean_tx=float(np.mean(txs)), mean_rx=float(np.mean(rxs)),
+        mean_energy_j=float(np.mean(energy)))
 
 
 def _mark_pareto(cell: List[FrontierPoint]) -> List[FrontierPoint]:
@@ -536,14 +453,6 @@ def _mark_pareto(cell: List[FrontierPoint]) -> List[FrontierPoint]:
             for b in cell)
         out.append(replace(a, pareto=not dominated))
     return out
-
-
-def _frontier_chunk(job) -> List[List[FrontierPoint]]:
-    """Worker-process entry point for parallel frontier sweeps."""
-    topology, src, strategies, cells, trials, seed, engine = job
-    return [_frontier_cell(topology, src, strategies, p, k, trials, seed,
-                           engine)
-            for p, k in cells]
 
 
 def recovery_frontier(
@@ -575,7 +484,7 @@ def recovery_frontier(
     policy matches blind ``r=2`` hardening's reachability at a fraction
     of its energy.  Beyond-the-paper extension.
     """
-    _check_engine(engine)
+    check_engine(engine)
     if protocol is None:
         protocol = protocol_for(topology)
     base_plan = protocol.relay_plan(topology, source)
@@ -584,20 +493,9 @@ def recovery_frontier(
         [(f"blind-r{r}", harden_plan(base_plan, r), None)
          for r in hardening]
         + [(pol.label(), base_plan, pol) for pol in policies])
-    cells = [(float(p), int(k)) for p in loss_rates for k in failure_counts]
-
-    if engine != "serial":
-        shards = effective_workers(workers, trials)
-        cell_lists = [_frontier_cell(topology, src, strategies, p, k,
-                                     trials, seed, engine, shards, threads)
-                      for p, k in cells]
-        return [point for cell in cell_lists for point in cell]
-
-    def job_builder(chunk):
-        return (topology, src, strategies, chunk, trials, seed, engine)
-
-    cell_lists = _fan_out(
-        lambda cell: _frontier_cell(topology, src, strategies,
-                                    cell[0], cell[1], trials, seed, engine),
-        cells, workers, job_builder, _frontier_chunk)
-    return [point for cell in cell_lists for point in cell]
+    shards = effective_workers(workers, trials)
+    return [point
+            for p in loss_rates for k in failure_counts
+            for point in _frontier_cell(topology, src, strategies, float(p),
+                                        int(k), trials, seed, engine, shards,
+                                        threads)]

@@ -69,9 +69,6 @@ def _warm_fleet(specs):
 def _print_engine_decision(engine: str, topo, threads=None) -> None:
     """One line naming the tier that will actually run and why — the
     fallback rules are silent by design, so surface the decision."""
-    if engine == "serial":
-        print("engine: serial (one-trial reference loop)")
-        return
     from .sim import resolve_engine
     tier, reason = resolve_engine(engine, topo.num_nodes, explain=True,
                                   threads=threads)
@@ -572,18 +569,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recompile", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine",
-                   choices=["batch", "packed", "compiled", "auto",
-                            "serial"],
+                   choices=["batch", "packed", "compiled", "auto"],
                    default="batch",
-                   help="trial execution: batched Monte-Carlo (default), "
-                        "its bit-packed / compiled slot-resolve tiers "
-                        "(auto = best available), or the equivalent "
-                        "serial per-trial loop — all "
-                        "produce identical curves")
+                   help="slot-resolve tier of the batched Monte-Carlo: "
+                        "dense (default), bit-packed or compiled "
+                        "(auto = best available) — all produce "
+                        "identical curves")
     p.add_argument("--workers", type=int, default=None,
-                   help="processes: batched engines shard the trial "
-                        "dimension of each point, serial fans sweep "
-                        "points out (results identical either way)")
+                   help="processes sharding the trial dimension of each "
+                        "point (--recompile: fanning failure counts "
+                        "out); results identical either way")
     p.add_argument("--threads", type=int, default=None,
                    help="compiled-tier kernel threads per process "
                         "(default: all cores standalone, 1 inside "
@@ -608,19 +603,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="blind repetition budgets r to compare against")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine",
-                   choices=["batch", "packed", "compiled", "auto",
-                            "serial"],
+                   choices=["batch", "packed", "compiled", "auto"],
                    default="batch",
-                   help="trial execution: batched Monte-Carlo (default), "
-                        "its bit-packed / compiled slot-resolve tiers "
-                        "(auto = best available), or the equivalent "
-                        "serial per-trial loop — all "
-                        "produce identical points")
+                   help="slot-resolve tier of the batched Monte-Carlo: "
+                        "dense (default), bit-packed or compiled "
+                        "(auto = best available) — all produce "
+                        "identical points")
     p.add_argument("--workers", type=int, default=None,
-                   help="processes: batched engines shard the trial "
-                        "dimension of each cell, serial fans (loss, "
-                        "failure) cells out (results identical either "
-                        "way)")
+                   help="processes sharding the trial dimension of each "
+                        "cell (results identical either way)")
     p.add_argument("--threads", type=int, default=None,
                    help="compiled-tier kernel threads per process "
                         "(default: all cores standalone, 1 inside "

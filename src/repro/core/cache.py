@@ -232,7 +232,7 @@ class ScheduleCache:
             if entry is None:
                 return None
             metrics = entry.metrics(topology, model, packet_bits)
-            if metrics is None:  # legacy import without counts
+            if metrics is None:  # a count-less index read from disk
                 return None
             self.hits += 1
             self.disk_hits += 1

@@ -87,79 +87,107 @@ def compile_broadcast(
     global _compile_calls
     with _compile_calls_lock:
         _compile_calls += 1
-    # Memoised on the topology and lazily materialised per node
-    # (LazyNeighborSets): the fix planner below only inspects the
-    # neighbourhoods of unreached/border/collision nodes, so a large grid
-    # never pays an up-front O(n) set-construction pass.
-    nbr_sets = topology.neighbor_sets
-
-    forced: Dict[int, Set[int]] = {}
-    completions: List[Tuple[int, int]] = []
-    repairs: List[Tuple[int, int]] = []
-    trace: Optional[BroadcastTrace] = None
-    prev_informed = -1
-    stall_rounds = 0
-
+    fix = _Fixpoint(topology, source, plan, completion=completion,
+                    repair=repair, dead_mask=dead_mask)
     for round_no in range(1, max_rounds + 1):
-        trace = run_reactive(
+        done = fix.round(run_reactive(
             topology, source, plan.relay_mask,
             extra_delay=plan.extra_delay,
             repeat_offsets=plan.repeat_offsets,
-            forced_tx=forced,
-            dead_mask=dead_mask)
-        _prune_dropped(trace, forced, completions, repairs)
+            forced_tx=fix.forced,
+            dead_mask=dead_mask), round_no)
+        if done is not None:
+            return done
+    raise fix.round_cap(max_rounds)
+
+
+class _Fixpoint:
+    """One source's simulate->fix state across compile rounds.
+
+    :func:`compile_broadcast` feeds it the serial wave of each round;
+    the symmetry-reduced class path (:mod:`repro.core.symmetry`) feeds
+    it row *b* of a batched multi-source wave.  Both therefore run the
+    identical rounds, pruning, exit conditions and fix planner.
+    """
+
+    def __init__(self, topology: Topology, source: int, plan: RelayPlan,
+                 *, completion: bool = True, repair: bool = True,
+                 dead_mask=None) -> None:
+        self.topology = topology
+        self.source = source
+        self.plan = plan
+        self.completion = completion
+        self.repair = repair
+        self.dead_mask = (None if dead_mask is None
+                          else np.asarray(dead_mask, dtype=bool))
+        # Memoised on the topology and lazily materialised per node
+        # (LazyNeighborSets): the fix planner only inspects the
+        # neighbourhoods of unreached/border/collision nodes, so a large
+        # grid never pays an up-front O(n) set-construction pass.
+        self.nbr_sets = topology.neighbor_sets
+        self.forced: Dict[int, Set[int]] = {}
+        self.completions: List[Tuple[int, int]] = []
+        self.repairs: List[Tuple[int, int]] = []
+        self.prev_informed = -1
+        self.stall_rounds = 0
+
+    def round(self, trace: BroadcastTrace,
+              round_no: int) -> Optional[CompiledBroadcast]:
+        """Digest one round's wave: the finished broadcast, or ``None``
+        after adding this round's fixes to :attr:`forced`."""
+        _prune_dropped(trace, self.forced, self.completions, self.repairs)
         unreached = trace.unreached_nodes()
-        if dead_mask is not None:
-            unreached = np.asarray(
-                [v for v in unreached if not dead_mask[v]], dtype=np.int64)
-        if len(unreached) == 0:
-            return CompiledBroadcast(
-                topology_name=topology.name, source=source,
-                schedule=trace.as_schedule(), trace=trace, plan=plan,
-                completions=completions, repairs=repairs, rounds=round_no)
-        if not completion and not repair:
-            return CompiledBroadcast(
-                topology_name=topology.name, source=source,
-                schedule=trace.as_schedule(), trace=trace, plan=plan,
-                completions=completions, repairs=repairs, rounds=round_no)
+        if self.dead_mask is not None:
+            unreached = unreached[~self.dead_mask[unreached]]
+        if len(unreached) == 0 or not (self.completion or self.repair):
+            return self._finish(trace, round_no)
 
         # Progress tracking: the informed count may dip transiently when a
         # repair's cascade disturbs other receptions (the accumulated
         # forced set still grows monotonically, which is what ultimately
         # forces convergence), so the stall guard is generous.
         informed_now = int((trace.first_rx >= 0).sum())
-        if informed_now <= prev_informed:
-            stall_rounds += 1
-            if stall_rounds > 24:
+        if informed_now <= self.prev_informed:
+            self.stall_rounds += 1
+            if self.stall_rounds > 24:
                 raise CompilationError(
                     f"no progress after {round_no} rounds on "
-                    f"{topology.name} (source {topology.coord(source)}): "
+                    f"{self.topology.name} (source "
+                    f"{self.topology.coord(self.source)}): "
                     f"{len(unreached)} nodes unreached")
         else:
-            stall_rounds = 0
-        prev_informed = max(prev_informed, informed_now)
+            self.stall_rounds = 0
+        self.prev_informed = max(self.prev_informed, informed_now)
 
         added = _plan_fixes(
-            topology, trace, forced, nbr_sets, unreached, plan,
-            allow_completion=completion, allow_repair=repair,
-            dead_mask=dead_mask)
+            self.topology, trace, self.forced, self.nbr_sets, unreached,
+            self.plan, allow_completion=self.completion,
+            allow_repair=self.repair, dead_mask=self.dead_mask)
         if not added:
             # Unreached nodes with no informed neighbour at all: the graph
             # is disconnected around them — return the partial broadcast.
-            return CompiledBroadcast(
-                topology_name=topology.name, source=source,
-                schedule=trace.as_schedule(), trace=trace, plan=plan,
-                completions=completions, repairs=repairs, rounds=round_no)
+            return self._finish(trace, round_no)
         for node, slot, kind in added:
-            forced.setdefault(slot, set()).add(node)
+            self.forced.setdefault(slot, set()).add(node)
             if kind == "completion":
-                completions.append((node, slot))
+                self.completions.append((node, slot))
             else:
-                repairs.append((node, slot))
+                self.repairs.append((node, slot))
+        return None
 
-    raise CompilationError(
-        f"schedule compilation exceeded {max_rounds} rounds on "
-        f"{topology.name} (source {topology.coord(source)})")
+    def _finish(self, trace: BroadcastTrace,
+                round_no: int) -> CompiledBroadcast:
+        return CompiledBroadcast(
+            topology_name=self.topology.name, source=self.source,
+            schedule=trace.as_schedule(), trace=trace, plan=self.plan,
+            completions=self.completions, repairs=self.repairs,
+            rounds=round_no)
+
+    def round_cap(self, max_rounds: int) -> CompilationError:
+        return CompilationError(
+            f"schedule compilation exceeded {max_rounds} rounds on "
+            f"{self.topology.name} (source "
+            f"{self.topology.coord(self.source)})")
 
 
 def _prune_dropped(trace: BroadcastTrace, forced: Dict[int, Set[int]],

@@ -38,9 +38,7 @@ Concurrency model — *atomic single-writer updates, lock-free readers*:
 
 Version guard: shards declaring an unknown ``version`` are read as
 misses and rewritten from scratch on the next publish — stale formats are
-never mis-parsed.  Directories holding the legacy per-entry JSON layout
-are transparently imported on open (see :meth:`ArtifactStore._migrate`)
-or skipped with a warning when unreadable — never a crash.
+never mis-parsed.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ import mmap
 import os
 import re
 import tempfile
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,10 +71,6 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 #: Bumped whenever the shard layout changes; stale-version shards are
 #: ignored (treated as misses) and rebuilt, never mis-parsed.
 STORE_FORMAT_VERSION = 2
-
-#: The legacy one-file-per-entry layout's version marker (see
-#: :meth:`ArtifactStore._migrate`).
-LEGACY_FORMAT_VERSION = 1
 
 #: Count fields persisted with every full entry; all model-independent,
 #: so any radio model / packet size rebuilds exact metrics from them.
@@ -180,8 +173,9 @@ class StoredEntry:
                 ) -> Optional[BroadcastMetrics]:
         """Rebuild the broadcast metrics from the persisted counts.
 
-        Returns ``None`` when the entry predates count persistence
-        (legacy import) — the caller falls back to the replay path.
+        Returns ``None`` when the index carries no counts (index files
+        are read from disk, so their contents are outside input) — the
+        caller falls back to the replay path.
         """
         if self.counts is None:
             return None
@@ -237,8 +231,6 @@ class ArtifactStore:
                 f"artifact store path {self.path} exists and is not a "
                 f"directory")
         self._readers: Dict[str, _ShardReader] = {}
-        self.migrated_entries = 0
-        self._migrate()
 
     # -- entries ----------------------------------------------------------
 
@@ -409,7 +401,7 @@ class ArtifactStore:
             return stats
         for index_path in sorted(self.path.glob("*.json")):
             if self._load_index(index_path) is None:
-                continue  # foreign/legacy/stale file: not ours to touch
+                continue  # foreign/stale file: not ours to touch
             sid = index_path.stem
             stats["shards"] += 1
             with self._locked(sid):
@@ -661,68 +653,6 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
-
-    # -- legacy migration -------------------------------------------------
-
-    def _migrate(self) -> None:
-        """Import a legacy per-entry JSON cache directory, if present.
-
-        The pre-shard layout stored one ``<sha256>.json`` per compilation
-        (version 1).  Those entries carry the schedule and compile
-        metadata but no counts, so they import as schedule-only entries —
-        warm *metrics* still need one replay, exactly as the legacy tier
-        behaved — and the originals move to ``legacy-imported/`` so the
-        scan runs once.  Unreadable files are skipped with a warning;
-        migration never raises.
-        """
-        if not self.path.is_dir():
-            return
-        legacy = [p for p in self.path.glob("*.json")
-                  if re.fullmatch(r"(class-)?[0-9a-f]{64}\.json", p.name)]
-        if not legacy:
-            return
-        parking = self.path / "legacy-imported"
-        for entry_path in legacy:
-            try:
-                payload = json.loads(entry_path.read_text(encoding="utf-8"))
-                if payload.get("version") != LEGACY_FORMAT_VERSION:
-                    raise ValueError(
-                        f"unknown legacy version {payload.get('version')!r}")
-                if not entry_path.name.startswith("class-"):
-                    self._import_legacy_entry(payload)
-                    self.migrated_entries += 1
-            except Exception as exc:
-                warnings.warn(
-                    f"artifact store: ignoring unreadable legacy cache "
-                    f"entry {entry_path.name}: {exc}", stacklevel=2)
-            try:
-                parking.mkdir(exist_ok=True)
-                os.replace(entry_path, parking / entry_path.name)
-            except OSError:  # pragma: no cover - parking is best-effort
-                pass
-
-    def _import_legacy_entry(self, payload: dict) -> None:
-        schedule = BroadcastSchedule()
-        for slot_str, nodes in payload["schedule"].items():
-            for v in nodes:
-                schedule.add(int(slot_str), int(v))
-        slots, nodes = schedule.to_arrays()
-        meta = {
-            "source_index": int(payload["source_index"]),
-            "rounds": int(payload["rounds"]),
-            "completions": [list(map(int, e))
-                            for e in payload["completions"]],
-            "repairs": [list(map(int, e)) for e in payload["repairs"]],
-            "counts": None,  # legacy entries never stored counts
-            "offset": None,
-            "ntx": int(slots.shape[0]),
-        }
-        data = (slots.astype("<i8").tobytes()
-                + nodes.astype("<i8").tobytes())
-        self._publish(payload["fingerprint"], payload["protocol"],
-                      bool(payload.get("completion", True)),
-                      bool(payload.get("repair", True)),
-                      entry_key(payload["source_index"]), meta, data)
 
 
 def _pair(entry) -> Tuple[int, int]:

@@ -22,9 +22,10 @@ each class *once*:
   exactly one reactive wave per member, executed for the whole class in
   one vectorized slot loop (summary mode, no event tuples); a class whose
   representative needed fixes runs the *same* simulate->fix rounds as the
-  serial compiler — same :func:`~repro.core.compiler._plan_fixes` planner,
-  same pruning, same exit conditions — with each round's reactive waves
-  batched across the class.
+  serial compiler — each member's round is digested by the compiler's own
+  per-member step (:class:`~repro.core.compiler._Fixpoint`: pruning, exit
+  conditions, fix planner) — with each round's reactive waves batched
+  across the class.
 
 Exactness does **not** rest on the class key: every member's schedule is
 produced by the identical algorithm the direct path runs (the batched
@@ -59,8 +60,7 @@ from ..sim.translate import TranslationError, translate_compiled
 from ..topology.base import Topology
 from .base import BroadcastProtocol, CompiledBroadcast, RelayPlan
 from .cache import ScheduleCache
-from .compiler import (DEFAULT_MAX_ROUNDS, CompilationError, _plan_fixes,
-                       _prune_dropped)
+from .compiler import DEFAULT_MAX_ROUNDS, _Fixpoint
 
 #: Upper bound on ``batch x num_nodes`` cells per batched run; classes
 #: larger than this advance in sub-batches (bounds the (B, n) arrays).
@@ -137,15 +137,6 @@ def _member_chunks(positions: List[int], num_nodes: int) -> List[List[int]]:
     return [positions[i:i + size] for i in range(0, len(positions), size)]
 
 
-def _finalize(topology: Topology, source_index: int, trace,
-              plan: RelayPlan, completions, repairs,
-              rounds: int) -> CompiledBroadcast:
-    return CompiledBroadcast(
-        topology_name=topology.name, source=source_index,
-        schedule=trace.as_schedule(), trace=trace, plan=plan,
-        completions=completions, repairs=repairs, rounds=rounds)
-
-
 def _compile_fixpoint_batch(
     topology: Topology,
     source_indices: List[int],
@@ -160,23 +151,18 @@ def _compile_fixpoint_batch(
     Member *b*'s sequence of rounds is identical to what
     :func:`~repro.core.compiler.compile_broadcast` runs for it alone:
     each round's reactive wave is trace-for-trace the serial engine's
-    (batched across all still-active members), and the fix planner and
-    dropped-forced pruning are the very same functions, so the produced
+    (batched across all still-active members), and each member's round
+    is digested by the compiler's own per-member step
+    (:class:`~repro.core.compiler._Fixpoint`), so the produced
     :class:`CompiledBroadcast` is equal field for field.  Members leave
     the batch as they converge; stall/round-cap guards raise the same
     :class:`CompilationError` the serial path would.
     """
-    n = topology.num_nodes
-    nbr_sets = topology.neighbor_sets
-    batch = len(source_indices)
-    forced: List[Dict[int, set]] = [{} for _ in range(batch)]
-    completions: List[List[Tuple[int, int]]] = [[] for _ in range(batch)]
-    repairs: List[List[Tuple[int, int]]] = [[] for _ in range(batch)]
-    prev_informed = [-1] * batch
-    stall = [0] * batch
-    results: List[Optional[CompiledBroadcast]] = [None] * batch
-    active = list(range(batch))
-
+    fixes = [_Fixpoint(topology, src, plan, completion=completion,
+                       repair=repair)
+             for src, plan in zip(source_indices, plans)]
+    results: List[Optional[CompiledBroadcast]] = [None] * len(fixes)
+    active = list(range(len(fixes)))
     for round_no in range(1, max_rounds + 1):
         if not active:
             break
@@ -186,50 +172,12 @@ def _compile_fixpoint_batch(
             np.stack([plans[b].relay_mask for b in active]),
             extra_delays=np.stack([plans[b].extra_delay for b in active]),
             repeat_offsets_list=[plans[b].repeat_offsets for b in active],
-            forced_tx_list=[forced[b] for b in active])
-        still_active = []
+            forced_tx_list=[fixes[b].forced for b in active])
         for trace, b in zip(traces, active):
-            _prune_dropped(trace, forced[b], completions[b], repairs[b])
-            unreached = trace.unreached_nodes()
-            if len(unreached) == 0 or (not completion and not repair):
-                results[b] = _finalize(
-                    topology, source_indices[b], trace, plans[b],
-                    completions[b], repairs[b], round_no)
-                continue
-            informed_now = int((trace.first_rx >= 0).sum())
-            if informed_now <= prev_informed[b]:
-                stall[b] += 1
-                if stall[b] > 24:
-                    raise CompilationError(
-                        f"no progress after {round_no} rounds on "
-                        f"{topology.name} (source "
-                        f"{topology.coord(source_indices[b])}): "
-                        f"{len(unreached)} nodes unreached")
-            else:
-                stall[b] = 0
-            prev_informed[b] = max(prev_informed[b], informed_now)
-            added = _plan_fixes(
-                topology, trace, forced[b], nbr_sets, unreached, plans[b],
-                allow_completion=completion, allow_repair=repair)
-            if not added:
-                results[b] = _finalize(
-                    topology, source_indices[b], trace, plans[b],
-                    completions[b], repairs[b], round_no)
-                continue
-            for node, slot, kind in added:
-                forced[b].setdefault(slot, set()).add(node)
-                if kind == "completion":
-                    completions[b].append((node, slot))
-                else:
-                    repairs[b].append((node, slot))
-            still_active.append(b)
-        active = still_active
-
+            results[b] = fixes[b].round(trace, round_no)
+        active = [b for b in active if results[b] is None]
     if active:
-        raise CompilationError(
-            f"schedule compilation exceeded {max_rounds} rounds on "
-            f"{topology.name} (source "
-            f"{topology.coord(source_indices[active[0]])})")
+        raise fixes[active[0]].round_cap(max_rounds)
     return results
 
 

@@ -16,12 +16,17 @@ Two execution modes:
 
 Both modes also exist *trial-batched* — :func:`run_reactive_batch` and
 :func:`replay_batch` advance B independent Monte-Carlo trials (same plan,
-per-trial loss/failure realisations) together, resolving each slot for
-the whole batch in one CSR gather + 2-D bincount
-(:meth:`~repro.radio.channel.SlotKernel.resolve_batch`) and tracking
-per-trial frontiers under a shared max-slot horizon.  Every batched trial
-is trace-for-trace identical to a serial run with the same per-trial
-seed; the differential suite pins that down.  Aggregate consumers pass
+per-trial loss/failure realisations) together, and
+:func:`run_reactive_multi` advances B waves with per-trial sources and
+plans.  The two reactive entry points only shape their arguments for one
+batched slot loop, in which a shared plan is a single broadcast row; the
+reactive and replay batches share one resolve/commit/recovery step
+(:meth:`_BatchState.step`), whose slot-resolve tiers
+(:mod:`repro.sim.backend`) differ only in their kernels.  Every batched
+trial is trace-for-trace identical to a serial run with the same
+per-trial seed; the differential suite pins that down.  The serial
+engine stays as the schedule compiler's wave and as that oracle.
+Aggregate consumers pass
 ``summary=True`` to get a :class:`~repro.sim.summary.TraceSummary`
 (first_rx / tx / rx counts / collisions only) and skip per-event tuple
 materialisation entirely.
@@ -59,9 +64,13 @@ from .schedule import BroadcastSchedule
 from .summary import TraceSummary
 from .trace import BroadcastTrace
 
+#: One trial's repeat offsets (``node -> offsets``) and forced
+#: transmissions (``slot -> nodes``).
+_Repeats = Optional[Mapping[int, Tuple[int, ...]]]
+_Forced = Optional[Mapping[int, Iterable[int]]]
 
-def _normalize_forced(forced_tx: Optional[Mapping[int, Iterable[int]]]
-                      ) -> Dict[int, Set[int]]:
+
+def _normalize_forced(forced_tx: _Forced) -> Dict[int, Set[int]]:
     out: Dict[int, Set[int]] = {}
     if forced_tx:
         for slot, nodes in forced_tx.items():
@@ -69,6 +78,23 @@ def _normalize_forced(forced_tx: Optional[Mapping[int, Iterable[int]]]
                 raise ValueError(f"forced slots are 1-based, got {slot}")
             out[int(slot)] = {int(v) for v in nodes}
     return out
+
+
+def _shaped(array, shape: Tuple[int, ...], name: str, dtype) -> np.ndarray:
+    array = np.asarray(array, dtype=dtype)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}")
+    return array
+
+
+def _delays(extra_delay: Optional[np.ndarray], shape: Tuple[int, ...],
+            name: str) -> np.ndarray:
+    if extra_delay is None:
+        return np.zeros(shape, dtype=np.int64)
+    extra_delay = _shaped(extra_delay, shape, name, np.int64)
+    if (extra_delay < 0).any():
+        raise ValueError("extra_delay must be non-negative")
+    return extra_delay
 
 
 class _EventLog:
@@ -112,8 +138,8 @@ def run_reactive(
     relay_mask: np.ndarray,
     *,
     extra_delay: Optional[np.ndarray] = None,
-    repeat_offsets: Optional[Mapping[int, Tuple[int, ...]]] = None,
-    forced_tx: Optional[Mapping[int, Iterable[int]]] = None,
+    repeat_offsets: _Repeats = None,
+    forced_tx: _Forced = None,
     max_slots: Optional[int] = None,
     dead_mask: Optional[np.ndarray] = None,
     loss: Optional["LossProcess"] = None,
@@ -161,22 +187,11 @@ def run_reactive(
     if not 0 <= source < n:
         raise ValueError(f"source index {source} out of range")
     if dead_mask is not None:
-        dead_mask = np.asarray(dead_mask, dtype=bool)
-        if dead_mask.shape != (n,):
-            raise ValueError(f"dead_mask must have shape ({n},)")
+        dead_mask = _shaped(dead_mask, (n,), "dead_mask", bool)
         if dead_mask[source]:
             raise ValueError("the source node cannot be dead")
-    relay_mask = np.asarray(relay_mask, dtype=bool)
-    if relay_mask.shape != (n,):
-        raise ValueError(f"relay_mask must have shape ({n},)")
-    if extra_delay is None:
-        extra_delay = np.zeros(n, dtype=np.int64)
-    else:
-        extra_delay = np.asarray(extra_delay, dtype=np.int64)
-        if extra_delay.shape != (n,):
-            raise ValueError(f"extra_delay must have shape ({n},)")
-        if (extra_delay < 0).any():
-            raise ValueError("extra_delay must be non-negative")
+    relay_mask = _shaped(relay_mask, (n,), "relay_mask", bool)
+    extra_delay = _delays(extra_delay, (n,), "extra_delay")
     repeats = dict(repeat_offsets or {})
     for offs in repeats.values():
         for off in offs:
@@ -277,9 +292,7 @@ def replay(topology: Topology, schedule: BroadcastSchedule,
     if not 0 <= source < n:
         raise ValueError(f"source index {source} out of range")
     if dead_mask is not None:
-        dead_mask = np.asarray(dead_mask, dtype=bool)
-        if dead_mask.shape != (n,):
-            raise ValueError(f"dead_mask must have shape ({n},)")
+        dead_mask = _shaped(dead_mask, (n,), "dead_mask", bool)
     kernel = topology.slot_kernel
     first_rx = np.full(n, -1, dtype=np.int64)
     first_rx[source] = 0
@@ -289,17 +302,10 @@ def replay(topology: Topology, schedule: BroadcastSchedule,
     alive_mask = None if dead_mask is None else ~dead_mask
     faulty = dead_mask is not None or loss is not None
     rec = None
-    bound = schedule.max_slot
-    slots: Iterable[int] = schedule.active_slots()
     if recovery is not None:
         rec = RecoveryState(topology, recovery,
                             relay_like_from_schedule(n, schedule))
-        if max_slots is None:
-            max_slots = max(4 * n + 16, bound + 2)
-        # Recovery inserts transmissions into arbitrary slots (and past
-        # the schedule horizon), so walk every slot up to the bound.
-        slots = _replay_recovery_slots(bound, max_slots, rec)
-    for t in slots:
+    for t in _replay_slots(schedule, rec, max_slots, n):
         tx_set = schedule.transmitters(t)
         if dead_mask is not None:
             tx_set = {v for v in tx_set if not dead_mask[v]}
@@ -321,18 +327,80 @@ def replay(topology: Topology, schedule: BroadcastSchedule,
         collision_events=coll_log.tuples())
 
 
-def _replay_recovery_slots(sched_horizon: int, max_slots: int,
-                           rec) -> Iterable[int]:
-    """Slot counter of a recovery-enabled replay: runs while scheduled
-    *or* recovery work remains, re-reading the recovery horizon (which
-    grows as episodes are scheduled) each slot."""
+def _replay_slots(schedule: BroadcastSchedule, rec,
+                  max_slots: Optional[int], num_nodes: int
+                  ) -> Iterable[int]:
+    """The slots a replay visits: the schedule's active slots, or — with
+    a recovery state *rec* — every slot while scheduled *or* recovery
+    work remains, since recovery inserts transmissions into arbitrary
+    slots and past the schedule horizon.  The recovery horizon grows as
+    episodes are scheduled, so it is re-read each slot; *max_slots*
+    (default ``4 * n + 16``) bounds the walk."""
+    if rec is None:
+        yield from schedule.active_slots()
+        return
+    bound = schedule.max_slot
+    if max_slots is None:
+        max_slots = max(4 * num_nodes + 16, bound + 2)
     t = 0
-    while t < max_slots and (t < sched_horizon or t < rec.horizon):
+    while t < max_slots and (t < bound or t < rec.horizon):
         t += 1
         yield t
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _offset_masks(num_nodes: int, repeats_rows: Sequence[_Repeats]
+                  ) -> Dict[int, np.ndarray]:
+    """Repeat offsets regrouped by offset: ``off -> (rows, n)`` mask of
+    the nodes repeating ``off`` slots after each transmission, so
+    scheduling a batch of newly informed relays is one boolean gather per
+    distinct offset instead of a per-node python loop."""
+    masks: Dict[int, np.ndarray] = {}
+    for b, repeats in enumerate(repeats_rows):
+        for v, offs in (repeats or {}).items():
+            for off in offs:
+                if off < 1:
+                    raise ValueError(
+                        f"repeat offsets must be >= 1, got {off}")
+                masks.setdefault(int(off), np.zeros(
+                    (len(repeats_rows), num_nodes), dtype=bool))[b, int(v)] \
+                    = True
+    return masks
+
+
+def _forced_schedule(forced_rows: Sequence[_Forced], trials: int,
+                     num_nodes: int, max_slots: Optional[int]
+                     ) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]],
+                                np.ndarray]:
+    """Forced transmissions as ``slot -> (trials, nodes)`` pair arrays,
+    plus each trial's slot cut-off.
+
+    A single row applies to every trial.  Pairs run trial-major with
+    nodes ascending, so dropped-forced entries append in the serial
+    engine's sorted order.  Each trial's cut-off is the serial engine's
+    ``max_slots`` default (which depends on its own forced set) unless
+    *max_slots* is given; pairs past a trial's cut-off are removed, since
+    the serial engine would neither execute nor record them.
+    """
+    rows = [_normalize_forced(f) for f in forced_rows]
+    if len(rows) == 1:
+        rows *= trials
+    limit = np.full(trials, 4 * num_nodes + 16, dtype=np.int64)
+    pairs: Dict[int, List[Tuple[int, int]]] = {}
+    for b, forced in enumerate(rows):
+        limit[b] = max(limit[b], max(forced, default=0) + 2)
+        for slot, nodes in forced.items():
+            pairs.setdefault(slot, []).extend((b, v) for v in sorted(nodes))
+    if max_slots is not None:
+        limit[:] = max_slots
+    forced_at = {}
+    for slot, items in pairs.items():
+        f_tr, f_nd = np.array(items, dtype=np.int64).T
+        keep = limit[f_tr] >= slot
+        forced_at[slot] = (f_tr[keep], f_nd[keep])
+    return forced_at, limit
 
 
 def _resolve_trials(trials: Optional[int],
@@ -368,61 +436,120 @@ def _resolve_trials(trials: Optional[int],
 
 
 class _BatchState:
-    """Shared accumulation state of one batched simulation.
+    """One batched simulation: its (B, n) arrays and its slot step.
 
-    Owns the (B, n) per-trial arrays and either the per-event logs (full
-    trace mode) or the count matrices (summary mode), so the reactive and
-    replay drivers share one slot-commit implementation.
+    Owns the per-trial first-reception matrix, either the per-event logs
+    (full trace mode) or the count matrices (summary mode), the
+    slot-resolve tier and the recovery state, so the reactive and replay
+    loops share one resolve/commit/recovery step (:meth:`step`) and
+    differ only in how they choose each slot's transmitters.
     """
 
-    def __init__(self, num_nodes: int, source: Union[int, np.ndarray],
-                 trials: int, summary: bool) -> None:
-        self.n = num_nodes
+    def __init__(self, topology: Topology, source: Union[int, np.ndarray],
+                 trials: int, summary: bool, *,
+                 dead_masks: Optional[np.ndarray] = None,
+                 loss: Optional[BatchLoss] = None,
+                 recovery: Optional[RecoveryPolicy] = None,
+                 relay_like: Optional[np.ndarray] = None,
+                 engine: str = "batch",
+                 threads: Optional[int] = None) -> None:
+        n = topology.num_nodes
+        self.n = n
         self.source = source
         self.trials = trials
         self.summary = summary
-        self.first_rx = np.full((trials, num_nodes), -1, dtype=np.int64)
-        if np.ndim(source) == 0:
-            self.first_rx[:, int(source)] = 0
-        else:
-            # Per-trial sources (run_reactive_multi): trial b originates
-            # at its own node.
-            self.first_rx[np.arange(trials), source] = 0
+        self.kernel = topology.slot_kernel
+        self.alive = None if dead_masks is None else ~dead_masks
+        self.loss = loss
+        # Trial b originates at sources[b]: its own node under
+        # run_reactive_multi, the broadcast scalar source otherwise.
+        self.sources = np.broadcast_to(np.asarray(source, dtype=np.int64),
+                                       (trials,))
+        self.first_rx = np.full((trials, n), -1, dtype=np.int64)
+        self.first_rx[np.arange(trials), self.sources] = 0
         self.dropped_forced: List[List[Tuple[int, int]]] = [
             [] for _ in range(trials)]
         if summary:
-            self.tx_count = np.zeros((trials, num_nodes), dtype=np.int64)
-            self.rx_count = np.zeros((trials, num_nodes), dtype=np.int64)
+            self.tx_count = np.zeros((trials, n), dtype=np.int64)
+            self.rx_count = np.zeros((trials, n), dtype=np.int64)
             self.collisions = np.zeros(trials, dtype=np.int64)
         else:
             self.tx_log = _EventLog(3)    # slot, trial, node
             self.rx_log = _EventLog(4)    # slot, trial, receiver, sender
             self.coll_log = _EventLog(3)  # slot, trial, node
+        self.need_senders = not summary or recovery is not None
+        self.backend = make_backend(self.kernel, trials, engine, loss,
+                                    self.alive,
+                                    need_senders=self.need_senders,
+                                    need_coll_pairs=not summary,
+                                    threads=threads)
+        self.rec = None
+        if recovery is not None:
+            if self.backend is not None:
+                # The word-space backends own a recovery tier matched to
+                # their resolve tier (bit-identical to BatchRecoveryState).
+                self.rec = self.backend.make_recovery(
+                    topology, recovery, relay_like, trials)
+            else:
+                self.rec = BatchRecoveryState(topology, recovery,
+                                              relay_like, trials)
 
-    def commit_slot(self, t: int, tr: np.ndarray, nd: np.ndarray,
-                    received: np.ndarray, collided: np.ndarray,
-                    senders: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray,
-                               np.ndarray, np.ndarray]:
-        """Log one dense-resolved slot; returns ``(rt, rn, nt, nn)``:
-        the received and the newly informed (trial, node) pairs, both
-        row-major, i.e. sorted by trial then node."""
-        rt, rn = received.nonzero()
-        if self.summary:
-            # (tr, nd) and (rt, rn) pairs are unique within a slot, so
-            # plain fancy-index increments suffice (no np.add.at).
-            self.tx_count[tr, nd] += 1
-            self.rx_count[rt, rn] += 1
-            self.collisions += collided.sum(axis=1)
+    def step(self, t: int, tr: np.ndarray, nd: np.ndarray,
+             dedup: bool) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Run slot *t*: the caller's ``(trial, node)`` transmissions plus
+        the recovery layer's, resolved, committed and fed back to the
+        recovery state.  Returns the newly informed pairs, or ``None``
+        for a silent slot.
+
+        The caller's pairs must be alive; *dedup* says they may repeat or
+        leave (trial, node) order (several pending segments in one slot).
+        """
+        rec = self.rec
+        if rec is not None:
+            with profiling.phase("recovery-pre"):
+                r_tr, r_nd = rec.pre_slot(t)
+            if len(r_nd):
+                # Recovery retransmitters are informed (hence alive) by
+                # construction, but they carry no order of their own and
+                # can duplicate scheduled transmissions.
+                tr = np.concatenate([tr, r_tr])
+                nd = np.concatenate([nd, r_nd])
+                dedup = True
+        if len(nd) == 0:
+            return None
+        if dedup:
+            # The serial engine's per-slot *set* collapses duplicates;
+            # np.unique also yields the (trial, node)-sorted order the
+            # event logs rely on.
+            key = np.unique(tr * self.n + nd)
+            tr, nd = key // self.n, key % self.n
+        backend = self.backend
+        if backend is not None:
+            rt, rn, sv, coll = _backend_resolve(backend, t, tr, nd)
         else:
-            self.tx_log.extend(t, tr, nd)
-            ct, cn = collided.nonzero()
-            self.coll_log.extend(t, ct, cn)
-            self.rx_log.extend(t, rt, rn, senders[rt, rn])
-        new = self.first_rx[rt, rn] < 0
-        nt, nn = rt[new], rn[new]
-        self.first_rx[nt, nn] = t
-        return rt, rn, nt, nn
+            _, received, collided, senders = self.kernel.resolve_batch(
+                nd, tr, self.trials)
+            if self.alive is not None:
+                received &= self.alive
+                collided &= self.alive
+            if self.loss is not None:
+                with profiling.phase("loss-rng"):
+                    received = self.loss.apply_batch(t, received)
+        with profiling.phase("commit"):
+            if backend is None:
+                rt, rn = received.nonzero()
+                sv = senders[rt, rn] if self.need_senders else None
+                coll = (collided.sum(axis=1) if self.summary
+                        else collided.nonzero())
+            nt, nn = self.commit_sparse(t, tr, nd, rt, rn, sv, coll)
+        if rec is not None:
+            with profiling.phase("recovery-post"):
+                if backend is not None:
+                    rec.post_slot(t, tr, nd, rt, rn, sv, nt, nn,
+                                  epos=backend.last_epos)
+                else:
+                    rec.post_slot(t, tr, nd, rt, rn, sv, nt, nn)
+        return nt, nn
 
     def commit_sparse(self, t: int, tr: np.ndarray, nd: np.ndarray,
                       rt: np.ndarray, rn: np.ndarray,
@@ -430,7 +557,7 @@ class _BatchState:
                       coll: Union[np.ndarray,
                                   Tuple[np.ndarray, np.ndarray]]
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Log one backend-resolved slot from sparse outcomes.
+        """Log one resolved slot from sparse outcomes.
 
         ``(rt, rn)`` are the received pairs in (trial, node) order with
         senders *sv* (required in trace mode); *coll* is the per-trial
@@ -438,6 +565,8 @@ class _BatchState:
         pairs (trace mode).  Returns the newly informed pairs.
         """
         if self.summary:
+            # (tr, nd) and (rt, rn) pairs are unique within a slot, so
+            # plain fancy-index increments suffice (no np.add.at).
             self.tx_count[tr, nd] += 1
             self.rx_count[rt, rn] += 1
             self.collisions += coll
@@ -452,6 +581,8 @@ class _BatchState:
         return nt, nn
 
     def finish(self) -> Union[TraceSummary, List[BroadcastTrace]]:
+        if self.backend is not None:
+            BREAKER.record_success(self.backend.name)
         if self.summary:
             return TraceSummary(
                 num_nodes=self.n, source=self.source, trials=self.trials,
@@ -462,7 +593,6 @@ class _BatchState:
         tx_buf = self.tx_log._buf[:self.tx_log._len]
         rx_buf = self.rx_log._buf[:self.rx_log._len]
         coll_buf = self.coll_log._buf[:self.coll_log._len]
-        scalar_source = np.ndim(self.source) == 0
         for b in range(self.trials):
             # Rows were appended slot-by-slot with intra-slot (trial,
             # node) ordering, so a per-trial extraction preserves exactly
@@ -471,9 +601,7 @@ class _BatchState:
             rx = rx_buf[rx_buf[:, 1] == b][:, (0, 2, 3)]
             coll = coll_buf[coll_buf[:, 1] == b][:, (0, 2)]
             traces.append(BroadcastTrace(
-                num_nodes=self.n,
-                source=int(self.source) if scalar_source
-                else int(self.source[b]),
+                num_nodes=self.n, source=int(self.sources[b]),
                 first_rx=self.first_rx[b].copy(),
                 tx_events=list(map(tuple, tx.tolist())),
                 rx_events=list(map(tuple, rx.tolist())),
@@ -497,14 +625,117 @@ def _backend_resolve(backend, t, tr, nd):
         raise BackendFault(backend.name, exc) from exc
 
 
+def _reactive_loop(
+    state: _BatchState,
+    relay: np.ndarray,
+    delay: np.ndarray,
+    offsets: Dict[int, np.ndarray],
+    forced_at: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    limit: np.ndarray,
+) -> Union[TraceSummary, List[BroadcastTrace]]:
+    """The batched reactive slot loop.
+
+    Trial *b* originates at its source in *state* (per-trial, or one
+    scalar source) and follows plan row *b* of *relay* / *delay* /
+    *offsets* — or row 0 for every trial when the plan is one shared
+    row.  *forced_at* and the per-trial cut-off *limit* come from
+    :func:`_forced_schedule`.
+    """
+    batch = state.trials
+    shared = relay.shape[0] == 1
+    if shared:
+        # A shared plan's one row is indexed by node alone: a 1-D gather
+        # costs a third of a mixed scalar/array one, every slot.
+        relay, delay = relay[0], delay[0]
+        offsets = {off: mask[0] for off, mask in offsets.items()}
+
+    def at(rows, tr, nd):
+        return rows[nd] if shared else rows[tr, nd]
+
+    pending: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+    horizon = max(forced_at, default=0)
+
+    def schedule_pairs(tr: np.ndarray, nd: np.ndarray,
+                       base: np.ndarray) -> None:
+        """Schedule (trial, node) pairs firing at per-pair *base* slots,
+        plus each node's repeat transmissions."""
+        nonlocal horizon
+        last = int(base.max())
+        for s in np.unique(base):
+            sel = base == s
+            pending.setdefault(int(s), []).append((tr[sel], nd[sel]))
+        for off, mask in offsets.items():
+            has = at(mask, tr, nd)
+            if has.any():
+                rep_base = base[has] + off
+                rep_tr, rep_nd = tr[has], nd[has]
+                for s in np.unique(rep_base):
+                    sel = rep_base == s
+                    pending.setdefault(int(s), []).append(
+                        (rep_tr[sel], rep_nd[sel]))
+                last = max(last, int(rep_base.max()))
+        if last > horizon:
+            horizon = last
+
+    all_trials = np.arange(batch, dtype=np.int64)
+    schedule_pairs(all_trials, state.sources,
+                   1 + at(delay, all_trials, state.sources))
+
+    rec = state.rec
+    cut, max_limit = int(limit.min()), int(limit.max())
+    t = 0
+    while t < max_limit and (t < horizon
+                             or (rec is not None and t < rec.horizon)):
+        t += 1
+        entries = pending.pop(t, None)
+        if entries:
+            tr = np.concatenate([e[0] for e in entries])
+            nd = np.concatenate([e[1] for e in entries])
+            if t > cut:
+                # Per-trial cut-off: the serial engine stops trial b's
+                # slot loop at its own bound.
+                keep = limit[tr] >= t
+                tr, nd = tr[keep], nd[keep]
+        else:
+            tr, nd = _EMPTY, _EMPTY
+        # Each pending entry is a subset of a sorted-unique commit, so
+        # a lone entry needs no dedup pass.
+        segments = len(entries) if entries else 0
+        forced_now = forced_at.pop(t, None)
+        if forced_now is not None:
+            f_tr, f_nd = forced_now
+            frx = state.first_rx[f_tr, f_nd]
+            ok = (frx >= 0) & (frx < t)
+            tr = np.concatenate([tr, f_tr[ok]])
+            nd = np.concatenate([nd, f_nd[ok]])
+            segments += 1
+            for j in (~ok).nonzero()[0]:
+                state.dropped_forced[int(f_tr[j])].append(
+                    (t, int(f_nd[j])))
+        if state.alive is not None and len(nd):
+            keep = state.alive[tr, nd]
+            tr, nd = tr[keep], nd[keep]
+        new = state.step(t, tr, nd, dedup=segments > 1)
+        if new is None:
+            continue
+        nt, nn = new
+        if len(nn):
+            rel = at(relay, nt, nn)
+            if rel.any():
+                rel_t, rel_n = nt[rel], nn[rel]
+                schedule_pairs(rel_t, rel_n,
+                               t + 1 + at(delay, rel_t, rel_n))
+    return state.finish()
+
+
 def _run_reactive_batch_impl(
     topology: Topology,
     source: int,
     relay_mask: np.ndarray,
     *,
     extra_delay: Optional[np.ndarray] = None,
-    repeat_offsets: Optional[Mapping[int, Tuple[int, ...]]] = None,
-    forced_tx: Optional[Mapping[int, Iterable[int]]] = None,
+    repeat_offsets: _Repeats = None,
+    forced_tx: _Forced = None,
     max_slots: Optional[int] = None,
     dead_masks: Optional[np.ndarray] = None,
     loss: Optional[BatchLoss] = None,
@@ -546,165 +777,17 @@ def _run_reactive_batch_impl(
     batch, dead_masks = _resolve_trials(trials, dead_masks, loss, n)
     if dead_masks is not None and dead_masks[:, source].any():
         raise ValueError("the source node cannot be dead")
-    relay_mask = np.asarray(relay_mask, dtype=bool)
-    if relay_mask.shape != (n,):
-        raise ValueError(f"relay_mask must have shape ({n},)")
-    if extra_delay is None:
-        extra_delay = np.zeros(n, dtype=np.int64)
-    else:
-        extra_delay = np.asarray(extra_delay, dtype=np.int64)
-        if extra_delay.shape != (n,):
-            raise ValueError(f"extra_delay must have shape ({n},)")
-        if (extra_delay < 0).any():
-            raise ValueError("extra_delay must be non-negative")
-    repeats = dict(repeat_offsets or {})
-    # Repeats regrouped by offset: scheduling a batch of newly informed
-    # relays is then one boolean gather per distinct offset instead of a
-    # per-node python loop.
-    offset_nodes: Dict[int, np.ndarray] = {}
-    for v, offs in repeats.items():
-        for off in offs:
-            if off < 1:
-                raise ValueError(f"repeat offsets must be >= 1, got {off}")
-            offset_nodes.setdefault(int(off),
-                                    np.zeros(n, dtype=bool))[int(v)] = True
-    forced = _normalize_forced(forced_tx)
-    if max_slots is None:
-        max_slots = max(4 * n + 16, max(forced, default=0) + 2)
-
-    kernel = topology.slot_kernel
-    state = _BatchState(n, source, batch, summary)
-    alive_masks = None if dead_masks is None else ~dead_masks
-    backend = make_backend(kernel, batch, engine, loss, alive_masks,
-                           need_senders=not summary
-                           or recovery is not None,
-                           need_coll_pairs=not summary,
-                           threads=threads)
-
-    pending: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-    horizon = max(forced, default=0)
-
-    def schedule_pairs(tr: np.ndarray, nd: np.ndarray,
-                       base: np.ndarray) -> None:
-        """Schedule (trial, node) pairs firing at per-pair *base* slots,
-        plus each node's repeat transmissions."""
-        nonlocal horizon
-        last = int(base.max())
-        for s in np.unique(base):
-            sel = base == s
-            pending.setdefault(int(s), []).append((tr[sel], nd[sel]))
-        for off, mask in offset_nodes.items():
-            has = mask[nd]
-            if has.any():
-                rep_base = base[has] + off
-                rep_tr, rep_nd = tr[has], nd[has]
-                for s in np.unique(rep_base):
-                    sel = rep_base == s
-                    pending.setdefault(int(s), []).append(
-                        (rep_tr[sel], rep_nd[sel]))
-                last = max(last, int(rep_base.max()))
-        if last > horizon:
-            horizon = last
-
-    all_trials = np.arange(batch, dtype=np.int64)
-    schedule_pairs(all_trials,
-                   np.full(batch, source, dtype=np.int64),
-                   np.full(batch, 1 + int(extra_delay[source]),
-                           dtype=np.int64))
-
-    rec = None
-    if recovery is not None:
-        relay_like = relay_like_mask(n, relay_mask, source)
-        if backend is not None:
-            # The word-space backends own a recovery tier matched to
-            # their resolve tier (bit-identical to BatchRecoveryState).
-            rec = backend.make_recovery(topology, recovery, relay_like,
-                                        batch)
-        else:
-            rec = BatchRecoveryState(topology, recovery, relay_like,
-                                     batch)
-
-    t = 0
-    while t < max_slots and (t < horizon
-                             or (rec is not None and t < rec.horizon)):
-        t += 1
-        entries = pending.pop(t, None)
-        if entries:
-            tr = np.concatenate([e[0] for e in entries])
-            nd = np.concatenate([e[1] for e in entries])
-        else:
-            tr, nd = _EMPTY, _EMPTY
-        # Each pending entry is a subset of a sorted-unique commit, so
-        # a lone entry needs no dedup pass below.
-        segments = len(entries) if entries else 0
-        forced_now = forced.pop(t, None)
-        if forced_now:
-            fv = np.fromiter(sorted(forced_now), count=len(forced_now),
-                             dtype=np.int64)
-            frx = state.first_rx[:, fv]
-            ok = (frx >= 0) & (frx < t)
-            ok_t, ok_j = ok.nonzero()
-            tr = np.concatenate([tr, ok_t])
-            nd = np.concatenate([nd, fv[ok_j]])
-            segments += 1
-            for b, j in zip(*(~ok).nonzero()):
-                state.dropped_forced[b].append((t, int(fv[j])))
-        if rec is not None:
-            with profiling.phase("recovery-pre"):
-                r_tr, r_nd = rec.pre_slot(t)
-            if len(r_nd):
-                tr = np.concatenate([tr, r_tr])
-                nd = np.concatenate([nd, r_nd])
-                # Recovery pairs carry no sortedness guarantee of their
-                # own, so they always force the dedup pass.
-                segments += 2
-        if len(nd) == 0:
-            continue
-        if segments > 1:
-            # A node can be both pending and forced in the same slot;
-            # the serial engine's per-slot *set* collapses that, so
-            # dedup here.  np.unique also yields the (trial, node)-
-            # sorted order the event logs rely on.
-            key = np.unique(tr * n + nd)
-            tr, nd = key // n, key % n
-        if dead_masks is not None:
-            keep = ~dead_masks[tr, nd]
-            tr, nd = tr[keep], nd[keep]
-        if len(nd) == 0:
-            continue
-        if backend is not None:
-            rt, rn, sv, coll = _backend_resolve(backend, t, tr, nd)
-            with profiling.phase("commit"):
-                nt, nn = state.commit_sparse(t, tr, nd, rt, rn, sv, coll)
-        else:
-            _, received, collided, senders = kernel.resolve_batch(
-                nd, tr, batch)
-            if alive_masks is not None:
-                received &= alive_masks
-                collided &= alive_masks
-            if loss is not None:
-                with profiling.phase("loss-rng"):
-                    received = loss.apply_batch(t, received)
-            with profiling.phase("commit"):
-                rt, rn, nt, nn = state.commit_slot(
-                    t, tr, nd, received, collided, senders)
-            sv = senders[rt, rn] if rec is not None else None
-        if len(nn):
-            rel = relay_mask[nn]
-            if rel.any():
-                rel_t, rel_n = nt[rel], nn[rel]
-                schedule_pairs(rel_t, rel_n,
-                               t + 1 + extra_delay[rel_n])
-        if rec is not None:
-            with profiling.phase("recovery-post"):
-                if backend is not None:
-                    rec.post_slot(t, tr, nd, rt, rn, sv, nt, nn,
-                                  epos=backend.last_epos)
-                else:
-                    rec.post_slot(t, tr, nd, rt, rn, sv, nt, nn)
-    if backend is not None:
-        BREAKER.record_success(backend.name)
-    return state.finish()
+    relay_mask = _shaped(relay_mask, (n,), "relay_mask", bool)
+    extra_delay = _delays(extra_delay, (n,), "extra_delay")
+    offsets = _offset_masks(n, [repeat_offsets])
+    forced_at, limit = _forced_schedule([forced_tx], batch, n, max_slots)
+    state = _BatchState(
+        topology, source, batch, summary, dead_masks=dead_masks, loss=loss,
+        recovery=recovery, engine=engine, threads=threads,
+        relay_like=(None if recovery is None
+                    else relay_like_mask(n, relay_mask, source)))
+    return _reactive_loop(state, relay_mask[None], extra_delay[None],
+                          offsets, forced_at, limit)
 
 
 def run_reactive_multi(
@@ -713,10 +796,8 @@ def run_reactive_multi(
     relay_masks: np.ndarray,
     *,
     extra_delays: Optional[np.ndarray] = None,
-    repeat_offsets_list: Optional[
-        Sequence[Mapping[int, Tuple[int, ...]]]] = None,
-    forced_tx_list: Optional[
-        Sequence[Optional[Mapping[int, Iterable[int]]]]] = None,
+    repeat_offsets_list: Optional[Sequence[_Repeats]] = None,
+    forced_tx_list: Optional[Sequence[_Forced]] = None,
     max_slots: Optional[int] = None,
     summary: bool = False,
 ) -> Union[TraceSummary, List[BroadcastTrace]]:
@@ -729,7 +810,8 @@ def run_reactive_multi(
     plus its own forced transmissions ``forced_tx_list[b]``.  This is the
     engine under the symmetry-reduced sweep: one equivalence class of
     source positions advances through a single CSR gather + bincount per
-    slot instead of B separate python slot loops.
+    slot instead of B separate python slot loops.  Both entry points
+    shape their arguments for the same batched slot loop.
 
     Trial *b* is trace-for-trace identical to::
 
@@ -752,126 +834,18 @@ def run_reactive_multi(
     if ((sources < 0) | (sources >= n)).any():
         raise ValueError("source index out of range")
     batch = len(sources)
-    relay_masks = np.asarray(relay_masks, dtype=bool)
-    if relay_masks.shape != (batch, n):
-        raise ValueError(f"relay_masks must have shape ({batch}, {n})")
-    if extra_delays is None:
-        extra_delays = np.zeros((batch, n), dtype=np.int64)
-    else:
-        extra_delays = np.asarray(extra_delays, dtype=np.int64)
-        if extra_delays.shape != (batch, n):
-            raise ValueError(
-                f"extra_delays must have shape ({batch}, {n})")
-        if (extra_delays < 0).any():
-            raise ValueError("extra_delay must be non-negative")
-    offset_masks: Dict[int, np.ndarray] = {}
-    if repeat_offsets_list is not None:
-        if len(repeat_offsets_list) != batch:
-            raise ValueError("repeat_offsets_list must have one entry "
-                             "per trial")
-        for b, repeats in enumerate(repeat_offsets_list):
-            for v, offs in (repeats or {}).items():
-                for off in offs:
-                    if off < 1:
-                        raise ValueError(
-                            f"repeat offsets must be >= 1, got {off}")
-                    offset_masks.setdefault(
-                        int(off),
-                        np.zeros((batch, n), dtype=bool))[b, int(v)] = True
-
-    # Per-trial forced transmissions, pre-grouped by slot into (trial,
-    # node) arrays; nodes ascend within a trial so dropped-forced entries
-    # append in the serial engine's sorted order.
-    forced_at: Dict[int, List[Tuple[int, int]]] = {}
-    limit = np.full(batch, 4 * n + 16, dtype=np.int64)
-    if forced_tx_list is not None:
-        if len(forced_tx_list) != batch:
-            raise ValueError("forced_tx_list must have one entry per trial")
-        for b, forced_tx in enumerate(forced_tx_list):
-            forced = _normalize_forced(forced_tx)
-            if forced:
-                limit[b] = max(limit[b], max(forced) + 2)
-            for slot, nodes in forced.items():
-                forced_at.setdefault(slot, []).extend(
-                    (b, v) for v in sorted(nodes))
-    if max_slots is not None:
-        limit[:] = max_slots
-
-    kernel = topology.slot_kernel
-    state = _BatchState(n, sources, batch, summary)
-
-    pending: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-    horizon = max(forced_at, default=0)
-
-    def schedule_pairs(tr: np.ndarray, nd: np.ndarray,
-                       base: np.ndarray) -> None:
-        nonlocal horizon
-        last = int(base.max())
-        for s in np.unique(base):
-            sel = base == s
-            pending.setdefault(int(s), []).append((tr[sel], nd[sel]))
-        for off, mask in offset_masks.items():
-            has = mask[tr, nd]
-            if has.any():
-                rep_base = base[has] + off
-                rep_tr, rep_nd = tr[has], nd[has]
-                for s in np.unique(rep_base):
-                    sel = rep_base == s
-                    pending.setdefault(int(s), []).append(
-                        (rep_tr[sel], rep_nd[sel]))
-                last = max(last, int(rep_base.max()))
-        if last > horizon:
-            horizon = last
-
-    all_trials = np.arange(batch, dtype=np.int64)
-    schedule_pairs(all_trials, sources,
-                   1 + extra_delays[all_trials, sources])
-
-    max_limit = int(limit.max())
-    t = 0
-    while t < max_limit and t < horizon:
-        t += 1
-        entries = pending.pop(t, None)
-        if entries:
-            tr = np.concatenate([e[0] for e in entries])
-            nd = np.concatenate([e[1] for e in entries])
-        else:
-            tr, nd = _EMPTY, _EMPTY
-        # Per-trial cutoff: the serial engine stops trial b's slot loop at
-        # its own max_slots bound, so events past it must neither execute
-        # nor be recorded as dropped.
-        keep = limit[tr] >= t
-        if not keep.all():
-            tr, nd = tr[keep], nd[keep]
-        forced_now = forced_at.pop(t, None)
-        if forced_now:
-            f_tr = np.fromiter((b for b, _ in forced_now),
-                               count=len(forced_now), dtype=np.int64)
-            f_nd = np.fromiter((v for _, v in forced_now),
-                               count=len(forced_now), dtype=np.int64)
-            in_limit = limit[f_tr] >= t
-            f_tr, f_nd = f_tr[in_limit], f_nd[in_limit]
-            frx = state.first_rx[f_tr, f_nd]
-            ok = (frx >= 0) & (frx < t)
-            tr = np.concatenate([tr, f_tr[ok]])
-            nd = np.concatenate([nd, f_nd[ok]])
-            for j in (~ok).nonzero()[0]:
-                state.dropped_forced[int(f_tr[j])].append(
-                    (t, int(f_nd[j])))
-        if len(nd) == 0:
-            continue
-        key = np.unique(tr * n + nd)
-        tr, nd = key // n, key % n
-        _, received, collided, senders = kernel.resolve_batch(nd, tr, batch)
-        _, _, nt, nn = state.commit_slot(t, tr, nd, received, collided,
-                                         senders)
-        if len(nn):
-            rel = relay_masks[nt, nn]
-            if rel.any():
-                rel_t, rel_n = nt[rel], nn[rel]
-                schedule_pairs(rel_t, rel_n,
-                               t + 1 + extra_delays[rel_t, rel_n])
-    return state.finish()
+    relay_masks = _shaped(relay_masks, (batch, n), "relay_masks", bool)
+    extra_delays = _delays(extra_delays, (batch, n), "extra_delays")
+    for name, rows in (("repeat_offsets_list", repeat_offsets_list),
+                       ("forced_tx_list", forced_tx_list)):
+        if rows is not None and len(rows) != batch:
+            raise ValueError(f"{name} must have one entry per trial")
+    offsets = _offset_masks(n, repeat_offsets_list or [None])
+    forced_at, limit = _forced_schedule(forced_tx_list or [None], batch, n,
+                                        max_slots)
+    state = _BatchState(topology, sources, batch, summary)
+    return _reactive_loop(state, relay_masks, extra_delays, offsets,
+                          forced_at, limit)
 
 
 def _replay_batch_impl(
@@ -901,30 +875,14 @@ def _replay_batch_impl(
     if not 0 <= source < n:
         raise ValueError(f"source index {source} out of range")
     batch, dead_masks = _resolve_trials(trials, dead_masks, loss, n)
-    kernel = topology.slot_kernel
-    state = _BatchState(n, source, batch, summary)
-    alive_masks = None if dead_masks is None else ~dead_masks
-    backend = make_backend(kernel, batch, engine, loss, alive_masks,
-                           need_senders=not summary
-                           or recovery is not None,
-                           need_coll_pairs=not summary,
-                           threads=threads)
+    state = _BatchState(
+        topology, source, batch, summary, dead_masks=dead_masks, loss=loss,
+        recovery=recovery, engine=engine, threads=threads,
+        relay_like=(None if recovery is None
+                    else relay_like_from_schedule(n, schedule)))
     faulty = dead_masks is not None or loss is not None
     all_trials = np.arange(batch, dtype=np.int64)
-    rec = None
-    slots: Iterable[int] = schedule.active_slots()
-    if recovery is not None:
-        relay_like = relay_like_from_schedule(n, schedule)
-        if backend is not None:
-            rec = backend.make_recovery(topology, recovery, relay_like,
-                                        batch)
-        else:
-            rec = BatchRecoveryState(topology, recovery, relay_like,
-                                     batch)
-        if max_slots is None:
-            max_slots = max(4 * n + 16, schedule.max_slot + 2)
-        slots = _replay_recovery_slots(schedule.max_slot, max_slots, rec)
-    for t in slots:
+    for t in _replay_slots(schedule, state.rec, max_slots, n):
         base = np.fromiter(sorted(schedule.transmitters(t)),
                            dtype=np.int64)
         if len(base) == 0:
@@ -934,50 +892,13 @@ def _replay_batch_impl(
             # a node that never received cannot forward
             ok = (base == source)[None, :] | ((frx >= 0) & (frx < t))
             if dead_masks is not None:
-                ok &= alive_masks[:, base]
+                ok &= state.alive[:, base]
             tr, j = ok.nonzero()
             nd = base[j]
         else:
             tr = all_trials.repeat(len(base))
             nd = np.tile(base, batch)
-        if rec is not None:
-            with profiling.phase("recovery-pre"):
-                r_tr, r_nd = rec.pre_slot(t)
-            if len(r_nd):
-                # Recovery pairs can duplicate scheduled transmissions;
-                # the serial engine's per-slot set collapses that, so
-                # dedup (np.unique also restores (trial, node) order).
-                key = np.unique(np.concatenate([tr * n + nd,
-                                                r_tr * n + r_nd]))
-                tr, nd = key // n, key % n
-        if len(nd) == 0:
-            continue
-        if backend is not None:
-            rt, rn, sv, coll = _backend_resolve(backend, t, tr, nd)
-            with profiling.phase("commit"):
-                nt, nn = state.commit_sparse(t, tr, nd, rt, rn, sv, coll)
-        else:
-            _, received, collided, senders = kernel.resolve_batch(
-                nd, tr, batch)
-            if alive_masks is not None:
-                received &= alive_masks
-                collided &= alive_masks
-            if loss is not None:
-                with profiling.phase("loss-rng"):
-                    received = loss.apply_batch(t, received)
-            with profiling.phase("commit"):
-                rt, rn, nt, nn = state.commit_slot(
-                    t, tr, nd, received, collided, senders)
-            sv = senders[rt, rn] if rec is not None else None
-        if rec is not None:
-            with profiling.phase("recovery-post"):
-                if backend is not None:
-                    rec.post_slot(t, tr, nd, rt, rn, sv, nt, nn,
-                                  epos=backend.last_epos)
-                else:
-                    rec.post_slot(t, tr, nd, rt, rn, sv, nt, nn)
-    if backend is not None:
-        BREAKER.record_success(backend.name)
+        state.step(t, tr, nd, dedup=False)
     return state.finish()
 
 

@@ -53,7 +53,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .. import faults
-from .engine import replay_batch, run_reactive_batch
+from .engine import _resolve_trials, replay_batch, run_reactive_batch
 from .summary import TraceSummary, merge_summaries
 from .trace import BroadcastTrace
 
@@ -91,18 +91,11 @@ def _slice_kwargs(kwargs: dict, lo: int, hi: int) -> dict:
     return kw
 
 
-def _reactive_worker(args):
-    topology, source, relay_mask, kw = args
+def _worker(job):
+    entry, args, kw = job
     if kw.pop("_fault_kill", False):  # injected worker murder
         os._exit(113)
-    return run_reactive_batch(topology, source, relay_mask, **kw)
-
-
-def _replay_worker(args):
-    topology, schedule, source, kw = args
-    if kw.pop("_fault_kill", False):  # injected worker murder
-        os._exit(113)
-    return replay_batch(topology, schedule, source, **kw)
+    return entry(*args, **kw)
 
 
 def _armed_job(job, index: int, attempt: int):
@@ -160,18 +153,22 @@ def _merge(parts) -> Union[TraceSummary, List[BroadcastTrace]]:
     return out
 
 
-def _resolve_batch_size(kwargs: dict) -> int:
-    trials = kwargs.get("trials")
-    if trials is not None:
-        return int(trials)
-    loss = kwargs.get("loss")
-    if loss is not None:
-        return loss.trials
-    dead = kwargs.get("dead_masks")
-    if dead is not None:
-        return int(np.asarray(dead).shape[0])
-    raise ValueError("cannot infer the batch size: pass trials=, "
-                     "loss= or dead_masks=")
+def _sharded(entry, args: tuple, kwargs: dict, workers: Optional[int]
+             ) -> Union[TraceSummary, List[BroadcastTrace]]:
+    """``entry(*args, **kwargs)`` with the trial dimension split over
+    *workers* processes; the batch size is validated exactly as the
+    unsharded call validates it, before any shard is cut."""
+    batch, _ = _resolve_trials(kwargs.get("trials"),
+                               kwargs.get("dead_masks"),
+                               kwargs.get("loss"), args[0].num_nodes)
+    ranges = shard_ranges(batch, workers or 1)
+    if len(ranges) <= 1:
+        return entry(*args, **kwargs)
+    if kwargs.get("threads") is None:  # shards own the cores
+        kwargs["threads"] = 1
+    jobs = [(entry, args, _slice_kwargs(kwargs, lo, hi))
+            for lo, hi in ranges]
+    return _merge(_fan_out(_worker, jobs, len(ranges)))
 
 
 def run_reactive_batch_sharded(
@@ -184,15 +181,8 @@ def run_reactive_batch_sharded(
     bit-identical result for any *workers* value; ``workers=None`` or
     ``1`` (or a single-trial batch) runs in-process.
     """
-    batch = _resolve_batch_size(kwargs)
-    ranges = shard_ranges(batch, workers or 1)
-    if len(ranges) <= 1:
-        return run_reactive_batch(topology, source, relay_mask, **kwargs)
-    if kwargs.get("threads") is None:  # shards own the cores
-        kwargs["threads"] = 1
-    jobs = [(topology, source, relay_mask, _slice_kwargs(kwargs, lo, hi))
-            for lo, hi in ranges]
-    return _merge(_fan_out(_reactive_worker, jobs, len(ranges)))
+    return _sharded(run_reactive_batch, (topology, source, relay_mask),
+                    kwargs, workers)
 
 
 def replay_batch_sharded(
@@ -201,12 +191,5 @@ def replay_batch_sharded(
     """:func:`~repro.sim.engine.replay_batch` with the trial dimension
     split over *workers* processes; see
     :func:`run_reactive_batch_sharded`."""
-    batch = _resolve_batch_size(kwargs)
-    ranges = shard_ranges(batch, workers or 1)
-    if len(ranges) <= 1:
-        return replay_batch(topology, schedule, source, **kwargs)
-    if kwargs.get("threads") is None:  # shards own the cores
-        kwargs["threads"] = 1
-    jobs = [(topology, schedule, source, _slice_kwargs(kwargs, lo, hi))
-            for lo, hi in ranges]
-    return _merge(_fan_out(_replay_worker, jobs, len(ranges)))
+    return _sharded(replay_batch, (topology, schedule, source), kwargs,
+                    workers)

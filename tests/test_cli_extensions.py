@@ -68,10 +68,18 @@ class TestRobustnessCommand:
         assert main(args + ["--engine", "batch"]) == 0
         batch_out = capsys.readouterr().out
         assert "engine: batch" in batch_out
-        assert main(args + ["--engine", "serial"]) == 0
-        serial_out = capsys.readouterr().out
-        assert "engine: serial" in serial_out
-        assert table(serial_out) == table(batch_out)
+        assert main(args + ["--engine", "packed"]) == 0
+        packed_out = capsys.readouterr().out
+        assert "engine: packed" in packed_out
+        assert table(packed_out) == table(batch_out)
+
+    @pytest.mark.parametrize("command", ["robustness", "frontier"])
+    def test_serial_engine_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "2D-4", "--shape", "8", "6",
+                  "--engine", "serial"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serial'" in capsys.readouterr().err
 
     def test_workers_and_cache_flags(self, tmp_path, capsys):
         assert main(["robustness", "2D-4", "--shape", "10", "6",
@@ -147,9 +155,9 @@ class TestFrontierCommand:
                 "--hardening", "0", "--seed", "3"]
         assert main(args + ["--engine", "batch"]) == 0
         batch = capsys.readouterr().out
-        assert main(args + ["--engine", "serial"]) == 0
-        serial = capsys.readouterr().out
-        assert table(batch) == table(serial)
+        assert main(args + ["--engine", "packed"]) == 0
+        packed = capsys.readouterr().out
+        assert table(batch) == table(packed)
 
     def test_workers_flag(self, capsys):
         assert main(["frontier", "2D-4", "--shape", "8", "6",

@@ -107,7 +107,7 @@ class TestSeedMixing:
 
 
 class TestEngineEquivalence:
-    """engine="batch" and engine="serial" must produce identical curves."""
+    """engine="batch" and engine="packed" must produce identical curves."""
 
     def assert_points_equal(self, a, b):
         assert len(a) == len(b)
@@ -120,7 +120,7 @@ class TestEngineEquivalence:
             loss_degradation(mesh, (6, 4), [0.0, 0.1, 0.3],
                              engine="batch", **kw),
             loss_degradation(mesh, (6, 4), [0.0, 0.1, 0.3],
-                             engine="serial", **kw))
+                             engine="packed", **kw))
 
     def test_failure_points_identical(self, mesh):
         kw = dict(trials=5, seed=2)
@@ -128,7 +128,7 @@ class TestEngineEquivalence:
             failure_degradation(mesh, (6, 4), [0, 4, 9],
                                 engine="batch", **kw),
             failure_degradation(mesh, (6, 4), [0, 4, 9],
-                                engine="serial", **kw))
+                                engine="packed", **kw))
 
     def test_workers_do_not_change_points(self, mesh):
         kw = dict(trials=4, seed=7)
@@ -276,11 +276,11 @@ class TestRecoveryThreading:
         assert loss_degradation(mesh, (6, 4), [0.1, 0.3],
                                 engine="batch", **kw) == \
             loss_degradation(mesh, (6, 4), [0.1, 0.3],
-                             engine="serial", **kw)
+                             engine="packed", **kw)
         assert failure_degradation(mesh, (6, 4), [0, 5],
                                    engine="batch", **kw) == \
             failure_degradation(mesh, (6, 4), [0, 5],
-                                engine="serial", **kw)
+                                engine="packed", **kw)
 
     def test_recovery_improves_static_failure_curve(self, mesh):
         kw = dict(trials=4, seed=1, recompile=False)
@@ -310,7 +310,7 @@ class TestRecoveryFrontier:
     def test_engines_agree(self, mesh):
         kw = dict(hardening=[0, 2], policies=[self.policy()], trials=4)
         assert self.frontier(mesh, engine="batch", **kw) == \
-            self.frontier(mesh, engine="serial", **kw)
+            self.frontier(mesh, engine="packed", **kw)
 
     def test_workers_do_not_change_points(self, mesh):
         kw = dict(loss_rates=[0.1, 0.2], hardening=[0, 1],

@@ -1,4 +1,4 @@
-"""The sharded artifact store: round-trips, guards, migration, concurrency.
+"""The sharded artifact store: round-trips, guards, concurrency.
 
 The store's contract is deliberately forgiving on the read side — any
 kind of damage (stale format version, torn index, data file shorter
@@ -11,7 +11,6 @@ unreadable entries.
 import json
 import multiprocessing
 import os
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,8 @@ import pytest
 
 from repro.core.cache import ScheduleCache
 from repro.core.registry import protocol_for
-from repro.core.store import (LEGACY_FORMAT_VERSION, STORE_FORMAT_VERSION,
-                              ArtifactStore, shard_id, trace_counts)
+from repro.core.store import (STORE_FORMAT_VERSION, ArtifactStore, shard_id,
+                              trace_counts)
 from repro.radio.energy import PAPER_PACKET_BITS, PAPER_RADIO_MODEL
 from repro.sim.metrics import compute_metrics
 from repro.topology import Mesh2D4
@@ -151,71 +150,6 @@ def test_foreign_fingerprint_is_a_miss(tmp_path):
 
     fresh = ArtifactStore(tmp_path)
     assert fresh.get(topology, PROTO, topology.index(source)) is None
-
-
-# -- legacy migration -----------------------------------------------------
-
-def _legacy_payload(topology, compiled, source):
-    by_slot = {}
-    slots, nodes = compiled.schedule.to_arrays()
-    for slot, node in zip(slots.tolist(), nodes.tolist()):
-        by_slot.setdefault(str(slot), []).append(node)
-    return {
-        "version": LEGACY_FORMAT_VERSION,
-        "fingerprint": topology.fingerprint,
-        "protocol": PROTO,
-        "completion": True,
-        "repair": True,
-        "source_index": topology.index(source),
-        "schedule": by_slot,
-        "completions": [list(e) for e in compiled.completions],
-        "repairs": [list(e) for e in compiled.repairs],
-        "rounds": compiled.rounds,
-    }
-
-
-def test_legacy_per_entry_cache_is_imported(tmp_path):
-    topology = _mesh()
-    source = (6, 6)
-    compiled = _compile(topology, source)
-    legacy_name = "ab" * 32 + ".json"
-    (tmp_path / legacy_name).write_text(
-        json.dumps(_legacy_payload(topology, compiled, source)))
-
-    store = ArtifactStore(tmp_path)
-    assert store.migrated_entries == 1
-    # original parked, not re-scanned on the next open
-    assert not (tmp_path / legacy_name).exists()
-    assert (tmp_path / "legacy-imported" / legacy_name).exists()
-
-    entry = store.get(topology, PROTO, topology.index(source))
-    assert entry is not None and entry.has_schedule
-    assert entry.counts is None  # legacy entries never stored counts
-    assert entry.metrics(topology) is None  # callers fall back to replay
-    want_slots, want_nodes = compiled.schedule.to_arrays()
-    got_slots, got_nodes = entry.schedule().to_arrays()
-    assert np.array_equal(got_slots, want_slots)
-    assert np.array_equal(got_nodes, want_nodes)
-
-    # the cache serves it through the replay path as a disk hit
-    cache = ScheduleCache(tmp_path)
-    replayed = protocol_for(topology).compile(topology, source, cache=cache)
-    assert cache.disk_hits == 1
-    assert compute_metrics(replayed.trace, topology, PAPER_RADIO_MODEL,
-                           PAPER_PACKET_BITS) \
-        == compute_metrics(compiled.trace, topology, PAPER_RADIO_MODEL,
-                           PAPER_PACKET_BITS)
-
-
-def test_unreadable_legacy_entry_warns_and_never_crashes(tmp_path):
-    (tmp_path / ("cd" * 32 + ".json")).write_text("{ not json")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        store = ArtifactStore(tmp_path)
-    assert store.migrated_entries == 0
-    assert any("legacy" in str(w.message) for w in caught)
-    # the broken file is parked so the warning fires once, not per open
-    assert (tmp_path / "legacy-imported" / ("cd" * 32 + ".json")).exists()
 
 
 # -- concurrency ----------------------------------------------------------
