@@ -203,8 +203,8 @@ def loss_degradation(
 
     All trials of one loss rate run as one batch through
     :func:`~repro.sim.engine.run_reactive_batch` (``engine="batch"``,
-    the default; ``"packed"`` / ``"compiled"`` select the faster
-    slot-resolve tiers, with identical points).  ``workers`` splits the
+    the default; ``"compiled"`` / ``"auto"`` select the C slot-resolve
+    tier, with identical points).  ``workers`` splits the
     **trial dimension** of each point over processes; the curve is
     identical for any worker count.  ``threads`` sets the
     compiled tier's in-process kernel pool (``None`` = all cores when

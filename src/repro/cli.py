@@ -21,6 +21,7 @@ from . import analysis, viz
 from .core import (diagonal_vs_axis_etr, protocol_for,
                    validate_broadcast)
 from .core.etr import OPTIMAL_ETR
+from .sim.backend import ENGINES
 from .topology import analyze, make_topology, paper_topologies
 from .topology.builder import TOPOLOGY_CLASSES
 
@@ -568,13 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--harden", type=int, default=0)
     p.add_argument("--recompile", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine",
-                   choices=["batch", "packed", "compiled", "auto"],
-                   default="batch",
+    p.add_argument("--engine", choices=ENGINES, default="batch",
                    help="slot-resolve tier of the batched Monte-Carlo: "
-                        "dense (default), bit-packed or compiled "
-                        "(auto = best available) — all produce "
-                        "identical curves")
+                        "dense (default) or compiled (auto = compiled "
+                        "if it builds) — all produce identical curves")
     p.add_argument("--workers", type=int, default=None,
                    help="processes sharding the trial dimension of each "
                         "point (--recompile: fanning failure counts "
@@ -602,13 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hardening", type=int, nargs="+", default=[0, 1, 2, 3],
                    help="blind repetition budgets r to compare against")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine",
-                   choices=["batch", "packed", "compiled", "auto"],
-                   default="batch",
+    p.add_argument("--engine", choices=ENGINES, default="batch",
                    help="slot-resolve tier of the batched Monte-Carlo: "
-                        "dense (default), bit-packed or compiled "
-                        "(auto = best available) — all produce "
-                        "identical points")
+                        "dense (default) or compiled (auto = compiled "
+                        "if it builds) — all produce identical points")
     p.add_argument("--workers", type=int, default=None,
                    help="processes sharding the trial dimension of each "
                         "cell (results identical either way)")
@@ -636,9 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=16,
                    help="Monte-Carlo trials per source when --loss is set")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine",
-                   choices=["batch", "packed", "compiled", "auto"],
-                   default="batch",
+    p.add_argument("--engine", choices=ENGINES, default="batch",
                    help="slot-resolve tier of the lossy replay (all "
                         "tiers produce identical expectations)")
     p.add_argument("--workers", type=int, default=None,

@@ -25,8 +25,8 @@ Seams compiled into the stack:
                           payload bytes and dies before the index publish
 ``native.build``          the native kernel fails to build/dlopen when a
                           compiled backend is constructed
-``backend.resolve``       a word-space backend faults mid-run (keyed by
-                          tier name ``"compiled"``/``"packed"``)
+``backend.resolve``       the compiled backend faults mid-run (keyed by
+                          tier name ``"compiled"``)
 ``compile.slow``          a schedule compile stalls for ``delay_s`` seconds
 ``server.drop_connection``  the server aborts the TCP connection instead
                           of writing a response
@@ -261,17 +261,19 @@ def canonical_plan(seed: int = 2003) -> FaultPlan:
 
     One plan covering every failure domain: worker murder on the first
     attempt of shard 1, torn store writes under the first two compiles
-    that publish, mid-run backend faults on both word-space tiers
-    (driving the circuit-breaker demotion ladder), sporadic slow
-    compiles, and dropped/garbled server responses early in the
-    connection's life.
+    that publish, one mid-run fault of the compiled backend and one
+    build failure at its *second* construction (the first run demotes
+    mid-run, the second at construction, so both demotion paths of the
+    circuit breaker fire), sporadic slow compiles, and dropped/garbled
+    server responses early in the connection's life.
     """
     return FaultPlan(
         [
             FaultSpec(SHARD_KILL, keys=frozenset({(1, 0)})),
             FaultSpec(STORE_TORN, at=(0, 3)),
-            FaultSpec(BACKEND_RESOLVE,
-                      keys=frozenset({("compiled",), ("packed",)}), limit=2),
+            FaultSpec(NATIVE_BUILD, at=(1,)),
+            FaultSpec(BACKEND_RESOLVE, keys=frozenset({("compiled",)}),
+                      limit=1),
             FaultSpec(COMPILE_SLOW, rate=0.3, delay_s=0.01),
             FaultSpec(SERVER_DROP, at=(2, 11)),
             FaultSpec(SERVER_GARBLE, at=(5, 17)),

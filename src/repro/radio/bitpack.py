@@ -3,62 +3,42 @@
 The dense batched kernel (:meth:`~repro.radio.channel.SlotKernel.
 resolve_batch`) materialises ``(trials, n)`` arrays every slot; at the
 64x64-grid / 1024-trial target that is tens of MB of memory traffic per
-slot for state that is fundamentally one bit per (trial, node).  This
-module packs that state 64x denser: a trial's node set is
-``ceil(n / 64)`` little-endian ``uint64`` words (bit ``v & 63`` of word
-``v >> 6`` is node ``v``), so a whole 4096-node trial row is 512 bytes
-— cache-resident — and set algebra (union, intersection, difference)
-runs one word op per 64 nodes.
+slot for state that is fundamentally one bit per (trial, node).  The
+compiled tier (:mod:`repro.sim.native`) packs that state 64x denser: a
+trial's node set is ``ceil(n / 64)`` little-endian ``uint64`` words
+(bit ``v & 63`` of word ``v >> 6`` is node ``v``), so a whole 4096-node
+trial row is 512 bytes — cache-resident — and set algebra (union,
+intersection, difference) runs one word op per 64 nodes.
 
-:class:`PackedSlotKernel` resolves a collision slot entirely in word
-space with a saturating carry-save counter: per (trial, word) cell the
-pair
-
-* ``ones`` — nodes heard >= 1,
-* ``twos`` — nodes heard >= 2 (the saturating carry),
-
-is accumulated over the transmitters' sparse neighbour-word entries
-under the commutative monoid ``(o, t) + (o', t') = (o|o', t|t'|(o &
-o'))``, which saturates at two exactly because the collision model
-only distinguishes *silence / clean decode / collision*.  ``received
-= ones & ~twos`` and ``collided = twos`` (both with the transmitters'
-own bits cleared: half-duplex) then match the dense kernel bit for
-bit; the differential suites pin that down against the dense and the
-pure-python engines.
-
-Reach/tx accounting over packed rows uses :func:`popcount`
-(``np.bitwise_count``); sparse (trial, node) extraction preserves the
-(trial, node)-sorted order the event logs rely on because words ascend
-within a trial row and bits ascend within a word.
+This module holds the layout the C kernel reads: :func:`num_words`,
+:func:`pack_bool_matrix` (alive masks) and :func:`neighbour_words`, the
+``(n, W)`` neighbour-word table its carry-save slot resolve
+accumulates.  The recovery tier (:mod:`repro.sim.recovery_packed`)
+reuses the same layout over CSR edge positions.
 
 Packing assumes a little-endian host (bit ``i`` of the uint64 view is
 bit ``i % 8`` of byte ``i // 8``); :func:`packing_supported` gates the
-engine tier so a big-endian host silently falls back to the dense
+compiled tier so a big-endian host silently falls back to the dense
 kernel instead of corrupting results.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "PackedSlotKernel",
+    "BIT",
+    "MAX_PACKED_NODES",
+    "neighbour_words",
     "num_words",
     "pack_bool_matrix",
     "packing_supported",
-    "popcount",
-    "unpack_word_matrix",
-    "words_to_pairs",
 ]
 
-_U64 = np.uint64
 #: BIT[j] = 1 << j as uint64 (python ints promote int64 and overflow).
 BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
-_LANES = np.arange(64, dtype=np.uint64)
-_EMPTY = np.empty(0, dtype=np.int64)
 
 #: Largest node count for which the packed neighbour-word table is
 #: built (memory: ``n * ceil(n/64) * 8`` bytes, 32 MB at the cap).
@@ -79,11 +59,6 @@ def num_words(num_nodes: int) -> int:
     return (int(num_nodes) + 63) >> 6
 
 
-def popcount(words: np.ndarray) -> np.ndarray:
-    """Per-element set-bit count of a uint64 array (any shape)."""
-    return np.bitwise_count(words)
-
-
 def pack_bool_matrix(mask: np.ndarray) -> np.ndarray:
     """Pack a boolean ``(B, n)`` matrix into ``(B, ceil(n/64))`` words.
 
@@ -101,230 +76,18 @@ def pack_bool_matrix(mask: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def unpack_word_matrix(words: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Inverse of :func:`pack_bool_matrix`: ``(B, W)`` words to a
-    boolean ``(B, n)`` matrix."""
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, :num_nodes].astype(bool)
+def neighbour_words(indptr: np.ndarray, indices: np.ndarray,
+                    num_nodes: int) -> np.ndarray:
+    """The ``(n, W)`` uint64 neighbourhood table of a CSR adjacency:
+    row *v* is the bit set of *v*'s neighbours.
 
-
-def words_to_pairs(active_trials: np.ndarray, words: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sparse (trial, node) extraction of a compact ``(A, W)`` word
-    matrix whose row *a* belongs to trial ``active_trials[a]``.
-
-    Returns ``(trials, nodes)`` int64 pairs sorted by (trial, node):
-    ``nonzero`` walks rows then words in order, and bit lanes unpack in
-    ascending order, so no sort is needed — the property the batched
-    event logs rely on.
+    O(n^2 / 8) bytes, hence the :data:`MAX_PACKED_NODES` gate.
     """
-    a_idx, w_idx = words.nonzero()
-    if len(a_idx) == 0:
-        return _EMPTY, _EMPTY
-    vals = np.ascontiguousarray(words[a_idx, w_idx])
-    lanes = np.unpackbits(vals[:, None].view(np.uint8), axis=1,
-                          bitorder="little")
-    m_idx, bit_idx = lanes.nonzero()
-    tr = active_trials[a_idx[m_idx]].astype(np.int64, copy=False)
-    nd = (w_idx[m_idx].astype(np.int64) << 6) + bit_idx
-    return tr, nd
-
-
-def _carry_save_reduce(vals: np.ndarray, gstart: np.ndarray,
-                       gcount: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-group (ones, twos) of *vals* grouped into sorted runs.
-
-    Pairwise tree reduction under the carry-save monoid: each pass
-    halves every group, so a 300-entry group reduces in ~9 vectorised
-    passes.  Returns one (ones, twos) pair per group, in group order.
-    """
-    ones_v = vals
-    twos_v = None  # all-zero until the first combining pass
-    while gcount.max() > 1:
-        m = len(ones_v)
-        pos = np.arange(m, dtype=np.int64) - np.repeat(gstart, gcount)
-        seglen = np.repeat(gcount, gcount)
-        keep = (pos & 1) == 0
-        pidx = np.flatnonzero(keep & (pos + 1 < seglen))
-        sel = ((pos[keep] + 1) < seglen[keep])
-        o2 = ones_v[pidx + 1]
-        new_ones = ones_v[keep]
-        carry = new_ones[sel] & o2
-        if twos_v is None:
-            new_twos = np.zeros_like(new_ones)
-            new_twos[sel] = carry
-        else:
-            new_twos = twos_v[keep]
-            new_twos[sel] |= twos_v[pidx + 1] | carry
-        new_ones[sel] |= o2
-        ones_v, twos_v = new_ones, new_twos
-        gcount = (gcount + 1) >> 1
-        gstart = np.r_[np.int64(0), np.cumsum(gcount[:-1])]
-    if twos_v is None:
-        twos_v = np.zeros_like(ones_v)
-    return ones_v, twos_v
-
-
-class PackedSlotKernel:
-    """Word-space collision resolve bound to one topology's adjacency.
-
-    Holds the packed neighbourhood table ``nbr_words`` (``(n, W)``
-    uint64: row *v* is the bit set of *v*'s neighbours) plus compact
-    per-slot scratch.  Built lazily by
-    :meth:`~repro.radio.channel.SlotKernel.packed`; gated by
-    :data:`MAX_PACKED_NODES` because the table is O(n^2 / 8) bytes.
-    """
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 num_nodes: int) -> None:
-        if not packing_supported():
-            raise RuntimeError("bit-packed kernels need a little-endian "
-                               "host")
-        n = int(num_nodes)
-        self.num_nodes = n
-        self.words = num_words(n)
-        self._indptr = indptr
-        self._indices = indices
-        degrees = np.diff(indptr)
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        table = np.zeros((n, self.words), dtype=np.uint64)
-        # Neighbour lists can share words, so scatter with the or-ufunc.
-        np.bitwise_or.at(table, (rows, indices >> 6), BIT[indices & 63])
-        self.nbr_words = table
-        # Sparse view of the same table: each node's nonzero
-        # (word index, word value) entries.  A degree-d node touches at
-        # most d words, so a transmitter contributes ~d scalar entries
-        # to the slot resolve instead of a full W-word row — the whole
-        # point of resolving in the entry domain (see resolve_words).
-        nz_r, nz_w = table.nonzero()
-        nw_cnt = np.bincount(nz_r, minlength=n).astype(np.int64)
-        self._nw_cnt = nw_cnt
-        self._nw_ptr = np.r_[np.int64(0), np.cumsum(nw_cnt)]
-        self._nw_word = nz_w.astype(np.int64)
-        self._nw_val = table[nz_r, nz_w]
-        # Compact (A, W) transmitter-word scratch, grown on demand (the
-        # carry-save planes come out of the entry reduction fresh).
-        self._txw: Optional[np.ndarray] = None
-
-    def _scratch(self, active: int) -> np.ndarray:
-        if self._txw is None or self._txw.shape[0] < active:
-            self._txw = np.empty((active, self.words), dtype=np.uint64)
-        return self._txw[:active]
-
-    def resolve_words(self, tx_nodes: np.ndarray, tx_trials: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray]:
-        """Resolve one slot in word space.
-
-        ``(tx_trials[i], tx_nodes[i])`` are the slot's transmission
-        pairs, **sorted by (trial, node)** and unique (the engine's
-        dedup guarantees both).  Returns ``(active, received, collided,
-        txw)``: the sorted unique trials with transmissions, and three
-        compact ``(len(active), W)`` word matrices — clean decodes,
-        collisions, and the transmitter sets (for sender attribution).
-        All three are scratch, valid until the next call.
-        """
-        k = len(tx_nodes)
-        W = self.words
-        if k == 0:
-            empty = np.empty((0, W), dtype=np.uint64)
-            return _EMPTY, empty, empty, empty
-        # Segment boundaries of the (sorted) trial column.
-        starts = np.flatnonzero(np.r_[True, tx_trials[1:] != tx_trials[:-1]])
-        active = tx_trials[starts]
-        counts = np.diff(np.r_[starts, k])
-        A = len(active)
-        txw = self._scratch(A)
-        txw[:] = 0
-        row = np.repeat(np.arange(A, dtype=np.int64), counts)
-        np.bitwise_or.at(txw, (row, tx_nodes >> 6), BIT[tx_nodes & 63])
-        # Resolve in the sparse entry domain: each transmitter emits
-        # its ~degree nonzero (word, bits) neighbour entries; entries
-        # of one (trial, word) cell are combined with the carry-save
-        # monoid ``(o, t) + (o', t') = (o|o', t|t'|(o&o'))`` — "heard
-        # >= 2" is either part's >= 2 plus bits both parts heard.
-        # This touches O(k * degree) scalars where full neighbour rows
-        # would touch O(k * W) words.
-        cnt = self._nw_cnt[tx_nodes]
-        e = int(cnt.sum())
-        out_starts = np.cumsum(cnt) - cnt
-        pos = (np.arange(e, dtype=np.int64) - out_starts.repeat(cnt)
-               + self._nw_ptr[tx_nodes].repeat(cnt))
-        key = row.repeat(cnt) * W + self._nw_word[pos]
-        order = np.argsort(key, kind="stable")  # radix: key < A * W
-        ks = key[order]
-        vs = self._nw_val[pos][order]
-        gstart = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-        gcount = np.diff(np.r_[gstart, e])
-        ku = ks[gstart]
-        g = len(gstart)
-        p = int(gcount.max())
-        ones = np.zeros(A * W, dtype=np.uint64)
-        twos = np.zeros(A * W, dtype=np.uint64)
-        if p == 1:
-            ones[ku] = vs
-        elif g * p <= max(16 * e, 1 << 16):
-            # Pad each cell's entries to a (g, p) matrix; a cumulative
-            # OR along the rows then yields ones as the last column and
-            # twos as the OR of entry & prefix-before-entry — all in a
-            # few full-array C passes.
-            posn = np.arange(e, dtype=np.int64) - gstart.repeat(gcount)
-            padded = np.zeros(g * p, dtype=np.uint64)
-            padded[np.repeat(np.arange(g, dtype=np.int64), gcount) * p
-                   + posn] = vs
-            padded = padded.reshape(g, p)
-            pre = np.bitwise_or.accumulate(padded, axis=1)
-            ones[ku] = pre[:, -1]
-            twos[ku] = np.bitwise_or.reduce(padded[:, 1:] & pre[:, :-1],
-                                            axis=1)
-        else:
-            # Heavily skewed cell sizes would blow the padding up;
-            # fall back to the pairwise tree reduction (log2(p) passes
-            # over the unpadded entries).
-            ones_v, twos_v = _carry_save_reduce(vs, gstart, gcount)
-            ones[ku] = ones_v
-            twos[ku] = twos_v
-        ones = ones.reshape(A, W)
-        twos = twos.reshape(A, W)
-        # Half-duplex: a transmitter's own bit is neither a decode nor
-        # a collision in its trial.
-        quiet = ~txw
-        received = ones & ~twos & quiet
-        collided = twos & quiet
-        return active, received, collided, txw
-
-    def attribute_senders(self, rx_trials: np.ndarray,
-                          rx_nodes: np.ndarray,
-                          active: np.ndarray,
-                          txw: np.ndarray,
-                          return_epos: bool = False):
-        """Unique delivering neighbour of every clean decode.
-
-        ``(rx_trials, rx_nodes)`` are received pairs (subset of the
-        trials in *active*); *txw* is the compact transmitter word
-        matrix of the same slot.  A received node heard exactly one
-        transmitter, so the bit test over its CSR neighbour row has
-        exactly one hit.
-
-        With ``return_epos`` the CSR data position of each (receiver ->
-        sender) edge comes back alongside the senders — the recovery
-        tier keys its packed known-edge bitset on exactly that index,
-        so attribution doubles as the edge lookup for free.
-        """
-        if len(rx_nodes) == 0:
-            return (_EMPTY, _EMPTY) if return_epos else _EMPTY
-        starts = self._indptr[rx_nodes]
-        counts = self._indptr[rx_nodes + 1] - starts
-        total = int(counts.sum())
-        out_starts = counts.cumsum() - counts
-        pos = (np.arange(total, dtype=np.int64)
-               - out_starts.repeat(counts) + starts.repeat(counts))
-        nbrs = self._indices[pos]
-        arow = np.searchsorted(active, rx_trials).repeat(counts)
-        hit = ((txw[arow, nbrs >> 6] >> (nbrs & 63).astype(np.uint64)
-                ) & _U64(1)).astype(bool)
-        if return_epos:
-            return nbrs[hit], pos[hit]
-        return nbrs[hit]
+    if not packing_supported():
+        raise RuntimeError("bit-packed kernels need a little-endian host")
+    n = int(num_nodes)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    table = np.zeros((n, num_words(n)), dtype=np.uint64)
+    # Neighbour lists can share words, so scatter with the or-ufunc.
+    np.bitwise_or.at(table, (rows, indices >> 6), BIT[indices & 63])
+    return table

@@ -108,7 +108,7 @@ class SlotKernel:
         self._batch_received = None
         self._batch_collided = None
         self._batch_touched = np.empty(0, dtype=np.int64)
-        self._packed: Optional["bitpack.PackedSlotKernel"] = None
+        self._nbr_words: Optional[np.ndarray] = None
 
     @property
     def indptr(self) -> np.ndarray:
@@ -166,15 +166,16 @@ class SlotKernel:
         collided[tx_nodes] = False
         return heard, received, collided, senders
 
-    def packed(self) -> "bitpack.PackedSlotKernel":
-        """Lazily built bit-packed kernel sharing this CSR adjacency
-        (see :mod:`repro.radio.bitpack`).  Raises on big-endian hosts;
-        callers gate on :func:`repro.radio.bitpack.packing_supported`.
+    def neighbour_words(self) -> np.ndarray:
+        """Lazily built ``(n, ceil(n/64))`` packed neighbour table of
+        this CSR adjacency (see :func:`repro.radio.bitpack.
+        neighbour_words`).  Raises on big-endian hosts; callers gate on
+        :func:`repro.radio.bitpack.packing_supported`.
         """
-        if self._packed is None:
-            self._packed = bitpack.PackedSlotKernel(
+        if self._nbr_words is None:
+            self._nbr_words = bitpack.neighbour_words(
                 self._indptr, self._indices, self.num_nodes)
-        return self._packed
+        return self._nbr_words
 
     def _batch_buffers(self, trials: int
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,

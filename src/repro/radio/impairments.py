@@ -127,8 +127,8 @@ def _as_u64(value: int) -> np.uint64:
 def counter_slot_keys(seeds, slot: int) -> np.ndarray:
     """Per-trial stream keys of one slot: ``splitmix64(splitmix64(seed)
     ^ slot)``.  This is the exact intermediate of
-    :func:`counter_uniforms`; the bit-packed and compiled engine tiers
-    use it to draw the same uniforms word-by-word."""
+    :func:`counter_uniforms`; the compiled engine tier uses it to draw
+    the same uniforms word-by-word."""
     seeds_arr = np.atleast_1d(np.asarray(seeds))
     if seeds_arr.dtype != np.uint64:
         seeds_arr = (seeds_arr.astype(object) & _MASK64).astype(np.uint64)
@@ -141,8 +141,8 @@ def bernoulli_threshold(p: float) -> int:
     :func:`counter_uniforms` produces ``u = k * 2**-53`` for an integer
     ``k < 2**53``; every such product is exact in float64, so the float
     comparison ``u >= p`` is equivalent to the integer comparison
-    ``k >= T``.  The packed/compiled loss paths use the integer form and
-    stay bit-identical to the numpy tier.  ``T == 2**53`` means no draw
+    ``k >= T``.  The compiled loss path uses the integer form and stays
+    bit-identical to the dense tier.  ``T == 2**53`` means no draw
     survives (p too close to 1); ``T == 0`` means every draw survives.
     """
     if p <= 0.0:
@@ -349,8 +349,8 @@ class BurstBatchLoss(BatchLoss):
         """``(B,)`` True where the trial's slot is *not* blacked out.
 
         Shared by the dense tier (broadcast over columns) and the
-        packed/compiled tiers (zero the trial's word rows), so every
-        tier draws the identical burst pattern.
+        compiled tier (zero the trial's word rows), so both tiers draw
+        the identical burst pattern.
         """
         survive = np.ones(self.trials, dtype=bool)
         if self.p == 0.0:

@@ -9,7 +9,7 @@ from .metrics import (BroadcastMetrics, compute_metrics,
 from .native import native_available, native_reason
 from .recovery import (BatchRecoveryState, RecoveryPolicy, RecoveryState,
                        relay_like_from_schedule, relay_like_mask)
-from .recovery_packed import NativeRecoveryState, PackedRecoveryState
+from .recovery_packed import NativeRecoveryState
 from .shard import (replay_batch_sharded, run_reactive_batch_sharded,
                     shard_ranges)
 from .translate import (TranslationError, translate_compiled,
@@ -46,7 +46,6 @@ __all__ = [
     "RecoveryPolicy",
     "RecoveryState",
     "BatchRecoveryState",
-    "PackedRecoveryState",
     "NativeRecoveryState",
     "relay_like_mask",
     "relay_like_from_schedule",

@@ -1,4 +1,4 @@
-"""Slot-resolve backend dispatch: the ``engine=`` tiers above "batch".
+"""Slot-resolve backend dispatch: the ``engine=`` tier above "batch".
 
 :func:`~repro.sim.engine.run_reactive_batch` and
 :func:`~repro.sim.engine.replay_batch` accept ``engine`` in
@@ -6,18 +6,16 @@
 * ``"batch"`` — the dense CSR kernel
   (:meth:`~repro.radio.channel.SlotKernel.resolve_batch`), always
   available, the default;
-* ``"packed"`` — bit-packed word-space resolve
-  (:class:`~repro.radio.bitpack.PackedSlotKernel`), pure numpy;
-* ``"compiled"`` — the cffi/C kernel (:mod:`repro.sim.native`),
-  fastest, optional dependency;
-* ``"auto"`` — best available: compiled, else packed, else batch.
+* ``"compiled"`` — the cffi/C word-space kernel
+  (:mod:`repro.sim.native`), optional dependency;
+* ``"auto"`` — compiled if it builds, else batch.
 
-A backend consumes the slot's deduplicated, (trial, node)-sorted
-transmission pairs and produces **sparse** outcomes — received pairs
-with sender attribution plus either collision pairs (trace mode) or
-per-trial collision counts (summary mode) — in the exact (trial,
-node)-sorted order of the dense path, bit for bit (loss draws use the
-same counter RNG stream via the integer threshold of
+The compiled backend consumes the slot's deduplicated, (trial,
+node)-sorted transmission pairs and produces **sparse** outcomes —
+received pairs with sender attribution plus either collision pairs
+(trace mode) or per-trial collision counts (summary mode) — in the
+exact (trial, node)-sorted order of the dense path, bit for bit (loss
+draws use the same counter RNG stream via the integer threshold of
 :func:`~repro.radio.impairments.bernoulli_threshold`).
 
 Fallback rules (silent, by design — callers ask for a *tier*, not a
@@ -27,15 +25,14 @@ hard requirement): losses other than ``None`` /
 word space, node counts beyond :func:`packed_max_nodes` (default
 :data:`~repro.radio.bitpack.MAX_PACKED_NODES`, overridable via the
 ``REPRO_PACKED_MAX_NODES`` environment variable) would blow up the
-packed neighbour table, and big-endian hosts break the packing layout —
-each of these degrades to the dense kernel; a missing native build
-degrades ``"compiled"`` to ``"packed"``.  :func:`resolve_engine`
-reports the tier that would actually run — and, with ``explain=True``,
-which rule decided it — for benchmarks and CLI output.
+packed neighbour table, big-endian hosts break the packing layout, and
+a missing native build has no kernel to run — each of these degrades to
+the dense kernel.  :func:`resolve_engine` reports the tier that would
+actually run — and, with ``explain=True``, which rule decided it — for
+benchmarks and CLI output.
 
-The word-space backends also own the matching **recovery state tier**
-(:meth:`PackedBackend.make_recovery` /
-:meth:`NativeBackend.make_recovery`, see
+The compiled backend also owns the matching **recovery state**
+(:meth:`NativeBackend.make_recovery`, see
 :mod:`repro.sim.recovery_packed`): each resolve with sender attribution
 additionally records the CSR edge positions of its decodes
 (``last_epos``), which the packed recovery update consumes directly
@@ -55,24 +52,22 @@ from .. import faults, profiling
 from ..radio import bitpack
 from ..radio.channel import SlotKernel
 from ..radio.impairments import (BatchLoss, BernoulliBatchLoss,
-                                 BurstBatchLoss, _splitmix64,
-                                 bernoulli_threshold, counter_slot_keys)
+                                 BurstBatchLoss, bernoulli_threshold,
+                                 counter_slot_keys)
 from ..topology.base import Topology
 from . import native
 from .recovery import RecoveryPolicy
-from .recovery_packed import NativeRecoveryState, PackedRecoveryState
+from .recovery_packed import NativeRecoveryState
 
 __all__ = ["BREAKER", "BackendFault", "CircuitBreaker", "ENGINES",
            "demote_tier", "make_backend", "packed_max_nodes",
            "resolve_engine"]
 
 #: Engine names accepted by the batched entry points.
-ENGINES = ("batch", "packed", "compiled", "auto")
+ENGINES = ("batch", "compiled", "auto")
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
-#: Loss classes the word-space tiers can draw directly (exact types:
-#: a subclass may override semantics the tiers do not replicate).
+#: Loss classes the compiled tier can draw directly (exact types: a
+#: subclass may override semantics the kernel does not replicate).
 _WORD_LOSSES = (BernoulliBatchLoss, BurstBatchLoss)
 
 
@@ -83,11 +78,11 @@ def check_engine(engine: str) -> None:
 
 
 class BackendFault(RuntimeError):
-    """A word-space backend failed mid-run.
+    """The compiled backend failed mid-run.
 
     Raised by the engine loops when ``backend.resolve`` (or backend
     construction inside a run) throws; carries the tier that failed so
-    the demotion wrapper can retry one tier down.  Tier bit-identity
+    the demotion wrapper can retry on the dense tier.  Tier bit-identity
     makes the retried run's answer equal to what the failed tier would
     have produced.
     """
@@ -100,7 +95,7 @@ class BackendFault(RuntimeError):
 
 
 class CircuitBreaker:
-    """Consecutive-failure breaker over the word-space tiers.
+    """Consecutive-failure breaker over the compiled tier.
 
     One failure demotes only the run that saw it; *repeated* failures
     (``threshold`` in a row, per tier) open the breaker so subsequent
@@ -111,7 +106,7 @@ class CircuitBreaker:
     demotion reason lands in the CLI engine-decision line.
     """
 
-    TIERS = ("compiled", "packed")
+    TIERS = ("compiled",)
 
     def __init__(self, threshold: int = 3, cooldown_s: float = 30.0,
                  clock=time.monotonic):
@@ -161,7 +156,7 @@ class CircuitBreaker:
             return self._reason.get(tier, "repeated failures")
 
     def state(self) -> Dict[str, Dict[str, object]]:
-        """Wire-friendly snapshot, one entry per word-space tier."""
+        """Wire-friendly snapshot, one entry per breaker-guarded tier."""
         with self._lock:
             now = self._clock()
             out: Dict[str, Dict[str, object]] = {}
@@ -182,13 +177,13 @@ class CircuitBreaker:
             self._reason.clear()
 
 
-#: Process-global breaker guarding the word-space tiers; surfaced in
+#: Process-global breaker guarding the compiled tier; surfaced in
 #: the ``health`` wire response and the CLI engine-decision line.
 BREAKER = CircuitBreaker()
 
 #: Demotion ladder.  ``batch`` has no entry: the dense kernel is the
 #: floor and has no backend object to fault.
-_DEMOTION = {"compiled": "packed", "packed": "batch"}
+_DEMOTION = {"compiled": "batch"}
 
 
 def demote_tier(tier: str, reason: str = "") -> str:
@@ -198,7 +193,7 @@ def demote_tier(tier: str, reason: str = "") -> str:
 
 
 def packed_max_nodes() -> int:
-    """Node-count cutoff of the word-space tiers.
+    """Node-count cutoff of the compiled tier.
 
     Defaults to :data:`~repro.radio.bitpack.MAX_PACKED_NODES` (the
     packed neighbour table is ``n * ceil(n/64)`` words, quadratic-ish in
@@ -217,7 +212,7 @@ def packed_max_nodes() -> int:
 
 def _packable(num_nodes: int,
               loss: Optional[BatchLoss]) -> Tuple[bool, str]:
-    """(word-space tiers can serve this request?, reason)."""
+    """(compiled tier can serve this request?, reason)."""
     if not bitpack.packing_supported():
         return False, "big-endian host: word packing unsupported"
     cutoff = packed_max_nodes()
@@ -229,7 +224,7 @@ def _packable(num_nodes: int,
     if not (loss is None or type(loss) in _WORD_LOSSES):
         return False, (f"loss type {type(loss).__name__} has no "
                        f"word-space draw")
-    return True, "word-space tiers available"
+    return True, "word-space tier available"
 
 
 def resolve_engine(engine: str, num_nodes: int,
@@ -257,27 +252,18 @@ def resolve_engine(engine: str, num_nodes: int,
     ok, why = _packable(num_nodes, loss)
     if not ok:
         return result("batch", why)
-    if engine == "packed":
-        if not BREAKER.allowed("packed"):
-            return result("batch", f"circuit breaker open: packed "
-                                   f"({BREAKER.reason('packed')})")
-        return result("packed", "packed tier requested")
     # "compiled" or "auto": take the native tier when it builds and the
-    # breaker lets it; degrade down the ladder otherwise.
+    # breaker lets it; the dense floor otherwise.
     if not BREAKER.allowed("compiled"):
-        blame = (f"circuit breaker open: compiled "
-                 f"({BREAKER.reason('compiled')})")
-    elif native.native_available():
-        width = native.resolve_native_threads(threads)
-        return result("compiled",
-                      f"native kernel available ({width} thread"
-                      f"{'s' if width != 1 else ''})")
-    else:
-        blame = f"native unavailable ({native.native_reason()})"
-    if not BREAKER.allowed("packed"):
-        return result("batch", f"{blame}; circuit breaker open: packed "
-                               f"({BREAKER.reason('packed')})")
-    return result("packed", blame)
+        return result("batch", f"circuit breaker open: compiled "
+                               f"({BREAKER.reason('compiled')})")
+    if not native.native_available():
+        return result("batch",
+                      f"native unavailable ({native.native_reason()})")
+    width = native.resolve_native_threads(threads)
+    return result("compiled",
+                  f"native kernel available ({width} thread"
+                  f"{'s' if width != 1 else ''})")
 
 
 class _LossSpec:
@@ -301,81 +287,9 @@ class _LossSpec:
             self.burst = loss
 
 
-class PackedBackend:
-    """Pure-numpy word-space tier (``engine="packed"``)."""
-
-    name = "packed"
-
-    def __init__(self, kernel: SlotKernel, batch: int,
-                 loss: Optional[BatchLoss],
-                 alive_masks: Optional[np.ndarray],
-                 need_senders: bool, need_coll_pairs: bool) -> None:
-        self._pk = kernel.packed()
-        self._loss = _LossSpec(loss)
-        self._alive_words = (None if alive_masks is None
-                             else bitpack.pack_bool_matrix(alive_masks))
-        self._batch = batch
-        self._need_senders = need_senders
-        self._need_coll_pairs = need_coll_pairs
-        #: CSR positions of the last slot's (receiver -> sender) edges,
-        #: refreshed by every resolve with senders; feeds the packed
-        #: recovery state's known-edge bitset for free.
-        self.last_epos: Optional[np.ndarray] = None
-
-    def make_recovery(self, topology: Topology, policy: RecoveryPolicy,
-                      relay_like: np.ndarray,
-                      trials: int) -> PackedRecoveryState:
-        """The recovery state matching this tier (word-packed numpy)."""
-        return PackedRecoveryState(topology, policy, relay_like, trials)
-
-    def resolve(self, t: int, tr: np.ndarray, nd: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
-                           Union[np.ndarray,
-                                 Tuple[np.ndarray, np.ndarray]]]:
-        """Resolve one slot; pairs must be (trial, node)-sorted unique.
-
-        Returns ``(rt, rn, sv, coll)``: received pairs in (trial,
-        node) order, their senders (or ``None`` when not requested),
-        and collisions as ``(ct, cn)`` pairs or per-trial counts.
-        """
-        faults.check(faults.BACKEND_RESOLVE, key=(self.name,),
-                     detail="packed word-space resolve")
-        pk = self._pk
-        with profiling.phase("resolve"):
-            active, received, collided, txw = pk.resolve_words(nd, tr)
-            if self._alive_words is not None:
-                aw = self._alive_words[active]
-                received &= aw
-                collided &= aw
-            rt, rn = bitpack.words_to_pairs(active, received)
-        spec = self._loss
-        if spec.kind and len(rt):
-            with profiling.phase("loss-rng"):
-                if spec.kind == 1:
-                    keys = counter_slot_keys(spec.seeds, t)
-                    bits = _splitmix64(keys[rt] ^ rn.astype(np.uint64))
-                    keep = (bits >> np.uint64(11)) >= np.uint64(
-                        spec.threshold)
-                else:
-                    keep = spec.burst.slot_survival(t)[rt]
-                rt, rn = rt[keep], rn[keep]
-        sv = None
-        if self._need_senders:
-            sv, self.last_epos = pk.attribute_senders(
-                rt, rn, active, txw, return_epos=True)
-        if self._need_coll_pairs:
-            coll = bitpack.words_to_pairs(active, collided)
-        else:
-            counts = np.zeros(self._batch, dtype=np.int64)
-            counts[active] = bitpack.popcount(collided).sum(
-                axis=1, dtype=np.int64)
-            coll = counts
-        return rt, rn, sv, coll
-
-
 class NativeBackend:
-    """cffi/C tier (``engine="compiled"``); same contract as
-    :class:`PackedBackend`, one fused C pass per slot."""
+    """cffi/C tier (``engine="compiled"``): one fused word-space C
+    pass per slot."""
 
     name = "compiled"
 
@@ -396,9 +310,9 @@ class NativeBackend:
         #: a backend's tier choice is stable for its lifetime.
         self.threads = native.resolve_native_threads(threads)
         self.last_epos: Optional[np.ndarray] = None
-        pk = kernel.packed()
+        nbr_words = kernel.neighbour_words()
         self._n = kernel.num_nodes
-        self._words = pk.words
+        self._words = nbr_words.shape[1]
         self._max_degree = max(kernel.max_degree, 1)
         self._loss = _LossSpec(loss)
         self._batch = batch
@@ -413,7 +327,7 @@ class NativeBackend:
 
         self._indptr = keep(kernel.indptr, "int64_t *")
         self._indices = keep(kernel.indices, "int64_t *")
-        self._nbr_words = keep(pk.nbr_words, "uint64_t *")
+        self._nbr_words = keep(nbr_words, "uint64_t *")
         if alive_masks is None:
             self._alive = (None, ffi.NULL)
         else:
@@ -453,8 +367,14 @@ class NativeBackend:
                 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
                            Union[np.ndarray,
                                  Tuple[np.ndarray, np.ndarray]]]:
-        """See :meth:`PackedBackend.resolve`; returned arrays are views
-        into reused scratch, valid until the next call."""
+        """Resolve one slot; pairs must be (trial, node)-sorted unique.
+
+        Returns ``(rt, rn, sv, coll)``: received pairs in (trial,
+        node) order, their senders (or ``None`` when not requested),
+        and collisions as ``(ct, cn)`` pairs or per-trial counts.  The
+        arrays are views into reused scratch, valid until the next
+        call.
+        """
         faults.check(faults.BACKEND_RESOLVE, key=(self.name,),
                      detail="native slot resolve")
         ffi, lib = self._ffi, self._lib
@@ -509,30 +429,26 @@ def make_backend(kernel: SlotKernel, batch: int, engine: str,
                  alive_masks: Optional[np.ndarray],
                  need_senders: bool, need_coll_pairs: bool,
                  threads: Optional[int] = None
-                 ) -> Optional[Union[PackedBackend, NativeBackend]]:
+                 ) -> Optional[NativeBackend]:
     """Build the backend for *engine*, or ``None`` for the dense tier.
 
     ``None`` (i.e. "use :meth:`~repro.radio.channel.SlotKernel.
     resolve_batch`") is returned both for ``engine="batch"`` and for
-    any request the word-space tiers cannot serve — see the module
-    docstring for the fallback rules.  ``threads`` reaches only the
-    compiled tier (the numpy tiers have no kernel pool): ``None``
-    means "all allowed cores" per
+    any request the compiled tier cannot serve — see the module
+    docstring for the fallback rules.  ``threads`` is the kernel pool
+    width: ``None`` means "all allowed cores" per
     :func:`~repro.sim.native.resolve_native_threads`; results are
     bit-identical at every width.
     """
-    tier = resolve_engine(engine, kernel.num_nodes, loss)
-    while tier != "batch":
-        try:
-            if tier == "compiled":
-                return NativeBackend(kernel, batch, loss, alive_masks,
-                                     need_senders, need_coll_pairs,
-                                     threads=threads)
-            return PackedBackend(kernel, batch, loss, alive_masks,
-                                 need_senders, need_coll_pairs)
-        except Exception as exc:
-            # A tier that cannot even construct (dlopen/build failure,
-            # injected or organic) demotes this run and feeds the
-            # breaker; the run itself still happens, one tier down.
-            tier = demote_tier(tier, f"{type(exc).__name__}: {exc}")
-    return None
+    if resolve_engine(engine, kernel.num_nodes, loss) == "batch":
+        return None
+    try:
+        return NativeBackend(kernel, batch, loss, alive_masks,
+                             need_senders, need_coll_pairs,
+                             threads=threads)
+    except Exception as exc:
+        # A tier that cannot even construct (dlopen/build failure,
+        # injected or organic) demotes this run and feeds the breaker;
+        # the run itself still happens, on the dense tier.
+        demote_tier("compiled", f"{type(exc).__name__}: {exc}")
+        return None

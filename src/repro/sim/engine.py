@@ -486,8 +486,8 @@ class _BatchState:
         self.rec = None
         if recovery is not None:
             if self.backend is not None:
-                # The word-space backends own a recovery tier matched to
-                # their resolve tier (bit-identical to BatchRecoveryState).
+                # The compiled backend owns a recovery state matched to
+                # its resolve tier (bit-identical to BatchRecoveryState).
                 self.rec = self.backend.make_recovery(
                     topology, recovery, relay_like, trials)
             else:
@@ -613,11 +613,11 @@ class _BatchState:
 def _backend_resolve(backend, t, tr, nd):
     """One backend slot-resolve, faults tagged with the tier that died.
 
-    Any exception out of a word-space backend mid-run (injected via
+    Any exception out of the compiled backend mid-run (injected via
     :data:`repro.faults.BACKEND_RESOLVE` or organic — a dlopen gone bad,
     a C kernel segfault surfacing as an ffi error) becomes a
     :class:`~repro.sim.backend.BackendFault` so the demotion wrapper can
-    rerun the whole batch one tier down.
+    rerun the whole batch on the dense tier.
     """
     try:
         return backend.resolve(t, tr, nd)
@@ -764,11 +764,10 @@ def _run_reactive_batch_impl(
     arrays (no per-event tuples are materialised).
 
     *engine* selects the slot-resolve tier (see :mod:`repro.sim.
-    backend`): ``"batch"`` (dense, default), ``"packed"``,
-    ``"compiled"``, or ``"auto"`` — all bit-identical.  *threads* sets
-    the compiled tier's in-process kernel pool width (``None`` = all
-    allowed cores; ignored by the numpy tiers); every width is
-    bit-identical too.
+    backend`): ``"batch"`` (dense, default), ``"compiled"``, or
+    ``"auto"`` — all bit-identical.  *threads* sets the compiled tier's
+    in-process kernel pool width (``None`` = all allowed cores; ignored
+    by the dense tier); every width is bit-identical too.
     """
     check_engine(engine)
     n = topology.num_nodes
@@ -911,9 +910,8 @@ def _with_tier_demotion(impl):
     circuit breaker (:data:`~repro.sim.backend.BREAKER`), so a tier that
     keeps dying gets skipped up front by :func:`~repro.sim.backend.
     resolve_engine` — with the reason surfaced in the CLI
-    engine-decision line.  The ladder is finite (compiled -> packed ->
-    batch, and the dense tier has no backend to fault), so the loop
-    terminates.
+    engine-decision line.  The ladder is finite (compiled -> batch, and
+    the dense tier has no backend to fault), so the loop terminates.
     """
     @functools.wraps(impl)
     def run(*args, **kwargs):

@@ -1,16 +1,15 @@
 """Optional compiled slot kernel (C via cffi), ``engine="compiled"``.
 
-The bit-packed numpy tier (:mod:`repro.radio.bitpack`) removes the
-dense per-slot arrays but still pays one python-level numpy call per
-carry-save layer and per extraction step.  This module compiles the
-same word-space algorithm to a small C kernel that fuses the whole slot
-— accumulate, half-duplex, alive mask, counter-RNG loss, sparse
-extraction, sender attribution — into one pass over the packed words,
-drawing Bernoulli erasures with the identical splitmix64 stream and the
-integer threshold of
+The dense batch tier materialises ``(trials, n)`` arrays every slot.
+This module resolves the slot in word space instead (the
+:mod:`repro.radio.bitpack` layout, 64 nodes per ``uint64``): a small C
+kernel fuses the whole slot — carry-save accumulate, half-duplex, alive
+mask, counter-RNG loss, sparse extraction, sender attribution — into
+one pass over the packed words, drawing Bernoulli erasures with the
+identical splitmix64 stream and the integer threshold of
 :func:`~repro.radio.impairments.bernoulli_threshold`, so its output is
-bit-identical to the numpy tiers (the differential suite runs the full
-``reference == serial == batch == packed == compiled`` chain).
+bit-identical to the dense tier (the differential suite runs the full
+``reference == serial == batch == compiled`` chain).
 
 **Intra-process parallelism.**  The three hot entry points
 (``resolve_slot``, ``recovery_post_slot``, ``recovery_checks``) take a
@@ -46,14 +45,14 @@ The dependency handling is deliberately soft:
   changes;
 * any failure — cffi missing, no compiler, unwritable build dir —
   is recorded as :func:`native_reason` and the engine silently falls
-  back to the pure-numpy tiers; the environment variable
+  back to the dense batch tier; the environment variable
   ``REPRO_NO_NATIVE=1`` forces that path (the test suite uses it to
   cover dependency-absent hosts).
 
 ``REPRO_NATIVE_DEBUG=1`` selects a ThreadSanitizer build
 (``-fsanitize=thread -g -O1``, its own hashed module name so it never
 shadows the release build); where the toolchain lacks tsan the build
-fails and the ordinary fallback chain degrades to the numpy tiers,
+fails and the ordinary fallback chain degrades to the batch tier,
 exactly as for any other build failure.
 """
 

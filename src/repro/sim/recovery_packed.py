@@ -1,5 +1,5 @@
-"""Word-packed recovery state: the ``packed``/``compiled`` tier of the
-closed-loop recovery layer.
+"""Word-packed recovery state: the ``compiled`` tier of the closed-loop
+recovery layer.
 
 :class:`~repro.sim.recovery.BatchRecoveryState` vectorises the recovery
 machine over ``(B, nnz)`` boolean known-edge matrices, but three of its
@@ -15,9 +15,9 @@ slot-resolve tier — the Amdahl bottleneck BENCH_kernel's
 * the per-check "all neighbours covered?" test gathers ``max_degree``
   booleans per (trial, node) pair.
 
-This module removes all three while computing the *same state machine*
-(:mod:`repro.sim.recovery` documents it; the differential suite holds
-every tier to trace equality):
+:class:`NativeRecoveryState` removes all three while computing the
+*same state machine* (:mod:`repro.sim.recovery` documents it; the
+differential suite holds it to trace equality with the batch state):
 
 * **due buckets** — ``chk_slot``/``elec_slot`` stay the source of truth,
   but every assignment also appends the (trial, node) pair to a
@@ -30,24 +30,20 @@ every tier to trace equality):
   ceil(nnz/64))`` uint64 words, bit ``e & 63`` of word ``e >> 6`` for
   CSR data position *e* (:mod:`repro.radio.bitpack` layout over edge
   positions instead of node ids).  The ACK/overhear pair of a decode is
-  two bits: the (receiver -> sender) position falls out of the packed
-  sender attribution for free, and the (sender -> receiver) position is
-  one precomputed ``rev_edge`` lookup.  A node's coverage test is an
-  exact mask compare over the <= 2 words its contiguous CSR row spans;
-* **C fast path** — :class:`NativeRecoveryState` dispatches the two hot
-  inner loops (per-decode bit sets + heard counters, per-check
-  covered/suppression/reschedule) to the cffi kernel's
-  ``recovery_post_slot``/``recovery_checks`` (see
-  :mod:`repro.sim.native`), behind the same lazy-build /
-  ``REPRO_NO_NATIVE`` fallback chain as the slot resolve.  Election
-  bookkeeping is shared numpy in both classes — elections fire at most
-  once per (trial, node) and never dominate.
+  two bits: the (receiver -> sender) position falls out of the
+  compiled resolve's sender attribution for free, and the (sender ->
+  receiver) position is one precomputed ``rev_edge`` lookup.  A node's
+  coverage test is an exact mask compare over the <= 2 words its
+  contiguous CSR row spans;
+* **C inner loops** — the two hot loops (per-decode bit sets + heard
+  counters, per-check covered/suppression/reschedule) run in the cffi
+  kernel's ``recovery_post_slot``/``recovery_checks`` (see
+  :mod:`repro.sim.native`).  Election bookkeeping stays numpy —
+  elections fire at most once per (trial, node) and never dominate.
 
-Instances are built by the slot-resolve backends
-(:meth:`~repro.sim.backend.PackedBackend.make_recovery`), which also
-feed ``post_slot`` the attribution edge positions; ``epos=None``
-recomputes them from the padded neighbour tables so the class stays
-usable standalone.
+Instances are built by the compiled backend
+(:meth:`~repro.sim.backend.NativeBackend.make_recovery`), which also
+feeds ``post_slot`` the attribution edge positions.
 """
 
 from __future__ import annotations
@@ -57,28 +53,36 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import profiling
-from ..radio.bitpack import BIT, num_words
+from ..radio.bitpack import num_words
 from ..topology.base import Topology
 from .recovery import RecoveryPolicy
 
-__all__ = ["NativeRecoveryState", "PackedRecoveryState"]
+__all__ = ["NativeRecoveryState"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _U64 = np.uint64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-class PackedRecoveryState:
-    """B-trial recovery state over a word-packed known-edge bitset.
+class NativeRecoveryState:
+    """B-trial recovery state over a word-packed known-edge bitset, its
+    hot inner loops in the cffi kernel *module*.
 
     Bit-identical to :class:`~repro.sim.recovery.BatchRecoveryState` by
     construction: same per-(trial, node) scalars, same update order,
     same horizon growth — only the known-edge representation and the
     due-work discovery differ.
+
+    ``threads`` is the kernel pool width (see
+    :func:`~repro.sim.native.resolve_native_threads`); the C side
+    splits decodes at trial boundaries and checks into contiguous
+    unique-pair spans, so the updated state and emitted pairs are
+    bit-identical at every width.
     """
 
     def __init__(self, topology: Topology, policy: RecoveryPolicy,
-                 relay_like: np.ndarray, trials: int) -> None:
+                 relay_like: np.ndarray, trials: int, module,
+                 threads: Optional[int] = None) -> None:
         kernel = topology.slot_kernel
         n = topology.num_nodes
         self.policy = policy
@@ -119,8 +123,8 @@ class PackedRecoveryState:
                 << (lo & 63).astype(np.uint64))
         self._cov_w = np.where(valid, w, 0)
         self._cov_m = np.where(valid & (length > 0), mask, _U64(0))
-        # Padded per-node neighbour tables (election target search and
-        # the epos fallback); vectorised build, pad sentinel n.
+        # Padded per-node neighbour tables (election target search);
+        # vectorised build, pad sentinel n.
         maxdeg = int(degrees.max()) if n else 0
         jd = np.arange(max(maxdeg, 1), dtype=np.int64)
         dvalid = jd[None, :] < degrees[:, None]
@@ -141,6 +145,24 @@ class PackedRecoveryState:
         self.horizon = 0
         self._chk_due: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
         self._elec_due: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        from .native import resolve_native_threads
+        self.threads = resolve_native_threads(threads)
+        self._ffi, self._lib = module.ffi, module.lib
+        ffi = self._ffi
+
+        def pin(array, ctype):
+            return array, ffi.cast(ctype, ffi.from_buffer(array))
+
+        # The state arrays are allocated once here and never
+        # reallocated, so the pinned views stay valid for the run.
+        self._c_known = pin(self.known, "uint64_t *")
+        self._c_heard = pin(self.heard_total, "int64_t *")
+        self._c_chk_slot = pin(self.chk_slot, "int64_t *")
+        self._c_chk_base = pin(self.chk_base, "int64_t *")
+        self._c_retries = pin(self.retries_used, "int64_t *")
+        self._c_indptr = pin(self._indptr, "const int64_t *")
+        self._c_rev = pin(self.rev_edge, "const int64_t *")
+        self._c_counts = pin(np.zeros(3, dtype=np.int64), "int64_t *")
 
     # ------------------------------------------------------------------
 
@@ -174,10 +196,10 @@ class PackedRecoveryState:
         return ((self.known[bt, pos >> 6]
                  >> (pos & 63).astype(np.uint64)) & _U64(1)).astype(bool)
 
-    def _epos_of(self, rn: np.ndarray, sv: np.ndarray) -> np.ndarray:
-        """CSR positions of the (rn -> sv) edges (epos fallback)."""
-        match = self._N[rn] == sv[:, None]
-        return np.where(match, self._P[rn], 0).sum(axis=1)
+    def _as_i64(self, array: np.ndarray):
+        array = np.ascontiguousarray(array, dtype=np.int64)
+        return array, self._ffi.cast("const int64_t *",
+                                     self._ffi.from_buffer(array))
 
     # ------------------------------------------------------------------
 
@@ -186,28 +208,32 @@ class PackedRecoveryState:
         """Guardian checks due at *t*: covered test, suppression,
         retry accounting, rescheduling.  Returns the firing pairs."""
         pol = self.policy
-        cw = self._cov_w[vt]
-        cm = self._cov_m[vt]
-        covered = ((self.known[bt[:, None], cw] & cm) == cm).all(axis=1)
-        self.chk_slot[bt[covered], vt[covered]] = 0
-        abt, avt = bt[~covered], vt[~covered]
-        if not len(avt):
-            return _EMPTY, _EMPTY
-        heard = self.heard_total[abt, avt]
-        if pol.suppression_k > 0:
-            fire = heard - self.chk_base[abt, avt] < pol.suppression_k
-        else:
-            fire = np.ones(len(avt), dtype=bool)
-        used = self.retries_used[abt, avt] + 1
-        self.retries_used[abt, avt] = used
-        more = used < pol.max_retries
-        nxt = t + pol.timeout * pol.backoff ** used
-        self.chk_slot[abt, avt] = np.where(more, nxt, 0)
-        self.chk_base[abt, avt] = heard
-        if more.any():
-            self._push_due(self._chk_due, abt[more], avt[more], nxt[more])
-            self.horizon = max(self.horizon, int(nxt[more].max()))
-        return abt[fire], avt[fire]
+        k = len(vt)
+        kb, pb = self._as_i64(bt)
+        kv, pv = self._as_i64(vt)
+        fire_b = np.empty(k, dtype=np.int64)
+        fire_v = np.empty(k, dtype=np.int64)
+        res_b = np.empty(k, dtype=np.int64)
+        res_v = np.empty(k, dtype=np.int64)
+        res_slot = np.empty(k, dtype=np.int64)
+        ffi, out = self._ffi, self._c_counts
+        cast = lambda a: ffi.cast("int64_t *", ffi.from_buffer(a))
+        self._lib.recovery_checks(
+            self.threads,
+            t, k, pb, pv, self.n, self.words_e, self._c_indptr[1],
+            self._c_known[1], self._c_chk_slot[1], self._c_chk_base[1],
+            self._c_retries[1], self._c_heard[1],
+            pol.timeout, pol.max_retries, pol.backoff, pol.suppression_k,
+            cast(fire_b), cast(fire_v),
+            cast(res_b), cast(res_v), cast(res_slot), out[1])
+        n_fire, n_res, max_slot = map(int, out[0])
+        if n_res:
+            self._push_due(self._chk_due, res_b[:n_res].copy(),
+                           res_v[:n_res].copy(), res_slot[:n_res])
+            self.horizon = max(self.horizon, max_slot)
+        return fire_b[:n_fire], fire_v[:n_fire]
+
+    # ------------------------------------------------------------------
 
     def pre_slot(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """Checks/elections due at *t*: returns retransmitting
@@ -237,40 +263,27 @@ class PackedRecoveryState:
 
     # ------------------------------------------------------------------
 
-    def _apply_rx(self, rt: np.ndarray, rn: np.ndarray,
-                  epos: np.ndarray) -> None:
-        """Account the slot's decodes: heard counters plus the
-        ACK/overhear bit pair per (receiver, sender) edge."""
-        self.heard_total[rt, rn] += 1
-        # Both directions of every decoded edge, OR-combined per
-        # (trial, word) cell: group-by via one radix-friendly argsort,
-        # bitwise_or.reduceat per group, then a single scatter into the
-        # flat word array (group keys are unique, so plain |= is safe).
-        both_e = np.concatenate([epos, self.rev_edge[epos]])
-        key = (np.concatenate([rt, rt]) * self.words_e) + (both_e >> 6)
-        order = np.argsort(key, kind="stable")
-        ks = key[order]
-        vals = BIT[both_e[order] & 63]
-        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-        self.known.reshape(-1)[ks[starts]] |= np.bitwise_or.reduceat(
-            vals, starts)
-
     def post_slot(self, t: int, tr: np.ndarray, nd: np.ndarray,
                   rt: np.ndarray, rn: np.ndarray, sv: np.ndarray,
                   nt: np.ndarray, nn: np.ndarray,
-                  epos: Optional[np.ndarray] = None) -> None:
+                  epos: np.ndarray) -> None:
         """Account one resolved batch slot (mirrors
         :meth:`~repro.sim.recovery.BatchRecoveryState.post_slot`).
 
         *epos* are the CSR positions of the (receiver -> sender) edges,
-        as produced by the backends' sender attribution; ``None``
-        recomputes them from the padded neighbour tables.
+        as produced by the compiled backend's sender attribution.
         """
         pol = self.policy
         if len(rn):
-            if epos is None:
-                epos = self._epos_of(rn, sv)
-            self._apply_rx(rt, rn, np.asarray(epos, dtype=np.int64))
+            # Heard counters plus the ACK/overhear bit pair per decoded
+            # (receiver, sender) edge.
+            kt, pt = self._as_i64(rt)
+            kn, pn = self._as_i64(rn)
+            ke, pe = self._as_i64(epos)
+            self._lib.recovery_post_slot(
+                self.threads,
+                len(kn), pt, pn, pe, self._c_rev[1],
+                self.n, self.words_e, self._c_known[1], self._c_heard[1])
         fresh = ~self.has_tx[tr, nd]
         if fresh.any():
             ft, fn = tr[fresh], nd[fresh]
@@ -312,82 +325,3 @@ class PackedRecoveryState:
                                          self._P[en], 0).sum(axis=1)
         self._push_due(self._elec_due, et, en, slot)
         self.horizon = max(self.horizon, int(slot.max()))
-
-
-class NativeRecoveryState(PackedRecoveryState):
-    """:class:`PackedRecoveryState` with the two hot inner loops — the
-    per-decode known-bit/heard update and the per-check
-    covered/suppression/reschedule pass — dispatched to the cffi
-    kernel.  Election bookkeeping stays the shared numpy path.
-
-    ``threads`` is the kernel pool width (see
-    :func:`~repro.sim.native.resolve_native_threads`); the C side
-    splits decodes at trial boundaries and checks into contiguous
-    unique-pair spans, so the updated state and emitted pairs are
-    bit-identical at every width."""
-
-    def __init__(self, topology: Topology, policy: RecoveryPolicy,
-                 relay_like: np.ndarray, trials: int, module,
-                 threads: Optional[int] = None) -> None:
-        super().__init__(topology, policy, relay_like, trials)
-        from .native import resolve_native_threads
-        self.threads = resolve_native_threads(threads)
-        self._ffi, self._lib = module.ffi, module.lib
-        ffi = self._ffi
-
-        def pin(array, ctype):
-            return array, ffi.cast(ctype, ffi.from_buffer(array))
-
-        # The state arrays are allocated once in __init__ and never
-        # reallocated, so the pinned views stay valid for the run.
-        self._c_known = pin(self.known, "uint64_t *")
-        self._c_heard = pin(self.heard_total, "int64_t *")
-        self._c_chk_slot = pin(self.chk_slot, "int64_t *")
-        self._c_chk_base = pin(self.chk_base, "int64_t *")
-        self._c_retries = pin(self.retries_used, "int64_t *")
-        self._c_indptr = pin(self._indptr, "const int64_t *")
-        self._c_rev = pin(self.rev_edge, "const int64_t *")
-        self._c_counts = pin(np.zeros(3, dtype=np.int64), "int64_t *")
-
-    def _as_i64(self, array: np.ndarray):
-        array = np.ascontiguousarray(array, dtype=np.int64)
-        return array, self._ffi.cast("const int64_t *",
-                                     self._ffi.from_buffer(array))
-
-    def _apply_rx(self, rt: np.ndarray, rn: np.ndarray,
-                  epos: np.ndarray) -> None:
-        kt, pt = self._as_i64(rt)
-        kn, pn = self._as_i64(rn)
-        ke, pe = self._as_i64(epos)
-        self._lib.recovery_post_slot(
-            self.threads,
-            len(kn), pt, pn, pe, self._c_rev[1],
-            self.n, self.words_e, self._c_known[1], self._c_heard[1])
-
-    def _process_checks(self, t: int, bt: np.ndarray, vt: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        pol = self.policy
-        k = len(vt)
-        kb, pb = self._as_i64(bt)
-        kv, pv = self._as_i64(vt)
-        fire_b = np.empty(k, dtype=np.int64)
-        fire_v = np.empty(k, dtype=np.int64)
-        res_b = np.empty(k, dtype=np.int64)
-        res_v = np.empty(k, dtype=np.int64)
-        res_slot = np.empty(k, dtype=np.int64)
-        ffi, out = self._ffi, self._c_counts
-        cast = lambda a: ffi.cast("int64_t *", ffi.from_buffer(a))
-        self._lib.recovery_checks(
-            self.threads,
-            t, k, pb, pv, self.n, self.words_e, self._c_indptr[1],
-            self._c_known[1], self._c_chk_slot[1], self._c_chk_base[1],
-            self._c_retries[1], self._c_heard[1],
-            pol.timeout, pol.max_retries, pol.backoff, pol.suppression_k,
-            cast(fire_b), cast(fire_v),
-            cast(res_b), cast(res_v), cast(res_slot), out[1])
-        n_fire, n_res, max_slot = map(int, out[0])
-        if n_res:
-            self._push_due(self._chk_due, res_b[:n_res].copy(),
-                           res_v[:n_res].copy(), res_slot[:n_res])
-            self.horizon = max(self.horizon, max_slot)
-        return fire_b[:n_fire], fire_v[:n_fire]

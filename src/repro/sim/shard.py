@@ -20,8 +20,8 @@ layers provide:
 The shard-invariance property test pins down that ``workers=1`` and
 ``workers=k`` produce identical results.
 
-The tiered recovery states (packed word bitsets, native C update)
-ride trial shards for free: each shard's backend builds its own
+The compiled recovery state (packed word bitsets, native C update)
+rides trial shards for free: each shard's backend builds its own
 recovery state sized to the shard's trial slice, and because every
 piece of recovery state is a per-trial row keyed by the trial's seed
 value, the sliced runs reproduce the unsharded run bit for bit at

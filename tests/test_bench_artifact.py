@@ -170,7 +170,7 @@ def _validate_kernel(payload):
     if not payload["native_available"]:
         assert payload["native_reason"]
     sweep = payload["sweep"]
-    assert {"serial", "batch", "packed", "sharded"} <= set(sweep["entries"])
+    assert {"serial", "batch", "sharded"} <= set(sweep["entries"])
     for label, entry in sweep["entries"].items():
         assert entry["seconds"] > 0, label
         assert entry["simulations_per_second"] > 0, label
@@ -182,27 +182,24 @@ def _validate_kernel(payload):
     for section in ("large_grid", "recovery_grid"):
         grid = payload[section]
         assert grid["nodes"] == grid["shape"][0] * grid["shape"][1]
-        assert {"batch", "packed"} <= set(grid["entries"])
+        assert "batch" in grid["entries"]
         for label, entry in grid["entries"].items():
             assert entry["seconds"] > 0, label
             assert entry["simulations_per_second"] > 0, label
     grid = payload["large_grid"]
     assert grid["nodes"] >= 4096
     assert grid["trials"] >= 256
-    # the PR-6 acceptance floor: >= 3x over the dense batch engine
-    # on one CPU from the packed word resolve alone (no sharding)
+    # the acceptance floor: >= 3x over the dense batch engine on one
+    # CPU from the word-space resolve alone (no sharding)
     assert grid["recovery"] is None
-    assert grid["packed_speedup_vs_batch"] >= 3.0
     if payload["native_available"]:
         assert grid["compiled_speedup_vs_batch"] >= 3.0
-    # v2: the recovery cell carries its own enforced floors now that
-    # the recovery update is tiered (packed bitset / C inner loops)
+    # v2: the recovery cell carries its own enforced floor now that
+    # the recovery update is tiered (packed bitset + C inner loops)
     rec = payload["recovery_grid"]
     assert rec["recovery"] is not None
     floors = rec["speedup_floors"]
-    assert floors["packed"] >= 2.5
     assert floors["compiled"] >= 5.0
-    assert rec["packed_speedup_vs_batch"] >= floors["packed"]
     if payload["native_available"]:
         assert rec["compiled_speedup_vs_batch"] >= floors["compiled"]
     # v3: the compiled tier's intra-process thread pool.  The artefact
@@ -217,6 +214,9 @@ def _validate_kernel(payload):
     mt_floors = payload["mt_speedup_floors"]
     assert mt_floors["min_cores"] >= 2
     multi = payload["native_available"] and payload["threads"] >= 2
+    # v4: the artefact states whether the multi-thread floors ran.
+    assert payload["mt_floors_exercised"] == (
+        multi and payload["cores_available"] >= mt_floors["min_cores"])
     for section in ("large_grid", "recovery_grid"):
         grid = payload[section]
         if multi:
@@ -243,10 +243,16 @@ def _validate_faults(payload):
     # The chaos must actually have happened — an artefact showing 100%
     # availability with zero fired faults measured nothing.
     assert payload["faults_fired_total"] > 0
+    # Every seam fired at least once; the two native seams only exist
+    # where the native kernel builds.
     fired = {seam: s["fired"] for seam, s in payload["faults"].items()}
-    assert fired.get("server.drop_connection", 0) >= 1
-    assert fired.get("shard.worker_kill", 0) >= 1
-    assert fired.get("store.torn_write", 0) >= 1
+    native_seams = {"native.build", "backend.resolve"}
+    for seam in ("shard.worker_kill", "store.torn_write", "native.build",
+                 "backend.resolve", "compile.slow",
+                 "server.drop_connection", "server.garble_response"):
+        if payload["native_available"] or seam not in native_seams:
+            assert fired[seam] >= 1, seam
+    assert set(payload["breaker"]) == {"compiled"}
     assert payload["store_errors"] >= 1
     # Deadline sheds must cost zero compiles.
     assert payload["deadline"]["shed"] >= 1
@@ -270,7 +276,7 @@ VALIDATORS = {
     "repro-wsn/bench-symmetry/v1": _validate_symmetry,
     "repro-wsn/bench-recovery/v1": _validate_recovery,
     "repro-wsn/bench-scaling/v1": _validate_scaling,
-    "repro-wsn/bench-kernel/v3": _validate_kernel,
+    "repro-wsn/bench-kernel/v4": _validate_kernel,
     "repro-wsn/bench-service/v1": _validate_service,
     "repro-wsn/bench-faults/v1": _validate_faults,
 }
@@ -281,7 +287,7 @@ _ARTIFACTS = [
     (SYMMETRY_ARTIFACT, "repro-wsn/bench-symmetry/v1"),
     (RECOVERY_ARTIFACT, "repro-wsn/bench-recovery/v1"),
     (SCALING_ARTIFACT, "repro-wsn/bench-scaling/v1"),
-    (KERNEL_ARTIFACT, "repro-wsn/bench-kernel/v3"),
+    (KERNEL_ARTIFACT, "repro-wsn/bench-kernel/v4"),
     (SERVICE_ARTIFACT, "repro-wsn/bench-service/v1"),
     (FAULTS_ARTIFACT, "repro-wsn/bench-faults/v1"),
 ]

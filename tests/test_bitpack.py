@@ -1,11 +1,12 @@
-"""Bit-packed word-space kernel vs the dense CSR kernel.
+"""Bit-packed word layout and the word-space slot resolve vs the dense
+CSR kernel.
 
-The packed tier's value is entirely conditional on being *exactly* the
-dense kernel 64x denser — these tests pin the pack/unpack layout, the
-popcount accounting, the carry-save collision resolve, the sparse
-(trial, node) extraction order, and the sender attribution against the
-dense reference, plus the integer-threshold Bernoulli equivalence the
-packed/compiled loss draws rely on.
+The compiled tier's value is entirely conditional on being *exactly*
+the dense kernel 64x denser — these tests pin the pack layout, the
+packed neighbour table, the C carry-save collision resolve and its
+sender/edge attribution against the dense reference, plus the
+integer-threshold Bernoulli equivalence the compiled loss draws rely
+on.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.radio import bitpack
 from repro.radio.impairments import (bernoulli_threshold, counter_slot_keys,
                                      counter_uniforms, trial_seeds)
+from repro.sim import native_available
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 
 pytestmark = pytest.mark.skipif(not bitpack.packing_supported(),
@@ -23,6 +25,13 @@ pytestmark = pytest.mark.skipif(not bitpack.packing_supported(),
 
 MESHES = [(Mesh2D4, (5, 4)), (Mesh2D8, (4, 4)),
           (Mesh2D3, (5, 4)), (Mesh3D6, (3, 3, 3))]
+
+
+def unpack(words, n):
+    """``(B, W)`` words back to a boolean ``(B, n)`` matrix."""
+    bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8),
+                         axis=1, bitorder="little")
+    return bits[:, :n].astype(bool)
 
 
 class TestPacking:
@@ -39,15 +48,14 @@ class TestPacking:
         mask = rng.random((b, n)) < 0.4
         words = bitpack.pack_bool_matrix(mask)
         assert words.shape == (b, bitpack.num_words(n))
-        assert np.array_equal(bitpack.unpack_word_matrix(words, n), mask)
-        # popcount over words == row sums of the boolean matrix
+        assert np.array_equal(unpack(words, n), mask)
+        # set-bit count over words == row sums of the boolean matrix
         assert np.array_equal(
-            bitpack.popcount(words).sum(axis=1),
-            mask.sum(axis=1))
+            np.bitwise_count(words).sum(axis=1), mask.sum(axis=1))
 
     def test_bit_layout(self):
         # Node v must be bit (v & 63) of word (v >> 6) — the layout the
-        # C kernel and words_to_pairs hard-code.
+        # C kernel hard-codes.
         mask = np.zeros((1, 130), dtype=bool)
         mask[0, [0, 63, 64, 129]] = True
         w = bitpack.pack_bool_matrix(mask)[0]
@@ -55,55 +63,59 @@ class TestPacking:
         assert w[1] == 1
         assert w[2] == 2
 
-    def test_words_to_pairs_sorted(self):
-        rng = np.random.default_rng(0)
-        mask = rng.random((4, 100)) < 0.3
-        words = bitpack.pack_bool_matrix(mask)
-        active = np.array([2, 5, 7, 11], dtype=np.int64)
-        tr, nd = bitpack.words_to_pairs(active, words)
-        et, en = mask.nonzero()
-        assert np.array_equal(tr, active[et])
-        assert np.array_equal(nd, en)
 
-
+@pytest.mark.skipif(not native_available(),
+                    reason="native kernel unavailable")
 class TestPackedResolve:
+    """The compiled word-space resolve, slot by slot, against the dense
+    kernel's ``resolve_batch``."""
+
+    @staticmethod
+    def backend(kernel, trials):
+        from repro.sim.backend import NativeBackend
+        return NativeBackend(kernel, trials, None, None,
+                             need_senders=True, need_coll_pairs=True,
+                             threads=1)
+
     @pytest.mark.parametrize("cls,shape", MESHES)
     def test_matches_dense_kernel(self, cls, shape):
         mesh = cls(*shape)
         kernel = mesh.slot_kernel
-        packed = kernel.packed()
         n = mesh.num_nodes
+        # The neighbour table row v is v's CSR neighbour set.
+        table = unpack(kernel.neighbour_words(), n)
+        assert np.array_equal(table, mesh.adjacency.toarray() != 0)
         rng = np.random.default_rng(42)
         for trials in (1, 3, 6):
-            for _ in range(15):
+            backend = self.backend(kernel, trials)
+            for t in range(1, 16):
                 pairs = {(int(rng.integers(trials)), int(rng.integers(n)))
                          for _ in range(int(rng.integers(1, n)))}
                 arr = np.array(sorted(pairs), dtype=np.int64)
                 tr, nd = arr[:, 0].copy(), arr[:, 1].copy()
                 heard, received, collided, senders = kernel.resolve_batch(
                     nd, tr, trials)
-                active, rx_w, cl_w, txw = packed.resolve_words(nd, tr)
-                assert np.array_equal(active, np.unique(tr))
-                rt, rn = bitpack.words_to_pairs(active, rx_w)
+                rt, rn, sv, (ct, cn) = backend.resolve(t, tr, nd)
                 drt, drn = received.nonzero()
                 assert np.array_equal(rt, drt)
                 assert np.array_equal(rn, drn)
-                ct, cn = bitpack.words_to_pairs(active, cl_w)
                 dct, dcn = collided.nonzero()
                 assert np.array_equal(ct, dct)
                 assert np.array_equal(cn, dcn)
-                sv = packed.attribute_senders(rt, rn, active, txw)
                 assert np.array_equal(sv, senders[drt, drn])
+                # last_epos: the CSR position of each (rn -> sv) edge.
+                epos = backend.last_epos
+                assert np.array_equal(kernel.indices[epos], sv)
+                assert ((kernel.indptr[rn] <= epos)
+                        & (epos < kernel.indptr[rn + 1])).all()
 
     def test_empty_slot(self):
         mesh = Mesh2D4(4, 4)
-        packed = mesh.slot_kernel.packed()
+        backend = self.backend(mesh.slot_kernel, 2)
         e = np.empty(0, dtype=np.int64)
-        active, rx, cl, txw = packed.resolve_words(e, e)
-        assert len(active) == 0 and rx.shape[0] == 0
-        tr, nd = bitpack.words_to_pairs(active, rx)
-        assert len(tr) == 0
-        assert len(packed.attribute_senders(tr, nd, active, txw)) == 0
+        rt, rn, sv, (ct, cn) = backend.resolve(1, e, e)
+        assert len(rt) == len(rn) == len(sv) == 0
+        assert len(ct) == len(cn) == 0
 
 
 class TestBernoulliThreshold:

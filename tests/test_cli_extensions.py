@@ -4,6 +4,7 @@ scaling)."""
 import pytest
 
 from repro.cli import main
+from repro.sim import native_available
 
 
 class TestFigureSvg:
@@ -68,18 +69,23 @@ class TestRobustnessCommand:
         assert main(args + ["--engine", "batch"]) == 0
         batch_out = capsys.readouterr().out
         assert "engine: batch" in batch_out
-        assert main(args + ["--engine", "packed"]) == 0
-        packed_out = capsys.readouterr().out
-        assert "engine: packed" in packed_out
-        assert table(packed_out) == table(batch_out)
+        assert main(args + ["--engine", "compiled"]) == 0
+        compiled_out = capsys.readouterr().out
+        tier = "compiled" if native_available() else "batch"
+        assert f"engine: {tier}" in compiled_out
+        assert table(compiled_out) == table(batch_out)
 
-    @pytest.mark.parametrize("command", ["robustness", "frontier"])
+    @pytest.mark.parametrize("command", ["robustness", "frontier",
+                                         "lifetime"])
     def test_serial_engine_rejected(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "2D-4", "--shape", "8", "6",
-                  "--engine", "serial"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'serial'" in capsys.readouterr().err
+        # Neither the one-trial serial fork nor the deleted pure-numpy
+        # packed tier is an --engine choice.
+        for engine in ("serial", "packed"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "2D-4", "--shape", "8", "6",
+                      "--engine", engine])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{engine}'" in capsys.readouterr().err
 
     def test_workers_and_cache_flags(self, tmp_path, capsys):
         assert main(["robustness", "2D-4", "--shape", "10", "6",
@@ -155,9 +161,9 @@ class TestFrontierCommand:
                 "--hardening", "0", "--seed", "3"]
         assert main(args + ["--engine", "batch"]) == 0
         batch = capsys.readouterr().out
-        assert main(args + ["--engine", "packed"]) == 0
-        packed = capsys.readouterr().out
-        assert table(batch) == table(packed)
+        assert main(args + ["--engine", "compiled"]) == 0
+        compiled = capsys.readouterr().out
+        assert table(batch) == table(compiled)
 
     def test_workers_flag(self, capsys):
         assert main(["frontier", "2D-4", "--shape", "8", "6",

@@ -1,12 +1,12 @@
 """Differential testing across the full engine-tier chain.
 
-The three-tier speed stack (dense "batch", bit-packed "packed", C
-"compiled" — see :mod:`repro.sim.backend`) plus trial-dimension
-sharding (:mod:`repro.sim.shard`) all promise **bit identity** with the
-serial engine and the pure-python reference.  This suite runs the whole
-chain on hypothesis-generated scenarios::
+The two-tier speed ladder (dense "batch", C word-space "compiled" —
+see :mod:`repro.sim.backend`) plus trial-dimension sharding
+(:mod:`repro.sim.shard`) all promise **bit identity** with the serial
+engine and the pure-python reference.  This suite runs the whole chain
+on hypothesis-generated scenarios::
 
-    reference == serial == batch == packed == compiled
+    reference == serial == batch == compiled
 
 and pins the shard-invariance property (``workers=1`` equals
 ``workers=k`` exactly, for summaries and traces).  When the compiled
@@ -45,7 +45,10 @@ MESHES = [
 
 #: Word-space tiers under test; the compiled leg is skipped (visibly)
 #: where the native kernel cannot build on this host.
-TIERS = ["packed"] + (["compiled"] if native_available() else [])
+TIERS = ["compiled"] if native_available() else []
+
+#: What "compiled"/"auto" resolve to for a servable request here.
+NATIVE_TIER = "compiled" if native_available() else "batch"
 
 needs_packing = pytest.mark.skipif(not bitpack.packing_supported(),
                                    reason="big-endian host")
@@ -81,7 +84,7 @@ def assert_summaries_equal(a, b, tag=""):
 @st.composite
 def tier_scenario(draw, num_nodes):
     """Random batched-wave inputs restricted to the loss kinds the
-    word-space tiers serve natively (Bernoulli / burst / none)."""
+    compiled tier serves natively (Bernoulli / burst / none)."""
     trials = draw(st.integers(1, 4))
     source = draw(st.integers(0, num_nodes - 1))
     relay_mask = np.array(
@@ -120,7 +123,7 @@ def tier_scenario(draw, num_nodes):
 
 @needs_packing
 class TestTierChain:
-    """reference == serial == batch == packed == compiled, per trial."""
+    """reference == serial == batch == compiled, per trial."""
 
     @pytest.mark.parametrize("cls,shape", MESHES)
     def test_random_scenarios(self, cls, shape):
@@ -335,30 +338,40 @@ class TestFallbacks:
         seeds = trial_seeds(0, 0.1, trials)
         assert resolve_engine("batch", 20) == "batch"
         if bitpack.packing_supported():
-            assert resolve_engine("packed", 20) == "packed"
+            assert resolve_engine("compiled", 20) == NATIVE_TIER
+            assert resolve_engine("auto", 20) == NATIVE_TIER
             # Unsupported loss kinds and oversized lattices fall back.
             from repro.radio.impairments import (CounterBernoulliLoss,
                                                  PerTrialBatchLoss)
             per_trial = PerTrialBatchLoss(
                 [CounterBernoulliLoss(0.1, int(s)) for s in seeds])
-            assert resolve_engine("packed", 20, per_trial) == "batch"
+            assert resolve_engine("compiled", 20, per_trial) == "batch"
             assert resolve_engine(
                 "compiled", bitpack.MAX_PACKED_NODES + 1) == "batch"
-        with pytest.raises(ValueError):
-            resolve_engine("warp", 20)
+        # Unknown engines (the deleted "packed" tier among them) are
+        # rejected with the accepted names.
+        from repro.sim.backend import check_engine
+        for bad in ("warp", "packed"):
+            with pytest.raises(ValueError,
+                               match="'batch', 'compiled', 'auto'"):
+                check_engine(bad)
+            with pytest.raises(ValueError):
+                resolve_engine(bad, 20)
 
     def test_resolve_engine_explain(self):
         tier, reason = resolve_engine("batch", 20, explain=True)
         assert tier == "batch" and "requested" in reason
         if bitpack.packing_supported():
             tier, reason = resolve_engine(
-                "packed", bitpack.MAX_PACKED_NODES + 1, explain=True)
+                "compiled", bitpack.MAX_PACKED_NODES + 1, explain=True)
             assert tier == "batch"
             assert "REPRO_PACKED_MAX_NODES" in reason
-            tier, reason = resolve_engine("packed", 20, explain=True)
-            assert tier == "packed" and "requested" in reason
+            tier, reason = resolve_engine("compiled", 20, explain=True)
+            assert tier == NATIVE_TIER
+            assert ("native kernel available" if native_available()
+                    else "native unavailable") in reason
             # explain=False stays the bare-string contract.
-            assert resolve_engine("packed", 20) == "packed"
+            assert resolve_engine("compiled", 20) == NATIVE_TIER
 
     def test_packed_cutoff_env_override(self, monkeypatch):
         if not bitpack.packing_supported():
@@ -367,14 +380,14 @@ class TestFallbacks:
         assert packed_max_nodes() == bitpack.MAX_PACKED_NODES
         monkeypatch.setenv("REPRO_PACKED_MAX_NODES", "100")
         assert packed_max_nodes() == 100
-        assert resolve_engine("packed", 101) == "batch"
-        tier, reason = resolve_engine("packed", 101, explain=True)
+        assert resolve_engine("auto", 101) == "batch"
+        tier, reason = resolve_engine("compiled", 101, explain=True)
         assert tier == "batch" and "cutoff 100" in reason
-        assert resolve_engine("packed", 100) == "packed"
-        # Raising the cutoff opens the packed tier past the default.
+        assert resolve_engine("auto", 100) == NATIVE_TIER
+        # Raising the cutoff opens the compiled tier past the default.
         monkeypatch.setenv("REPRO_PACKED_MAX_NODES", "1000000")
         assert resolve_engine(
-            "packed", bitpack.MAX_PACKED_NODES + 1) == "packed"
+            "compiled", bitpack.MAX_PACKED_NODES + 1) == NATIVE_TIER
         # Garbage values fall back to the baked-in default.
         monkeypatch.setenv("REPRO_PACKED_MAX_NODES", "not-a-number")
         assert packed_max_nodes() == bitpack.MAX_PACKED_NODES
@@ -391,7 +404,8 @@ from repro.topology import Mesh2D4
 
 assert not native.native_available()
 assert "REPRO_NO_NATIVE" in native.native_reason()
-assert resolve_engine("compiled", 20) == "packed"
+assert resolve_engine("compiled", 20) == "batch"
+assert resolve_engine("auto", 20) == "batch"
 mesh = Mesh2D4(5, 4)
 trials = 3
 loss = BernoulliBatchLoss(0.2, trial_seeds(0, 0.2, trials))

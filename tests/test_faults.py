@@ -239,30 +239,17 @@ class TestShardWorkerMurder:
 # Backend faults: demotion ladder + circuit breaker
 
 
+needs_native = pytest.mark.skipif(not native_available(),
+                                  reason="compiled tier unavailable")
+
+
 @needs_packing
 class TestTierDemotion:
-    def test_packed_fault_demotes_to_batch_bit_identically(self):
+    @needs_native
+    def test_compiled_fault_demotes_bit_identically(self):
         mesh = Mesh2D4(*SHAPE)
         kwargs = dict(trials=4, summary=True,
                       loss=BernoulliBatchLoss(0.2, trial_seeds(0, 0.2, 4)))
-        want = run_reactive_batch(mesh, 0, relay_all(mesh),
-                                  engine="batch", **kwargs)
-        plan = FaultPlan([FaultSpec(faults.BACKEND_RESOLVE,
-                                    keys=frozenset({("packed",)}),
-                                    limit=1)])
-        with plan.arm():
-            got = run_reactive_batch(mesh, 0, relay_all(mesh),
-                                     engine="packed", **kwargs)
-        assert plan.fired(faults.BACKEND_RESOLVE) == 1
-        assert_summaries_equal(want, got, "packed->batch demotion")
-        assert BREAKER.state()["packed"]["failures"] == 1
-        assert not BREAKER.state()["packed"]["open"]
-
-    @pytest.mark.skipif(not native_available(),
-                        reason="compiled tier unavailable")
-    def test_compiled_fault_demotes_bit_identically(self):
-        mesh = Mesh2D4(*SHAPE)
-        kwargs = dict(trials=4, summary=True)
         want = run_reactive_batch(mesh, 0, relay_all(mesh),
                                   engine="batch", **kwargs)
         plan = FaultPlan([FaultSpec(faults.BACKEND_RESOLVE,
@@ -272,11 +259,11 @@ class TestTierDemotion:
             got = run_reactive_batch(mesh, 0, relay_all(mesh),
                                      engine="compiled", **kwargs)
         assert plan.fired(faults.BACKEND_RESOLVE) == 1
-        assert_summaries_equal(want, got, "compiled demotion")
+        assert_summaries_equal(want, got, "compiled->batch demotion")
         assert BREAKER.state()["compiled"]["failures"] == 1
+        assert not BREAKER.state()["compiled"]["open"]
 
-    @pytest.mark.skipif(not native_available(),
-                        reason="compiled tier unavailable")
+    @needs_native
     def test_native_build_fault_falls_back_at_construction(self):
         mesh = Mesh2D4(*SHAPE)
         kwargs = dict(trials=4, summary=True)
@@ -290,34 +277,34 @@ class TestTierDemotion:
         assert_summaries_equal(want, got, "dlopen-failure fallback")
         assert BREAKER.state()["compiled"]["failures"] == 1
 
+    @needs_native
     def test_repeated_faults_open_the_breaker(self):
         mesh = Mesh2D4(*SHAPE)
         kwargs = dict(trials=2, summary=True)
         plan = FaultPlan([FaultSpec(faults.BACKEND_RESOLVE,
-                                    keys=frozenset({("packed",)}))])
+                                    keys=frozenset({("compiled",)}))])
         with plan.arm():
             for _ in range(BREAKER.threshold):
                 run_reactive_batch(mesh, 0, relay_all(mesh),
-                                   engine="packed", **kwargs)
-        state = BREAKER.state()["packed"]
+                                   engine="compiled", **kwargs)
+        state = BREAKER.state()["compiled"]
         assert state["open"] and state["failures"] >= BREAKER.threshold
         # The open breaker now skips the tier up front, visibly.
-        tier, reason = resolve_engine("packed", mesh.num_nodes,
+        tier, reason = resolve_engine("compiled", mesh.num_nodes,
                                       explain=True)
         assert tier == "batch"
         assert "circuit breaker open" in reason
         # A cooled-down breaker admits a probe and a success heals it.
-        BREAKER._open_until["packed"] = -1.0  # fast-forward the cooldown
-        assert BREAKER.allowed("packed")
-        BREAKER.record_success("packed")
-        assert resolve_engine("packed", mesh.num_nodes) == "packed"
+        BREAKER._open_until["compiled"] = -1.0  # fast-forward cooldown
+        assert BREAKER.allowed("compiled")
+        BREAKER.record_success("compiled")
+        assert resolve_engine("compiled", mesh.num_nodes) == "compiled"
 
     def test_forced_open_breakers_pin_the_dense_floor(self):
         BREAKER.force_open("compiled", "ops override")
-        BREAKER.force_open("packed", "ops override")
         tier, reason = resolve_engine("auto", 20, explain=True)
         assert tier == "batch"
-        assert "circuit breaker open: packed" in reason
+        assert "circuit breaker open: compiled" in reason
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +523,7 @@ class TestServerResilience:
                 health = client.health()
         assert health["ok"] and health["type"] == "health"
         assert health["status"] == "ok"
-        assert set(health["breaker"]) == {"compiled", "packed"}
+        assert set(health["breaker"]) == {"compiled"}
         assert "available" in health["native"]
         assert health["engine"]["queries"] == 0
         assert health["engine"]["max_queue"] > 0
@@ -609,14 +596,15 @@ class TestCanonicalChaos:
                                            **kwargs)
             sharded = run_reactive_batch_sharded(
                 mesh, 0, relay_all(mesh), workers=3, **kwargs)
-            # Backend leg: mid-run faults ride the demotion ladder.
-            if bitpack.packing_supported():
+            # Backend leg: a mid-run fault, then a build fault at the
+            # next construction, both ride the demotion to batch.
+            calm = run_reactive_batch(mesh, 0, relay_all(mesh),
+                                      engine="batch", trials=4,
+                                      summary=True)
+            for _ in range(2):
                 chaotic = run_reactive_batch(mesh, 0, relay_all(mesh),
                                              engine="auto", trials=4,
                                              summary=True)
-                calm = run_reactive_batch(mesh, 0, relay_all(mesh),
-                                          engine="batch", trials=4,
-                                          summary=True)
                 assert_summaries_equal(calm, chaotic, "demotion leg")
 
         # Availability floor: >= 99% of in-deadline queries answered ok.
@@ -634,6 +622,9 @@ class TestCanonicalChaos:
         assert stats[faults.SHARD_KILL]["fired"] == 1
         assert stats[faults.STORE_TORN]["fired"] >= 1
         assert stats[faults.SERVER_DROP]["fired"] >= 1
+        if native_available():
+            assert stats[faults.BACKEND_RESOLVE]["fired"] == 1
+            assert stats[faults.NATIVE_BUILD]["fired"] == 1
         assert chaos.cache.store_errors >= 1
         # The server stayed consistent throughout.
         assert chaos.stats()["queries"] >= len(sources)
@@ -655,7 +646,7 @@ class TestDegradedTierMatrix:
             "from repro.service import Query, QueryEngine\n"
             "from repro.sim import native, resolve_engine\n"
             "assert not native.native_available()\n"
-            "assert resolve_engine('auto', 20) != 'compiled'\n"
+            "assert resolve_engine('auto', 20) == 'batch'\n"
             "engine = QueryEngine()\n"
             "row = engine.query(Query('2D-4', (2, 2), "
             f"shape={SHAPE!r})).metrics.as_row()\n"
@@ -684,13 +675,12 @@ class TestDegradedTierMatrix:
             Query("2D-4", (1, 1), shape=SHAPE)).metrics.as_row())
 
         BREAKER.force_open("compiled", "forced for the degraded matrix")
-        BREAKER.force_open("packed", "forced for the degraded matrix")
         tier, reason = resolve_engine("auto", mesh.num_nodes,
                                       explain=True)
         assert tier == "batch" and "circuit breaker" in reason
         got = run_reactive_batch(mesh, 0, relay_all(mesh),
                                  engine="auto", **kwargs)
-        assert_summaries_equal(want, got, "forced packed->batch")
+        assert_summaries_equal(want, got, "forced compiled->batch")
         # The service path answers the same warm query, breaker open.
         service_got = norm_row(engine.query(
             Query("2D-4", (1, 1), shape=SHAPE)).metrics.as_row())

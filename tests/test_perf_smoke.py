@@ -26,10 +26,8 @@ pytestmark = pytest.mark.perf_smoke
 
 def _tier_list():
     engines = ["batch"]
-    if bitpack.packing_supported():
-        engines.append("packed")
-        if native_available():
-            engines.append("compiled")
+    if bitpack.packing_supported() and native_available():
+        engines.append("compiled")
     return engines
 
 
@@ -54,9 +52,9 @@ def test_engine_tiers_agree_on_smoke_budget():
 
 
 def test_recovery_tiers_agree_on_smoke_budget():
-    """Miniature of BENCH_kernel's recovery cell: the packed/native
-    recovery states must match the batch oracle through the analysis
-    entry point, every tier-1 run."""
+    """Miniature of BENCH_kernel's recovery cell: the native recovery
+    state must match the batch oracle through the analysis entry point,
+    every tier-1 run."""
     mesh = Mesh2D4(12, 10)
     policy = RecoveryPolicy(timeout=2, max_retries=2, backoff=1,
                             suppression_k=2, election=True)

@@ -1,13 +1,12 @@
-"""Differential testing: the packed/native recovery tiers vs the batch
-recovery oracle.
+"""Differential testing: the native recovery tier vs the batch recovery
+oracle.
 
-PR 6 proved every slot-resolve tier bit-identical to the dense batch
-kernel; this suite extends the contract to the recovery layer.  With a
-:class:`RecoveryPolicy` active, ``engine="packed"`` runs
-:class:`~repro.sim.recovery_packed.PackedRecoveryState` (word-packed
-known-edge bitset, due-slot buckets) and ``engine="compiled"`` runs
-:class:`~repro.sim.recovery_packed.NativeRecoveryState` (C inner
-loops) — both must stay trace-for-trace identical to the
+The slot-resolve tiers are bit-identical to the dense batch kernel;
+this suite extends the contract to the recovery layer.  With a
+:class:`RecoveryPolicy` active, ``engine="compiled"`` runs
+:class:`~repro.sim.recovery_packed.NativeRecoveryState` (word-packed
+known-edge bitset, due-slot buckets, C inner loops) — it must stay
+trace-for-trace identical to the
 :class:`~repro.sim.recovery.BatchRecoveryState` oracle on
 hypothesis-generated scenarios over all four paper topologies, random
 policies (elections included — meaningful on 2D-8, whose triangles make
@@ -25,9 +24,10 @@ from hypothesis import strategies as st
 from repro.core import protocol_for
 from repro.radio.impairments import (BernoulliBatchLoss, BurstBatchLoss,
                                      trial_seeds)
-from repro.sim import (PackedRecoveryState, RecoveryPolicy, native_available,
+from repro.sim import (NativeRecoveryState, RecoveryPolicy, native_available,
                        replay_batch, replay_batch_sharded,
                        run_reactive_batch, run_reactive_batch_sharded)
+from repro.sim.native import native_kernel
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 
 MESHES = [
@@ -37,10 +37,10 @@ MESHES = [
     (Mesh3D6, (3, 3, 3)),
 ]
 
-#: The word-space tiers under test ("compiled" silently degrades to
-#: packed on hosts without a native build — still a valid run of the
-#: packed recovery state, never a skipped assertion).
-TIERS = ["packed", "compiled"]
+#: The word-space tier under test ("compiled" silently degrades to
+#: batch on hosts without a native build — the assertions still run,
+#: against the dense recovery state).
+TIERS = ["compiled"]
 
 
 def assert_traces_equal(oracle, tier_traces, tag):
@@ -93,7 +93,7 @@ def channel(draw, num_nodes, trials, source):
 
 
 class TestReactiveRecoveryTiers:
-    """run_reactive_batch: packed/compiled recovery == batch oracle."""
+    """run_reactive_batch: compiled recovery == batch oracle."""
 
     @pytest.mark.parametrize("cls,shape", MESHES)
     def test_paper_plans(self, cls, shape):
@@ -185,7 +185,7 @@ class TestReactiveRecoveryTiers:
 
 
 class TestReplayRecoveryTiers:
-    """replay_batch: packed/compiled recovery == batch oracle."""
+    """replay_batch: compiled recovery == batch oracle."""
 
     @pytest.mark.parametrize("cls,shape", MESHES)
     def test_compiled_schedules(self, cls, shape):
@@ -333,42 +333,22 @@ class TestRecoveryThreadInvariance:
                 f"threads={threads}")
 
 
+@pytest.mark.skipif(not native_available(),
+                    reason="native kernel unavailable")
 class TestPackedStateInternals:
-    """Directed checks of PackedRecoveryState plumbing the engine-level
+    """Directed checks of NativeRecoveryState plumbing the engine-level
     differentials cannot isolate."""
 
-    def test_epos_fallback_matches_explicit(self):
-        """post_slot(epos=None) must recompute the exact CSR positions
-        the backends would have attributed."""
-        mesh = Mesh2D4(4, 4)
-        n = mesh.num_nodes
-        policy = RecoveryPolicy()
-        relay = np.ones(n, dtype=bool)
-        with_epos = PackedRecoveryState(mesh, policy, relay, 2)
-        without = PackedRecoveryState(mesh, policy, relay, 2)
-        # Two of node 0's neighbours decode its transmission, twice.
-        nb = mesh.neighbor_indices(0)[:2].astype(np.int64)
-        rt = np.array([0, 0, 1, 1], dtype=np.int64)
-        rn = np.concatenate([nb, nb])
-        sv = np.zeros(4, dtype=np.int64)
-        tr = np.array([0, 1], dtype=np.int64)
-        nd = np.zeros(2, dtype=np.int64)
-        epos = with_epos._epos_of(rn, sv)
-        indptr, indices = mesh.slot_kernel.indptr, mesh.slot_kernel.indices
-        for p, r, s in zip(epos, rn, sv):
-            assert indices[p] == s
-            assert indptr[r] <= p < indptr[r + 1]
-        with_epos.post_slot(1, tr, nd, rt, rn, sv, rt, rn, epos=epos)
-        without.post_slot(1, tr, nd, rt, rn, sv, rt, rn)
-        assert np.array_equal(with_epos.known, without.known)
-        assert np.array_equal(with_epos.heard_total, without.heard_total)
+    @staticmethod
+    def state(mesh):
+        return NativeRecoveryState(mesh, RecoveryPolicy(),
+                                   np.ones(mesh.num_nodes, bool), 1,
+                                   native_kernel())
 
     def test_reverse_edge_table_is_involution(self):
         for cls, shape in MESHES:
             mesh = cls(*shape)
-            state = PackedRecoveryState(mesh, RecoveryPolicy(),
-                                        np.ones(mesh.num_nodes, bool), 1)
-            rev = state.rev_edge
+            rev = self.state(mesh).rev_edge
             assert np.array_equal(rev[rev], np.arange(len(rev)))
             indptr, indices = (mesh.slot_kernel.indptr,
                                mesh.slot_kernel.indices)
@@ -380,8 +360,7 @@ class TestPackedStateInternals:
 
     def test_coverage_masks_cover_each_row_exactly(self):
         mesh = Mesh2D8(4, 4)
-        state = PackedRecoveryState(mesh, RecoveryPolicy(),
-                                    np.ones(mesh.num_nodes, bool), 1)
+        state = self.state(mesh)
         indptr = mesh.slot_kernel.indptr
         for v in range(mesh.num_nodes):
             bits = set()
