@@ -6,7 +6,8 @@ shape of the sweep benchmark (2D-4, 32x16 = 512 sources) and writes
 
 * ``cold`` — a fresh engine with an empty store answers every source as
   a single query: each pays a fixpoint compile.
-* ``warm`` — the store is bulk-precomputed (``engine.warm``), then a
+* ``warm`` — the store is bulk-precomputed (``engine.warm``, timed
+  into ``warm_summary`` as ``seconds`` / ``sources_per_second``), then a
   *fresh* engine instance (empty memory tier) answers the same queries
   from persisted counts: no compile, no schedule replay.
 * ``coalescing`` — >= 64 concurrent same-symmetry-class queries go
@@ -104,7 +105,11 @@ def run_benchmark(topology_label: str = "2D-4",
         # -- warm: bulk precompute, then serve from stored counts -------
         store_dir = Path(tmp) / "warm"
         warmer = QueryEngine(store_dir)
+        t0 = time.perf_counter()
         warm_summary = warmer.warm([(topology_label, tuple(shape))])
+        secs = time.perf_counter() - t0
+        warm_summary["seconds"] = round(secs, 4)
+        warm_summary["sources_per_second"] = round(len(sources) / secs, 1)
         best = None
         for _ in range(max(1, repeats)):
             engine = QueryEngine(store_dir)  # fresh memory tier
@@ -199,6 +204,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{label:>5}: {entry['seconds']:8.3f}s "
               f"({entry['queries_per_second']:9.1f} queries/s)")
     print(f"warm speedup vs cold: {payload['warm_speedup_vs_cold']}x")
+    ws = payload["warm_summary"]
+    print(f"store warm: {ws['seconds']}s "
+          f"({ws['sources_per_second']} sources/s)")
     co = payload["coalescing"]
     print(f"coalescing: {co['queries']} same-class queries -> "
           f"{co['compile_calls']} compile ({co['seconds']}s)")

@@ -432,6 +432,8 @@ def cmd_serve(args) -> int:
         print(f"warmed {summary['entries']} entries across "
               f"{summary['shapes']} shape(s): {summary['classes']} classes, "
               f"{summary['compiles']} compiles")
+        if summary["store_errors"]:
+            print(f"store errors while warming: {summary['store_errors']}")
     print(f"serving NDJSON queries on {args.host}:{args.port} "
           "(SIGTERM/Ctrl-C drains in-flight queries, "
           f"{args.drain_timeout:g} s budget)")

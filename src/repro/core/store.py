@@ -32,6 +32,9 @@ Concurrency model — *atomic single-writer updates, lock-free readers*:
   ``tempfile + os.replace`` (atomic on POSIX).  A writer crashing between
   the append and the publish leaves an orphan record the index never
   references — wasted bytes, never a torn entry;
+* commits are grouped: :meth:`ArtifactStore.warm` publishes once per
+  shard per warmed shape, :meth:`ArtifactStore.put` a group of one; the
+  crash contract and the reader rules below do not change;
 * readers take no lock: they snapshot the index (one atomic file read)
   and only trust offsets that fit inside the current data file.  A stale
   snapshot is a cache *miss*, not an error.
@@ -43,6 +46,7 @@ never mis-parsed.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import mmap
@@ -231,6 +235,7 @@ class ArtifactStore:
                 f"artifact store path {self.path} exists and is not a "
                 f"directory")
         self._readers: Dict[str, _ShardReader] = {}
+        self._pending: Optional[Dict[tuple, list]] = None  # warm staging
 
     # -- entries ----------------------------------------------------------
 
@@ -290,7 +295,8 @@ class ArtifactStore:
             payload = (slots.astype("<i8").tobytes()
                        + nodes.astype("<i8").tobytes())
         self._publish(topology.fingerprint, protocol_name, completion,
-                      repair, entry_key(source_index), meta, payload)
+                      repair, [("entries", entry_key(source_index), meta,
+                                payload)])
 
     # -- class profiles ---------------------------------------------------
 
@@ -312,8 +318,7 @@ class ArtifactStore:
                             completion: bool = True,
                             repair: bool = True) -> None:
         self._publish(topology.fingerprint, protocol_name, completion,
-                      repair, profile_key, dict(profile), b"",
-                      section="profiles")
+                      repair, [("profiles", profile_key, dict(profile), b"")])
 
     # -- bulk precompute --------------------------------------------------
 
@@ -330,35 +335,49 @@ class ArtifactStore:
         member is materialised through the batched class engine, so
         *all* sources of the fleet answer metrics queries warm.
 
+        A shape's writes are staged on a private view of the store and
+        group-committed once per shard when the shape ends; other
+        processes see them from that commit on.
+
         *protocols* defaults to the paper protocol of each topology.
-        Returns counters: shapes / classes / compiles / entries written.
+        Returns counters: shapes / classes / compiles / entries written /
+        store_errors (raising store calls and commits, skipped).
         """
         from ..topology.builder import make_topology
         from .cache import ScheduleCache
         from .registry import protocol_for
         from .symmetry import compile_class, group_sources
 
-        stats = {"shapes": 0, "classes": 0, "compiles": 0, "entries": 0}
+        stats = {"shapes": 0, "classes": 0, "compiles": 0, "entries": 0,
+                 "store_errors": 0}
         for label, shape in shapes:
             topology = make_topology(label, shape=tuple(shape))
             protos = ([protocol_for(topology)] if protocols is None
                       else [protocol_for(name) for name in protocols])
             for protocol in protos:
-                cache = ScheduleCache(store=self)
                 sources = [topology.coord(i)
                            for i in range(topology.num_nodes)]
                 groups, direct = group_sources(topology, protocol, sources)
-                for class_key, positions in groups.items():
-                    coords = [sources[p] for p in positions]
-                    members = compile_class(topology, protocol, class_key,
-                                            coords, cache=cache)
-                    stats["classes"] += 1
-                    for member in members:
-                        cache.admit_member(protocol, topology, member)
+                staging = copy.copy(self)
+                staging._pending = {}
+                cache = ScheduleCache(store=staging)
+                try:
+                    for class_key, positions in groups.items():
+                        coords = [sources[p] for p in positions]
+                        members = compile_class(topology, protocol, class_key,
+                                                coords, cache=cache)
+                        stats["classes"] += 1
+                        for member in members:
+                            cache.admit_member(protocol, topology, member)
+                            stats["entries"] += 1
+                    for pos in direct:
+                        protocol.compile(topology, sources[pos], cache=cache)
                         stats["entries"] += 1
-                for pos in direct:
-                    protocol.compile(topology, sources[pos], cache=cache)
-                    stats["entries"] += 1
+                finally:
+                    # Entries finished before an exception still land.
+                    for shard, items in staging._pending.items():
+                        cache._store_call(self._publish, *shard, items)
+                    stats["store_errors"] += cache.store_errors
                 stats["compiles"] += cache.misses
             stats["shapes"] += 1
         return stats
@@ -559,10 +578,18 @@ class ArtifactStore:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
     def _publish(self, fingerprint: str, protocol_name: str,
-                 completion: bool, repair: bool, key: str, meta: dict,
-                 payload: bytes, section: str = "entries") -> None:
+                 completion: bool, repair: bool,
+                 items: Sequence[Tuple[str, str, dict, bytes]]) -> None:
+        """Commit ordered ``(section, key, meta, payload)`` items to one
+        shard: one lock, one append, one index publish (a :meth:`warm`
+        staging view queues them instead)."""
+        if self._pending is not None:
+            shard = (fingerprint, protocol_name, completion, repair)
+            self._pending.setdefault(shard, []).extend(items)
+            return
         sid = shard_id(fingerprint, protocol_name,
                        completion=completion, repair=repair)
+        data_path = self._data_path(sid)
         with self._locked(sid):
             index = self._current_index(sid)
             if index is None or index.get("fingerprint") != fingerprint:
@@ -577,38 +604,48 @@ class ArtifactStore:
                 # Rotate (not truncate) the data file: concurrent readers
                 # may hold a mmap of the old inode, which stays valid.
                 try:
-                    os.unlink(self._data_path(sid))
+                    os.unlink(data_path)
                 except OSError:
                     pass
-            bucket = index.setdefault(section, {})
-            if section == "entries":
-                prior = bucket.get(key)
+            # Copy the sections: the cached snapshot must stay as it is
+            # on disk if the append below fails.
+            index = {**index, "entries": dict(index["entries"]),
+                     "profiles": dict(index.get("profiles", {}))}
+            end = data_path.stat().st_size if data_path.exists() else 0
+            chunks: List[bytes] = []
+            accepted = 0
+            for section, key, meta, payload in items:
+                bucket = index[section]
+                prior = bucket.get(key) if section == "entries" else None
                 # First full writer wins (concurrent writers produce
                 # identical content); a schedule-carrying entry may
                 # upgrade a metrics-only one, never the reverse.
                 if prior is not None and (
                         prior.get("offset") is not None or not payload):
-                    return
+                    continue
                 if payload:
-                    with open(self._data_path(sid), "ab") as fh:
-                        meta = dict(meta)
-                        meta["offset"] = fh.tell()
-                        if faults.fires(faults.STORE_TORN):
-                            # Injected writer crash between the bin
-                            # append and the index publish: leave a
-                            # partial payload as orphan bytes.  The
-                            # store's crash contract already covers this
-                            # (unindexed bytes are invisible to readers
-                            # and reclaimed by gc()); the seam exists to
-                            # prove callers survive the raised error.
-                            fh.write(payload[:max(8, len(payload) // 2)])
-                            fh.flush()
-                            raise faults.InjectedFault(
-                                faults.STORE_TORN,
-                                f"torn shard write for {key!r}")
-                        fh.write(payload)
+                    meta = {**meta, "offset": end}
+                    end += len(payload)
+                    chunks.append(payload)
+                bucket[key] = meta
+                accepted += 1
+            if not accepted:
+                return
+            if chunks:
+                blob = b"".join(chunks)
+                with open(data_path, "ab") as fh:
+                    if faults.fires(faults.STORE_TORN):
+                        # Injected writer crash between the bin append
+                        # and the index publish: leave a partial payload
+                        # as orphan bytes.  The crash contract covers
+                        # this (unindexed bytes are invisible to readers
+                        # and reclaimed by gc()); the seam exists to
+                        # prove callers survive the raised error.
+                        fh.write(blob[:max(8, len(blob) // 2)])
                         fh.flush()
-            bucket[key] = meta
+                        raise faults.InjectedFault(faults.STORE_TORN,
+                                                   f"torn write to {sid}")
+                    fh.write(blob)
             self._write_index(sid, index)
             # Refresh the in-process snapshot in place: re-parsing the
             # index we just wrote would make a cold sweep quadratic.

@@ -71,6 +71,9 @@ def _validate_service(payload):
     warm = payload["warm_summary"]
     assert warm["entries"] == payload["sources"]
     assert warm["compiles"] <= warm["classes"]
+    # the bulk precompute itself is timed (group-committed store writes)
+    assert warm["seconds"] > 0
+    assert warm["sources_per_second"] > 0
 
 
 def _validate_robustness(payload):

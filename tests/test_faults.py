@@ -36,8 +36,10 @@ import pytest
 from repro import faults
 from repro.core.cache import ScheduleCache
 from repro.core.registry import protocol_for
+from repro.core.store import ArtifactStore, shard_id
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.radio import bitpack
+from repro.radio.energy import PAPER_PACKET_BITS, PAPER_RADIO_MODEL
 from repro.radio.impairments import BernoulliBatchLoss, trial_seeds
 from repro.service import (BackgroundServer, DeadlineExceeded, Overloaded,
                            Query, QueryEngine, RetriesExhausted,
@@ -50,6 +52,7 @@ from repro.sim import (native_available, resolve_engine,
                        run_reactive_batch, run_reactive_batch_sharded,
                        replay_batch, replay_batch_sharded)
 from repro.sim.backend import BREAKER
+from repro.sim.metrics import compute_metrics
 from repro.sim.shard import MAX_SHARD_ATTEMPTS, ShardFailure
 from repro.topology import Mesh2D4
 
@@ -182,6 +185,51 @@ class TestTornStoreWrites:
         # The healthy entry survives compaction.
         assert ScheduleCache(store=cache.store).cached_metrics(
             protocol, mesh, (2, 1)) is not None
+
+    def test_torn_warm_commit_is_counted_and_reclaimed(self, tmp_path):
+        mesh = Mesh2D4(8, 8)
+        protocol = protocol_for(mesh)
+        store = ArtifactStore(tmp_path / "store")
+        # One published entry gives the shard an index, so the torn
+        # commit's bytes are orphans gc() can find.
+        ScheduleCache(store=store).get_or_compile(protocol, mesh, (1, 1))
+        sid = shard_id(mesh.fingerprint, protocol.name)
+        data_path = store.path / f"{sid}.bin"
+        live = data_path.stat().st_size
+
+        plan = FaultPlan([FaultSpec(faults.STORE_TORN, at=(0,))])
+        with plan.arm():
+            stats = store.warm([("2D-4", (8, 8))])
+        assert stats["store_errors"] == 1
+        assert stats["entries"] == mesh.num_nodes
+        orphans = data_path.stat().st_size - live
+        assert orphans > 0
+
+        # Every source is a clean miss or a correct hit, never a wrong
+        # one, both in the warming process and in a fresh reader.
+        for reader in (store, ArtifactStore(store.path)):
+            hits = 0
+            for index in range(mesh.num_nodes):
+                entry = reader.get(mesh, protocol.name, index)
+                if entry is None:
+                    continue
+                hits += 1
+                compiled = protocol.compile(mesh, mesh.coord(index))
+                assert entry.metrics(mesh) == compute_metrics(
+                    compiled.trace, mesh, PAPER_RADIO_MODEL,
+                    PAPER_PACKET_BITS)
+            assert hits == 1  # only the entry published before the warm
+
+        swept = ArtifactStore(store.path).gc()
+        assert swept["reclaimed"] == orphans and swept["dropped"] == 0
+        assert data_path.stat().st_size == live
+
+        assert store.warm([("2D-4", (8, 8))])["store_errors"] == 0
+        engine = QueryEngine(store.path)
+        for index in range(mesh.num_nodes):
+            result = engine.query(Query(topology="2D-4", shape=(8, 8),
+                                        source=mesh.coord(index)))
+            assert result.via == "store", index
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,13 @@ import pytest
 
 from repro.core.cache import ScheduleCache
 from repro.core.registry import protocol_for
-from repro.core.store import (STORE_FORMAT_VERSION, ArtifactStore, shard_id,
-                              trace_counts)
+from repro.core.store import (STORE_FORMAT_VERSION, ArtifactStore, entry_key,
+                              shard_id, trace_counts)
+from repro.core.symmetry import group_sources
 from repro.radio.energy import PAPER_PACKET_BITS, PAPER_RADIO_MODEL
 from repro.sim.metrics import compute_metrics
 from repro.topology import Mesh2D4
+from repro.topology.builder import make_topology
 
 PROTO = "2D-4"
 
@@ -165,11 +167,43 @@ def _writer_job(store_dir, sources):
     return len(sources)
 
 
+def _warm_job(store_dir):
+    """Worker: group-commit the whole 8x8 fleet through ``warm``."""
+    return ArtifactStore(store_dir).warm([(PROTO, (8, 8))])["entries"]
+
+
+def _assert_consistent_shard(store_dir, topology, protocol=PROTO):
+    """The shard index parses, every offset fits the data file, and every
+    entry equals a direct compile: counts -> metrics always, the
+    ``(slots, nodes)`` arrays too when the entry carries a schedule.
+    Returns the parsed index."""
+    store = ArtifactStore(store_dir)
+    sid = shard_id(topology.fingerprint, protocol)
+    index = json.loads((store.path / f"{sid}.json").read_text())
+    assert index["version"] == STORE_FORMAT_VERSION
+    size = (store.path / f"{sid}.bin").stat().st_size
+    for key, meta in index["entries"].items():
+        if meta["offset"] is not None:
+            assert meta["offset"] + 16 * meta["ntx"] <= size, key
+        entry = store.get(topology, protocol, int(key))
+        assert entry is not None, key
+        compiled = protocol_for(topology).compile(
+            topology, topology.coord(int(key)))
+        assert entry.metrics(topology) == compute_metrics(
+            compiled.trace, topology, PAPER_RADIO_MODEL, PAPER_PACKET_BITS)
+        if entry.has_schedule:
+            want_slots, want_nodes = compiled.schedule.to_arrays()
+            assert np.array_equal(entry.slots, want_slots), key
+            assert np.array_equal(entry.nodes, want_nodes), key
+    return index
+
+
 def test_concurrent_writers_produce_a_consistent_shard(tmp_path):
     """Overlapping multi-process writers: no torn index, every entry
     readable, schedules identical to fresh compiles."""
     topology = _mesh()
     all_sources = [(r, c) for r in (1, 3, 5, 7) for c in (2, 4, 6, 8)]
+    keys = {entry_key(topology.index(s)) for s in all_sources}
     # overlapping batches: both workers race on the shared middle slice
     batches = [all_sources[:12], all_sources[4:]]
     ctx = multiprocessing.get_context("fork")
@@ -177,23 +211,21 @@ def test_concurrent_writers_produce_a_consistent_shard(tmp_path):
         done = pool.starmap(_writer_job,
                             [(str(tmp_path), b) for b in batches])
     assert done == [len(b) for b in batches]
+    entries = _assert_consistent_shard(tmp_path, topology)["entries"]
+    assert set(entries) == keys
+    assert all(meta["offset"] is not None for meta in entries.values())
 
-    index_path, _ = _shard_paths(ArtifactStore(tmp_path), topology)
-    index = json.loads(index_path.read_text())  # parses => not torn
-    assert index["version"] == STORE_FORMAT_VERSION
-    assert len(index["entries"]) == len(all_sources)
-
-    store = ArtifactStore(tmp_path)
-    for source in all_sources:
-        entry = store.get(topology, PROTO, topology.index(source))
-        assert entry is not None and entry.has_schedule, source
-        compiled = _compile(topology, source)
-        want_slots, want_nodes = compiled.schedule.to_arrays()
-        got_slots, got_nodes = entry.schedule().to_arrays()
-        assert np.array_equal(got_slots, want_slots), source
-        assert np.array_equal(got_nodes, want_nodes), source
-        assert entry.metrics(topology) == compute_metrics(
-            compiled.trace, topology, PAPER_RADIO_MODEL, PAPER_PACKET_BITS)
+    # A group-committing warm racing per-entry puts on the same shard:
+    # whichever lands first, every put source ends up with a schedule.
+    warm_dir = tmp_path / "warm"
+    with ctx.Pool(2) as pool:
+        warmed = pool.apply_async(_warm_job, (str(warm_dir),))
+        put = pool.apply_async(_writer_job, (str(warm_dir), all_sources))
+        assert warmed.get(timeout=120) == topology.num_nodes
+        assert put.get(timeout=120) == len(all_sources)
+    entries = _assert_consistent_shard(warm_dir, topology)["entries"]
+    assert len(entries) == topology.num_nodes
+    assert all(entries[key]["offset"] is not None for key in keys)
 
 
 def test_reader_revalidates_despite_equal_mtime_and_size(tmp_path):
@@ -382,3 +414,68 @@ def test_concurrent_reader_survives_gc(tmp_path):
     for source in sources:
         entry = fresh.get(topology, PROTO, topology.index(source))
         assert entry is not None and entry.has_schedule
+
+
+# -- warm group commit ----------------------------------------------------
+
+def test_warm_publishes_each_shard_index_once(tmp_path, monkeypatch):
+    """warm group-commits: one index publish per shard per shape, not
+    one per entry (2 x classes + sources before)."""
+    published = []
+    write_index = ArtifactStore._write_index
+
+    def counting(self, sid, index):
+        published.append(sid)
+        return write_index(self, sid, index)
+
+    monkeypatch.setattr(ArtifactStore, "_write_index", counting)
+    stats = ArtifactStore(tmp_path).warm([(PROTO, (8, 8))])
+    assert stats["entries"] == 64 and stats["store_errors"] == 0
+    assert len(published) == 1
+
+
+SMALL_FLEET = (("2D-3", (6, 4)), ("2D-4", (6, 6)), ("2D-8", (6, 6)),
+               ("3D-6", (3, 3, 3)))
+
+
+def test_warm_small_fleets_equal_direct_compiles_exhaustively(tmp_path):
+    """Every warmed entry of every small fleet, not a sample, equals a
+    direct compile."""
+    stats = ArtifactStore(tmp_path).warm(SMALL_FLEET)
+    assert stats["store_errors"] == 0
+    assert stats["entries"] == sum(np.prod(shape) for _, shape in SMALL_FLEET)
+    for label, shape in SMALL_FLEET:
+        topology = make_topology(label, shape=shape)
+        entries = _assert_consistent_shard(
+            tmp_path, topology, protocol_for(topology).name)["entries"]
+        assert len(entries) == topology.num_nodes, label
+
+
+def test_warm_keeps_first_writer_and_upgrades_metrics_only(tmp_path):
+    """Across commits: an earlier schedule entry keeps its offset and
+    bytes; an earlier metrics-only entry is upgraded when the warm
+    compiles it as a class representative."""
+    topology = _mesh()
+    protocol = protocol_for(topology)
+    sources = [topology.coord(i) for i in range(topology.num_nodes)]
+    groups, _ = group_sources(topology, protocol, sources)
+    reps = [sources[positions[0]] for positions in groups.values()]
+    kept, upgraded = reps[0], reps[1]
+
+    store = ArtifactStore(tmp_path)
+    _put_compiled(store, topology, _compile(topology, kept), kept)
+    store.put(topology, PROTO, topology.index(upgraded),
+              counts=trace_counts(_compile(topology, upgraded).trace))
+    index_path, data_path = _shard_paths(store, topology)
+    before = json.loads(index_path.read_text())["entries"]
+    kept_key = entry_key(topology.index(kept))
+    kept_meta = before[kept_key]
+    kept_bytes = data_path.read_bytes()[:16 * kept_meta["ntx"]]
+    assert before[entry_key(topology.index(upgraded))]["offset"] is None
+
+    store.warm([(PROTO, (8, 8))])
+    after = _assert_consistent_shard(tmp_path, topology)["entries"]
+    assert after[kept_key] == kept_meta
+    lo = kept_meta["offset"]
+    assert data_path.read_bytes()[lo:lo + len(kept_bytes)] == kept_bytes
+    assert after[entry_key(topology.index(upgraded))]["offset"] is not None
