@@ -14,6 +14,11 @@ shape of the sweep benchmark (2D-4, 32x16 = 512 sources) and writes
   through one ``query_batch`` against an empty store; the
   ``compile_call_count`` delta is asserted to be exactly 1 (one
   representative compile serves the whole class).
+* ``async_warm`` — sequential warm queries through
+  :class:`~repro.service.runtime.AsyncRuntime`, interleaved chunk by
+  chunk with the same queries as direct one-query ``query_batch``
+  calls: ``us_per_query`` vs ``engine_us_per_query``, and their
+  ``overhead_ratio`` (what the runtime adds to a warm hit).
 * fidelity — warm-hit metrics are equality-asserted against direct
   compilation, and the stored schedule is replayed through the normal
   cache path to cross-check the persisted counts (the differential
@@ -26,12 +31,14 @@ Run as a script::
         --topology 2D-4 --shape 32 16 --out BENCH_service.json
 
 ``tests/test_bench_artifact.py`` validates the committed artefact's
-schema and floors (warm >= 10x cold, coalescing compiles == 1).
+schema and floors (warm >= 10x cold, coalescing compiles == 1, async
+warm overhead ratio <= 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import platform
@@ -46,7 +53,7 @@ from repro.core.compiler import compile_call_count
 from repro.core.registry import protocol_for
 from repro.core.symmetry import group_sources
 from repro.radio.energy import PAPER_PACKET_BITS, PAPER_RADIO_MODEL
-from repro.service import Query, QueryEngine
+from repro.service import AsyncRuntime, Query, QueryEngine
 from repro.sim.metrics import compute_metrics
 from repro.topology.builder import make_topology
 
@@ -56,6 +63,10 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 #: The coalescing section must exercise at least this many same-class
 #: concurrent queries (the acceptance floor mirrors it).
 COALESCE_QUERIES = 64
+
+#: Queries per timed chunk of the async section; runtime and engine
+#: chunks alternate so host-speed drift hits both alike.
+ASYNC_CHUNK = 32
 
 
 def _queries(label: str, shape, sources) -> List[Query]:
@@ -72,6 +83,45 @@ def _largest_class(topology, protocol) -> List[tuple]:
             "coalescing section needs a class-capable protocol")
     members = max(groups.values(), key=len)
     return [sources[pos] for pos in members]
+
+
+def _async_warm(store_dir: Path, queries: List[Query], expected,
+                repeats: int) -> dict:
+    """Warm queries one at a time through :class:`AsyncRuntime` versus
+    direct ``engine.query_batch([q])`` calls on the same engine."""
+    engine = QueryEngine(store_dir)
+    engine.query_batch(queries)  # topology LRU built; all store hits
+
+    async def run():
+        runtime_s = engine_s = 0.0
+        answers = []
+        async with AsyncRuntime(engine) as runtime:
+            for _ in range(max(1, repeats)):
+                for start in range(0, len(queries), ASYNC_CHUNK):
+                    chunk = queries[start:start + ASYNC_CHUNK]
+                    t0 = time.perf_counter()
+                    for query in chunk:
+                        answers.append(await runtime.query(query))
+                    t1 = time.perf_counter()
+                    for query in chunk:
+                        engine.query_batch([query])
+                    engine_s += time.perf_counter() - t1
+                    runtime_s += t1 - t0
+        return runtime_s, engine_s, answers
+
+    runtime_s, engine_s, answers = asyncio.run(run())
+    assert all(a.via == "store" for a in answers), (
+        "async warm queries must all be served by the artifact store")
+    assert all(a.metrics == e.metrics for a, e in
+               zip(answers, expected * max(1, repeats))), (
+        "async warm metrics diverged from direct compiles")
+    n = len(answers)
+    return {
+        "queries": n,
+        "us_per_query": round(runtime_s / n * 1e6, 1),
+        "engine_us_per_query": round(engine_s / n * 1e6, 1),
+        "overhead_ratio": round(runtime_s / engine_s, 2),
+    }
 
 
 def run_benchmark(topology_label: str = "2D-4",
@@ -147,6 +197,8 @@ def run_benchmark(topology_label: str = "2D-4",
                 break
         assert replay_verified, "stored counts diverged from schedule replay"
 
+        async_warm = _async_warm(store_dir, queries, cold_results, repeats)
+
         # -- coalescing: one class, one compile -------------------------
         members = _largest_class(topology, protocol)
         n = max(COALESCE_QUERIES, min(len(members), 2 * COALESCE_QUERIES))
@@ -184,6 +236,7 @@ def run_benchmark(topology_label: str = "2D-4",
         "warm_summary": warm_summary,
         "warm_speedup_vs_cold": round(warm_speedup, 2),
         "coalescing": coalescing,
+        "async_warm": async_warm,
         "metrics_equal": metrics_equal,       # asserted above
         "replay_verified": replay_verified,   # asserted above
     }
@@ -210,6 +263,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     co = payload["coalescing"]
     print(f"coalescing: {co['queries']} same-class queries -> "
           f"{co['compile_calls']} compile ({co['seconds']}s)")
+    aw = payload["async_warm"]
+    print(f"async warm: {aw['us_per_query']} us/query through the runtime, "
+          f"{aw['engine_us_per_query']} us direct "
+          f"({aw['overhead_ratio']}x)")
     print(f"written: {args.out}")
     return 0
 

@@ -205,10 +205,10 @@ def _source_metrics(topology, protocol, src, model, packet_bits, cache):
     replay, no fixpoint — the sharded store persists them with each
     entry), compile otherwise."""
     if cache is not None:
-        metrics = cache.cached_metrics(
+        hit = cache.cached_metrics(
             protocol, topology, src, model=model, packet_bits=packet_bits)
-        if metrics is not None:
-            return metrics
+        if hit is not None:
+            return hit.metrics
     compiled = protocol.compile(topology, src, cache=cache)
     return compute_metrics(compiled.trace, topology, model, packet_bits)
 

@@ -42,7 +42,7 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
                             FirstOrderRadioModel)
@@ -54,6 +54,14 @@ from .store import ArtifactStore, class_profile_hash, trace_counts
 
 #: Kept for backward compatibility: the sharded store's format version.
 from .store import STORE_FORMAT_VERSION as DISK_FORMAT_VERSION  # noqa: F401
+
+
+class WarmHit(NamedTuple):
+    """A warm metrics answer and the tier that gave it (``"memory"`` or
+    ``"store"``)."""
+
+    metrics: BroadcastMetrics
+    tier: str
 
 
 def schedule_cache_key(topology: Topology, protocol_name: str,
@@ -158,6 +166,14 @@ class ScheduleCache:
                        completion: bool = True,
                        repair: bool = True) -> CompiledBroadcast:
         """Return the cached compilation, or compile and cache it."""
+        return self.fetch(protocol, topology, source,
+                          completion=completion, repair=repair)[0]
+
+    def fetch(self, protocol: BroadcastProtocol, topology: Topology,
+              source, *, completion: bool = True, repair: bool = True
+              ) -> Tuple[CompiledBroadcast, str]:
+        """:meth:`get_or_compile`, plus the tier that answered:
+        ``"memory"``, ``"store"`` or ``"compile"``."""
         source_index = topology.index(source)
         key = schedule_cache_key(
             topology, protocol.name, source_index,
@@ -168,7 +184,7 @@ class ScheduleCache:
             if cached is not None:
                 self._mem.move_to_end(key)
                 self.hits += 1
-                return cached
+                return cached, "memory"
 
             if self.store is not None:
                 cached = self._store_call(
@@ -178,12 +194,12 @@ class ScheduleCache:
                     self._remember(key, cached)
                     self.hits += 1
                     self.disk_hits += 1
-                    return cached
+                    return cached, "store"
 
             self.misses += 1
-        # Plain compile (no cache=) — get_or_compile is the only caching
-        # layer, so the delegation cannot recurse.  Runs unlocked so
-        # concurrent service groups compile in parallel.
+        # Plain compile (no cache=) — this is the only caching layer, so
+        # the delegation cannot recurse.  Runs unlocked so concurrent
+        # service groups compile in parallel.
         compiled = protocol.compile(
             topology, source, completion=completion, repair=repair)
         with self._lock:
@@ -197,33 +213,41 @@ class ScheduleCache:
                     counts=trace_counts(compiled.trace),
                     completions=compiled.completions,
                     repairs=compiled.repairs, rounds=compiled.rounds)
-        return compiled
+        return compiled, "compile"
 
     def cached_metrics(self, protocol: BroadcastProtocol,
                        topology: Topology, source, *,
                        model: FirstOrderRadioModel = PAPER_RADIO_MODEL,
                        packet_bits: int = PAPER_PACKET_BITS,
                        completion: bool = True,
-                       repair: bool = True) -> Optional[BroadcastMetrics]:
-        """Warm-hit metrics, or ``None`` when the source isn't cached.
+                       repair: bool = True,
+                       blocking: bool = True) -> Optional[WarmHit]:
+        """Warm-hit metrics and their tier, or ``None`` when the source
+        isn't cached.
 
         This is the no-replay fast path: a memory hit reduces the cached
         trace, a store hit rebuilds the metrics from the persisted counts
         without touching the simulation engine at all.  Misses are *not*
         counted here — the caller falls through to
-        :meth:`get_or_compile`, which counts them.
+        :meth:`get_or_compile`, which counts them.  With
+        ``blocking=False`` a lock held by another thread (a stored
+        schedule replaying, a publish) also reads as ``None``, so an
+        event loop never waits behind it.
         """
         source_index = topology.index(source)
         key = schedule_cache_key(
             topology, protocol.name, source_index,
             completion=completion, repair=repair)
-        with self._lock:
+        if not self._lock.acquire(blocking=blocking):
+            return None
+        try:
             cached = self._mem.get(key)
             if cached is not None:
                 self._mem.move_to_end(key)
                 self.hits += 1
-                return compute_metrics(cached.trace, topology, model,
-                                       packet_bits)
+                return WarmHit(compute_metrics(cached.trace, topology,
+                                               model, packet_bits),
+                               "memory")
             if self.store is None:
                 return None
             entry = self._store_call(
@@ -236,7 +260,9 @@ class ScheduleCache:
                 return None
             self.hits += 1
             self.disk_hits += 1
-            return metrics
+            return WarmHit(metrics, "store")
+        finally:
+            self._lock.release()
 
     def admit_member(self, protocol: BroadcastProtocol,
                      topology: Topology, member, *,

@@ -164,9 +164,8 @@ class QueryEngine:
     :class:`~repro.core.cache.ScheduleCache` underneath locks its own
     tiers.  The slow work (fixpoint compiles) runs unlocked; concurrent
     groups never share a query, so no compile is ever duplicated.  The
-    ``via`` label infers its tier from cache-counter deltas, so under
-    concurrency a simultaneous hit elsewhere can turn a ``memory`` label
-    into ``store`` — a cosmetic race; metrics are never affected.
+    ``via`` label is the tier the lookup itself reports, so concurrent
+    hits elsewhere cannot relabel an answer.
     """
 
     def __init__(self, store_path=None, *,
@@ -189,21 +188,29 @@ class QueryEngine:
 
     def topology(self, label: str, shape: Optional[Tuple[int, ...]]):
         """Resolve (and LRU-cache) a topology instance."""
-        key = (label, None if shape is None else tuple(shape))
-        with self._lock:
-            topo = self._topologies.get(key)
-            if topo is not None:
-                self._topologies.move_to_end(key)
-                return topo
+        topo = self._cached_topology(label, shape)
+        if topo is not None:
+            return topo
         # Build outside the lock (adjacency + kernels are the heavy
         # part); concurrent groups ask for different keys, and a rare
         # duplicate build is idempotent.
+        key = (label, None if shape is None else tuple(shape))
         topo = make_topology(label, shape=key[1])
         with self._lock:
             self._topologies[key] = topo
             while len(self._topologies) > MAX_TOPOLOGIES:
                 self._topologies.popitem(last=False)
         return topo
+
+    def _cached_topology(self, label: str,
+                         shape: Optional[Tuple[int, ...]]):
+        """The LRU's topology instance, or ``None``; never builds one."""
+        key = (label, None if shape is None else tuple(shape))
+        with self._lock:
+            topo = self._topologies.get(key)
+            if topo is not None:
+                self._topologies.move_to_end(key)
+            return topo
 
     def _protocol(self, query: Query, topology):
         if query.protocol is None:
@@ -216,6 +223,40 @@ class QueryEngine:
                 self.shed += 1
             raise DeadlineExceeded(
                 f"deadline exceeded (timeout_ms={query.timeout_ms})")
+
+    def _warm(self, query: Query, topology, protocol, *,
+              blocking: bool = True) -> Optional[QueryResult]:
+        """The one warm lookup — memory tier, then store counts: the
+        answer labelled with the tier that gave it, or ``None`` (not
+        warm)."""
+        hit = self.cache.cached_metrics(
+            protocol, topology, query.source, model=self.model,
+            packet_bits=self.packet_bits, completion=query.completion,
+            repair=query.repair, blocking=blocking)
+        if hit is None:
+            return None
+        return QueryResult(query=query, metrics=hit.metrics, via=hit.tier)
+
+    def warm_answer(self, query: Query) -> Optional[QueryResult]:
+        """*query*'s answer when it is a warm hit, else ``None``.
+
+        Safe to call on an event loop: it never compiles, never builds a
+        topology and never waits for the cache lock.  A schedule request,
+        an expired query, a shape not yet in the topology LRU and a busy
+        cache all read as ``None``; the caller then falls back to
+        :meth:`query_batch`.  Only a hit counts as a query.
+        """
+        if query.include_schedule or query.expired():
+            return None
+        topology = self._cached_topology(query.topology, query.shape)
+        if topology is None:
+            return None
+        result = self._warm(query, topology,
+                            self._protocol(query, topology), blocking=False)
+        if result is not None:
+            with self._lock:
+                self.queries += 1
+        return result
 
     # -- single queries ---------------------------------------------------
 
@@ -233,26 +274,14 @@ class QueryEngine:
         topology = self.topology(query.topology, query.shape)
         protocol = self._protocol(query, topology)
         if not query.include_schedule:
-            d0 = self.cache.disk_hits
-            metrics = self.cache.cached_metrics(
-                protocol, topology, query.source, model=self.model,
-                packet_bits=self.packet_bits, completion=query.completion,
-                repair=query.repair)
-            if metrics is not None:
-                via = "store" if self.cache.disk_hits > d0 else "memory"
-                return QueryResult(query=query, metrics=metrics, via=via)
+            result = self._warm(query, topology, protocol)
+            if result is not None:
+                return result
         self._check_deadline(query)  # a compile may follow: last exit
         faults.sleep_if(faults.COMPILE_SLOW)
-        m0, d0 = self.cache.misses, self.cache.disk_hits
-        compiled = protocol.compile(
-            topology, query.source, cache=self.cache,
+        compiled, via = self.cache.fetch(
+            protocol, topology, query.source,
             completion=query.completion, repair=query.repair)
-        if self.cache.misses > m0:
-            via = "compile"
-        elif self.cache.disk_hits > d0:
-            via = "store"
-        else:
-            via = "memory"
         metrics = compute_metrics(compiled.trace, topology, self.model,
                                   self.packet_bits)
         schedule = None
@@ -313,16 +342,8 @@ class QueryEngine:
             query = queries[pos]
             with self._lock:
                 self.queries += 1
-            d0 = self.cache.disk_hits
-            metrics = self.cache.cached_metrics(
-                protocol, topology, query.source, model=self.model,
-                packet_bits=self.packet_bits,
-                completion=query.completion, repair=query.repair)
-            if metrics is not None:
-                via = "store" if self.cache.disk_hits > d0 else "memory"
-                results[pos] = QueryResult(query=query, metrics=metrics,
-                                           via=via)
-            else:
+            results[pos] = self._warm(query, topology, protocol)
+            if results[pos] is None:
                 cold.append(pos)
         if not cold:
             return

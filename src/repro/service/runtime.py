@@ -17,11 +17,20 @@ All three expose the same surface — ``query`` / ``query_batch`` /
 ``now`` — so service code (and its tests) is runtime-agnostic; only
 :class:`AsyncRuntime`'s methods are coroutines.
 
-The async runtime is where request coalescing becomes *temporal*:
-queries issued by concurrent tasks funnel through one dispatcher, which
-drains everything currently queued each tick — so N same-class queries
-in flight cost one representative compile, and later stragglers ride
-the persisted class profile (zero further compiles).
+The async runtime answers a warm hit at arrival, on the event loop:
+:meth:`~repro.service.engine.QueryEngine.warm_answer` is a lookup (the
+memory tier, then the store's counts) that never compiles, never builds
+a topology and never waits for the cache lock.  Everything else is
+*cold* — misses, schedule requests, expired queries, shapes whose
+topology is not built yet, and hits that found the cache busy — and
+only cold queries enter the queue.
+
+The queue is where request coalescing becomes *temporal*: cold queries
+issued by concurrent tasks funnel through one dispatcher, which drains
+everything currently queued each tick — so N same-class queries in
+flight cost one representative compile, and later stragglers ride the
+persisted class profile (zero further compiles).  The queue bound, its
+overflow policy and deadline shedding govern cold queries only.
 
 One tick may mix query *classes* (different shapes, topologies or
 compile options — a fleet warming several grids at once).  The
@@ -30,17 +39,18 @@ each group as its own
 :meth:`~repro.service.engine.QueryEngine.query_batch` call on the
 executor thread pool, concurrently: cold representatives of different
 shapes compile on different cores instead of queueing behind each
-other, and a slow cold class no longer adds latency to the warm hits
-that happened to share its tick.  Splitting costs nothing in compiles —
-``query_batch`` coalesces within a class family, and the groups *are*
-the class families, so k classes cost exactly k representative compiles
-whether they arrive in one tick or k.
+other, and each group's waiters are answered as soon as their own call
+returns, not when the tick's slowest class does.  Splitting costs
+nothing in compiles — ``query_batch`` coalesces within a class family,
+and the groups *are* the class families, so k classes cost exactly k
+representative compiles whether they arrive in one tick or k.
 """
 
 from __future__ import annotations
 
 import abc
 import asyncio
+import functools
 import time
 from typing import List, Optional, Sequence, Tuple
 
@@ -132,17 +142,20 @@ class SimulationRuntime(Runtime):
 
 
 class AsyncRuntime(Runtime):
-    """Asyncio runtime with micro-batching, group-parallel dispatch.
+    """Asyncio runtime: warm hits at arrival, cold queries micro-batched.
 
-    Concurrent ``await runtime.query(...)`` calls enqueue onto one
-    dispatcher task.  Each tick drains the queue, splits the batch into
-    per-class groups (same topology, shape, protocol and compile
-    options), and runs every group as its own ``query_batch`` on the
-    default executor concurrently — the event loop stays responsive
-    while cold classes compile in parallel on the engine's locked
-    shared tiers.  Failures are group-scoped: an error in one class
-    rejects that group's futures and leaves the rest of the tick (and
-    the dispatcher) running.
+    ``await runtime.query(...)`` answers a warm hit directly on the
+    event loop; it never touches the queue, the dispatcher or the
+    executor.  Cold queries enqueue onto one dispatcher task.  Each tick
+    drains the queue, splits the batch into per-class groups (same
+    topology, shape, protocol and compile options), and runs every group
+    as its own ``query_batch`` on the default executor concurrently —
+    the event loop stays responsive while cold classes compile in
+    parallel on the engine's locked shared tiers.  Each group's waiters
+    are answered when that group's call returns; the next tick starts
+    once every group of this one has.  Failures are group-scoped: an
+    error in one class rejects that group's futures and leaves the rest
+    of the tick (and the dispatcher) running.
     """
 
     name = "async"
@@ -210,19 +223,24 @@ class AsyncRuntime(Runtime):
         self._task, self._queue = None, None
 
     async def query(self, query: Query) -> QueryResult:
-        """Answer one query (coalesced with everything else in flight).
+        """Answer one query: a warm hit at once, a cold query coalesced
+        with everything else in flight.
 
         The deadline is stamped *here*, at arrival — queue wait counts
         against the client's timeout.  A full queue applies the overflow
-        policy: ``"reject"`` raises :class:`~repro.service.engine.
-        Overloaded` to the newcomer (classic load shedding — cheapest
-        possible refusal), ``"shed-oldest"`` fails the longest-waiting
-        queued query instead, on the theory that its client has the
-        least patience left anyway.
+        policy to cold queries: ``"reject"`` raises
+        :class:`~repro.service.engine.Overloaded` to the newcomer
+        (classic load shedding — cheapest possible refusal),
+        ``"shed-oldest"`` fails the longest-waiting queued query instead,
+        on the theory that its client has the least patience left
+        anyway.
         """
         if self._task is None:
             await self.start()
         query = query.stamped(self.now())
+        result = self.engine.warm_answer(query)
+        if result is not None:
+            return result
         if self._queue.qsize() >= self.max_queue:
             if self.overflow == "reject":
                 self.rejected += 1
@@ -286,29 +304,36 @@ class AsyncRuntime(Runtime):
             batch = live
             if not batch:
                 continue
-            groups = self._split_groups(batch)
+            calls = []
+            for group in self._split_groups(batch):
+                call = loop.run_in_executor(
+                    None, self.engine.query_batch, [q for q, _ in group])
+                call.add_done_callback(
+                    functools.partial(self._deliver, group))
+                calls.append(call)
             try:
-                outcomes = await asyncio.gather(
-                    *(loop.run_in_executor(
-                        None, self.engine.query_batch, [q for q, _ in group])
-                      for group in groups),
-                    return_exceptions=True)
+                # Every group finishes before the next tick drains, so a
+                # straggler of a compiling class waits for its profile.
+                await asyncio.wait(calls)
             except asyncio.CancelledError:  # runtime.close()
                 for _, future in batch:
                     if not future.done():
                         future.cancel()
                 raise
-            for group, outcome in zip(groups, outcomes):
-                if isinstance(outcome, BaseException):
-                    # Group-scoped failure: reject these waiters, keep
-                    # serving the other groups and later ticks.
-                    for _, future in group:
-                        if not future.done():
-                            if isinstance(outcome, asyncio.CancelledError):
-                                future.cancel()
-                            else:
-                                future.set_exception(outcome)
-                    continue
-                for (_, future), result in zip(group, outcome):
-                    if not future.done():
-                        future.set_result(result)
+
+    @staticmethod
+    def _deliver(group, call: asyncio.Future) -> None:
+        """Resolve one group's waiters as soon as its call is done.
+
+        A failure is group-scoped: it rejects these waiters and leaves
+        the other groups and later ticks running."""
+        exc = None if call.cancelled() else call.exception()
+        for index, (_, future) in enumerate(group):
+            if future.done():
+                continue
+            if call.cancelled():
+                future.cancel()
+            elif exc is not None:
+                future.set_exception(exc)
+            else:
+                future.set_result(call.result()[index])

@@ -74,6 +74,13 @@ def _validate_service(payload):
     # the bulk precompute itself is timed (group-committed store writes)
     assert warm["seconds"] > 0
     assert warm["sources_per_second"] > 0
+    # warm hits are answered at arrival: the async runtime adds at most
+    # as much again as the bare engine call to a sequential warm query
+    aw = payload["async_warm"]
+    assert aw["queries"] >= payload["sources"]
+    assert aw["us_per_query"] > 0
+    assert aw["engine_us_per_query"] > 0
+    assert aw["overhead_ratio"] <= 2.0
 
 
 def _validate_robustness(payload):

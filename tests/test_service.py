@@ -11,6 +11,9 @@ run.
 
 import asyncio
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.core.compiler import compile_call_count
 from repro.core.registry import protocol_for
 from repro.core.symmetry import group_sources
 from repro.radio.energy import PAPER_PACKET_BITS, PAPER_RADIO_MODEL
+import repro.service.engine as engine_module
 from repro.service import (AsyncRuntime, Query, QueryEngine,
                            SimulationRuntime, SyncRuntime, serve,
                            query_from_dict, query_to_dict, result_to_dict)
@@ -85,6 +89,23 @@ def test_memory_tier_serves_repeat_queries(tmp_path):
     assert first.via == "compile"
     assert second.via == "memory"
     assert second.metrics == first.metrics
+
+
+def test_via_label_comes_from_the_lookup_not_counter_deltas(tmp_path):
+    """A store hit elsewhere that lands between a memory hit's counter
+    read and its lookup must not relabel that hit ``store``."""
+    engine = QueryEngine(tmp_path / "store")
+    engine.query(_query((3, 4)))  # now in the memory tier
+    lookup = engine.cache.cached_metrics
+
+    def racing_lookup(*args, **kwargs):
+        engine.cache.disk_hits += 1  # a concurrent store hit
+        return lookup(*args, **kwargs)
+
+    engine.cache.cached_metrics = racing_lookup
+    assert engine.query(_query((3, 4))).via == "memory"
+    assert [r.via for r in engine.query_batch([_query((3, 4))])] == [
+        "memory"]
 
 
 def test_include_schedule_returns_slot_node_pairs(tmp_path):
@@ -248,6 +269,173 @@ def test_async_runtime_propagates_errors_without_dying(tmp_path):
 
     result = asyncio.run(run())
     assert result.metrics == _direct_metrics((4, 4))
+
+
+class _ShapeGatedEngine(QueryEngine):
+    """Engine whose batches of one shape block until the gate opens."""
+
+    def __init__(self, store_path, gated_shape, gate):
+        super().__init__(store_path)
+        self._gated_shape = gated_shape
+        self._gate = gate
+
+    def query_batch(self, queries):
+        if queries[0].shape == self._gated_shape:
+            self._gate.wait(timeout=30)
+        return super().query_batch(queries)
+
+
+def test_async_tick_delivers_each_group_when_it_finishes(tmp_path):
+    """A fast cold class is answered while a slower class of the same
+    tick is still being served."""
+    gate = threading.Event()
+    engine = _ShapeGatedEngine(tmp_path / "store", (6, 6), gate)
+
+    async def run():
+        async with AsyncRuntime(engine) as runtime:
+            slow = asyncio.create_task(runtime.query(
+                Query(topology="2D-4", source=(1, 1), shape=(6, 6))))
+            fast = asyncio.create_task(runtime.query(_query((4, 4))))
+            try:
+                answered = await asyncio.wait_for(fast, timeout=5)
+                slow_pending = not slow.done()
+            finally:
+                gate.set()
+            return answered, slow_pending, await slow
+
+    answered, slow_pending, slow = asyncio.run(run())
+    assert slow_pending
+    assert answered.metrics == _direct_metrics((4, 4))
+    assert slow.ok
+
+
+async def _until(event: threading.Event, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not event.is_set():
+        assert time.monotonic() < deadline, "event never set"
+        await asyncio.sleep(0.005)
+
+
+def test_async_warm_hit_is_answered_while_a_cold_compile_blocks(
+        tmp_path, monkeypatch):
+    """Warm hits are answered at arrival: they never queue behind a
+    tick whose cold class is compiling, and never reach query_batch."""
+    gate, compiling = threading.Event(), threading.Event()
+    compile_class = engine_module.compile_class
+
+    def gated_compile_class(*args, **kwargs):
+        compiling.set()
+        gate.wait(timeout=30)
+        return compile_class(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "compile_class", gated_compile_class)
+    engine = QueryEngine(tmp_path / "store")
+    warm_source = (3, 4)
+    engine.query(_query(warm_source))  # memory tier + topology LRU
+    cold_source = next(s for s in _same_class_sources(8)
+                       if tuple(s) != warm_source)
+
+    async def run():
+        async with AsyncRuntime(engine) as runtime:
+            cold = asyncio.create_task(runtime.query(_query(cold_source)))
+            try:
+                await _until(compiling)
+                batches = engine.batches
+                warm = await asyncio.wait_for(
+                    runtime.query(_query(warm_source)), timeout=5)
+                cold_pending = not cold.done()
+                warm_batches = engine.batches - batches
+            finally:
+                gate.set()
+            return warm, cold_pending, warm_batches, await cold
+
+    warm, cold_pending, warm_batches, cold = asyncio.run(run())
+    assert cold_pending
+    assert warm_batches == 0
+    assert warm.via == "memory"
+    assert warm.metrics == _direct_metrics(warm_source)
+    assert cold.metrics == _direct_metrics(cold_source)
+
+
+def test_async_warm_probe_never_waits_for_a_held_cache_lock(tmp_path):
+    """A busy cache lock sends the warm probe to the queue instead of
+    blocking the event loop; the query is answered once it is free."""
+    engine = QueryEngine(tmp_path / "store")
+    engine.query(_query((3, 4)))
+    held, release = threading.Event(), threading.Event()
+
+    def hold_cache_lock():
+        with engine.cache._lock:
+            held.set()
+            release.wait(timeout=2.0)
+
+    async def sleeper():
+        t0 = time.monotonic()
+        await asyncio.sleep(0.01)
+        return time.monotonic() - t0
+
+    async def run():
+        async with AsyncRuntime(engine) as runtime:
+            holder = threading.Thread(target=hold_cache_lock)
+            holder.start()
+            await _until(held)
+            try:
+                query = asyncio.create_task(runtime.query(_query((3, 4))))
+                slept = await sleeper()
+                query_pending = not query.done()
+            finally:
+                release.set()
+            result = await asyncio.wait_for(query, timeout=10)
+            holder.join(timeout=10)
+            assert not holder.is_alive()
+            return slept, query_pending, result
+
+    slept, query_pending, result = asyncio.run(run())
+    assert slept < 0.5  # a blocking probe would stall the loop ~2 s
+    assert query_pending
+    assert result.via == "memory"
+    assert result.metrics == _direct_metrics((3, 4))
+
+
+def test_async_warm_and_cold_lanes_stress(tmp_path):
+    """Warm hits on the loop thread race cold groups on executor threads
+    over the shared engine and cache: every answer stays exact and no
+    counter update is lost."""
+    shapes = [(8, 8), (6, 6), (7, 5)]
+    engine = QueryEngine(tmp_path / "store")
+    for source in ((1, 1), (2, 3), (4, 4)):
+        engine.query(_query(source))  # warm 8x8 sources
+    queries = [Query(topology="2D-4", source=(x, y), shape=shape)
+               for shape in shapes
+               for x in range(1, shape[0] + 1, 2)
+               for y in range(1, shape[1] + 1, 2)]
+    rounds = 3
+    queries0 = engine.stats()["queries"]
+
+    async def run():
+        async with AsyncRuntime(engine) as runtime:
+            answers = []
+            for _ in range(rounds):
+                answers += await asyncio.gather(
+                    *(runtime.query(q) for q in queries))
+            return answers
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        answers = asyncio.run(asyncio.wait_for(run(), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert engine.stats()["queries"] - queries0 == rounds * len(queries)
+    assert {a.via for a in answers[-len(queries):]} <= {"memory", "store"}
+    expected = {}
+    for query in queries:
+        topology = make_topology("2D-4", shape=query.shape)
+        compiled = protocol_for(topology).compile(topology, query.source)
+        expected[query] = compute_metrics(
+            compiled.trace, topology, PAPER_RADIO_MODEL, PAPER_PACKET_BITS)
+    for query, answer in zip(queries * rounds, answers):
+        assert answer.metrics == expected[query]
 
 
 # -- LRU bound ------------------------------------------------------------

@@ -80,8 +80,9 @@ def test_replay_differential_matches_stored_counts(tmp_path):
     protocol.compile(topology, source, cache=cache)  # populates the store
 
     warm = ScheduleCache(tmp_path)
-    counts_metrics = warm.cached_metrics(protocol, topology, source)
-    assert counts_metrics is not None
+    hit = warm.cached_metrics(protocol, topology, source)
+    assert hit is not None and hit.tier == "store"
+    counts_metrics = hit.metrics
     replayed = protocol.compile(topology, source,
                                 cache=ScheduleCache(tmp_path))
     assert compute_metrics(replayed.trace, topology, PAPER_RADIO_MODEL,
