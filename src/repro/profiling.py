@@ -4,8 +4,9 @@ The benchmark scripts' ``--profile`` flag needs to know where the slot
 budget goes (CSR gather vs counting vs loss RNG vs recovery update vs
 shard merge) without slowing down normal runs.  This module keeps one
 module-level accumulator that is ``None`` unless a profile capture is
-active; the hot-path hooks reduce to a single attribute check when
-profiling is off, so the engine pays nothing in the common case.
+active; when profiling is off :func:`phase` returns one shared no-op
+context manager after a single global check, so the engine pays
+(almost) nothing in the common case.
 
 Phases are free-form names; the engine currently emits ``resolve``,
 ``commit``, ``loss-rng``, and — with a recovery policy active —
@@ -13,7 +14,10 @@ Phases are free-form names; the engine currently emits ``resolve``,
 ``recovery-post`` (ACK/overhear + episode accounting after it), and
 ``recovery-election`` (the election bookkeeping *inside* the other two:
 a sub-phase, so its time is also counted by its parent — do not sum it
-with them).
+with them).  On the compiled tier the Bernoulli loss draws and the
+summary-mode commit run inside the C ``resolve`` call, so they count
+as ``resolve``: there ``loss-rng`` covers only burst blackout draws,
+and ``commit`` only the trace-mode event logs.
 
 Not thread-safe, and deliberately not process-aware: a sharded run
 profiles only the parent process (per-shard phases happen in workers),
@@ -22,9 +26,9 @@ which is why the benchmarks capture profiles with sharding disabled.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from time import perf_counter
-from typing import Dict, Iterator, Optional
+from typing import ContextManager, Dict, Iterator, Optional
 
 _times: Optional[Dict[str, float]] = None
 
@@ -55,13 +59,23 @@ def add(phase: str, seconds: float) -> None:
 
 
 @contextmanager
-def phase(name: str) -> Iterator[None]:
-    """Time a block into *name*; free when no capture is active."""
-    if _times is None:
-        yield
-        return
+def _timed(name: str) -> Iterator[None]:
     t0 = perf_counter()
     try:
         yield
     finally:
         add(name, perf_counter() - t0)
+
+
+#: The context manager :func:`phase` hands out while nothing is
+#: captured: one shared, reusable no-op.
+_OFF = nullcontext()
+
+
+def phase(name: str) -> ContextManager[None]:
+    """Time a block into *name*.  Free when no capture is active: the
+    one shared no-op context manager comes back, and nothing is built
+    per call."""
+    if _times is None:
+        return _OFF
+    return _timed(name)

@@ -127,8 +127,9 @@ def _as_u64(value: int) -> np.uint64:
 def counter_slot_keys(seeds, slot: int) -> np.ndarray:
     """Per-trial stream keys of one slot: ``splitmix64(splitmix64(seed)
     ^ slot)``.  This is the exact intermediate of
-    :func:`counter_uniforms`; the compiled engine tier uses it to draw
-    the same uniforms word-by-word."""
+    :func:`counter_uniforms`; the compiled engine tier derives the same
+    keys in C (:mod:`repro.sim.native`) to draw the same uniforms
+    word-by-word."""
     seeds_arr = np.atleast_1d(np.asarray(seeds))
     if seeds_arr.dtype != np.uint64:
         seeds_arr = (seeds_arr.astype(object) & _MASK64).astype(np.uint64)

@@ -16,7 +16,10 @@ received pairs with sender attribution plus either collision pairs
 (trace mode) or per-trial collision counts (summary mode) — in the
 exact (trial, node)-sorted order of the dense path, bit for bit (loss
 draws use the same counter RNG stream via the integer threshold of
-:func:`~repro.radio.impairments.bernoulli_threshold`).
+:func:`~repro.radio.impairments.bernoulli_threshold`).  It also commits
+the slot into the run arrays bound by :meth:`NativeBackend.bind`
+(``first_rx``, and the counts in summary mode) and returns the newly
+informed pairs, so the engine runs no numpy commit on this tier.
 
 Fallback rules (silent, by design — callers ask for a *tier*, not a
 hard requirement): losses other than ``None`` /
@@ -52,8 +55,7 @@ from .. import faults, profiling
 from ..radio import bitpack
 from ..radio.channel import SlotKernel
 from ..radio.impairments import (BatchLoss, BernoulliBatchLoss,
-                                 BurstBatchLoss, bernoulli_threshold,
-                                 counter_slot_keys)
+                                 BurstBatchLoss, bernoulli_threshold)
 from ..topology.base import Topology
 from . import native
 from .recovery import RecoveryPolicy
@@ -272,7 +274,7 @@ class _LossSpec:
 
     def __init__(self, loss: Optional[BatchLoss]) -> None:
         self.kind = 0
-        self.seeds = None
+        self.seeds = np.zeros(1, dtype=np.uint64)
         self.threshold = 0
         self.burst: Optional[BurstBatchLoss] = None
         if type(loss) is BernoulliBatchLoss:
@@ -289,7 +291,12 @@ class _LossSpec:
 
 class NativeBackend:
     """cffi/C tier (``engine="compiled"``): one fused word-space C
-    pass per slot."""
+    pass per slot that resolves *and* commits it.
+
+    :meth:`bind` hands the backend the run's ``first_rx`` matrix (and,
+    in summary mode, its count arrays) once; every :meth:`resolve`
+    then updates them in place.
+    """
 
     name = "compiled"
 
@@ -314,17 +321,13 @@ class NativeBackend:
         self._n = kernel.num_nodes
         self._words = nbr_words.shape[1]
         self._max_degree = max(kernel.max_degree, 1)
-        self._loss = _LossSpec(loss)
         self._batch = batch
         self._need_senders = need_senders
         self._need_coll_pairs = need_coll_pairs
         ffi = self._ffi
-
-        def keep(array, ctype):
-            # from_buffer pins the array; stash both so neither the
-            # ndarray nor the cdata is collected mid-run.
-            return array, ffi.cast(ctype, ffi.from_buffer(array))
-
+        keep = self._pin
+        self._loss = _LossSpec(loss)
+        self._seeds = keep(self._loss.seeds, "uint64_t *")
         self._indptr = keep(kernel.indptr, "int64_t *")
         self._indices = keep(kernel.indices, "int64_t *")
         self._nbr_words = keep(nbr_words, "uint64_t *")
@@ -337,23 +340,57 @@ class NativeBackend:
         self._ones = keep(np.zeros(shape, dtype=np.uint64), "uint64_t *")
         self._twos = keep(np.zeros(shape, dtype=np.uint64), "uint64_t *")
         self._txw = keep(np.zeros(shape, dtype=np.uint64), "uint64_t *")
-        self._coll_counts = keep(np.zeros(batch, dtype=np.int64),
-                                 "int64_t *")
-        self._out_counts = keep(np.zeros(2, dtype=np.int64), "int64_t *")
+        self._out_counts = keep(np.zeros(3, dtype=np.int64), "int64_t *")
+        self._first_rx = self._tx_count = self._rx_count = None
+        self._collisions = (None, ffi.NULL)
         self._cap = 0
         self._grow(64)
+
+    def _pin(self, array: np.ndarray, ctype: str = "int64_t *"):
+        # from_buffer pins the array; keep both so neither the ndarray
+        # nor the cdata is collected mid-run.
+        ffi = self._ffi
+        return array, ffi.cast(ctype, ffi.from_buffer(array))
+
+    def bind(self, first_rx: np.ndarray,
+             tx_count: Optional[np.ndarray] = None,
+             rx_count: Optional[np.ndarray] = None,
+             collisions: Optional[np.ndarray] = None) -> None:
+        """Commit every later slot into these run arrays, in place.
+
+        *first_rx* is the ``(B, n)`` int64 first-reception matrix
+        (``-1`` = not yet informed).  *tx_count*/*rx_count* (``(B,
+        n)``) and *collisions* (``(B,)``) are the summary-mode counters;
+        pass them exactly when the backend was built without collision
+        pairs.  All must be C-contiguous int64: the kernel writes
+        through pointers pinned here, once per run.
+        """
+        def pinned(array, shape):
+            if array is None:
+                return None, self._ffi.NULL
+            if (array.dtype != np.int64 or array.shape != shape
+                    or not array.flags.c_contiguous):
+                raise ValueError(f"commit arrays must be C-contiguous "
+                                 f"int64 of shape {shape}")
+            return self._pin(array)
+
+        grid = (self._batch, self._n)
+        if (collisions is None) != self._need_coll_pairs:
+            raise ValueError("collision counts are bound exactly in "
+                             "summary mode")
+        self._first_rx = pinned(first_rx, grid)
+        self._tx_count = pinned(tx_count, grid)
+        self._rx_count = pinned(rx_count, grid)
+        self._collisions = pinned(collisions, (self._batch,))
 
     def _grow(self, cap: int) -> None:
         if cap <= self._cap:
             return
-        keep = lambda a: (a, self._ffi.cast("int64_t *",
-                                            self._ffi.from_buffer(a)))
-        self._rx_tr = keep(np.empty(cap, dtype=np.int64))
-        self._rx_nd = keep(np.empty(cap, dtype=np.int64))
-        self._rx_sv = keep(np.empty(cap, dtype=np.int64))
-        self._rx_ep = keep(np.empty(cap, dtype=np.int64))
-        self._coll_tr = keep(np.empty(cap, dtype=np.int64))
-        self._coll_nd = keep(np.empty(cap, dtype=np.int64))
+        keep = lambda: self._pin(np.empty(cap, dtype=np.int64))
+        self._rx_tr, self._rx_nd = keep(), keep()
+        self._rx_sv, self._rx_ep = keep(), keep()
+        self._new_tr, self._new_nd = keep(), keep()
+        self._coll_tr, self._coll_nd = keep(), keep()
         self._cap = cap
 
     def make_recovery(self, topology: Topology, policy: RecoveryPolicy,
@@ -366,36 +403,41 @@ class NativeBackend:
     def resolve(self, t: int, tr: np.ndarray, nd: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
                            Union[np.ndarray,
-                                 Tuple[np.ndarray, np.ndarray]]]:
-        """Resolve one slot; pairs must be (trial, node)-sorted unique.
+                                 Tuple[np.ndarray, np.ndarray]],
+                           np.ndarray, np.ndarray]:
+        """Resolve and commit slot *t*; pairs must be (trial,
+        node)-sorted unique, and :meth:`bind` must have been called.
 
-        Returns ``(rt, rn, sv, coll)``: received pairs in (trial,
-        node) order, their senders (or ``None`` when not requested),
-        and collisions as ``(ct, cn)`` pairs or per-trial counts.  The
-        arrays are views into reused scratch, valid until the next
-        call.
+        The C pass draws the Bernoulli losses itself (the slot keys of
+        :func:`~repro.radio.impairments.counter_slot_keys`), stamps
+        ``first_rx`` for every first decode and, in summary mode, bumps
+        the bound ``tx_count``/``rx_count`` and adds the slot's
+        collisions into the bound ``collisions`` vector.
+
+        Returns ``(rt, rn, sv, coll, nt, nn)``: received pairs in
+        (trial, node) order, their senders (or ``None`` when not
+        requested), collisions as ``(ct, cn)`` pairs (trace mode) or
+        the bound per-trial collision totals (summary mode), and the
+        newly informed pairs — the subsequence of ``(rt, rn)`` whose
+        ``first_rx`` this slot set.  The pair arrays are views into
+        reused scratch, valid until the next call.
         """
         faults.check(faults.BACKEND_RESOLVE, key=(self.name,),
                      detail="native slot resolve")
+        if self._first_rx is None:
+            raise RuntimeError("NativeBackend.resolve before bind()")
         ffi, lib = self._ffi, self._lib
         tr = np.ascontiguousarray(tr, dtype=np.int64)
         nd = np.ascontiguousarray(nd, dtype=np.int64)
         # Every rx/collision is a neighbour of some transmitter.
         self._grow(len(nd) * self._max_degree + 1)
         spec = self._loss
-        keys_ptr = surv_ptr = ffi.NULL
-        keys = surv = None  # keep buffers alive across the C call
-        with profiling.phase("loss-rng"):
-            if spec.kind == 1:
-                keys = np.ascontiguousarray(
-                    counter_slot_keys(spec.seeds, t))
-                keys_ptr = ffi.cast("uint64_t *", ffi.from_buffer(keys))
-            elif spec.kind == 2:
+        surv_ptr = ffi.NULL
+        surv = None  # keep the buffer alive across the C call
+        if spec.kind == 2:
+            with profiling.phase("loss-rng"):
                 surv = spec.burst.slot_survival(t).astype(np.uint8)
                 surv_ptr = ffi.cast("uint8_t *", ffi.from_buffer(surv))
-        counts = self._coll_counts[0]
-        if not self._need_coll_pairs:
-            counts[:] = 0
         with profiling.phase("resolve"):
             lib.resolve_slot(
                 self.threads,
@@ -403,15 +445,16 @@ class NativeBackend:
                 self._indptr[1], self._indices[1], self._nbr_words[1],
                 ffi.cast("int64_t *", ffi.from_buffer(tr)),
                 ffi.cast("int64_t *", ffi.from_buffer(nd)), len(nd),
-                self._alive[1],
-                spec.kind, keys_ptr, spec.threshold, surv_ptr,
+                self._alive[1], t,
+                spec.kind, self._seeds[1], spec.threshold, surv_ptr,
                 int(self._need_senders), int(self._need_coll_pairs),
                 self._ones[1], self._twos[1], self._txw[1],
+                self._first_rx[1], self._tx_count[1], self._rx_count[1],
                 self._rx_tr[1], self._rx_nd[1], self._rx_sv[1],
-                self._rx_ep[1],
+                self._rx_ep[1], self._new_tr[1], self._new_nd[1],
                 self._coll_tr[1], self._coll_nd[1],
-                self._coll_counts[1], self._out_counts[1])
-        n_rx, n_coll = map(int, self._out_counts[0])
+                self._collisions[1], self._out_counts[1])
+        n_rx, n_coll, n_new = self._out_counts[0].tolist()
         rt = self._rx_tr[0][:n_rx]
         rn = self._rx_nd[0][:n_rx]
         sv = self._rx_sv[0][:n_rx] if self._need_senders else None
@@ -420,8 +463,9 @@ class NativeBackend:
         if self._need_coll_pairs:
             coll = (self._coll_tr[0][:n_coll], self._coll_nd[0][:n_coll])
         else:
-            coll = counts
-        return rt, rn, sv, coll
+            coll = self._collisions[0]
+        return (rt, rn, sv, coll,
+                self._new_tr[0][:n_new], self._new_nd[0][:n_new])
 
 
 def make_backend(kernel: SlotKernel, batch: int, engine: str,

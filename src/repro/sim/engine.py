@@ -60,6 +60,7 @@ from .backend import (BREAKER, BackendFault, check_engine, demote_tier,
                       make_backend)
 from .recovery import (BatchRecoveryState, RecoveryPolicy, RecoveryState,
                        relay_like_from_schedule, relay_like_mask)
+from .recovery_packed import Buckets, push_buckets
 from .schedule import BroadcastSchedule
 from .summary import TraceSummary
 from .trace import BroadcastTrace
@@ -351,6 +352,23 @@ def _replay_slots(schedule: BroadcastSchedule, rec,
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def sorted_unique_pairs(tr: np.ndarray, nd: np.ndarray, num_nodes: int
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(trial, node)`` pairs in (trial, node) order:
+    exactly ``np.unique(tr * num_nodes + nd)`` split back into trials
+    and nodes, by one sort and an adjacent-difference mask.  A slot's
+    pairs are mostly a few already-sorted runs, which the stable
+    (merging) sort takes in near-linear time."""
+    key = tr * num_nodes + nd
+    key.sort(kind="stable")
+    if len(key) > 1:
+        keep = np.empty(len(key), dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    return np.divmod(key, num_nodes)
+
+
 def _offset_masks(num_nodes: int, repeats_rows: Sequence[_Repeats]
                   ) -> Dict[int, np.ndarray]:
     """Repeat offsets regrouped by offset: ``off -> (rows, n)`` mask of
@@ -483,6 +501,12 @@ class _BatchState:
                                     need_senders=self.need_senders,
                                     need_coll_pairs=not summary,
                                     threads=threads)
+        if self.backend is not None:
+            # The compiled kernel commits each slot into these arrays.
+            self.backend.bind(self.first_rx, *((self.tx_count,
+                                                self.rx_count,
+                                                self.collisions)
+                                               if summary else ()))
         self.rec = None
         if recovery is not None:
             if self.backend is not None:
@@ -519,13 +543,11 @@ class _BatchState:
             return None
         if dedup:
             # The serial engine's per-slot *set* collapses duplicates;
-            # np.unique also yields the (trial, node)-sorted order the
-            # event logs rely on.
-            key = np.unique(tr * self.n + nd)
-            tr, nd = key // self.n, key % self.n
+            # the sorted-unique order is the one the event logs rely on.
+            tr, nd = sorted_unique_pairs(tr, nd, self.n)
         backend = self.backend
         if backend is not None:
-            rt, rn, sv, coll = _backend_resolve(backend, t, tr, nd)
+            rt, rn, sv, coll, nt, nn = _backend_resolve(backend, t, tr, nd)
         else:
             _, received, collided, senders = self.kernel.resolve_batch(
                 nd, tr, self.trials)
@@ -541,7 +563,11 @@ class _BatchState:
                 sv = senders[rt, rn] if self.need_senders else None
                 coll = (collided.sum(axis=1) if self.summary
                         else collided.nonzero())
-            nt, nn = self.commit_sparse(t, tr, nd, rt, rn, sv, coll)
+                nt, nn = self.commit_sparse(t, tr, nd, rt, rn, sv, coll)
+            elif not self.summary:
+                # The compiled kernel committed first_rx itself (and the
+                # counts, in summary mode); only the event logs remain.
+                self._log(t, tr, nd, rt, rn, sv, coll)
         if rec is not None:
             with profiling.phase("recovery-post"):
                 if backend is not None:
@@ -557,7 +583,8 @@ class _BatchState:
                       coll: Union[np.ndarray,
                                   Tuple[np.ndarray, np.ndarray]]
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Log one resolved slot from sparse outcomes.
+        """Log one resolved slot from sparse outcomes (the dense tier's
+        commit; the compiled kernel fuses the same update).
 
         ``(rt, rn)`` are the received pairs in (trial, node) order with
         senders *sv* (required in trace mode); *coll* is the per-trial
@@ -571,14 +598,20 @@ class _BatchState:
             self.rx_count[rt, rn] += 1
             self.collisions += coll
         else:
-            self.tx_log.extend(t, tr, nd)
-            ct, cn = coll
-            self.coll_log.extend(t, ct, cn)
-            self.rx_log.extend(t, rt, rn, sv)
+            self._log(t, tr, nd, rt, rn, sv, coll)
         new = self.first_rx[rt, rn] < 0
         nt, nn = rt[new], rn[new]
         self.first_rx[nt, nn] = t
         return nt, nn
+
+    def _log(self, t: int, tr: np.ndarray, nd: np.ndarray,
+             rt: np.ndarray, rn: np.ndarray, sv: np.ndarray,
+             coll: Tuple[np.ndarray, np.ndarray]) -> None:
+        """Append one slot's events to the trace-mode logs."""
+        self.tx_log.extend(t, tr, nd)
+        ct, cn = coll
+        self.coll_log.extend(t, ct, cn)
+        self.rx_log.extend(t, rt, rn, sv)
 
     def finish(self) -> Union[TraceSummary, List[BroadcastTrace]]:
         if self.backend is not None:
@@ -652,7 +685,7 @@ def _reactive_loop(
     def at(rows, tr, nd):
         return rows[nd] if shared else rows[tr, nd]
 
-    pending: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+    pending: Buckets = {}
     horizon = max(forced_at, default=0)
 
     def schedule_pairs(tr: np.ndarray, nd: np.ndarray,
@@ -660,20 +693,12 @@ def _reactive_loop(
         """Schedule (trial, node) pairs firing at per-pair *base* slots,
         plus each node's repeat transmissions."""
         nonlocal horizon
-        last = int(base.max())
-        for s in np.unique(base):
-            sel = base == s
-            pending.setdefault(int(s), []).append((tr[sel], nd[sel]))
+        last = push_buckets(pending, tr, nd, base)
         for off, mask in offsets.items():
             has = at(mask, tr, nd)
             if has.any():
-                rep_base = base[has] + off
-                rep_tr, rep_nd = tr[has], nd[has]
-                for s in np.unique(rep_base):
-                    sel = rep_base == s
-                    pending.setdefault(int(s), []).append(
-                        (rep_tr[sel], rep_nd[sel]))
-                last = max(last, int(rep_base.max()))
+                last = max(last, push_buckets(pending, tr[has], nd[has],
+                                              base[has] + off))
         if last > horizon:
             horizon = last
 

@@ -6,10 +6,23 @@ This module resolves the slot in word space instead (the
 kernel fuses the whole slot — carry-save accumulate, half-duplex, alive
 mask, counter-RNG loss, sparse extraction, sender attribution — into
 one pass over the packed words, drawing Bernoulli erasures with the
-identical splitmix64 stream and the integer threshold of
+identical splitmix64 stream (each trial's slot key derived in C from
+its seed and the slot, as
+:func:`~repro.radio.impairments.counter_slot_keys` does) and the
+integer threshold of
 :func:`~repro.radio.impairments.bernoulli_threshold`, so its output is
 bit-identical to the dense tier (the differential suite runs the full
 ``reference == serial == batch == compiled`` chain).
+
+``resolve_slot`` also *commits* the slot into the caller's run arrays:
+it stamps ``first_rx`` in place and emits the newly informed (trial,
+node) pairs, and in summary mode bumps the ``tx_count``/``rx_count``
+matrices and adds collisions into the per-trial totals.  Its inputs
+are the sorted unique transmission pairs, the slot, the per-trial loss
+seeds (or blackout flags) and those arrays; its outputs are the
+received pairs (with senders and their CSR edge positions), the
+collision pairs (trace mode) and the new pairs, all in (trial, node)
+order.
 
 **Intra-process parallelism.**  The three hot entry points
 (``resolve_slot``, ``recovery_post_slot``, ``recovery_checks``) take a
@@ -22,10 +35,12 @@ span of the (trial, node)-sorted input with the same integer formula,
 computes exactly what the serial kernel would compute for those
 trials, and writes its sparse outputs at a disjoint precomputed offset
 (``span_start * max_degree``); the caller's thread then compacts the
-per-thread runs in ascending thread order.  Because spans never split
-a trial and compaction preserves span order, the merged output is the
-serial (trial, node)-ascending order bit for bit — no atomics, no
-reductions, no thread-count-dependent results.  cffi calls release the
+per-thread runs of every output stream — the new-pair stream included
+— in ascending thread order.  Because spans never split a trial (so a
+trial's ``first_rx`` and count rows have one writer) and compaction
+preserves span order, the merged output is the serial (trial,
+node)-ascending order bit for bit — no atomics, no reductions, no
+thread-count-dependent results.  cffi calls release the
 GIL, so Python-side thread pools overlap with the kernel too (kernel
 jobs themselves serialise on one internal job lock).
 
@@ -81,11 +96,14 @@ void resolve_slot(
     const uint64_t *nbr_words,
     const int64_t *tx_tr, const int64_t *tx_nd, int64_t npairs,
     const uint64_t *alive_words,
-    int loss_kind, const uint64_t *loss_keys, uint64_t loss_threshold,
+    int64_t slot,
+    int loss_kind, const uint64_t *loss_seeds, uint64_t loss_threshold,
     const uint8_t *slot_survive,
     int need_senders, int need_coll_pairs,
     uint64_t *ones, uint64_t *twos, uint64_t *txw,
+    int64_t *first_rx, int64_t *tx_count, int64_t *rx_count,
     int64_t *rx_tr, int64_t *rx_nd, int64_t *rx_sv, int64_t *rx_ep,
+    int64_t *new_tr, int64_t *new_nd,
     int64_t *coll_tr, int64_t *coll_nd, int64_t *coll_counts,
     int64_t *out_counts);
 void recovery_post_slot(
@@ -314,56 +332,74 @@ static int64_t trial_span(const int64_t *tr, int64_t len,
 }
 
 /* ---------------------------------------------------------------------
- * Slot resolve.
+ * Slot resolve and commit.
  *
  * Pairs (tx_tr[i], tx_nd[i]) are sorted by (trial, node) and unique.
  * ones/twos/txw are (B, words) caller-owned scratch; the rows of the
  * trials active in THIS call are zeroed here before use, so stale rows
  * of other trials are never read.  Loss kinds: 0 none, 1 Bernoulli
- * (survive iff (sm64(key ^ node) >> 11) >= threshold), 2 whole-slot
- * blackout where slot_survive[b] == 0.  Extraction order is (trial,
- * node) ascending: pairs group trials in ascending order, words ascend
- * within a row, and bits are pulled lowest-first.
+ * (survive iff (sm64(key ^ node) >> 11) >= threshold, with the trial's
+ * slot key derived here as sm64(sm64(loss_seeds[b]) ^ slot) -- the
+ * counter_slot_keys stream), 2 whole-slot blackout where
+ * slot_survive[b] == 0.  Extraction order is (trial, node) ascending:
+ * pairs group trials in ascending order, words ascend within a row,
+ * and bits are pulled lowest-first.
+ *
+ * The slot is also committed here.  first_rx is the caller's (B, n)
+ * first-reception matrix: every decode of a node with first_rx < 0
+ * stamps it with `slot` and is emitted as a newly informed pair
+ * (new_tr, new_nd), a subsequence of the rx stream in the same order.
+ * tx_count/rx_count, when non-NULL (summary mode), are the caller's
+ * (B, n) counters, bumped once per transmission/decode; in summary mode
+ * (need_coll_pairs == 0) collisions are added straight into the
+ * caller's per-trial coll_counts.
  *
  * Threaded runs split the pair array at trial boundaries; a span
  * covering pairs [lo, hi) writes its sparse outputs at offset
  * lo * max_degree (every rx/collision is a neighbour of some
  * transmitter, so a span emits at most (hi - lo) * max_degree entries
- * per stream -- the offsets are disjoint by construction).  The caller
+ * per stream -- the offsets are disjoint by construction), and every
+ * (B, n) row it updates belongs to one of its own trials.  The caller
  * thread then compacts the spans in ascending order, which *is* the
  * serial emission order because spans are trial-ascending.
  * ------------------------------------------------------------------- */
 typedef struct {
-    int64_t n, words, max_degree;
+    int64_t n, words, max_degree, slot;
     const int64_t *indptr, *indices;
     const uint64_t *nbr_words;
     const int64_t *tx_tr, *tx_nd;
     int64_t npairs;
     const uint64_t *alive_words;
     int loss_kind;
-    const uint64_t *loss_keys;
+    const uint64_t *loss_seeds;
     uint64_t loss_threshold;
     const uint8_t *slot_survive;
     int need_senders, need_coll_pairs;
     uint64_t *ones, *twos, *txw;
+    int64_t *first_rx, *tx_count, *rx_count;
     int64_t *rx_tr, *rx_nd, *rx_sv, *rx_ep;
+    int64_t *new_tr, *new_nd;
     int64_t *coll_tr, *coll_nd, *coll_counts;
     int64_t span_rx[KERNEL_MAX_THREADS];
+    int64_t span_new[KERNEL_MAX_THREADS];
     int64_t span_coll[KERNEL_MAX_THREADS];
 } resolve_ctx;
 
 static void resolve_span(resolve_ctx *c, int64_t lo, int64_t hi,
-                         int64_t base, int64_t *rx_out, int64_t *coll_out)
+                         int64_t base, int64_t *rx_out, int64_t *new_out,
+                         int64_t *coll_out)
 {
-    int64_t words = c->words;
+    int64_t n = c->n, words = c->words;
     size_t row_bytes = (size_t)words * sizeof(uint64_t);
     int64_t *rx_tr = c->rx_tr + base;
     int64_t *rx_nd = c->rx_nd + base;
     int64_t *rx_sv = c->rx_sv ? c->rx_sv + base : 0;
     int64_t *rx_ep = c->rx_ep ? c->rx_ep + base : 0;
+    int64_t *new_tr = c->new_tr + base;
+    int64_t *new_nd = c->new_nd + base;
     int64_t *coll_tr = c->coll_tr ? c->coll_tr + base : 0;
     int64_t *coll_nd = c->coll_nd ? c->coll_nd + base : 0;
-    int64_t n_rx = 0, n_coll = 0;
+    int64_t n_rx = 0, n_new = 0, n_coll = 0;
     int64_t i;
 
     for (i = lo; i < hi; i++) {
@@ -378,12 +414,15 @@ static void resolve_span(resolve_ctx *c, int64_t lo, int64_t hi,
         }
         accum_words(o, t2, c->nbr_words + c->tx_nd[i] * words, words);
         tx[c->tx_nd[i] >> 6] |= 1ULL << (c->tx_nd[i] & 63);
+        if (c->tx_count)
+            c->tx_count[b * n + c->tx_nd[i]]++;
     }
 
     for (i = lo; i < hi; i++) {
         int64_t b = c->tx_tr[i];
         const uint64_t *o, *t2, *tx, *alive;
-        uint64_t key;
+        int64_t *frx = c->first_rx + b * n;
+        uint64_t key = 0;
         int blackout;
         int64_t w;
         if (i > lo && c->tx_tr[i - 1] == b)
@@ -392,7 +431,8 @@ static void resolve_span(resolve_ctx *c, int64_t lo, int64_t hi,
         t2 = c->twos + b * words;
         tx = c->txw + b * words;
         alive = c->alive_words ? c->alive_words + b * words : 0;
-        key = c->loss_keys ? c->loss_keys[b] : 0;
+        if (c->loss_kind == 1)
+            key = sm64(sm64(c->loss_seeds[b]) ^ (uint64_t)c->slot);
         blackout = (c->loss_kind == 2 && !c->slot_survive[b]);
         for (w = 0; w < words; w++) {
             uint64_t quiet = ~tx[w];
@@ -441,6 +481,14 @@ static void resolve_span(resolve_ctx *c, int64_t lo, int64_t hi,
                         rx_ep[n_rx] = ep;   /* CSR pos of (node -> sv) */
                 }
                 n_rx++;
+                if (c->rx_count)
+                    c->rx_count[b * n + node]++;
+                if (frx[node] < 0) {
+                    frx[node] = c->slot;
+                    new_tr[n_new] = b;
+                    new_nd[n_new] = node;
+                    n_new++;
+                }
             }
             if (c->need_coll_pairs) {
                 m = cl;
@@ -457,6 +505,7 @@ static void resolve_span(resolve_ctx *c, int64_t lo, int64_t hi,
         }
     }
     *rx_out = n_rx;
+    *new_out = n_new;
     *coll_out = n_coll;
 }
 
@@ -466,10 +515,19 @@ static void resolve_job(void *arg, int64_t tid, int64_t width)
     int64_t lo = trial_span(c->tx_tr, c->npairs, tid, width);
     int64_t hi = trial_span(c->tx_tr, c->npairs, tid + 1, width);
     c->span_rx[tid] = 0;
+    c->span_new[tid] = 0;
     c->span_coll[tid] = 0;
     if (lo < hi)
-        resolve_span(c, lo, hi, lo * c->max_degree,
-                     &c->span_rx[tid], &c->span_coll[tid]);
+        resolve_span(c, lo, hi, lo * c->max_degree, &c->span_rx[tid],
+                     &c->span_new[tid], &c->span_coll[tid]);
+}
+
+/* Move a span's run of `count` entries from `base` down to `dest`. */
+static void compact(int64_t *arr, int64_t dest, int64_t base,
+                    int64_t count)
+{
+    if (count && dest != base)
+        memmove(arr + dest, arr + base, count * sizeof(int64_t));
 }
 
 void resolve_slot(
@@ -479,25 +537,30 @@ void resolve_slot(
     const uint64_t *nbr_words,
     const int64_t *tx_tr, const int64_t *tx_nd, int64_t npairs,
     const uint64_t *alive_words,
-    int loss_kind, const uint64_t *loss_keys, uint64_t loss_threshold,
+    int64_t slot,
+    int loss_kind, const uint64_t *loss_seeds, uint64_t loss_threshold,
     const uint8_t *slot_survive,
     int need_senders, int need_coll_pairs,
     uint64_t *ones, uint64_t *twos, uint64_t *txw,
+    int64_t *first_rx, int64_t *tx_count, int64_t *rx_count,
     int64_t *rx_tr, int64_t *rx_nd, int64_t *rx_sv, int64_t *rx_ep,
+    int64_t *new_tr, int64_t *new_nd,
     int64_t *coll_tr, int64_t *coll_nd, int64_t *coll_counts,
     int64_t *out_counts)
 {
     resolve_ctx c;
-    int64_t used, t, n_rx = 0, n_coll = 0;
-    c.n = n; c.words = words; c.max_degree = max_degree;
+    int64_t used, t, n_rx = 0, n_new = 0, n_coll = 0;
+    c.n = n; c.words = words; c.max_degree = max_degree; c.slot = slot;
     c.indptr = indptr; c.indices = indices; c.nbr_words = nbr_words;
     c.tx_tr = tx_tr; c.tx_nd = tx_nd; c.npairs = npairs;
     c.alive_words = alive_words;
-    c.loss_kind = loss_kind; c.loss_keys = loss_keys;
+    c.loss_kind = loss_kind; c.loss_seeds = loss_seeds;
     c.loss_threshold = loss_threshold; c.slot_survive = slot_survive;
     c.need_senders = need_senders; c.need_coll_pairs = need_coll_pairs;
     c.ones = ones; c.twos = twos; c.txw = txw;
+    c.first_rx = first_rx; c.tx_count = tx_count; c.rx_count = rx_count;
     c.rx_tr = rx_tr; c.rx_nd = rx_nd; c.rx_sv = rx_sv; c.rx_ep = rx_ep;
+    c.new_tr = new_tr; c.new_nd = new_nd;
     c.coll_tr = coll_tr; c.coll_nd = coll_nd;
     c.coll_counts = coll_counts;
 
@@ -506,30 +569,29 @@ void resolve_slot(
      * (earlier spans emit at most their offset), so memmove suffices
      * and the result is the serial emission order. */
     for (t = 0; t < used; t++) {
-        int64_t lo = trial_span(tx_tr, npairs, t, used);
-        int64_t base = lo * max_degree;
-        int64_t cr = c.span_rx[t], cc = c.span_coll[t];
-        if (cr && n_rx != base) {
-            memmove(rx_tr + n_rx, rx_tr + base, cr * sizeof(int64_t));
-            memmove(rx_nd + n_rx, rx_nd + base, cr * sizeof(int64_t));
-            if (need_senders) {
-                memmove(rx_sv + n_rx, rx_sv + base, cr * sizeof(int64_t));
-                if (rx_ep)
-                    memmove(rx_ep + n_rx, rx_ep + base,
-                            cr * sizeof(int64_t));
-            }
+        int64_t base = trial_span(tx_tr, npairs, t, used) * max_degree;
+        int64_t cr = c.span_rx[t], cn = c.span_new[t];
+        int64_t cc = c.span_coll[t];
+        compact(rx_tr, n_rx, base, cr);
+        compact(rx_nd, n_rx, base, cr);
+        if (need_senders) {
+            compact(rx_sv, n_rx, base, cr);
+            if (rx_ep)
+                compact(rx_ep, n_rx, base, cr);
         }
-        if (cc && n_coll != base) {
-            memmove(coll_tr + n_coll, coll_tr + base,
-                    cc * sizeof(int64_t));
-            memmove(coll_nd + n_coll, coll_nd + base,
-                    cc * sizeof(int64_t));
+        compact(new_tr, n_new, base, cn);
+        compact(new_nd, n_new, base, cn);
+        if (need_coll_pairs) {
+            compact(coll_tr, n_coll, base, cc);
+            compact(coll_nd, n_coll, base, cc);
         }
         n_rx += cr;
+        n_new += cn;
         n_coll += cc;
     }
     out_counts[0] = n_rx;
     out_counts[1] = n_coll;
+    out_counts[2] = n_new;
 }
 
 /* ---------------------------------------------------------------------
@@ -719,16 +781,11 @@ void recovery_checks(
     for (i = 0; i < used; i++) {
         int64_t lo = i * k / used;
         int64_t cf = c.span_fire[i], cr = c.span_res[i];
-        if (cf && n_fire != lo) {
-            memmove(fire_b + n_fire, fire_b + lo, cf * sizeof(int64_t));
-            memmove(fire_v + n_fire, fire_v + lo, cf * sizeof(int64_t));
-        }
-        if (cr && n_res != lo) {
-            memmove(res_b + n_res, res_b + lo, cr * sizeof(int64_t));
-            memmove(res_v + n_res, res_v + lo, cr * sizeof(int64_t));
-            memmove(res_slot + n_res, res_slot + lo,
-                    cr * sizeof(int64_t));
-        }
+        compact(fire_b, n_fire, lo, cf);
+        compact(fire_v, n_fire, lo, cf);
+        compact(res_b, n_res, lo, cr);
+        compact(res_v, n_res, lo, cr);
+        compact(res_slot, n_res, lo, cr);
         n_fire += cf;
         n_res += cr;
         if (c.span_max[i] > max_slot)

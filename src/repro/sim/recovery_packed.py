@@ -57,11 +57,29 @@ from ..radio.bitpack import num_words
 from ..topology.base import Topology
 from .recovery import RecoveryPolicy
 
-__all__ = ["NativeRecoveryState"]
+__all__ = ["NativeRecoveryState", "push_buckets"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _U64 = np.uint64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: ``slot -> [(trials, nodes), ...]`` pair buckets.
+Buckets = Dict[int, List[Tuple[np.ndarray, np.ndarray]]]
+
+
+def push_buckets(buckets: Buckets, tr: np.ndarray, nd: np.ndarray,
+                 slots: np.ndarray) -> int:
+    """Bucket (trial, node) pairs by their per-pair *slots* (non-empty);
+    returns the latest slot.  Pairs all due in one slot — the common
+    case — go in as one entry without a grouping pass."""
+    lo, hi = int(slots.min()), int(slots.max())
+    if lo == hi:
+        buckets.setdefault(lo, []).append((tr, nd))
+        return hi
+    for s in np.unique(slots):
+        sel = slots == s
+        buckets.setdefault(int(s), []).append((tr[sel], nd[sel]))
+    return hi
 
 
 class NativeRecoveryState:
@@ -143,8 +161,8 @@ class NativeRecoveryState:
         self.elec_base = np.zeros((trials, n), dtype=np.int64)
         self.elec_pos = np.zeros((trials, n), dtype=np.int64)
         self.horizon = 0
-        self._chk_due: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        self._elec_due: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        self._chk_due: Buckets = {}
+        self._elec_due: Buckets = {}
         from .native import resolve_native_threads
         self.threads = resolve_native_threads(threads)
         self._ffi, self._lib = module.ffi, module.lib
@@ -166,8 +184,7 @@ class NativeRecoveryState:
 
     # ------------------------------------------------------------------
 
-    def _pop_due(self, due: Dict[int, List[Tuple[np.ndarray, np.ndarray]]],
-                 slots: np.ndarray, t: int
+    def _pop_due(self, due: Buckets, slots: np.ndarray, t: int
                  ) -> Tuple[np.ndarray, np.ndarray]:
         """Pop bucket *t* and drop entries whose slot moved or cleared."""
         entries = due.pop(t, None)
@@ -182,14 +199,6 @@ class NativeRecoveryState:
         if live.all():
             return bt, vt
         return bt[live], vt[live]
-
-    def _push_due(self, due: Dict[int, List[Tuple[np.ndarray, np.ndarray]]],
-                  bt: np.ndarray, vt: np.ndarray,
-                  slots: np.ndarray) -> None:
-        """Bucket (trial, node) pairs by their per-pair due *slots*."""
-        for s in np.unique(slots):
-            sel = slots == s
-            due.setdefault(int(s), []).append((bt[sel], vt[sel]))
 
     def _edge_bit(self, bt: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Known-bit test of CSR edge positions *pos* in trials *bt*."""
@@ -228,8 +237,8 @@ class NativeRecoveryState:
             cast(res_b), cast(res_v), cast(res_slot), out[1])
         n_fire, n_res, max_slot = map(int, out[0])
         if n_res:
-            self._push_due(self._chk_due, res_b[:n_res].copy(),
-                           res_v[:n_res].copy(), res_slot[:n_res])
+            push_buckets(self._chk_due, res_b[:n_res], res_v[:n_res],
+                         res_slot[:n_res])
             self.horizon = max(self.horizon, max_slot)
         return fire_b[:n_fire], fire_v[:n_fire]
 
@@ -323,5 +332,5 @@ class NativeRecoveryState:
         self.elec_base[et, en] = self.heard_total[et, en]
         self.elec_pos[et, en] = np.where(self._N[en] == tgt[:, None],
                                          self._P[en], 0).sum(axis=1)
-        self._push_due(self._elec_due, et, en, slot)
-        self.horizon = max(self.horizon, int(slot.max()))
+        self.horizon = max(self.horizon,
+                           push_buckets(self._elec_due, et, en, slot))

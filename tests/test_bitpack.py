@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.radio import bitpack
-from repro.radio.impairments import (bernoulli_threshold, counter_slot_keys,
+from repro.radio.impairments import (BernoulliBatchLoss, BurstBatchLoss,
+                                     bernoulli_threshold, counter_slot_keys,
                                      counter_uniforms, trial_seeds)
-from repro.sim import native_available
+from repro.sim import (BroadcastSchedule, native_available, replay_batch)
+from repro.sim.engine import _BatchState
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 
 pytestmark = pytest.mark.skipif(not bitpack.packing_supported(),
@@ -73,9 +75,12 @@ class TestPackedResolve:
     @staticmethod
     def backend(kernel, trials):
         from repro.sim.backend import NativeBackend
-        return NativeBackend(kernel, trials, None, None,
-                             need_senders=True, need_coll_pairs=True,
-                             threads=1)
+        backend = NativeBackend(kernel, trials, None, None,
+                                need_senders=True, need_coll_pairs=True,
+                                threads=1)
+        backend.bind(np.full((trials, kernel.num_nodes), -1,
+                             dtype=np.int64))
+        return backend
 
     @pytest.mark.parametrize("cls,shape", MESHES)
     def test_matches_dense_kernel(self, cls, shape):
@@ -95,7 +100,7 @@ class TestPackedResolve:
                 tr, nd = arr[:, 0].copy(), arr[:, 1].copy()
                 heard, received, collided, senders = kernel.resolve_batch(
                     nd, tr, trials)
-                rt, rn, sv, (ct, cn) = backend.resolve(t, tr, nd)
+                rt, rn, sv, (ct, cn), _, _ = backend.resolve(t, tr, nd)
                 drt, drn = received.nonzero()
                 assert np.array_equal(rt, drt)
                 assert np.array_equal(rn, drn)
@@ -113,12 +118,106 @@ class TestPackedResolve:
         mesh = Mesh2D4(4, 4)
         backend = self.backend(mesh.slot_kernel, 2)
         e = np.empty(0, dtype=np.int64)
-        rt, rn, sv, (ct, cn) = backend.resolve(1, e, e)
+        rt, rn, sv, (ct, cn), nt, nn = backend.resolve(1, e, e)
         assert len(rt) == len(rn) == len(sv) == 0
-        assert len(ct) == len(cn) == 0
+        assert len(ct) == len(cn) == len(nt) == len(nn) == 0
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="native kernel unavailable")
+class TestFusedCommit:
+    """The compiled kernel commits each slot itself (``first_rx``, the
+    newly informed pairs and, in summary mode, the counts).  Slot by
+    slot it must leave exactly the arrays the dense tier's numpy commit
+    (:meth:`_BatchState.commit_sparse`) leaves."""
+
+    TRIALS = 7  # not a multiple of any pool width below but 1
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5])
+    @pytest.mark.parametrize("summary", [True, False])
+    @pytest.mark.parametrize("loss_kind", ["none", "bernoulli", "burst"])
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_matches_dense_commit(self, threads, summary, loss_kind,
+                                  dead):
+        mesh = Mesh2D4(9, 8)                # 72 nodes: two words a row
+        kernel = mesh.slot_kernel
+        n, trials = mesh.num_nodes, self.TRIALS
+        rng = np.random.default_rng([threads, summary, dead,
+                                     len(loss_kind)])
+        seeds = trial_seeds(3, 0.3, trials)
+        loss = {"none": None,
+                "bernoulli": BernoulliBatchLoss(0.3, seeds),
+                "burst": BurstBatchLoss(0.4, seeds, 2)}[loss_kind]
+        dead_masks = None
+        if dead:
+            dead_masks = rng.random((trials, n)) < 0.1
+            dead_masks[:, 0] = False
+        kw = dict(dead_masks=dead_masks, loss=loss)
+        dense = _BatchState(mesh, 0, trials, summary, engine="batch", **kw)
+        fused = _BatchState(mesh, 0, trials, summary, engine="compiled",
+                            threads=threads, **kw)
+        assert dense.backend is None and fused.backend is not None
+        for t in range(1, 30):
+            pick = rng.random((trials, n)) < 0.12
+            if dead:
+                pick &= ~dead_masks
+            tr, nd = pick.nonzero()
+            # The dense tier's step, by hand.
+            _, received, collided, senders = kernel.resolve_batch(
+                nd, tr, trials)
+            if dead:
+                received &= ~dead_masks
+                collided &= ~dead_masks
+            if loss is not None:
+                received = loss.apply_batch(t, received)
+            rt, rn = received.nonzero()
+            coll = (collided.sum(axis=1) if summary
+                    else collided.nonzero())
+            nt, nn = dense.commit_sparse(t, tr, nd, rt, rn,
+                                         senders[rt, rn], coll)
+            frt, frn, fsv, fcoll, fnt, fnn = fused.backend.resolve(
+                t, tr, nd)
+            assert np.array_equal(frt, rt) and np.array_equal(frn, rn)
+            if summary:                     # no recovery: no senders
+                assert fsv is None
+            else:
+                assert np.array_equal(fsv, senders[rt, rn])
+            assert np.array_equal(fnt, nt) and np.array_equal(fnn, nn)
+            assert np.array_equal(fused.first_rx, dense.first_rx), t
+            if summary:
+                assert fcoll is fused.collisions
+                assert np.array_equal(fused.tx_count, dense.tx_count)
+                assert np.array_equal(fused.rx_count, dense.rx_count)
+                assert np.array_equal(fused.collisions, dense.collisions)
+            else:
+                assert np.array_equal(fcoll[0], coll[0])
+                assert np.array_equal(fcoll[1], coll[1])
+        assert (dense.first_rx > 0).any()
+
+    def test_bind_validates_arrays(self):
+        from repro.sim.backend import NativeBackend
+        mesh = Mesh2D4(4, 4)
+        backend = NativeBackend(mesh.slot_kernel, 2, None, None,
+                                need_senders=False, need_coll_pairs=False,
+                                threads=1)
+        grid = np.full((2, 16), -1, dtype=np.int64)
+        with pytest.raises(RuntimeError, match="bind"):
+            backend.resolve(1, np.zeros(1, np.int64), np.zeros(1, np.int64))
+        with pytest.raises(ValueError):
+            backend.bind(grid)              # summary mode needs counts
+        with pytest.raises(ValueError):
+            backend.bind(grid.astype(np.int32), np.zeros_like(grid),
+                         np.zeros_like(grid), np.zeros(2, np.int64))
 
 
 class TestBernoulliThreshold:
+    #: Edge seeds and edge slots of the counter stream.
+    EDGE_SEEDS = [0, 1, 2**64 - 1]
+    EDGE_SLOTS = [1, 2, 2**20, 2**32 + 7, 2**40 - 1, 2**40]
+    #: Loss rates at the ends of the integer threshold: just above 0
+    #: (threshold 1), middling, and the last few below and at 1.
+    EDGE_PS = [2.0 ** -60, 0.5, 1 - 2.0 ** -52, 1 - 2.0 ** -53, 1.0]
+
     @given(st.floats(0.0, 1.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_threshold_exact(self, p):
@@ -132,11 +231,58 @@ class TestBernoulliThreshold:
     def test_counter_keys_consistent(self):
         """Drawing via slot keys reproduces counter_uniforms exactly."""
         from repro.radio.impairments import _splitmix64
-        seeds = trial_seeds(7, 0.3, 5)
-        for slot in (1, 2, 9):
-            keys = counter_slot_keys(seeds, slot)
-            n = 40
-            nodes = np.arange(n, dtype=np.uint64)
-            bits = _splitmix64(keys[:, None] ^ nodes[None, :])
-            u = (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-            assert np.array_equal(u, counter_uniforms(seeds, slot, n))
+        for seeds in (trial_seeds(7, 0.3, 5),
+                      np.array(self.EDGE_SEEDS, dtype=np.uint64)):
+            for slot in (1, 2, 9, 2**40):
+                keys = counter_slot_keys(seeds, slot)
+                n = 40
+                nodes = np.arange(n, dtype=np.uint64)
+                bits = _splitmix64(keys[:, None] ^ nodes[None, :])
+                u = (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+                assert np.array_equal(u, counter_uniforms(seeds, slot, n))
+
+    @pytest.mark.skipif(not native_available(),
+                        reason="native kernel unavailable")
+    @pytest.mark.parametrize("p", EDGE_PS)
+    def test_compiled_keys_match_dense_draws(self, p):
+        """The compiled kernel derives each slot key in C; at edge seeds
+        and slots up to 2**40 its decodes equal the dense tier's
+        ``counter_uniforms >= p`` mask draw for draw."""
+        from repro.sim.backend import NativeBackend
+        mesh = Mesh2D4(9, 8)
+        kernel = mesh.slot_kernel
+        n, trials = mesh.num_nodes, len(self.EDGE_SEEDS)
+        loss = BernoulliBatchLoss(p, self.EDGE_SEEDS)
+        backend = NativeBackend(kernel, trials, loss, None,
+                                need_senders=False, need_coll_pairs=True,
+                                threads=1)
+        backend.bind(np.full((trials, n), -1, dtype=np.int64))
+        rng = np.random.default_rng(5)
+        for slot in self.EDGE_SLOTS:
+            tr, nd = (rng.random((trials, n)) < 0.1).nonzero()
+            _, received, _, _ = kernel.resolve_batch(nd, tr, trials)
+            want = loss.apply_batch(slot, received).nonzero()
+            rt, rn = backend.resolve(slot, tr, nd)[:2]
+            assert np.array_equal(rt, want[0]), slot
+            assert np.array_equal(rn, want[1]), slot
+
+    @pytest.mark.parametrize("p", EDGE_PS)
+    def test_compiled_run_at_far_slots_matches_dense(self, p):
+        """A whole compiled replay with edge seeds, transmitting at
+        slots up to 2**40, is trace-identical to the dense tier."""
+        mesh = Mesh2D4(9, 8)
+        source = mesh.index((4, 4))
+        sched = BroadcastSchedule.from_events(
+            [(1, source)] + [(slot, v) for slot in self.EDGE_SLOTS[1:]
+                             for v in range(0, mesh.num_nodes, 3)])
+        loss = BernoulliBatchLoss(p, self.EDGE_SEEDS)
+        runs = [replay_batch(mesh, sched, source, loss=loss,
+                             engine=engine)
+                for engine in ("batch", "compiled")]
+        for dense, fused in zip(*runs):
+            assert dense.rx_events == fused.rx_events
+            assert dense.tx_events == fused.tx_events
+            assert dense.collision_events == fused.collision_events
+            assert np.array_equal(dense.first_rx, fused.first_rx)
+        if p == 0.5:
+            assert any(t.rx_events for t in runs[0])

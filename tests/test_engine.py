@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import BroadcastSchedule, replay, run_reactive
+from repro.sim.engine import sorted_unique_pairs
 from repro.topology import Mesh2D4
 
 
@@ -152,3 +155,54 @@ class TestReplay:
         mesh = line_mesh(3)
         with pytest.raises(ValueError):
             replay(mesh, BroadcastSchedule(), 5)
+
+
+@st.composite
+def pair_segments(draw):
+    """(num_nodes, trials, nodes): a few concatenated segments of
+    (trial, node) pairs, each sorted, possibly overlapping each other
+    and possibly empty overall — the shape of a slot's pending entries
+    plus forced and recovery transmitters."""
+    n = draw(st.integers(1, 70))
+    pair = st.tuples(st.integers(0, 6), st.integers(0, n - 1))
+    segments = draw(st.lists(st.lists(pair, max_size=25), max_size=4))
+    pairs = [p for seg in segments for p in sorted(seg)]
+    if draw(st.booleans()) and pairs:       # all duplicates of one pair
+        pairs = [pairs[0]] * len(pairs)
+    tr = np.array([p[0] for p in pairs], dtype=np.int64)
+    nd = np.array([p[1] for p in pairs], dtype=np.int64)
+    return n, tr, nd
+
+
+class TestSortedUniquePairs:
+    """The batched step's dedup is ``np.unique`` of the pair keys, split
+    back into trials and nodes — without ``np.unique``."""
+
+    @given(pair_segments())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_unique(self, case):
+        n, tr, nd = case
+        key = np.unique(tr * n + nd)
+        got_tr, got_nd = sorted_unique_pairs(tr, nd, n)
+        assert got_tr.dtype == got_nd.dtype == np.int64
+        assert np.array_equal(got_tr, key // n)
+        assert np.array_equal(got_nd, key % n)
+
+    @pytest.mark.parametrize("pairs,want", [
+        ([], []),
+        ([(2, 5)], [(2, 5)]),
+        ([(1, 3)] * 4, [(1, 3)]),
+        ([(0, 1), (0, 4), (1, 0), (0, 4), (0, 9), (1, 0)],
+         [(0, 1), (0, 4), (0, 9), (1, 0)]),
+    ])
+    def test_cases(self, pairs, want):
+        tr = np.array([p[0] for p in pairs], dtype=np.int64)
+        nd = np.array([p[1] for p in pairs], dtype=np.int64)
+        got_tr, got_nd = sorted_unique_pairs(tr, nd, 10)
+        assert list(zip(got_tr.tolist(), got_nd.tolist())) == want
+
+    def test_inputs_untouched(self):
+        tr = np.array([1, 0, 1], dtype=np.int64)
+        nd = np.array([2, 3, 2], dtype=np.int64)
+        sorted_unique_pairs(tr, nd, 5)
+        assert tr.tolist() == [1, 0, 1] and nd.tolist() == [2, 3, 2]

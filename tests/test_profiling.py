@@ -1,0 +1,59 @@
+"""The opt-in phase profiler: free when off, unchanged when on."""
+
+import numpy as np
+import pytest
+
+from repro import profiling
+from repro.radio.impairments import BernoulliBatchLoss, trial_seeds
+from repro.sim import native_available, run_reactive_batch
+from repro.topology import Mesh2D4
+
+
+@pytest.fixture(autouse=True)
+def no_capture():
+    profiling.stop()
+    yield
+    profiling.stop()
+
+
+def test_phase_off_is_one_shared_noop():
+    a = profiling.phase("resolve")
+    b = profiling.phase("commit")
+    assert a is b
+    with a:
+        pass
+    assert profiling.stop() == {}
+
+
+def test_phase_on_times_each_block():
+    profiling.start()
+    with profiling.phase("x"):
+        pass
+    with profiling.phase("x"):
+        pass
+    times = profiling.stop()
+    assert set(times) == {"x"} and times["x"] > 0.0
+    assert profiling.phase("x") is profiling.phase("y")
+
+
+def test_phase_records_time_when_the_block_raises():
+    profiling.start()
+    with pytest.raises(KeyError):
+        with profiling.phase("boom"):
+            raise KeyError("x")
+    assert profiling.stop()["boom"] > 0.0
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="native kernel unavailable")
+def test_compiled_summary_run_records_commit():
+    mesh = Mesh2D4(8, 6)
+    trials = 4
+    loss = BernoulliBatchLoss(0.2, trial_seeds(1, 0.2, trials))
+    profiling.start()
+    run_reactive_batch(mesh, 0, np.ones(mesh.num_nodes, dtype=bool),
+                       loss=loss, summary=True, engine="compiled",
+                       threads=1)
+    times = profiling.stop()
+    assert times["commit"] > 0.0
+    assert times["resolve"] > 0.0
