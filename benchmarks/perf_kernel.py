@@ -22,20 +22,11 @@ workloads and writes ``BENCH_kernel.json`` (repo root by default):
   ``compiled`` >= 5x vs batch — asserted here before the artefact is
   written.
 
-v4 drops the pure-numpy ``packed`` tier: the ladder is compiled ->
-batch, so the entries are ``batch``, ``compiled`` (where the native
-kernel builds) and ``compiled-mt``.
-
-v3 adds the intra-process thread pool of the compiled tier: the
-``compiled`` entries pin ``threads=1`` (the single-thread baseline the
-v2 floors were measured against), and hosts with >= 2 cores also time
-``compiled-mt`` — the same kernel at the default thread width — and
-record ``mt_speedup_vs_compiled``.  The multi-thread floors are
-*conditional on core count*: they are asserted only when the benchmark
-actually has :data:`MT_MIN_CORES` cores to scale across, and the
-artefact records the effective ``threads`` / ``cores_available`` so the
-tier-1 validator can distinguish "single-core host, floors not
-measurable" from "floors silently dropped".
+v5 drops the ``compiled-mt`` entries and the multi-thread floors with
+the kernel's thread pool: the compiled kernel is single-threaded, and
+the entries are ``batch`` and ``compiled`` (where the native kernel
+builds).  Multi-core runs shard trials across processes, which the
+equivalence pass below covers.
 
 Every engine's results are asserted **bit-identical** to the batch
 engine, and a forced multi-shard pass (``run_reactive_batch_sharded``
@@ -81,28 +72,17 @@ from repro.core.registry import protocol_for
 from repro.radio.impairments import BernoulliBatchLoss, trial_seeds
 from repro.sim import (native_available, native_reason,
                        run_reactive_batch, run_reactive_batch_sharded)
-from repro.sim.native import default_native_threads
 from repro.sim.recovery import RecoveryPolicy
 from repro.topology.builder import make_topology
 from serial_baseline import loss_curve
 
-SCHEMA = "repro-wsn/bench-kernel/v4"
+SCHEMA = "repro-wsn/bench-kernel/v5"
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 DEFAULT_LOSS_RATES = (0.0, 0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3)
 
 #: Enforced speedup vs batch on the recovery cell (64x64, loss 0.2,
 #: t2r2b1k2); applies only when the native tier builds on the host.
 RECOVERY_FLOORS = {"compiled": 5.0}
-
-#: Enforced speedups of the multi-threaded compiled run over its own
-#: single-thread baseline (``compiled-mt`` vs ``compiled``), per grid
-#: section.  Asserted only when the host exposes at least
-#: :data:`MT_MIN_CORES` cores — below that the pool has nothing to
-#: scale across, so the floor is recorded in the artefact but the
-#: assertion is skipped (and the tier-1 validator checks the same
-#: condition instead of silently passing).
-MT_FLOORS = {"large_grid": 2.0, "recovery_grid": 1.5}
-MT_MIN_CORES = 4
 
 
 def _cores_available() -> int:
@@ -203,25 +183,11 @@ def run_large_grid(topology_label: str = "2D-4",
                                                      trials))
     common = dict(loss=loss, trials=trials, recovery=policy, summary=True)
 
-    # The compiled tier pins threads=1 so its entry stays the
-    # single-thread baseline the v2 floors were measured against;
-    # compiled-mt re-runs the same kernel at the default thread width
-    # (only worth timing when the host actually has >= 2 cores).
-    mt_threads = default_native_threads()
-    modes = []
-    for engine in _engines():
-        kwargs = dict(engine=engine)
-        if engine == "compiled":
-            kwargs["threads"] = 1
-        modes.append((engine, kwargs))
-    if native_available() and mt_threads >= 2:
-        modes.append(("compiled-mt",
-                      dict(engine="compiled", threads=mt_threads)))
-
     entries = {}
     profiles = {}
     reference = None
-    for label, kwargs in modes:
+    for label in _engines():
+        kwargs = dict(engine=label)
         best = None
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
@@ -240,8 +206,6 @@ def run_large_grid(topology_label: str = "2D-4",
             "seconds": round(secs, 4),
             "simulations_per_second": round(trials / secs, 1),
         }
-        if "threads" in kwargs:
-            entries[label]["threads"] = kwargs["threads"]
         if profile:
             profiling.start()
             run_reactive_batch(topology, source, relay, **kwargs,
@@ -275,10 +239,6 @@ def run_large_grid(topology_label: str = "2D-4",
     if "compiled" in entries:
         out["compiled_speedup_vs_batch"] = round(
             entries["batch"]["seconds"] / entries["compiled"]["seconds"], 2)
-    if "compiled-mt" in entries:
-        out["mt_speedup_vs_compiled"] = round(
-            entries["compiled"]["seconds"]
-            / entries["compiled-mt"]["seconds"], 2)
     if profile:
         out["profile"] = profiles
     return out
@@ -309,20 +269,6 @@ def run_benchmark(sweep_shape: Sequence[int] = (32, 16),
     # any *committed* artefact to the floors regardless of scale).
     at_reference_scale = (recovery_grid["nodes"] >= 4096
                           and recovery_grid["trials"] >= 64)
-    cores = _cores_available()
-    mt_exercised = (at_reference_scale and cores >= MT_MIN_CORES
-                    and "mt_speedup_vs_compiled" in grid)
-    if mt_exercised:
-        # Multi-thread floors: only measurable when there are cores to
-        # scale across; a 1-core run records no compiled-mt entry at
-        # all, which the artefact validator checks explicitly.
-        for section, section_grid in (("large_grid", grid),
-                                      ("recovery_grid", recovery_grid)):
-            mt = section_grid.get("mt_speedup_vs_compiled")
-            if mt is not None:
-                assert mt >= MT_FLOORS[section], (
-                    f"{section} compiled-mt speedup {mt}x below the "
-                    f"{MT_FLOORS[section]}x floor on {cores} cores")
     if at_reference_scale and "compiled_speedup_vs_batch" in recovery_grid:
         assert (recovery_grid["compiled_speedup_vs_batch"]
                 >= RECOVERY_FLOORS["compiled"]), (
@@ -335,12 +281,7 @@ def run_benchmark(sweep_shape: Sequence[int] = (32, 16),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "cores_available": cores,
-        "threads": default_native_threads(),
-        "mt_speedup_floors": {**MT_FLOORS, "min_cores": MT_MIN_CORES},
-        # False on hosts below min_cores: the entries are recorded, the
-        # multi-thread floors are not exercised.
-        "mt_floors_exercised": mt_exercised,
+        "cores_available": _cores_available(),
         "native_available": native_available(),
         "native_reason": None if native_available() else native_reason(),
         "engines_equal": True,     # asserted in run_sweep/run_large_grid
@@ -393,10 +334,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if "compiled_speedup_vs_batch" in grid:
             print(f"  compiled speedup vs batch: "
                   f"{grid['compiled_speedup_vs_batch']}x")
-        if "mt_speedup_vs_compiled" in grid:
-            width = grid["entries"]["compiled-mt"]["threads"]
-            print(f"  compiled-mt ({width} threads) speedup vs "
-                  f"compiled: {grid['mt_speedup_vs_compiled']}x")
         for engine, phases in grid.get("profile", {}).items():
             print(f"  profile[{engine}]: " + ", ".join(
                 f"{k}={v:.3f}s" for k, v in phases.items()))

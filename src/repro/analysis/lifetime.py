@@ -72,8 +72,7 @@ def per_node_round_energy(topology: Topology, source,
                           loss_rate: Optional[float] = None,
                           loss_trials: int = 16,
                           seed: int = 0,
-                          engine: str = "batch",
-                          threads=None) -> np.ndarray:
+                          engine: str = "batch") -> np.ndarray:
     """Energy each node spends in one broadcast from *source* (joules).
 
     With *loss_rate* set, the compiled schedule is replayed under that
@@ -95,7 +94,7 @@ def per_node_round_energy(topology: Topology, source,
         s = replay_batch(topology, compiled.schedule,
                          topology.index(source),
                          loss=BernoulliBatchLoss(loss_rate, seeds),
-                         summary=True, engine=engine, threads=threads)
+                         summary=True, engine=engine)
         tx_counts = s.tx_count.mean(axis=0)
         rx_counts = s.rx_count.mean(axis=0)
     e_tx = model.tx_energy(packet_bits, topology.tx_range())
@@ -108,12 +107,11 @@ def _round_energy_job(job) -> np.ndarray:
     (topology, src, protocol, model, packet_bits, cache_path,
      loss_rate, loss_trials, seed, engine) = job
     cache = None if cache_path is None else ScheduleCache(cache_path)
-    # Process fan-out already owns the cores: keep kernel pools narrow.
     return per_node_round_energy(topology, src, protocol, model,
                                  packet_bits, cache=cache,
                                  loss_rate=loss_rate,
                                  loss_trials=loss_trials, seed=seed,
-                                 engine=engine, threads=1)
+                                 engine=engine)
 
 
 def simulate_lifetime(
@@ -130,7 +128,6 @@ def simulate_lifetime(
     loss_trials: int = 16,
     seed: int = 0,
     engine: str = "batch",
-    threads=None,
 ) -> LifetimeResult:
     """Run broadcast rounds until the first node dies or *max_rounds*.
 
@@ -169,7 +166,7 @@ def simulate_lifetime(
             costs[tuple(src)] = per_node_round_energy(
                 topology, src, protocol, model, packet_bits, cache=cache,
                 loss_rate=loss_rate, loss_trials=loss_trials, seed=seed,
-                engine=engine, threads=threads)
+                engine=engine)
 
     residual = np.full(topology.num_nodes, battery_j, dtype=np.float64)
     spent = np.zeros(topology.num_nodes, dtype=np.float64)

@@ -159,8 +159,7 @@ def _fan_out(points_fn, parameters: Sequence, workers: Optional[int],
 def _loss_point(topology: Topology, src: int, plan: RelayPlan,
                 p: float, trials: int, seed: int, engine: str,
                 recovery: Optional[RecoveryPolicy] = None,
-                shards: int = 1,
-                threads: Optional[int] = None) -> RobustnessPoint:
+                shards: int = 1) -> RobustnessPoint:
     """One loss-rate point: *trials* Bernoulli channels in one batch.
 
     The per-trial seeds mix the loss rate into the stream
@@ -173,8 +172,7 @@ def _loss_point(topology: Topology, src: int, plan: RelayPlan,
         extra_delay=plan.extra_delay,
         repeat_offsets=plan.repeat_offsets,
         loss=BernoulliBatchLoss(p, trial_seeds(seed, p, trials)),
-        summary=True, recovery=recovery, engine=engine, workers=shards,
-        threads=threads)
+        summary=True, recovery=recovery, engine=engine, workers=shards)
     return _point(p, s.reachability, s.num_tx)
 
 
@@ -189,7 +187,6 @@ def loss_degradation(
     workers: Optional[int] = None,
     engine: str = "batch",
     recovery: Optional[RecoveryPolicy] = None,
-    threads: Optional[int] = None,
 ) -> List[RobustnessPoint]:
     """Reachability of the (optionally hardened) protocol under Bernoulli
     loss, per loss rate.
@@ -206,10 +203,7 @@ def loss_degradation(
     the default; ``"compiled"`` / ``"auto"`` select the C slot-resolve
     tier, with identical points).  ``workers`` splits the
     **trial dimension** of each point over processes; the curve is
-    identical for any worker count.  ``threads`` sets the
-    compiled tier's in-process kernel pool (``None`` = all cores when
-    running unsharded, 1 inside process shards) — bit-identical at any
-    width, like ``workers``.
+    identical for any worker count.
     """
     check_engine(engine)
     if protocol is None:
@@ -218,7 +212,7 @@ def loss_degradation(
     src = topology.index(source)
     shards = effective_workers(workers, trials)
     return [_loss_point(topology, src, plan, p, trials, seed, engine,
-                        recovery, shards, threads)
+                        recovery, shards)
             for p in loss_rates]
 
 
@@ -276,7 +270,6 @@ def failure_degradation(
     cache: Optional[ScheduleCache] = None,
     engine: str = "batch",
     recovery: Optional[RecoveryPolicy] = None,
-    threads: Optional[int] = None,
 ) -> List[RobustnessPoint]:
     """Live-node reachability after k random node deaths.
 
@@ -314,7 +307,7 @@ def failure_degradation(
         s = replay_batch_sharded(topology, schedule, src,
                                  dead_masks=dead_masks, summary=True,
                                  recovery=recovery, engine=engine,
-                                 workers=shards, threads=threads)
+                                 workers=shards)
         points.append(_point(k, s.live_reachability(dead_masks), s.num_tx))
     return points
 
@@ -398,8 +391,7 @@ def _frontier_seeds(seed: int, p: float, k: int, trials: int) -> np.ndarray:
 
 def _frontier_cell(topology: Topology, src: int,
                    strategies, p: float, k: int, trials: int, seed: int,
-                   engine: str, shards: int = 1,
-                   threads: Optional[int] = None) -> List[FrontierPoint]:
+                   engine: str, shards: int = 1) -> List[FrontierPoint]:
     """All strategies of one (loss rate, failure count) cell."""
     seeds = _frontier_seeds(seed, p, k, trials)
     dead_masks = (_failure_dead_masks(topology, k, trials, seed, src)
@@ -413,7 +405,7 @@ def _frontier_cell(topology: Topology, src: int,
             dead_masks=dead_masks,
             loss=BernoulliBatchLoss(p, seeds) if p > 0 else None,
             trials=trials, summary=True, recovery=policy,
-            engine=engine, workers=shards, threads=threads)
+            engine=engine, workers=shards)
         reaches = (s.live_reachability(dead_masks)
                    if dead_masks is not None else s.reachability)
         out.append(_frontier_point(label, p, k, reaches, s.num_tx,
@@ -467,7 +459,6 @@ def recovery_frontier(
     seed: int = 0,
     workers: Optional[int] = None,
     engine: str = "batch",
-    threads: Optional[int] = None,
 ) -> List[FrontierPoint]:
     """Reachability-vs-energy Pareto sweep: blind hardening vs recovery.
 
@@ -497,5 +488,5 @@ def recovery_frontier(
     return [point
             for p in loss_rates for k in failure_counts
             for point in _frontier_cell(topology, src, strategies, float(p),
-                                        int(k), trials, seed, engine, shards,
-                                        threads)]
+                                        int(k), trials, seed, engine,
+                                        shards)]

@@ -67,12 +67,11 @@ def _warm_fleet(specs):
     return fleet
 
 
-def _print_engine_decision(engine: str, topo, threads=None) -> None:
+def _print_engine_decision(engine: str, topo) -> None:
     """One line naming the tier that will actually run and why — the
     fallback rules are silent by design, so surface the decision."""
     from .sim import resolve_engine
-    tier, reason = resolve_engine(engine, topo.num_nodes, explain=True,
-                                  threads=threads)
+    tier, reason = resolve_engine(engine, topo.num_nodes, explain=True)
     note = "" if tier == engine else f" (requested {engine})"
     print(f"engine: {tier}{note} — {reason}")
 
@@ -213,13 +212,12 @@ def cmd_robustness(args) -> int:
     source = (tuple(args.source) if args.source
               else _default_center_source(topo))
     recovery = _recovery_from_args(args)
-    _print_engine_decision(args.engine, topo, args.threads)
+    _print_engine_decision(args.engine, topo)
     rows = []
     for p in analysis.loss_degradation(
             topo, source, args.loss_rates, trials=args.trials,
             harden=args.harden, seed=args.seed, workers=args.workers,
-            engine=args.engine, recovery=recovery,
-            threads=args.threads):
+            engine=args.engine, recovery=recovery):
         rows.append({"impairment": f"loss p={p.parameter}",
                      "mean reach": round(p.mean_reachability, 3),
                      "min reach": round(p.min_reachability, 3),
@@ -228,7 +226,7 @@ def cmd_robustness(args) -> int:
             topo, source, args.failures, trials=args.trials,
             recompile=args.recompile, seed=args.seed, workers=args.workers,
             cache=_schedule_cache_from_args(args), engine=args.engine,
-            recovery=recovery, threads=args.threads):
+            recovery=recovery):
         mode = "recompiled" if args.recompile else "static"
         rows.append({"impairment": f"{int(p.parameter)} dead ({mode})",
                      "mean reach": round(p.mean_reachability, 3),
@@ -244,13 +242,12 @@ def cmd_frontier(args) -> int:
     topo = _topology_from_args(args)
     source = (tuple(args.source) if args.source
               else _default_center_source(topo))
-    _print_engine_decision(args.engine, topo, args.threads)
+    _print_engine_decision(args.engine, topo)
     points = analysis.recovery_frontier(
         topo, source, loss_rates=args.loss_rates,
         failure_counts=args.failures, trials=args.trials,
         hardening=args.hardening, seed=args.seed,
-        workers=args.workers, engine=args.engine,
-        threads=args.threads)
+        workers=args.workers, engine=args.engine)
     rows = []
     for p in points:
         rows.append({"strategy": p.strategy,
@@ -276,13 +273,13 @@ def cmd_lifetime(args) -> int:
     if args.rotate:
         sources = sources + [tuple(c)
                              for c in analysis.corner_sources(topo)]
-    _print_engine_decision(args.engine, topo, args.threads)
+    _print_engine_decision(args.engine, topo)
     res = analysis.simulate_lifetime(
         topo, sources, battery_j=args.battery,
         max_rounds=args.max_rounds, workers=args.workers,
         cache=_schedule_cache_from_args(args),
         loss_rate=args.loss, loss_trials=args.trials, seed=args.seed,
-        engine=args.engine, threads=args.threads)
+        engine=args.engine)
     channel = ("perfect" if args.loss is None
                else f"Bernoulli p={args.loss} ({args.trials} trials)")
     print(analysis.render_kv([
@@ -579,11 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="processes sharding the trial dimension of each "
                         "point (--recompile: fanning failure counts "
                         "out); results identical either way")
-    p.add_argument("--threads", type=int, default=None,
-                   help="compiled-tier kernel threads per process "
-                        "(default: all cores standalone, 1 inside "
-                        "--workers shards; results identical at any "
-                        "width)")
     p.add_argument("--cache", metavar="DIR", default=None,
                    help="schedule-cache directory shared across runs")
     _add_recovery_flags(p)
@@ -609,11 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="processes sharding the trial dimension of each "
                         "cell (results identical either way)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="compiled-tier kernel threads per process "
-                        "(default: all cores standalone, 1 inside "
-                        "--workers shards; results identical at any "
-                        "width)")
     p.set_defaults(func=cmd_frontier)
 
     p = sub.add_parser("lifetime",
@@ -638,11 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "tiers produce identical expectations)")
     p.add_argument("--workers", type=int, default=None,
                    help="compile distinct sources in parallel processes")
-    p.add_argument("--threads", type=int, default=None,
-                   help="compiled-tier kernel threads per process "
-                        "(default: all cores standalone, 1 inside "
-                        "--workers shards; results identical at any "
-                        "width)")
     p.add_argument("--cache", metavar="DIR", default=None,
                    help="schedule-cache directory shared across runs")
     p.set_defaults(func=cmd_lifetime)

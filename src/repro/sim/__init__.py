@@ -1,7 +1,6 @@
 """Slot-synchronous broadcast simulator."""
 
-from .backend import (ENGINES, make_backend, packed_max_nodes,
-                      resolve_engine)
+from .backend import ENGINES, make_backend, resolve_engine
 from .engine import (replay, replay_batch, run_reactive,
                      run_reactive_batch, run_reactive_multi)
 from .metrics import (BroadcastMetrics, compute_metrics,
@@ -33,7 +32,6 @@ __all__ = [
     "merge_summaries",
     "native_available",
     "native_reason",
-    "packed_max_nodes",
     "replay",
     "replay_batch",
     "replay_batch_sharded",

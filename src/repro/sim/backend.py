@@ -25,10 +25,9 @@ Fallback rules (silent, by design — callers ask for a *tier*, not a
 hard requirement): losses other than ``None`` /
 :class:`~repro.radio.impairments.BernoulliBatchLoss` /
 :class:`~repro.radio.impairments.BurstBatchLoss` cannot be applied in
-word space, node counts beyond :func:`packed_max_nodes` (default
-:data:`~repro.radio.bitpack.MAX_PACKED_NODES`, overridable via the
-``REPRO_PACKED_MAX_NODES`` environment variable) would blow up the
-packed neighbour table, big-endian hosts break the packing layout, and
+word space, node counts beyond
+:data:`~repro.radio.bitpack.MAX_PACKED_NODES` would blow up the packed
+neighbour table, big-endian hosts break the packing layout, and
 a missing native build has no kernel to run — each of these degrades to
 the dense kernel.  :func:`resolve_engine` reports the tier that would
 actually run — and, with ``explain=True``, which rule decided it — for
@@ -44,7 +43,6 @@ instead of re-deriving them per slot.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Dict, Optional, Tuple, Union
@@ -62,8 +60,7 @@ from .recovery import RecoveryPolicy
 from .recovery_packed import NativeRecoveryState
 
 __all__ = ["BREAKER", "BackendFault", "CircuitBreaker", "ENGINES",
-           "demote_tier", "make_backend", "packed_max_nodes",
-           "resolve_engine"]
+           "demote_tier", "make_backend", "resolve_engine"]
 
 #: Engine names accepted by the batched entry points.
 ENGINES = ("batch", "compiled", "auto")
@@ -194,35 +191,16 @@ def demote_tier(tier: str, reason: str = "") -> str:
     return _DEMOTION[tier]
 
 
-def packed_max_nodes() -> int:
-    """Node-count cutoff of the compiled tier.
-
-    Defaults to :data:`~repro.radio.bitpack.MAX_PACKED_NODES` (the
-    packed neighbour table is ``n * ceil(n/64)`` words, quadratic-ish in
-    *n*); the environment variable ``REPRO_PACKED_MAX_NODES`` overrides
-    it for hosts where the memory/speed trade-off differs.  Read on
-    every call so tests and long-lived processes can retune it.
-    """
-    raw = os.environ.get("REPRO_PACKED_MAX_NODES")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return bitpack.MAX_PACKED_NODES
-
-
 def _packable(num_nodes: int,
               loss: Optional[BatchLoss]) -> Tuple[bool, str]:
     """(compiled tier can serve this request?, reason)."""
     if not bitpack.packing_supported():
         return False, "big-endian host: word packing unsupported"
-    cutoff = packed_max_nodes()
     if num_nodes <= 0:
         return False, "empty topology"
-    if num_nodes > cutoff:
-        return False, (f"n={num_nodes} exceeds packed cutoff {cutoff} "
-                       f"(override with REPRO_PACKED_MAX_NODES)")
+    if num_nodes > bitpack.MAX_PACKED_NODES:
+        return False, (f"n={num_nodes} exceeds packed cutoff "
+                       f"{bitpack.MAX_PACKED_NODES}")
     if not (loss is None or type(loss) in _WORD_LOSSES):
         return False, (f"loss type {type(loss).__name__} has no "
                        f"word-space draw")
@@ -231,18 +209,14 @@ def _packable(num_nodes: int,
 
 def resolve_engine(engine: str, num_nodes: int,
                    loss: Optional[BatchLoss] = None,
-                   explain: bool = False,
-                   threads: Optional[int] = None
+                   explain: bool = False
                    ) -> Union[str, Tuple[str, str]]:
     """The tier that would actually run for this request.
 
     Applies the fallback rules without building anything heavier than
     the native-availability probe.  With ``explain=True`` returns
     ``(tier, reason)`` — the reason names which fallback rule (if any)
-    decided the tier, for CLI output and benchmarks; for the compiled
-    tier it also reports the kernel thread count the ``threads=``
-    request resolves to (``None`` meaning "all allowed cores", see
-    :func:`~repro.sim.native.resolve_native_threads`).
+    decided the tier, for CLI output and benchmarks.
     """
     check_engine(engine)
 
@@ -262,10 +236,7 @@ def resolve_engine(engine: str, num_nodes: int,
     if not native.native_available():
         return result("batch",
                       f"native unavailable ({native.native_reason()})")
-    width = native.resolve_native_threads(threads)
-    return result("compiled",
-                  f"native kernel available ({width} thread"
-                  f"{'s' if width != 1 else ''})")
+    return result("compiled", "native kernel available")
 
 
 class _LossSpec:
@@ -303,8 +274,7 @@ class NativeBackend:
     def __init__(self, kernel: SlotKernel, batch: int,
                  loss: Optional[BatchLoss],
                  alive_masks: Optional[np.ndarray],
-                 need_senders: bool, need_coll_pairs: bool,
-                 threads: Optional[int] = None) -> None:
+                 need_senders: bool, need_coll_pairs: bool) -> None:
         faults.check(faults.NATIVE_BUILD,
                      detail="native kernel build/dlopen failure")
         module = native.native_kernel()
@@ -313,9 +283,6 @@ class NativeBackend:
                                f"{native.native_reason()}")
         self._module = module
         self._ffi, self._lib = module.ffi, module.lib
-        #: Kernel pool width; resolved once (None -> env/affinity) so
-        #: a backend's tier choice is stable for its lifetime.
-        self.threads = native.resolve_native_threads(threads)
         self.last_epos: Optional[np.ndarray] = None
         nbr_words = kernel.neighbour_words()
         self._n = kernel.num_nodes
@@ -398,7 +365,7 @@ class NativeBackend:
                       trials: int) -> NativeRecoveryState:
         """The recovery state matching this tier (C inner loops)."""
         return NativeRecoveryState(topology, policy, relay_like, trials,
-                                   self._module, threads=self.threads)
+                                   self._module)
 
     def resolve(self, t: int, tr: np.ndarray, nd: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
@@ -440,8 +407,7 @@ class NativeBackend:
                 surv_ptr = ffi.cast("uint8_t *", ffi.from_buffer(surv))
         with profiling.phase("resolve"):
             lib.resolve_slot(
-                self.threads,
-                self._n, self._words, self._max_degree,
+                self._n, self._words,
                 self._indptr[1], self._indices[1], self._nbr_words[1],
                 ffi.cast("int64_t *", ffi.from_buffer(tr)),
                 ffi.cast("int64_t *", ffi.from_buffer(nd)), len(nd),
@@ -471,25 +437,20 @@ class NativeBackend:
 def make_backend(kernel: SlotKernel, batch: int, engine: str,
                  loss: Optional[BatchLoss],
                  alive_masks: Optional[np.ndarray],
-                 need_senders: bool, need_coll_pairs: bool,
-                 threads: Optional[int] = None
+                 need_senders: bool, need_coll_pairs: bool
                  ) -> Optional[NativeBackend]:
     """Build the backend for *engine*, or ``None`` for the dense tier.
 
     ``None`` (i.e. "use :meth:`~repro.radio.channel.SlotKernel.
     resolve_batch`") is returned both for ``engine="batch"`` and for
     any request the compiled tier cannot serve — see the module
-    docstring for the fallback rules.  ``threads`` is the kernel pool
-    width: ``None`` means "all allowed cores" per
-    :func:`~repro.sim.native.resolve_native_threads`; results are
-    bit-identical at every width.
+    docstring for the fallback rules.
     """
     if resolve_engine(engine, kernel.num_nodes, loss) == "batch":
         return None
     try:
         return NativeBackend(kernel, batch, loss, alive_masks,
-                             need_senders, need_coll_pairs,
-                             threads=threads)
+                             need_senders, need_coll_pairs)
     except Exception as exc:
         # A tier that cannot even construct (dlopen/build failure,
         # injected or organic) demotes this run and feeds the breaker;

@@ -469,8 +469,7 @@ class _BatchState:
                  loss: Optional[BatchLoss] = None,
                  recovery: Optional[RecoveryPolicy] = None,
                  relay_like: Optional[np.ndarray] = None,
-                 engine: str = "batch",
-                 threads: Optional[int] = None) -> None:
+                 engine: str = "batch") -> None:
         n = topology.num_nodes
         self.n = n
         self.source = source
@@ -499,8 +498,7 @@ class _BatchState:
         self.backend = make_backend(self.kernel, trials, engine, loss,
                                     self.alive,
                                     need_senders=self.need_senders,
-                                    need_coll_pairs=not summary,
-                                    threads=threads)
+                                    need_coll_pairs=not summary)
         if self.backend is not None:
             # The compiled kernel commits each slot into these arrays.
             self.backend.bind(self.first_rx, *((self.tx_count,
@@ -768,7 +766,6 @@ def _run_reactive_batch_impl(
     summary: bool = False,
     recovery: Optional[RecoveryPolicy] = None,
     engine: str = "batch",
-    threads: Optional[int] = None,
 ) -> Union[TraceSummary, List[BroadcastTrace]]:
     """Run B independent reactive relay waves batched slot-by-slot.
 
@@ -790,9 +787,7 @@ def _run_reactive_batch_impl(
 
     *engine* selects the slot-resolve tier (see :mod:`repro.sim.
     backend`): ``"batch"`` (dense, default), ``"compiled"``, or
-    ``"auto"`` — all bit-identical.  *threads* sets the compiled tier's
-    in-process kernel pool width (``None`` = all allowed cores; ignored
-    by the dense tier); every width is bit-identical too.
+    ``"auto"`` — all bit-identical.
     """
     check_engine(engine)
     n = topology.num_nodes
@@ -807,7 +802,7 @@ def _run_reactive_batch_impl(
     forced_at, limit = _forced_schedule([forced_tx], batch, n, max_slots)
     state = _BatchState(
         topology, source, batch, summary, dead_masks=dead_masks, loss=loss,
-        recovery=recovery, engine=engine, threads=threads,
+        recovery=recovery, engine=engine,
         relay_like=(None if recovery is None
                     else relay_like_mask(n, relay_mask, source)))
     return _reactive_loop(state, relay_mask[None], extra_delay[None],
@@ -883,16 +878,14 @@ def _replay_batch_impl(
     recovery: Optional[RecoveryPolicy] = None,
     max_slots: Optional[int] = None,
     engine: str = "batch",
-    threads: Optional[int] = None,
 ) -> Union[TraceSummary, List[BroadcastTrace]]:
     """Execute a fixed schedule for B fault realisations batched together.
 
     Trial *b* is trace-for-trace identical to
     ``replay(topology, schedule, source, dead_mask=dead_masks[b],
     loss=loss.trial_loss(b), recovery=recovery)``; see
-    :func:`run_reactive_batch` for the batch-size, output, *engine* and
-    *threads* conventions and :func:`replay` for the recovery
-    semantics.
+    :func:`run_reactive_batch` for the batch-size, output and *engine*
+    conventions and :func:`replay` for the recovery semantics.
     """
     check_engine(engine)
     n = topology.num_nodes
@@ -901,7 +894,7 @@ def _replay_batch_impl(
     batch, dead_masks = _resolve_trials(trials, dead_masks, loss, n)
     state = _BatchState(
         topology, source, batch, summary, dead_masks=dead_masks, loss=loss,
-        recovery=recovery, engine=engine, threads=threads,
+        recovery=recovery, engine=engine,
         relay_like=(None if recovery is None
                     else relay_like_from_schedule(n, schedule)))
     faulty = dead_masks is not None or loss is not None

@@ -48,7 +48,7 @@ feeds ``post_slot`` the attribution edge positions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -90,17 +90,10 @@ class NativeRecoveryState:
     construction: same per-(trial, node) scalars, same update order,
     same horizon growth — only the known-edge representation and the
     due-work discovery differ.
-
-    ``threads`` is the kernel pool width (see
-    :func:`~repro.sim.native.resolve_native_threads`); the C side
-    splits decodes at trial boundaries and checks into contiguous
-    unique-pair spans, so the updated state and emitted pairs are
-    bit-identical at every width.
     """
 
     def __init__(self, topology: Topology, policy: RecoveryPolicy,
-                 relay_like: np.ndarray, trials: int, module,
-                 threads: Optional[int] = None) -> None:
+                 relay_like: np.ndarray, trials: int, module) -> None:
         kernel = topology.slot_kernel
         n = topology.num_nodes
         self.policy = policy
@@ -163,8 +156,6 @@ class NativeRecoveryState:
         self.horizon = 0
         self._chk_due: Buckets = {}
         self._elec_due: Buckets = {}
-        from .native import resolve_native_threads
-        self.threads = resolve_native_threads(threads)
         self._ffi, self._lib = module.ffi, module.lib
         ffi = self._ffi
 
@@ -228,7 +219,6 @@ class NativeRecoveryState:
         ffi, out = self._ffi, self._c_counts
         cast = lambda a: ffi.cast("int64_t *", ffi.from_buffer(a))
         self._lib.recovery_checks(
-            self.threads,
             t, k, pb, pv, self.n, self.words_e, self._c_indptr[1],
             self._c_known[1], self._c_chk_slot[1], self._c_chk_base[1],
             self._c_retries[1], self._c_heard[1],
@@ -290,7 +280,6 @@ class NativeRecoveryState:
             kn, pn = self._as_i64(rn)
             ke, pe = self._as_i64(epos)
             self._lib.recovery_post_slot(
-                self.threads,
                 len(kn), pt, pn, pe, self._c_rev[1],
                 self.n, self.words_e, self._c_known[1], self._c_heard[1])
         fresh = ~self.has_tx[tr, nd]

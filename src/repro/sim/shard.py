@@ -31,16 +31,9 @@ Workers are plain ``ProcessPoolExecutor`` processes (the same
 fan-out machinery as the analysis layers); callers pick the count —
 the analysis layers pass it through
 :func:`~repro.analysis.sweep.effective_workers`, which degrades to
-serial on single-CPU hosts and caps at the trial count.
-
-Threads × processes composition: when a batch actually fans out, the
-shard jobs default the compiled tier's kernel pool to ``threads=1`` —
-process sharding already claims the cores, and k processes × k
-threads would oversubscribe k-fold.  An explicit ``threads=`` is
-passed through untouched (and the single-range path keeps the
-caller's value, including the all-cores ``None`` default), so callers
-who want k × m can say so.  Kernel pools re-arm after ``fork`` inside
-the extension, so the composition is safe in either order.
+serial on single-CPU hosts and caps at the trial count.  Sharding is
+the only multi-core path: the compiled kernel itself is
+single-threaded, so k shards use k cores.
 """
 
 from __future__ import annotations
@@ -164,8 +157,6 @@ def _sharded(entry, args: tuple, kwargs: dict, workers: Optional[int]
     ranges = shard_ranges(batch, workers or 1)
     if len(ranges) <= 1:
         return entry(*args, **kwargs)
-    if kwargs.get("threads") is None:  # shards own the cores
-        kwargs["threads"] = 1
     jobs = [(entry, args, _slice_kwargs(kwargs, lo, hi))
             for lo, hi in ranges]
     return _merge(_fan_out(_worker, jobs, len(ranges)))

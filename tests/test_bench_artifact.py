@@ -212,34 +212,17 @@ def _validate_kernel(payload):
     assert floors["compiled"] >= 5.0
     if payload["native_available"]:
         assert rec["compiled_speedup_vs_batch"] >= floors["compiled"]
-    # v3: the compiled tier's intra-process thread pool.  The artefact
-    # records the effective thread/core configuration, and the
-    # multi-thread contract is conditional on it: a multi-core host
-    # must carry compiled-mt entries (threads=1 baseline + default
-    # width) and meet the floors once it has min_cores to scale
-    # across; a single-core host must carry *no* compiled-mt entry —
-    # absence is the honest "not measurable here", never a silent pass.
-    assert isinstance(payload["threads"], int) and payload["threads"] >= 1
+    # v5: the kernel is single-threaded; no multi-thread entries or
+    # floors remain.
     assert payload["cores_available"] >= 1
-    mt_floors = payload["mt_speedup_floors"]
-    assert mt_floors["min_cores"] >= 2
-    multi = payload["native_available"] and payload["threads"] >= 2
-    # v4: the artefact states whether the multi-thread floors ran.
-    assert payload["mt_floors_exercised"] == (
-        multi and payload["cores_available"] >= mt_floors["min_cores"])
+    for key in ("threads", "mt_speedup_floors", "mt_floors_exercised"):
+        assert key not in payload, key
     for section in ("large_grid", "recovery_grid"):
         grid = payload[section]
-        if multi:
-            assert grid["entries"]["compiled"]["threads"] == 1
-            assert grid["entries"]["compiled-mt"]["threads"] \
-                == payload["threads"]
-            assert grid["mt_speedup_vs_compiled"] > 0
-            if payload["cores_available"] >= mt_floors["min_cores"]:
-                assert grid["mt_speedup_vs_compiled"] \
-                    >= mt_floors[section]
-        else:
-            assert "compiled-mt" not in grid["entries"]
-            assert "mt_speedup_vs_compiled" not in grid
+        assert "compiled-mt" not in grid["entries"]
+        assert "mt_speedup_vs_compiled" not in grid
+        for label, entry in grid["entries"].items():
+            assert "threads" not in entry, label
 
 
 def _validate_faults(payload):
@@ -286,7 +269,7 @@ VALIDATORS = {
     "repro-wsn/bench-symmetry/v1": _validate_symmetry,
     "repro-wsn/bench-recovery/v1": _validate_recovery,
     "repro-wsn/bench-scaling/v1": _validate_scaling,
-    "repro-wsn/bench-kernel/v4": _validate_kernel,
+    "repro-wsn/bench-kernel/v5": _validate_kernel,
     "repro-wsn/bench-service/v1": _validate_service,
     "repro-wsn/bench-faults/v1": _validate_faults,
 }
@@ -297,7 +280,7 @@ _ARTIFACTS = [
     (SYMMETRY_ARTIFACT, "repro-wsn/bench-symmetry/v1"),
     (RECOVERY_ARTIFACT, "repro-wsn/bench-recovery/v1"),
     (SCALING_ARTIFACT, "repro-wsn/bench-scaling/v1"),
-    (KERNEL_ARTIFACT, "repro-wsn/bench-kernel/v4"),
+    (KERNEL_ARTIFACT, "repro-wsn/bench-kernel/v5"),
     (SERVICE_ARTIFACT, "repro-wsn/bench-service/v1"),
     (FAULTS_ARTIFACT, "repro-wsn/bench-faults/v1"),
 ]

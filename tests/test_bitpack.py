@@ -76,8 +76,7 @@ class TestPackedResolve:
     def backend(kernel, trials):
         from repro.sim.backend import NativeBackend
         backend = NativeBackend(kernel, trials, None, None,
-                                need_senders=True, need_coll_pairs=True,
-                                threads=1)
+                                need_senders=True, need_coll_pairs=True)
         backend.bind(np.full((trials, kernel.num_nodes), -1,
                              dtype=np.int64))
         return backend
@@ -129,20 +128,19 @@ class TestFusedCommit:
     """The compiled kernel commits each slot itself (``first_rx``, the
     newly informed pairs and, in summary mode, the counts).  Slot by
     slot it must leave exactly the arrays the dense tier's numpy commit
-    (:meth:`_BatchState.commit_sparse`) leaves."""
+    (:meth:`_BatchState.commit_sparse`) leaves, at every batch size
+    (B=1 included)."""
 
-    TRIALS = 7  # not a multiple of any pool width below but 1
-
-    @pytest.mark.parametrize("threads", [1, 2, 3, 5])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 5])
     @pytest.mark.parametrize("summary", [True, False])
     @pytest.mark.parametrize("loss_kind", ["none", "bernoulli", "burst"])
     @pytest.mark.parametrize("dead", [False, True])
-    def test_matches_dense_commit(self, threads, summary, loss_kind,
+    def test_matches_dense_commit(self, trials, summary, loss_kind,
                                   dead):
         mesh = Mesh2D4(9, 8)                # 72 nodes: two words a row
         kernel = mesh.slot_kernel
-        n, trials = mesh.num_nodes, self.TRIALS
-        rng = np.random.default_rng([threads, summary, dead,
+        n = mesh.num_nodes
+        rng = np.random.default_rng([trials, summary, dead,
                                      len(loss_kind)])
         seeds = trial_seeds(3, 0.3, trials)
         loss = {"none": None,
@@ -155,7 +153,7 @@ class TestFusedCommit:
         kw = dict(dead_masks=dead_masks, loss=loss)
         dense = _BatchState(mesh, 0, trials, summary, engine="batch", **kw)
         fused = _BatchState(mesh, 0, trials, summary, engine="compiled",
-                            threads=threads, **kw)
+                            **kw)
         assert dense.backend is None and fused.backend is not None
         for t in range(1, 30):
             pick = rng.random((trials, n)) < 0.12
@@ -198,8 +196,7 @@ class TestFusedCommit:
         from repro.sim.backend import NativeBackend
         mesh = Mesh2D4(4, 4)
         backend = NativeBackend(mesh.slot_kernel, 2, None, None,
-                                need_senders=False, need_coll_pairs=False,
-                                threads=1)
+                                need_senders=False, need_coll_pairs=False)
         grid = np.full((2, 16), -1, dtype=np.int64)
         with pytest.raises(RuntimeError, match="bind"):
             backend.resolve(1, np.zeros(1, np.int64), np.zeros(1, np.int64))
@@ -254,8 +251,7 @@ class TestBernoulliThreshold:
         n, trials = mesh.num_nodes, len(self.EDGE_SEEDS)
         loss = BernoulliBatchLoss(p, self.EDGE_SEEDS)
         backend = NativeBackend(kernel, trials, loss, None,
-                                need_senders=False, need_coll_pairs=True,
-                                threads=1)
+                                need_senders=False, need_coll_pairs=True)
         backend.bind(np.full((trials, n), -1, dtype=np.int64))
         rng = np.random.default_rng(5)
         for slot in self.EDGE_SLOTS:

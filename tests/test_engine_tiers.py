@@ -20,6 +20,8 @@ shows *why* the C path went untested — while a separate test proves the
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -258,78 +260,41 @@ class TestShardInvariance:
 @needs_packing
 @pytest.mark.skipif(not native_available(),
                     reason="native kernel unavailable")
-class TestThreadInvariance:
-    """The compiled tier's intra-process thread pool is bit-invariant:
-    threads=1 and threads=k produce identical traces and summaries at
-    every width, including widths far beyond the work (spans degenerate
-    to empty) and the clamp ceiling."""
+class TestConcurrentKernelCalls:
+    """cffi releases the GIL, so two Python threads can be inside the C
+    kernel at once.  Nothing serialises them: the kernel must keep all
+    its state in the caller's buffers, and concurrent runs must each
+    equal the same run made alone."""
 
-    WIDTHS = sorted({2, 3, os.cpu_count() or 1, 64} - {1})
-
-    def test_reactive_random_scenarios(self):
-        mesh = Mesh2D4(6, 5)
-
-        @given(data=st.data())
-        @settings(max_examples=10, deadline=None)
-        def check(data):
-            kw = data.draw(tier_scenario(mesh.num_nodes))
-            source = kw.pop("source")
-            recovery = kw.pop("recovery")
-            common = dict(extra_delay=kw["extra_delay"],
-                          forced_tx=kw["forced_tx"],
-                          dead_masks=kw["dead_masks"], loss=kw["loss"],
-                          trials=kw["trials"], recovery=recovery,
-                          engine="compiled")
-            base = run_reactive_batch(mesh, source, kw["relay_mask"],
-                                      threads=1, **common)
-            for threads in self.WIDTHS:
-                assert_traces_equal(
-                    base,
-                    run_reactive_batch(mesh, source, kw["relay_mask"],
-                                       threads=threads, **common),
-                    f"threads={threads}")
-
-        check()
-
-    def test_summary_and_replay_widths(self):
-        from repro.core import protocol_for
-        mesh = Mesh2D4(8, 6)
-        trials = 9
-        rng = np.random.default_rng(7)
-        relay = rng.random(mesh.num_nodes) > 0.3
-        loss = BernoulliBatchLoss(0.25, trial_seeds(2, 0.25, trials))
-        pol = RecoveryPolicy(timeout=2, max_retries=2, backoff=2,
-                             suppression_k=1)
-        kw = dict(loss=loss, trials=trials, recovery=pol, summary=True,
-                  engine="compiled")
-        base = run_reactive_batch(mesh, 0, relay, threads=1, **kw)
-        sched = protocol_for("2D-4").compile(mesh, (4, 3)).schedule
-        src = mesh.index((4, 3))
-        base_replay = replay_batch(mesh, sched, src, threads=1, **kw)
-        for threads in self.WIDTHS:
-            assert_summaries_equal(
-                base,
-                run_reactive_batch(mesh, 0, relay, threads=threads, **kw),
-                f"reactive threads={threads}")
-            assert_summaries_equal(
-                base_replay,
-                replay_batch(mesh, sched, src, threads=threads, **kw),
-                f"replay threads={threads}")
-
-    def test_threads_compose_with_shards(self):
-        """Explicit threads=k inside process shards still merges to the
-        unsharded threads=1 result (shards default to threads=1; an
-        explicit width must pass through unchanged)."""
-        mesh = Mesh2D4(8, 6)
-        trials = 8
-        loss = BernoulliBatchLoss(0.2, trial_seeds(9, 0.2, trials))
+    def test_two_threads_match_solo_runs(self):
+        # Big enough that both threads sit in the C calls at once:
+        # kernel scratch shared between calls shows at this size.
+        mesh = Mesh2D4(24, 24)
+        trials = 16
         relay = np.ones(mesh.num_nodes, dtype=bool)
-        kw = dict(loss=loss, trials=trials, summary=True,
-                  engine="compiled")
-        base = run_reactive_batch(mesh, 0, relay, threads=1, **kw)
-        sharded = run_reactive_batch_sharded(mesh, 0, relay, workers=3,
-                                             threads=2, **kw)
-        assert_summaries_equal(base, sharded, "workers=3 threads=2")
+        policy = RecoveryPolicy(timeout=2, max_retries=2, backoff=2,
+                                suppression_k=1, election=True)
+
+        def run(seed):
+            loss = BernoulliBatchLoss(0.25, trial_seeds(seed, 0.25, trials))
+            return run_reactive_batch(mesh, 0, relay, loss=loss,
+                                      trials=trials, recovery=policy,
+                                      engine="compiled")
+
+        seeds = (11, 12)
+        solo = {seed: run(seed) for seed in seeds}
+        barrier = threading.Barrier(len(seeds))
+
+        def together(seed):
+            barrier.wait()
+            return run(seed)
+
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            for attempt in range(8):
+                results = list(pool.map(together, seeds))
+                for seed, got in zip(seeds, results):
+                    assert_traces_equal(solo[seed], got,
+                                        f"seed={seed} attempt={attempt}")
 
 
 class TestFallbacks:
@@ -365,7 +330,7 @@ class TestFallbacks:
             tier, reason = resolve_engine(
                 "compiled", bitpack.MAX_PACKED_NODES + 1, explain=True)
             assert tier == "batch"
-            assert "REPRO_PACKED_MAX_NODES" in reason
+            assert "exceeds packed cutoff" in reason
             tier, reason = resolve_engine("compiled", 20, explain=True)
             assert tier == NATIVE_TIER
             assert ("native kernel available" if native_available()
@@ -373,24 +338,14 @@ class TestFallbacks:
             # explain=False stays the bare-string contract.
             assert resolve_engine("compiled", 20) == NATIVE_TIER
 
-    def test_packed_cutoff_env_override(self, monkeypatch):
+    def test_packed_cutoff_env_override(self):
         if not bitpack.packing_supported():
             pytest.skip("packing unsupported on this host")
-        from repro.sim.backend import packed_max_nodes
-        assert packed_max_nodes() == bitpack.MAX_PACKED_NODES
-        monkeypatch.setenv("REPRO_PACKED_MAX_NODES", "100")
-        assert packed_max_nodes() == 100
-        assert resolve_engine("auto", 101) == "batch"
-        tier, reason = resolve_engine("compiled", 101, explain=True)
-        assert tier == "batch" and "cutoff 100" in reason
-        assert resolve_engine("auto", 100) == NATIVE_TIER
-        # Raising the cutoff opens the compiled tier past the default.
-        monkeypatch.setenv("REPRO_PACKED_MAX_NODES", "1000000")
-        assert resolve_engine(
-            "compiled", bitpack.MAX_PACKED_NODES + 1) == NATIVE_TIER
-        # Garbage values fall back to the baked-in default.
-        monkeypatch.setenv("REPRO_PACKED_MAX_NODES", "not-a-number")
-        assert packed_max_nodes() == bitpack.MAX_PACKED_NODES
+        cutoff = bitpack.MAX_PACKED_NODES
+        assert resolve_engine("auto", cutoff + 1) == "batch"
+        tier, reason = resolve_engine("compiled", cutoff + 1, explain=True)
+        assert tier == "batch" and f"cutoff {cutoff}" in reason
+        assert resolve_engine("auto", cutoff) == NATIVE_TIER
 
     def test_compiled_request_without_native_dependency(self):
         """engine="compiled" must stay correct when the C tier cannot
@@ -423,40 +378,3 @@ print("fallback-ok")
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert "fallback-ok" in out.stdout
-
-    @pytest.mark.skipif(not native_available(),
-                        reason="native kernel unavailable")
-    def test_native_threads_env_override(self):
-        """REPRO_NATIVE_THREADS pins the default pool width in a fresh
-        interpreter, the width is clamped to the kernel's ceiling, and
-        the env-widened run stays bit-identical to threads=1."""
-        code = """
-import numpy as np
-from repro.radio.impairments import BernoulliBatchLoss, trial_seeds
-from repro.sim import native, resolve_engine, run_reactive_batch
-from repro.topology import Mesh2D4
-
-assert native.default_native_threads() == 3
-assert native.resolve_native_threads(None) == 3
-assert native.resolve_native_threads(0) == 1
-assert native.resolve_native_threads(10**6) == native.MAX_NATIVE_THREADS
-tier, reason = resolve_engine("compiled", 20, explain=True)
-assert tier == "compiled" and "3 threads" in reason, (tier, reason)
-mesh = Mesh2D4(6, 5)
-trials = 4
-loss = BernoulliBatchLoss(0.2, trial_seeds(0, 0.2, trials))
-relay = np.ones(mesh.num_nodes, dtype=bool)
-a = run_reactive_batch(mesh, 0, relay, loss=loss, trials=trials,
-                       summary=True, engine="compiled", threads=1)
-b = run_reactive_batch(mesh, 0, relay, loss=loss, trials=trials,
-                       summary=True, engine="compiled")  # env default: 3
-assert np.array_equal(a.first_rx, b.first_rx)
-assert np.array_equal(a.tx_count, b.tx_count)
-assert np.array_equal(a.collisions, b.collisions)
-print("threads-ok")
-"""
-        env = dict(os.environ, REPRO_NATIVE_THREADS="3")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert "threads-ok" in out.stdout

@@ -8,9 +8,6 @@ addopts), so an engine tier that silently diverges or collapses in
 throughput is caught without waiting for a benchmark pass.
 """
 
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -67,49 +64,3 @@ def test_recovery_tiers_agree_on_smoke_budget():
         assert np.isfinite(time.perf_counter() - t0)
     for engine, curve in curves.items():
         assert curve == curves["batch"], engine
-
-
-def test_threaded_resolve_under_thread_sanitizer():
-    """One threaded resolve through the REPRO_NATIVE_DEBUG=1 build
-    (-fsanitize=thread): any data race in the kernel's pool,
-    span partitioning or compaction aborts the subprocess with a tsan
-    report.  Skips where the sanitized build cannot load (no libtsan,
-    or dlopen of a tsan DSO into a non-tsan interpreter fails) —
-    probed inside the subprocess itself, so the skip reason is the
-    build's own."""
-    if not native_available():
-        pytest.skip("native kernel unavailable")
-    code = """
-import numpy as np
-from repro.sim import native
-if not native.native_available():
-    print("tsan-unavailable:", native.native_reason())
-    raise SystemExit(0)
-from repro.radio.impairments import BernoulliBatchLoss, trial_seeds
-from repro.sim import RecoveryPolicy, run_reactive_batch
-from repro.topology import Mesh2D4
-
-mesh = Mesh2D4(8, 6)
-trials = 6
-loss = BernoulliBatchLoss(0.2, trial_seeds(1, 0.2, trials))
-policy = RecoveryPolicy(timeout=2, max_retries=2, backoff=1,
-                        suppression_k=1, election=True)
-relay = np.ones(mesh.num_nodes, dtype=bool)
-a = run_reactive_batch(mesh, 0, relay, loss=loss, trials=trials,
-                       summary=True, recovery=policy,
-                       engine="compiled", threads=1)
-b = run_reactive_batch(mesh, 0, relay, loss=loss, trials=trials,
-                       summary=True, recovery=policy,
-                       engine="compiled", threads=4)
-assert np.array_equal(a.first_rx, b.first_rx)
-assert np.array_equal(a.tx_count, b.tx_count)
-print("tsan-ok")
-"""
-    env = dict(os.environ, REPRO_NATIVE_DEBUG="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=600)
-    if "tsan-unavailable" in out.stdout:
-        pytest.skip(f"sanitized build unavailable: {out.stdout.strip()}")
-    assert out.returncode == 0, out.stderr + out.stdout
-    assert "tsan-ok" in out.stdout
-    assert "WARNING: ThreadSanitizer" not in out.stderr

@@ -52,8 +52,7 @@ def test_compiled_summary_run_records_commit():
     loss = BernoulliBatchLoss(0.2, trial_seeds(1, 0.2, trials))
     profiling.start()
     run_reactive_batch(mesh, 0, np.ones(mesh.num_nodes, dtype=bool),
-                       loss=loss, summary=True, engine="compiled",
-                       threads=1)
+                       loss=loss, summary=True, engine="compiled")
     times = profiling.stop()
     assert times["commit"] > 0.0
     assert times["resolve"] > 0.0

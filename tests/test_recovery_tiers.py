@@ -14,8 +14,6 @@ repair possible), loss processes, dead-node masks, and every shard
 count.
 """
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,72 +263,6 @@ class TestShardInvarianceWithRecovery:
                     workers=workers, **kwargs)
                 assert_summaries_equal(oracle, sharded,
                                        f"{tier} workers={workers}")
-
-
-@pytest.mark.skipif(not native_available(),
-                    reason="native kernel unavailable")
-class TestRecoveryThreadInvariance:
-    """The threaded C recovery update (post-slot decode attribution and
-    the timeout/suppression/election checks) is bit-identical to its
-    single-thread run at every pool width."""
-
-    WIDTHS = sorted({2, 3, os.cpu_count() or 1, 64} - {1})
-
-    @pytest.mark.parametrize("cls,shape", [(Mesh2D4, (5, 4)),
-                                           (Mesh2D8, (4, 4))])
-    def test_random_policies(self, cls, shape):
-        mesh = cls(*shape)
-
-        @given(data=st.data())
-        @settings(max_examples=10, deadline=None)
-        def check(data):
-            policy = data.draw(recovery_policy())
-            source = data.draw(st.integers(0, mesh.num_nodes - 1))
-            relay_mask = np.array(
-                [data.draw(st.booleans()) for _ in range(mesh.num_nodes)],
-                dtype=bool)
-            trials = data.draw(st.integers(1, 3))
-            dead_masks, loss = data.draw(
-                channel(mesh.num_nodes, trials, source))
-            kwargs = dict(dead_masks=dead_masks, loss=loss,
-                          trials=trials, recovery=policy,
-                          engine="compiled")
-            base = run_reactive_batch(mesh, source, relay_mask,
-                                      threads=1, **kwargs)
-            for threads in self.WIDTHS:
-                assert_traces_equal(
-                    base,
-                    run_reactive_batch(mesh, source, relay_mask,
-                                       threads=threads, **kwargs),
-                    f"threads={threads}")
-
-        check()
-
-    def test_election_path_across_widths(self):
-        """The election bookkeeping (the serial tail of the threaded
-        checks pass) stays deterministic at every width on the dead-relay
-        scenario that actually fires it."""
-        mesh = Mesh2D8(5, 5)
-        src = (2, 2)
-        plan = protocol_for("2D-8").relay_plan(mesh, src)
-        src_idx = mesh.index(src)
-        relays = plan.relay_mask.nonzero()[0]
-        victim = int(relays[relays != src_idx][0])
-        trials = 4
-        dead_masks = np.zeros((trials, mesh.num_nodes), dtype=bool)
-        dead_masks[:, victim] = True
-        policy = RecoveryPolicy(timeout=1, max_retries=1, backoff=1,
-                                suppression_k=0, election=True)
-        kwargs = dict(dead_masks=dead_masks, trials=trials,
-                      recovery=policy, engine="compiled")
-        base = run_reactive_batch(mesh, src_idx, plan.relay_mask,
-                                  threads=1, **kwargs)
-        for threads in self.WIDTHS:
-            assert_traces_equal(
-                base,
-                run_reactive_batch(mesh, src_idx, plan.relay_mask,
-                                   threads=threads, **kwargs),
-                f"threads={threads}")
 
 
 @pytest.mark.skipif(not native_available(),
