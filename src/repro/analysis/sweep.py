@@ -21,7 +21,7 @@ import numpy as np
 from ..core.base import BroadcastProtocol
 from ..core.cache import ScheduleCache
 from ..core.registry import protocol_for
-from ..core.symmetry import compile_class, group_sources
+from ..core.symmetry import compile_classes, group_sources
 from ..radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
                             FirstOrderRadioModel)
 from ..sim.metrics import BroadcastMetrics, compute_metrics
@@ -225,7 +225,9 @@ def _sweep_symmetry(
     workers: int,
     cache: Optional[ScheduleCache],
 ) -> List[BroadcastMetrics]:
-    """Symmetry-reduced sweep body: one compile per equivalence class.
+    """Symmetry-reduced sweep body: one compile per equivalence class,
+    the representatives batched
+    (:func:`~repro.core.symmetry.compile_classes`).
 
     Parallel mode distributes whole classes over the workers (a class is
     the batching unit — splitting one would forfeit its shared fixpoint),
@@ -253,9 +255,11 @@ def _sweep_symmetry(
                 if progress is not None:
                     progress(done, total)
     else:
-        for class_key, positions, coords in class_items:
-            for pos, member in zip(positions, compile_class(
-                    topology, protocol, class_key, coords, cache=cache)):
+        for (_, positions, _), members in zip(class_items, compile_classes(
+                topology, protocol,
+                [(key, coords) for key, _, coords in class_items],
+                cache=cache)):
+            for pos, member in zip(positions, members):
                 out[pos] = member.metrics(topology, model, packet_bits)
             done += len(positions)
             if progress is not None:
@@ -297,9 +301,10 @@ def _symmetry_chunk(job) -> List:
     topology, protocol, items, model, packet_bits, cache_path = job
     cache = None if cache_path is None else ScheduleCache(cache_path)
     out = []
-    for class_key, positions, coords in items:
-        for pos, member in zip(positions, compile_class(
-                topology, protocol, class_key, coords, cache=cache)):
+    for (_, positions, _), members in zip(items, compile_classes(
+            topology, protocol, [(key, coords) for key, _, coords in items],
+            cache=cache)):
+        for pos, member in zip(positions, members):
             out.append((pos, member.metrics(topology, model, packet_bits)))
     return out
 

@@ -27,8 +27,8 @@ from .mesh2d4 import Mesh2D4Protocol
 from .mesh2d8 import Mesh2D8Protocol
 from .mesh3d6 import Mesh3D6Protocol
 from .registry import PROTOCOL_CLASSES, protocol_for
-from .symmetry import (ClassMemberResult, compile_class, group_sources,
-                       sweep_compile)
+from .symmetry import (ClassMemberResult, compile_class, compile_classes,
+                       group_sources, sweep_compile)
 from .regions import RegionPartition, base_nodes, partition
 from .validate import ScheduleError, ValidationReport, validate_broadcast
 
@@ -50,6 +50,7 @@ __all__ = [
     "shard_id",
     "ClassMemberResult",
     "compile_class",
+    "compile_classes",
     "group_sources",
     "sweep_compile",
     "Mesh2D3Protocol",

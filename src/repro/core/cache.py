@@ -174,11 +174,33 @@ class ScheduleCache:
               ) -> Tuple[CompiledBroadcast, str]:
         """:meth:`get_or_compile`, plus the tier that answered:
         ``"memory"``, ``"store"`` or ``"compile"``."""
+        hit = self.lookup(protocol, topology, source,
+                          completion=completion, repair=repair)
+        if hit is not None:
+            return hit
+        # Plain compile (no cache=) — this is the only caching layer, so
+        # the delegation cannot recurse.  Runs unlocked so concurrent
+        # service groups compile in parallel.
+        compiled = protocol.compile(
+            topology, source, completion=completion, repair=repair)
+        self.admit_compiled(protocol, topology, compiled,
+                            completion=completion, repair=repair)
+        return compiled, "compile"
+
+    def lookup(self, protocol: BroadcastProtocol, topology: Topology,
+               source, *, completion: bool = True, repair: bool = True
+               ) -> Optional[Tuple[CompiledBroadcast, str]]:
+        """The hit half of :meth:`fetch`: the full compilation from the
+        memory tier or the store, with its tier.
+
+        ``None`` counts a miss; the caller then compiles the source and
+        hands it to :meth:`admit_compiled`.  A metrics-only store entry
+        is a miss here.
+        """
         source_index = topology.index(source)
         key = schedule_cache_key(
             topology, protocol.name, source_index,
             completion=completion, repair=repair)
-
         with self._lock:
             cached = self._mem.get(key)
             if cached is not None:
@@ -197,23 +219,22 @@ class ScheduleCache:
                     return cached, "store"
 
             self.misses += 1
-        # Plain compile (no cache=) — this is the only caching layer, so
-        # the delegation cannot recurse.  Runs unlocked so concurrent
-        # service groups compile in parallel.
-        compiled = protocol.compile(
-            topology, source, completion=completion, repair=repair)
+            return None
+
+    def admit_compiled(self, protocol: BroadcastProtocol,
+                       topology: Topology, compiled: CompiledBroadcast, *,
+                       completion: bool = True,
+                       repair: bool = True) -> None:
+        """The miss half of :meth:`fetch`: remember a fresh compile in
+        the memory tier and publish it to the store."""
+        key = schedule_cache_key(
+            topology, protocol.name, compiled.source,
+            completion=completion, repair=repair)
         with self._lock:
             self._remember(key, compiled)
             if self.store is not None:
-                self._store_call(
-                    self.store.put,
-                    topology, protocol.name, source_index,
-                    completion=completion, repair=repair,
-                    schedule=compiled.schedule,
-                    counts=trace_counts(compiled.trace),
-                    completions=compiled.completions,
-                    repairs=compiled.repairs, rounds=compiled.rounds)
-        return compiled, "compile"
+                self._publish_compiled(protocol, topology, compiled,
+                                       completion, repair)
 
     def cached_metrics(self, protocol: BroadcastProtocol,
                        topology: Topology, source, *,
@@ -270,29 +291,25 @@ class ScheduleCache:
                      repair: bool = True) -> None:
         """Persist one symmetry-class member result without a compile.
 
-        Members carrying a full :class:`CompiledBroadcast` (class
-        representatives, fixpoint/translated/fallback members) publish
-        schedule + counts; summary-mode members publish counts only —
-        enough to answer every metrics query warm.  *completion* /
+        Members carrying a full :class:`CompiledBroadcast`
+        (fixpoint/translated members) publish schedule + counts;
+        summary-mode members publish counts only — enough to answer
+        every metrics query warm.  Members the producing cache already
+        admitted (representatives and fallbacks, see
+        :attr:`~repro.core.symmetry.ClassMemberResult.admitted`) are
+        skipped, so each entry is published once.  *completion* /
         *repair* must be the options the class was compiled with — they
         pick the shard, so a member admitted under the wrong options
         would never be found by its own warm lookups.  No-op without a
         store.
         """
-        if self.store is None:
+        if self.store is None or member.admitted:
             return
         from .store import summary_counts
         with self._lock:
             if member.compiled is not None:
-                compiled = member.compiled
-                self._store_call(
-                    self.store.put,
-                    topology, protocol.name, compiled.source,
-                    completion=completion, repair=repair,
-                    schedule=compiled.schedule,
-                    counts=trace_counts(compiled.trace),
-                    completions=compiled.completions,
-                    repairs=compiled.repairs, rounds=compiled.rounds)
+                self._publish_compiled(protocol, topology, member.compiled,
+                                       completion, repair)
             elif member.first_rx is not None:
                 self._store_call(
                     self.store.put,
@@ -376,6 +393,18 @@ class ScheduleCache:
         except Exception:
             self.store_errors += 1
             return None
+
+    def _publish_compiled(self, protocol: BroadcastProtocol,
+                          topology: Topology, compiled: CompiledBroadcast,
+                          completion: bool, repair: bool) -> None:
+        self._store_call(
+            self.store.put,
+            topology, protocol.name, compiled.source,
+            completion=completion, repair=repair,
+            schedule=compiled.schedule,
+            counts=trace_counts(compiled.trace),
+            completions=compiled.completions,
+            repairs=compiled.repairs, rounds=compiled.rounds)
 
     def _remember(self, key: str, compiled: CompiledBroadcast) -> None:
         self._mem[key] = compiled

@@ -48,10 +48,12 @@ class CompilationError(RuntimeError):
     """Raised when the compiler cannot reach a 100 %-coverage fixpoint."""
 
 
-#: Monotone count of :func:`compile_broadcast` invocations in this
-#: process.  Benchmarks (``benchmarks/perf_symmetry.py``) diff it around a
-#: sweep to measure how many full fixpoint compilations the
-#: symmetry-reduced path avoided; it has no functional role.  The async
+#: Monotone count of full fixpoint compiles in this process: every
+#: :func:`compile_broadcast` call and every class representative the
+#: symmetry path compiles in a batch.  Benchmarks
+#: (``benchmarks/perf_symmetry.py``) diff it around a sweep to measure
+#: how many full fixpoint compilations the symmetry-reduced path
+#: avoided; it has no functional role.  The async
 #: service runtime compiles on executor threads, so the increment takes a
 #: lock to stay exact under concurrency.
 _compile_calls = 0
@@ -59,8 +61,17 @@ _compile_calls_lock = threading.Lock()
 
 
 def compile_call_count() -> int:
-    """Number of :func:`compile_broadcast` calls made by this process."""
+    """Number of :func:`compile_broadcast` calls made by this process,
+    plus the sources the symmetry path compiled as class representatives
+    in one batched fixpoint (:func:`count_compiles`)."""
     return _compile_calls
+
+
+def count_compiles(n: int = 1) -> None:
+    """Add *n* full fixpoint compiles to :func:`compile_call_count`."""
+    global _compile_calls
+    with _compile_calls_lock:
+        _compile_calls += n
 
 
 def compile_broadcast(
@@ -84,9 +95,7 @@ def compile_broadcast(
     completion/repair phases route the wave around them (fault-injection
     extension; the paper assumes a pristine network).
     """
-    global _compile_calls
-    with _compile_calls_lock:
-        _compile_calls += 1
+    count_compiles()
     fix = _Fixpoint(topology, source, plan, completion=completion,
                     repair=repair, dead_mask=dead_mask)
     for round_no in range(1, max_rounds + 1):

@@ -329,11 +329,14 @@ class ArtifactStore:
         *shapes* is an iterable of ``(topology label, shape)`` pairs —
         the grid fleet a service deployment expects to be queried about.
         For every shape each protocol's sources are grouped into symmetry
-        classes (:func:`repro.core.symmetry.group_sources`); one
-        representative per class compiles through the ordinary fixpoint
-        (persisting its full schedule + counts + class profile) and every
-        member is materialised through the batched class engine, so
-        *all* sources of the fleet answer metrics queries warm.
+        classes (:func:`repro.core.symmetry.group_sources`); the shape's
+        class representatives compile together in one batched fixpoint
+        (:func:`repro.core.symmetry.compile_classes`), each persisting
+        its full schedule + counts + class profile, and every member is
+        materialised through the batched class engine, so *all* sources
+        of the fleet answer metrics queries warm.  Each entry is put
+        once; a representative whose full schedule is already stored is
+        served from the store, not recompiled.
 
         A shape's writes are staged on a private view of the store and
         group-committed once per shard when the shape ends; other
@@ -346,7 +349,7 @@ class ArtifactStore:
         from ..topology.builder import make_topology
         from .cache import ScheduleCache
         from .registry import protocol_for
-        from .symmetry import compile_class, group_sources
+        from .symmetry import compile_classes, group_sources
 
         stats = {"shapes": 0, "classes": 0, "compiles": 0, "entries": 0,
                  "store_errors": 0}
@@ -361,11 +364,11 @@ class ArtifactStore:
                 staging = copy.copy(self)
                 staging._pending = {}
                 cache = ScheduleCache(store=staging)
+                classes = [(class_key, [sources[p] for p in positions])
+                           for class_key, positions in groups.items()]
                 try:
-                    for class_key, positions in groups.items():
-                        coords = [sources[p] for p in positions]
-                        members = compile_class(topology, protocol, class_key,
-                                                coords, cache=cache)
+                    for members in compile_classes(topology, protocol,
+                                                   classes, cache=cache):
                         stats["classes"] += 1
                         for member in members:
                             cache.admit_member(protocol, topology, member)

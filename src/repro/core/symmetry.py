@@ -13,10 +13,14 @@ This module groups sources into equivalence classes via the per-protocol
 :meth:`~repro.core.base.BroadcastProtocol.source_class_key` and compiles
 each class *once*:
 
-* the **class representative** goes through the ordinary
-  :func:`~repro.core.compiler.compile_broadcast` fixpoint (cached via
-  :class:`~repro.core.cache.ScheduleCache`, which also stores the class
-  *profile* — whether the class needed completion/repair fixes);
+* the **class representatives** of a shape run the compiler's fixpoint
+  together: :func:`compile_classes` puts every representative that needs
+  a compile (no stored class *profile* — whether the class needed
+  completion/repair fixes — and no full cached entry) through one batched
+  simulate->fix loop (:func:`_compile_fixpoint_batch`), which equals
+  :func:`~repro.core.compiler.compile_broadcast` field for field; the
+  results enter the :class:`~repro.core.cache.ScheduleCache` exactly as a
+  cached compile would, and each class's profile is stored from them;
 * the **members** are derived by the batched multi-source engine
   (:func:`~repro.sim.engine.run_reactive_multi`): a zero-fix class needs
   exactly one reactive wave per member, executed for the whole class in
@@ -48,7 +52,7 @@ take the batched path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +64,7 @@ from ..sim.translate import TranslationError, translate_compiled
 from ..topology.base import Topology
 from .base import BroadcastProtocol, CompiledBroadcast, RelayPlan
 from .cache import ScheduleCache
-from .compiler import DEFAULT_MAX_ROUNDS, _Fixpoint
+from .compiler import DEFAULT_MAX_ROUNDS, _Fixpoint, count_compiles
 
 #: Upper bound on ``batch x num_nodes`` cells per batched run; classes
 #: larger than this advance in sub-batches (bounds the (B, n) arrays).
@@ -78,6 +82,9 @@ class ClassMemberResult:
     ``"fallback"`` (direct compile after a failed prediction) or
     ``"direct"`` (non-groupable source).  Counts-mode results carry the
     per-node arrays instead of a :class:`CompiledBroadcast`.
+    ``admitted`` marks a result the producing cache already holds and
+    has published (a representative or a compile through the cache), so
+    :meth:`~repro.core.cache.ScheduleCache.admit_member` skips it.
     """
 
     source_index: int
@@ -87,6 +94,7 @@ class ClassMemberResult:
     tx_count: Optional[np.ndarray] = None
     rx_count: Optional[np.ndarray] = None
     collisions: int = 0
+    admitted: bool = False
 
     def metrics(self, topology: Topology,
                 model=PAPER_RADIO_MODEL,
@@ -190,25 +198,32 @@ def compile_class(
     cache: Optional[ScheduleCache] = None,
     completion: bool = True,
     repair: bool = True,
+    representative: Optional[CompiledBroadcast] = None,
 ) -> List[ClassMemberResult]:
     """Compile one equivalence class; results align with *coords*.
 
     The first coordinate acts as the class representative when no cached
     class profile exists; with a warm profile every member (representative
     included) takes the batched path and the class costs zero
-    ``compile_broadcast`` calls.  *completion* / *repair* are the compile
-    options applied uniformly to the whole class (profiles and cache
-    entries are keyed on them, so option families never mix).
+    ``compile_broadcast`` calls.  *representative* is the first
+    coordinate's compilation when the caller already has it
+    (:func:`compile_classes`, which passes it only for a class without a
+    profile, already admitted to *cache*); otherwise it compiles through
+    *cache*.  *completion* / *repair* are the compile options applied
+    uniformly to the whole class (profiles and cache entries are keyed on
+    them, so option families never mix).
     """
     results: List[Optional[ClassMemberResult]] = [None] * len(coords)
     profile = None
-    rep_compiled = None
-    if cache is not None:
+    rep_compiled = representative
+    if cache is not None and rep_compiled is None:
         profile = cache.class_profile(topology, protocol.name, class_key,
                                       completion=completion, repair=repair)
     if profile is None:
-        rep_compiled = protocol.compile(topology, coords[0], cache=cache,
-                                        completion=completion, repair=repair)
+        if rep_compiled is None:
+            rep_compiled = protocol.compile(
+                topology, coords[0], cache=cache,
+                completion=completion, repair=repair)
         profile = {"zero_fix": _zero_fix(rep_compiled),
                    "rounds": rep_compiled.rounds}
         if cache is not None:
@@ -217,7 +232,7 @@ def compile_class(
                 completion=completion, repair=repair)
         results[0] = ClassMemberResult(
             source_index=rep_compiled.source, via="representative",
-            compiled=rep_compiled)
+            compiled=rep_compiled, admitted=cache is not None)
         members = list(range(1, len(coords)))
     else:
         members = list(range(len(coords)))
@@ -275,7 +290,7 @@ def compile_class(
                         completion=completion, repair=repair)
                     results[pos] = ClassMemberResult(
                         source_index=compiled.source, via="fallback",
-                        compiled=compiled)
+                        compiled=compiled, admitted=cache is not None)
         else:
             for compiled, pos in zip(
                     _compile_fixpoint_batch(topology, src_idx, plans,
@@ -286,6 +301,60 @@ def compile_class(
                     source_index=compiled.source, via="fixpoint",
                     compiled=compiled)
     return results
+
+
+def compile_classes(
+    topology: Topology,
+    protocol: BroadcastProtocol,
+    classes: Sequence[Tuple[Tuple, Sequence]],
+    *,
+    cache: Optional[ScheduleCache] = None,
+    completion: bool = True,
+    repair: bool = True,
+) -> Iterator[List[ClassMemberResult]]:
+    """Compile a shape's equivalence classes, representatives batched.
+
+    *classes* holds ``(class_key, coords)`` pairs of one topology; yields
+    each class's :func:`compile_class` results (aligned with its
+    *coords*) in order.  Before the first class, every representative
+    that needs a compile — its class has no cached profile and the
+    source has no full entry in *cache* — runs through one
+    :func:`_compile_fixpoint_batch` per ``MAX_BATCH_CELLS`` chunk.  Each
+    such representative counts one compile
+    (:func:`~repro.core.compiler.compile_call_count`) and one cache
+    miss, and enters *cache* as a cached compile would; a
+    representative with a full cached entry is served from it.
+    """
+    reps: List[Optional[CompiledBroadcast]] = [None] * len(classes)
+    pending: List[int] = []
+    for c, (class_key, coords) in enumerate(classes):
+        if cache is not None:
+            if cache.class_profile(topology, protocol.name, class_key,
+                                   completion=completion,
+                                   repair=repair) is not None:
+                continue
+            hit = cache.lookup(protocol, topology, coords[0],
+                               completion=completion, repair=repair)
+            if hit is not None:
+                reps[c] = hit[0]
+                continue
+        pending.append(c)
+    for chunk in _member_chunks(pending, topology.num_nodes):
+        coords = [classes[c][1][0] for c in chunk]
+        count_compiles(len(chunk))
+        compiled = _compile_fixpoint_batch(
+            topology, [topology.index(coord) for coord in coords],
+            [protocol.relay_plan(topology, coord) for coord in coords],
+            completion=completion, repair=repair)
+        for c, rep in zip(chunk, compiled):
+            reps[c] = rep
+            if cache is not None:
+                cache.admit_compiled(protocol, topology, rep,
+                                     completion=completion, repair=repair)
+    for (class_key, coords), rep in zip(classes, reps):
+        yield compile_class(topology, protocol, class_key, coords,
+                            cache=cache, completion=completion,
+                            repair=repair, representative=rep)
 
 
 def sweep_compile(
@@ -309,13 +378,13 @@ def sweep_compile(
         return None
     results: List[Optional[ClassMemberResult]] = [None] * len(sources)
     done, total = 0, len(sources)
-    for class_key, positions in groups.items():
-        coords = [sources[p] for p in positions]
-        for pos, res in zip(positions,
-                            compile_class(topology, protocol, class_key,
-                                          coords, cache=cache,
-                                          completion=completion,
-                                          repair=repair)):
+    classes = [(class_key, [sources[p] for p in positions])
+               for class_key, positions in groups.items()]
+    for positions, members in zip(
+            groups.values(),
+            compile_classes(topology, protocol, classes, cache=cache,
+                            completion=completion, repair=repair)):
+        for pos, res in zip(positions, members):
             results[pos] = res
         done += len(positions)
         if progress is not None:
@@ -324,7 +393,8 @@ def sweep_compile(
         compiled = protocol.compile(topology, sources[pos], cache=cache,
                                     completion=completion, repair=repair)
         results[pos] = ClassMemberResult(
-            source_index=compiled.source, via="direct", compiled=compiled)
+            source_index=compiled.source, via="direct", compiled=compiled,
+            admitted=cache is not None)
         done += 1
         if progress is not None:
             progress(done, total)

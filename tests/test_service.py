@@ -132,6 +132,37 @@ def test_batch_coalesces_same_class_queries_into_one_compile(tmp_path):
     assert results[-1].metrics == _direct_metrics(sources[-1])
 
 
+def test_cold_multi_class_batch_puts_each_entry_once(tmp_path,
+                                                    monkeypatch):
+    """Representatives compiled through the engine's cache are published
+    by the cache alone, not again when the class's members are
+    admitted."""
+    from repro.core.store import ArtifactStore
+
+    shape = (12, 12)
+    topology = Mesh2D4(*shape)
+    protocol = protocol_for(topology)
+    sources = [topology.coord(i) for i in range(topology.num_nodes)]
+    groups, _ = group_sources(topology, protocol, sources)
+    classes = sorted(groups.values(), key=len, reverse=True)
+    picked = ([sources[p] for p in classes[0][:2]]
+              + [sources[p] for p in classes[1][:2]]
+              + [sources[classes[2][0]], sources[classes[3][0]]])
+    puts = []
+    put = ArtifactStore.put
+
+    def counting(self, topology, protocol_name, source_index, **kwargs):
+        puts.append(source_index)
+        return put(self, topology, protocol_name, source_index, **kwargs)
+
+    monkeypatch.setattr(ArtifactStore, "put", counting)
+    results = QueryEngine(tmp_path / "store").query_batch(
+        [Query(topology="2D-4", source=tuple(s), shape=shape)
+         for s in picked])
+    assert all(r.via.startswith("class:") for r in results)
+    assert sorted(puts) == sorted(topology.index(s) for s in picked)
+
+
 def test_single_flight_across_batches_via_class_profile(tmp_path):
     sources = _same_class_sources(8)
     store_dir = tmp_path / "store"

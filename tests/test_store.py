@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import ScheduleCache
+from repro.core.compiler import compile_call_count
 from repro.core.registry import protocol_for
 from repro.core.store import (STORE_FORMAT_VERSION, ArtifactStore, entry_key,
                               shard_id, trace_counts)
@@ -454,8 +455,9 @@ def test_warm_small_fleets_equal_direct_compiles_exhaustively(tmp_path):
 
 def test_warm_keeps_first_writer_and_upgrades_metrics_only(tmp_path):
     """Across commits: an earlier schedule entry keeps its offset and
-    bytes; an earlier metrics-only entry is upgraded when the warm
-    compiles it as a class representative."""
+    bytes and is served from the store, not recompiled; an earlier
+    metrics-only entry is upgraded when the warm compiles it as a class
+    representative."""
     topology = _mesh()
     protocol = protocol_for(topology)
     sources = [topology.coord(i) for i in range(topology.num_nodes)]
@@ -474,9 +476,75 @@ def test_warm_keeps_first_writer_and_upgrades_metrics_only(tmp_path):
     kept_bytes = data_path.read_bytes()[:16 * kept_meta["ntx"]]
     assert before[entry_key(topology.index(upgraded))]["offset"] is None
 
-    store.warm([(PROTO, (8, 8))])
+    calls0 = compile_call_count()
+    stats = store.warm([(PROTO, (8, 8))])
+    assert stats["classes"] == len(groups)
+    assert compile_call_count() - calls0 == len(groups) - 1
+    assert stats["compiles"] == len(groups) - 1
     after = _assert_consistent_shard(tmp_path, topology)["entries"]
     assert after[kept_key] == kept_meta
     lo = kept_meta["offset"]
     assert data_path.read_bytes()[lo:lo + len(kept_bytes)] == kept_bytes
     assert after[entry_key(topology.index(upgraded))]["offset"] is not None
+
+
+def test_warm_puts_each_entry_once(tmp_path, monkeypatch):
+    """A representative or fallback compiled through the cache is
+    published by the cache alone, not again as a class member."""
+    puts = []
+    put = ArtifactStore.put
+
+    def counting(self, topology, protocol_name, source_index, **kwargs):
+        puts.append((topology.fingerprint, source_index))
+        return put(self, topology, protocol_name, source_index, **kwargs)
+
+    monkeypatch.setattr(ArtifactStore, "put", counting)
+    stats = ArtifactStore(tmp_path).warm(SMALL_FLEET)
+    assert stats["store_errors"] == 0
+    assert len(puts) == stats["entries"] == len(set(puts))
+
+
+def test_warm_compiles_each_representative_once(tmp_path):
+    """A fresh store compiles exactly one fixpoint per class; warming it
+    again compiles nothing."""
+    calls0 = compile_call_count()
+    stats = ArtifactStore(tmp_path).warm(SMALL_FLEET)
+    assert compile_call_count() - calls0 == stats["classes"]
+    assert stats["compiles"] == stats["classes"]
+    calls1 = compile_call_count()
+    again = ArtifactStore(tmp_path).warm(SMALL_FLEET)
+    assert compile_call_count() == calls1
+    assert again["compiles"] == 0 and again["classes"] == stats["classes"]
+
+
+def test_warm_runs_serial_waves_only_for_fallback_and_direct_members(
+        tmp_path, monkeypatch):
+    """Structural guard: representatives compile in the batched
+    fixpoint, so the serial engine only runs for sources the class
+    path hands to a direct compile."""
+    import repro.core.compiler as compiler_module
+    import repro.sim.engine as engine_module
+    from repro.core.symmetry import sweep_compile
+
+    expected = set()
+    for label, shape in SMALL_FLEET:
+        topology = make_topology(label, shape=shape)
+        sources = [topology.coord(i) for i in range(topology.num_nodes)]
+        expected |= {
+            (topology.fingerprint, res.source_index)
+            for res in sweep_compile(topology, protocol_for(topology),
+                                     sources)
+            if res.via in ("fallback", "direct")}
+
+    serial = []
+    run_reactive = engine_module.run_reactive
+
+    def counting(topology, source, *args, **kwargs):
+        serial.append((topology.fingerprint, int(source)))
+        return run_reactive(topology, source, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "run_reactive", counting)
+    monkeypatch.setattr(compiler_module, "run_reactive", counting)
+    stats = ArtifactStore(tmp_path).warm(SMALL_FLEET)
+    assert stats["store_errors"] == 0
+    assert set(serial) <= expected

@@ -29,7 +29,8 @@ from repro.core import (CompilationError, ScheduleCache, compile_broadcast,
                         protocol_for)
 from repro.core.base import RelayPlan
 from repro.core.compiler import compile_call_count
-from repro.core.symmetry import (ClassMemberResult, compile_class,
+from repro.core.symmetry import (ClassMemberResult,
+                                 _compile_fixpoint_batch, compile_class,
                                  group_sources, sweep_compile)
 from repro.sim import (TranslationError, compute_metrics, run_reactive,
                        run_reactive_multi, translate_compiled)
@@ -140,6 +141,46 @@ class TestSymmetryExactness:
             assert res.metrics(topo) == compute_metrics(direct.trace, topo)
             if res.compiled is not None:
                 assert_compiled_equal(res.compiled, direct)
+
+    @pytest.mark.parametrize("completion,repair",
+                             [(True, True), (True, False), (False, True),
+                              (False, False)])
+    @pytest.mark.parametrize(
+        "topo", [Mesh2D4(6, 5), Mesh2D8(6, 5), Mesh2D3(6, 5),
+                 Mesh3D6(3, 3, 2)], ids=lambda t: f"{t.name}-{t.shape}")
+    def test_all_sources_equal_direct_compile_per_option_family(
+            self, topo, completion, repair):
+        proto = protocol_for(topo)
+        sources = [topo.coord(i) for i in range(topo.num_nodes)]
+        results = sweep_compile(topo, proto, sources,
+                                completion=completion, repair=repair)
+        assert results is not None and len(results) == len(sources)
+        for src, res in zip(sources, results):
+            direct = proto.compile(topo, src, completion=completion,
+                                   repair=repair)
+            assert res.source_index == topo.index(src)
+            assert res.metrics(topo) == compute_metrics(direct.trace, topo)
+            if res.compiled is not None:
+                assert_compiled_equal(res.compiled, direct)
+
+    def test_batched_fixpoint_raises_the_serial_compile_error(self):
+        topo = Mesh2D8(6, 5)
+        proto = protocol_for(topo)
+        plans = {i: proto.relay_plan(topo, topo.coord(i))
+                 for i in range(topo.num_nodes)}
+        rounds = {i: compile_broadcast(topo, i, plans[i]).rounds
+                  for i in plans}
+        needs_fixes = next(i for i in plans if rounds[i] > 1)
+        zero_fix = next(i for i in plans if rounds[i] == 1)
+        with pytest.raises(CompilationError) as serial:
+            compile_broadcast(topo, needs_fixes, plans[needs_fixes],
+                              max_rounds=1)
+        for batch in ([needs_fixes], [zero_fix, needs_fixes]):
+            with pytest.raises(CompilationError) as batched:
+                _compile_fixpoint_batch(topo, batch,
+                                        [plans[i] for i in batch],
+                                        max_rounds=1)
+            assert str(batched.value) == str(serial.value)
 
     def test_class_keys_group_only_identical_problems(self):
         # Grouping sanity: members of one class share residue and clamped
