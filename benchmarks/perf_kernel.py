@@ -17,8 +17,8 @@ workloads and writes ``BENCH_kernel.json`` (repo root by default):
   layer enabled, on the protocol's compiled relay plan (the workload
   the analysis sweeps run).  The recovery update is tiered alongside
   the slot resolve (:mod:`repro.sim.recovery_packed`: word-packed
-  known-edge bitsets, due-slot buckets and C inner loops on
-  ``compiled``), so this cell carries its own enforced floor —
+  known-edge bitsets and a due calendar, the whole machine in the C
+  kernel on ``compiled``), so this cell carries its own enforced floor —
   ``compiled`` >= 5x vs batch — asserted here before the artefact is
   written.
 

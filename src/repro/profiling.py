@@ -14,10 +14,13 @@ Phases are free-form names; the engine currently emits ``resolve``,
 ``recovery-post`` (ACK/overhear + episode accounting after it), and
 ``recovery-election`` (the election bookkeeping *inside* the other two:
 a sub-phase, so its time is also counted by its parent — do not sum it
-with them).  On the compiled tier the Bernoulli loss draws and the
-summary-mode commit run inside the C ``resolve`` call, so they count
-as ``resolve``: there ``loss-rng`` covers only burst blackout draws,
-and ``commit`` only the trace-mode event logs.
+with them).  On the compiled tier the Bernoulli loss draws, the
+summary-mode commit and the whole recovery post-slot update (elections
+included) run inside the C ``resolve`` call, so they count as
+``resolve``: there ``loss-rng`` covers only burst blackout draws,
+``commit`` only the trace-mode event logs, ``recovery-pre`` is the one
+C calendar call, and ``recovery-post``/``recovery-election`` appear
+only on the dense tier.
 
 Not thread-safe, and deliberately not process-aware: a sharded run
 profiles only the parent process (per-shard phases happen in workers),

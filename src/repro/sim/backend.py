@@ -35,10 +35,8 @@ benchmarks and CLI output.
 
 The compiled backend also owns the matching **recovery state**
 (:meth:`NativeBackend.make_recovery`, see
-:mod:`repro.sim.recovery_packed`): each resolve with sender attribution
-additionally records the CSR edge positions of its decodes
-(``last_epos``), which the packed recovery update consumes directly
-instead of re-deriving them per slot.
+:mod:`repro.sim.recovery_packed`): once it is made, every resolve runs
+the recovery post-slot accounting inside the same C call.
 """
 
 from __future__ import annotations
@@ -283,7 +281,7 @@ class NativeBackend:
                                f"{native.native_reason()}")
         self._module = module
         self._ffi, self._lib = module.ffi, module.lib
-        self.last_epos: Optional[np.ndarray] = None
+        self._recovery: Optional[NativeRecoveryState] = None
         nbr_words = kernel.neighbour_words()
         self._n = kernel.num_nodes
         self._words = nbr_words.shape[1]
@@ -355,17 +353,20 @@ class NativeBackend:
             return
         keep = lambda: self._pin(np.empty(cap, dtype=np.int64))
         self._rx_tr, self._rx_nd = keep(), keep()
-        self._rx_sv, self._rx_ep = keep(), keep()
+        self._rx_sv = keep()
         self._new_tr, self._new_nd = keep(), keep()
         self._coll_tr, self._coll_nd = keep(), keep()
         self._cap = cap
 
     def make_recovery(self, topology: Topology, policy: RecoveryPolicy,
-                      relay_like: np.ndarray,
-                      trials: int) -> NativeRecoveryState:
-        """The recovery state matching this tier (C inner loops)."""
-        return NativeRecoveryState(topology, policy, relay_like, trials,
-                                   self._module)
+                      relay_like: np.ndarray, trials: int,
+                      slot_bound: int) -> NativeRecoveryState:
+        """The recovery state matching this tier, run by the kernel:
+        every later :meth:`resolve` also does its post-slot accounting.
+        *slot_bound* is the last slot the run can reach."""
+        self._recovery = NativeRecoveryState(
+            topology, policy, relay_like, trials, self._module, slot_bound)
+        return self._recovery
 
     def resolve(self, t: int, tr: np.ndarray, nd: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
@@ -379,7 +380,9 @@ class NativeBackend:
         :func:`~repro.radio.impairments.counter_slot_keys`), stamps
         ``first_rx`` for every first decode and, in summary mode, bumps
         the bound ``tx_count``/``rx_count`` and adds the slot's
-        collisions into the bound ``collisions`` vector.
+        collisions into the bound ``collisions`` vector.  With a
+        recovery state made, it also runs that state's post-slot
+        update.
 
         Returns ``(rt, rn, sv, coll, nt, nn)``: received pairs in
         (trial, node) order, their senders (or ``None`` when not
@@ -398,7 +401,7 @@ class NativeBackend:
         nd = np.ascontiguousarray(nd, dtype=np.int64)
         # Every rx/collision is a neighbour of some transmitter.
         self._grow(len(nd) * self._max_degree + 1)
-        spec = self._loss
+        spec, rec = self._loss, self._recovery
         surv_ptr = ffi.NULL
         surv = None  # keep the buffer alive across the C call
         if spec.kind == 2:
@@ -417,15 +420,13 @@ class NativeBackend:
                 self._ones[1], self._twos[1], self._txw[1],
                 self._first_rx[1], self._tx_count[1], self._rx_count[1],
                 self._rx_tr[1], self._rx_nd[1], self._rx_sv[1],
-                self._rx_ep[1], self._new_tr[1], self._new_nd[1],
-                self._coll_tr[1], self._coll_nd[1],
-                self._collisions[1], self._out_counts[1])
+                self._new_tr[1], self._new_nd[1],
+                self._coll_tr[1], self._coll_nd[1], self._collisions[1],
+                ffi.NULL if rec is None else rec.c, self._out_counts[1])
         n_rx, n_coll, n_new = self._out_counts[0].tolist()
         rt = self._rx_tr[0][:n_rx]
         rn = self._rx_nd[0][:n_rx]
         sv = self._rx_sv[0][:n_rx] if self._need_senders else None
-        self.last_epos = (self._rx_ep[0][:n_rx]
-                          if self._need_senders else None)
         if self._need_coll_pairs:
             coll = (self._coll_tr[0][:n_coll], self._coll_nd[0][:n_coll])
         else:

@@ -60,7 +60,6 @@ from .backend import (BREAKER, BackendFault, check_engine, demote_tier,
                       make_backend)
 from .recovery import (BatchRecoveryState, RecoveryPolicy, RecoveryState,
                        relay_like_from_schedule, relay_like_mask)
-from .recovery_packed import Buckets, push_buckets
 from .schedule import BroadcastSchedule
 from .summary import TraceSummary
 from .trace import BroadcastTrace
@@ -69,6 +68,9 @@ from .trace import BroadcastTrace
 #: transmissions (``slot -> nodes``).
 _Repeats = Optional[Mapping[int, Tuple[int, ...]]]
 _Forced = Optional[Mapping[int, Iterable[int]]]
+
+#: ``slot -> [(trials, nodes), ...]`` pair buckets.
+Buckets = Dict[int, List[Tuple[np.ndarray, np.ndarray]]]
 
 
 def _normalize_forced(forced_tx: _Forced) -> Dict[int, Set[int]]:
@@ -328,6 +330,15 @@ def replay(topology: Topology, schedule: BroadcastSchedule,
         collision_events=coll_log.tuples())
 
 
+def _replay_bound(schedule: BroadcastSchedule, max_slots: Optional[int],
+                  num_nodes: int) -> int:
+    """The last slot a recovering replay can visit: *max_slots*, by
+    default ``4 * n + 16`` (or two past the schedule)."""
+    if max_slots is not None:
+        return max_slots
+    return max(4 * num_nodes + 16, schedule.max_slot + 2)
+
+
 def _replay_slots(schedule: BroadcastSchedule, rec,
                   max_slots: Optional[int], num_nodes: int
                   ) -> Iterable[int]:
@@ -335,14 +346,13 @@ def _replay_slots(schedule: BroadcastSchedule, rec,
     a recovery state *rec* — every slot while scheduled *or* recovery
     work remains, since recovery inserts transmissions into arbitrary
     slots and past the schedule horizon.  The recovery horizon grows as
-    episodes are scheduled, so it is re-read each slot; *max_slots*
-    (default ``4 * n + 16``) bounds the walk."""
+    episodes are scheduled, so it is re-read each slot;
+    :func:`_replay_bound` bounds the walk."""
     if rec is None:
         yield from schedule.active_slots()
         return
     bound = schedule.max_slot
-    if max_slots is None:
-        max_slots = max(4 * num_nodes + 16, bound + 2)
+    max_slots = _replay_bound(schedule, max_slots, num_nodes)
     t = 0
     while t < max_slots and (t < bound or t < rec.horizon):
         t += 1
@@ -369,22 +379,40 @@ def sorted_unique_pairs(tr: np.ndarray, nd: np.ndarray, num_nodes: int
     return np.divmod(key, num_nodes)
 
 
+def push_buckets(buckets: Buckets, tr: np.ndarray, nd: np.ndarray,
+                 slots: np.ndarray) -> int:
+    """Bucket (trial, node) pairs by their per-pair *slots* (non-empty);
+    returns the latest slot.  Pairs all due in one slot — the common
+    case — go in as one entry without a grouping pass."""
+    lo, hi = int(slots.min()), int(slots.max())
+    if lo == hi:
+        buckets.setdefault(lo, []).append((tr, nd))
+        return hi
+    for s in np.unique(slots):
+        sel = slots == s
+        buckets.setdefault(int(s), []).append((tr[sel], nd[sel]))
+    return hi
+
+
 def _offset_masks(num_nodes: int, repeats_rows: Sequence[_Repeats]
                   ) -> Dict[int, np.ndarray]:
     """Repeat offsets regrouped by offset: ``off -> (rows, n)`` mask of
     the nodes repeating ``off`` slots after each transmission, so
     scheduling a batch of newly informed relays is one boolean gather per
     distinct offset instead of a per-node python loop."""
-    masks: Dict[int, np.ndarray] = {}
+    cells: Dict[int, List[Tuple[int, int]]] = {}
     for b, repeats in enumerate(repeats_rows):
         for v, offs in (repeats or {}).items():
             for off in offs:
                 if off < 1:
                     raise ValueError(
                         f"repeat offsets must be >= 1, got {off}")
-                masks.setdefault(int(off), np.zeros(
-                    (len(repeats_rows), num_nodes), dtype=bool))[b, int(v)] \
-                    = True
+                cells.setdefault(int(off), []).append((b, int(v)))
+    masks: Dict[int, np.ndarray] = {}
+    for off, pairs in cells.items():
+        mask = masks[off] = np.zeros((len(repeats_rows), num_nodes),
+                                     dtype=bool)
+        mask[tuple(np.array(pairs, dtype=np.int64).T)] = True
     return masks
 
 
@@ -460,7 +488,8 @@ class _BatchState:
     (full trace mode) or the count matrices (summary mode), the
     slot-resolve tier and the recovery state, so the reactive and replay
     loops share one resolve/commit/recovery step (:meth:`step`) and
-    differ only in how they choose each slot's transmitters.
+    differ only in how they choose each slot's transmitters.  With a
+    recovery policy, *slot_bound* is the last slot the loop can reach.
     """
 
     def __init__(self, topology: Topology, source: Union[int, np.ndarray],
@@ -469,7 +498,7 @@ class _BatchState:
                  loss: Optional[BatchLoss] = None,
                  recovery: Optional[RecoveryPolicy] = None,
                  relay_like: Optional[np.ndarray] = None,
-                 engine: str = "batch") -> None:
+                 engine: str = "batch", slot_bound: int = 0) -> None:
         n = topology.num_nodes
         self.n = n
         self.source = source
@@ -509,9 +538,10 @@ class _BatchState:
         if recovery is not None:
             if self.backend is not None:
                 # The compiled backend owns a recovery state matched to
-                # its resolve tier (bit-identical to BatchRecoveryState).
+                # its resolve tier (bit-identical to BatchRecoveryState)
+                # and runs its post-slot update inside the resolve.
                 self.rec = self.backend.make_recovery(
-                    topology, recovery, relay_like, trials)
+                    topology, recovery, relay_like, trials, slot_bound)
             else:
                 self.rec = BatchRecoveryState(topology, recovery,
                                               relay_like, trials)
@@ -566,13 +596,9 @@ class _BatchState:
                 # The compiled kernel committed first_rx itself (and the
                 # counts, in summary mode); only the event logs remain.
                 self._log(t, tr, nd, rt, rn, sv, coll)
-        if rec is not None:
+        if rec is not None and backend is None:
             with profiling.phase("recovery-post"):
-                if backend is not None:
-                    rec.post_slot(t, tr, nd, rt, rn, sv, nt, nn,
-                                  epos=backend.last_epos)
-                else:
-                    rec.post_slot(t, tr, nd, rt, rn, sv, nt, nn)
+                rec.post_slot(t, tr, nd, rt, rn, sv, nt, nn)
         return nt, nn
 
     def commit_sparse(self, t: int, tr: np.ndarray, nd: np.ndarray,
@@ -802,7 +828,7 @@ def _run_reactive_batch_impl(
     forced_at, limit = _forced_schedule([forced_tx], batch, n, max_slots)
     state = _BatchState(
         topology, source, batch, summary, dead_masks=dead_masks, loss=loss,
-        recovery=recovery, engine=engine,
+        recovery=recovery, engine=engine, slot_bound=int(limit.max()),
         relay_like=(None if recovery is None
                     else relay_like_mask(n, relay_mask, source)))
     return _reactive_loop(state, relay_mask[None], extra_delay[None],
@@ -895,6 +921,7 @@ def _replay_batch_impl(
     state = _BatchState(
         topology, source, batch, summary, dead_masks=dead_masks, loss=loss,
         recovery=recovery, engine=engine,
+        slot_bound=_replay_bound(schedule, max_slots, n),
         relay_like=(None if recovery is None
                     else relay_like_from_schedule(n, schedule)))
     faulty = dead_masks is not None or loss is not None

@@ -20,9 +20,20 @@ node) pairs, and in summary mode bumps the ``tx_count``/``rx_count``
 matrices and adds collisions into the per-trial totals.  Its inputs
 are the sorted unique transmission pairs, the slot, the per-trial loss
 seeds (or blackout flags) and those arrays; its outputs are the
-received pairs (with senders and their CSR edge positions), the
-collision pairs (trace mode) and the new pairs, all in (trial, node)
-order.
+received pairs (with senders), the collision pairs (trace mode) and the
+new pairs, all in (trial, node) order.
+
+The closed-loop recovery machine (:mod:`repro.sim.recovery_packed`)
+runs in the kernel too, over one ``recovery_t`` struct that points at
+the state arrays the Python object owns and carries the policy scalars
+and the running ``horizon``.  ``resolve_slot`` takes it (``NULL``
+without recovery) and also does the post-slot accounting: guardian
+checks start at first transmissions, each clean decode bumps a heard
+counter and sets its ACK/overhear bit pair, and the trial's newly
+informed nodes hold their elections.  ``recovery_pre_slot`` walks the
+slot's due checks and elections in a C calendar (a ring of slot heads
+over intrusive per-pair lists) and returns the pairs that retransmit.
+A recovering slot is thus two C calls and no numpy work.
 
 The kernel is single-threaded and holds no static mutable state: every
 buffer it touches is passed in by the caller, so concurrent calls on
@@ -57,7 +68,26 @@ from typing import Optional, Tuple
 __all__ = ["default_native_threads", "native_available",
            "native_kernel", "native_reason", "native_state"]
 
-_CDEF = """
+#: The recovery state struct, declared to cffi and defined in C alike.
+_RECOVERY_T = """
+typedef struct {
+    int64_t n, words_e;
+    const int64_t *indptr, *indices, *rev_edge;
+    const uint8_t *relay_like;
+    uint64_t *known;
+    int64_t *heard_total;
+    uint8_t *has_tx;
+    int64_t *chk_base, *retries_used;
+    int64_t *elec_base, *elec_pos;
+    int64_t timeout, max_retries, backoff, suppression_k;
+    int64_t election, election_delay;
+    int64_t slot_bound, ring_mask;
+    int64_t *chk_head, *chk_next, *elec_head, *elec_next;
+    int64_t horizon;
+} recovery_t;
+"""
+
+_CDEF = _RECOVERY_T + """
 void resolve_slot(
     int64_t n, int64_t words,
     const int64_t *indptr, const int64_t *indices,
@@ -70,27 +100,12 @@ void resolve_slot(
     int need_senders, int need_coll_pairs,
     uint64_t *ones, uint64_t *twos, uint64_t *txw,
     int64_t *first_rx, int64_t *tx_count, int64_t *rx_count,
-    int64_t *rx_tr, int64_t *rx_nd, int64_t *rx_sv, int64_t *rx_ep,
+    int64_t *rx_tr, int64_t *rx_nd, int64_t *rx_sv,
     int64_t *new_tr, int64_t *new_nd,
     int64_t *coll_tr, int64_t *coll_nd, int64_t *coll_counts,
-    int64_t *out_counts);
-void recovery_post_slot(
-    int64_t nrx, const int64_t *rt, const int64_t *rn,
-    const int64_t *epos, const int64_t *rev_edge,
-    int64_t n, int64_t words_e,
-    uint64_t *known, int64_t *heard_total);
-void recovery_checks(
-    int64_t t, int64_t k,
-    const int64_t *bt, const int64_t *vt,
-    int64_t n, int64_t words_e, const int64_t *indptr,
-    const uint64_t *known,
-    int64_t *chk_slot, int64_t *chk_base,
-    int64_t *retries_used, const int64_t *heard_total,
-    int64_t timeout, int64_t max_retries, int64_t backoff,
-    int64_t suppression_k,
-    int64_t *fire_b, int64_t *fire_v,
-    int64_t *res_b, int64_t *res_v, int64_t *res_slot,
-    int64_t *out_counts);
+    recovery_t *rec, int64_t *out_counts);
+int64_t recovery_pre_slot(recovery_t *rec, int64_t t,
+                          int64_t *fire_b, int64_t *fire_v);
 """
 
 _SOURCE = r"""
@@ -155,6 +170,156 @@ static inline void accum_words(uint64_t *o, uint64_t *t2,
 }
 
 /* ---------------------------------------------------------------------
+ * Closed-loop recovery state (repro.sim.recovery_packed owns every
+ * buffer; this struct only points at them).
+ *
+ * Per (trial b, node v) pair, id = b * n + v: the heard counter, the
+ * has-transmitted flag, the guardian check (chk_base, retries_used)
+ * and the one-shot election (elec_base; elec_pos, the CSR position of
+ * the (v -> target) edge).  known is (B, words_e) uint64 over CSR edge
+ * positions: bit e & 63 of word e >> 6 says the edge's row node knows
+ * its column node holds the message.
+ *
+ * Due work sits in a calendar: a power-of-two ring of slot heads
+ * (ring_mask + 1 of them, one ring for checks and one for elections)
+ * threading intrusive per-pair lists (chk_next / elec_next, -1 ends a
+ * list).  A pair is pending at most once per list -- a check is only
+ * rescheduled by its own firing, an election is scheduled once -- so
+ * one link per pair suffices.  The ring spans the farthest schedule
+ * distance (capped by slot_bound) and the engine walks every slot, so a
+ * ring head only ever holds pairs due in its own slot.  The run never
+ * reaches a slot past slot_bound: work due there only raises horizon
+ * and is not enqueued.  The policy scalars arrive capped at
+ * slot_bound + 1, which keeps every slot sum exact while it can matter
+ * and free of overflow beyond.
+ * ------------------------------------------------------------------- */
+""" + _RECOVERY_T + r"""
+
+static inline int known_bit(const uint64_t *row, int64_t e)
+{
+    return (int)((row[e >> 6] >> (e & 63)) & 1ULL);
+}
+
+static inline void rec_push(recovery_t *rec, int64_t *head, int64_t *next,
+                            int64_t id, int64_t s)
+{
+    if (s > rec->horizon)
+        rec->horizon = s;
+    if (s <= rec->slot_bound) {
+        next[id] = head[s & rec->ring_mask];
+        head[s & rec->ring_mask] = id;
+    }
+}
+
+/* Node v of trial b is newly informed at slot t: schedule its one-shot
+ * substitute transmission if it is no relay and some relay-like
+ * neighbour is still unheard (the lowest-indexed one is the target),
+ * staggered by v's rank among the target's neighbours.  Reads v's
+ * known bits, so it runs after the trial's decodes of this slot. */
+static void rec_elect(recovery_t *rec, int64_t b, int64_t v, int64_t t)
+{
+    const int64_t *indptr = rec->indptr, *indices = rec->indices;
+    const uint64_t *row = rec->known + b * rec->words_e;
+    int64_t id = b * rec->n + v, tgt = rec->n, pos = 0, rank = 0, e;
+    if (rec->relay_like[v])
+        return;
+    for (e = indptr[v]; e < indptr[v + 1]; e++) {
+        int64_t u = indices[e];
+        if (u < tgt && rec->relay_like[u] && !known_bit(row, e)) {
+            tgt = u;
+            pos = e;
+        }
+    }
+    if (tgt == rec->n)
+        return;
+    for (e = indptr[tgt]; e < indptr[tgt + 1]; e++)
+        rank += indices[e] < v;
+    rec->elec_base[id] = rec->heard_total[id];
+    rec->elec_pos[id] = pos;
+    rec_push(rec, rec->elec_head, rec->elec_next, id,
+             t + rec->election_delay + rank);
+}
+
+/* Node v's CSR row [indptr[v], indptr[v+1]) fully set in known: every
+ * neighbour is known to hold the message.  An exact masked compare
+ * over the words the contiguous range spans. */
+static int rec_covered(const recovery_t *rec, const uint64_t *row,
+                       int64_t v)
+{
+    int64_t s = rec->indptr[v], e = rec->indptr[v + 1], w;
+    for (w = s >> 6; s < e && w <= (e - 1) >> 6; w++) {
+        int64_t wlo = s > (w << 6) ? s : (w << 6);
+        int64_t whi = e < ((w + 1) << 6) ? e : ((w + 1) << 6);
+        int64_t len = whi - wlo;
+        uint64_t mask = (len >= 64 ? ~0ULL
+                         : ((1ULL << len) - 1)) << (wlo & 63);
+        if ((row[w] & mask) != mask)
+            return 0;
+    }
+    return 1;
+}
+
+/* ---------------------------------------------------------------------
+ * Recovery pre-slot: pop slot t's due checks and elections, returning
+ * the pairs that retransmit (fire_b/fire_v, capacity 2 * B * n; order
+ * unspecified -- the engine dedup-sorts recovery pairs).  Mirrors
+ * BatchRecoveryState.pre_slot: a covered guardian clears its check
+ * without consuming a retry; otherwise the check consumes one retry,
+ * fires unless >= suppression_k decodes were overheard since the
+ * previous check, and reschedules at t + timeout * backoff^used while
+ * budget remains.  An election fires once, unless its target was
+ * overheard meanwhile or suppression cancels it.
+ * ------------------------------------------------------------------- */
+int64_t recovery_pre_slot(recovery_t *rec, int64_t t,
+                          int64_t *fire_b, int64_t *fire_v)
+{
+    int64_t n = rec->n, k = 0, id, nxt;
+    int64_t ring = t & rec->ring_mask;
+
+    id = rec->chk_head[ring];
+    rec->chk_head[ring] = -1;
+    for (; id >= 0; id = nxt) {
+        int64_t b = id / n, v = id % n, heard, used, step, j;
+        nxt = rec->chk_next[id];
+        if (rec_covered(rec, rec->known + b * rec->words_e, v))
+            continue;                       /* episode over */
+        heard = rec->heard_total[id];
+        if (rec->suppression_k <= 0
+            || heard - rec->chk_base[id] < rec->suppression_k) {
+            fire_b[k] = b;
+            fire_v[k] = v;
+            k++;
+        }
+        used = ++rec->retries_used[id];
+        rec->chk_base[id] = heard;
+        if (used < rec->max_retries) {
+            step = rec->timeout;            /* saturates past the bound */
+            for (j = 0; j < used && step <= rec->slot_bound; j++)
+                step = step > rec->slot_bound / rec->backoff
+                       ? rec->slot_bound + 1 : step * rec->backoff;
+            rec_push(rec, rec->chk_head, rec->chk_next, id, t + step);
+        }
+    }
+
+    id = rec->elec_head[ring];
+    rec->elec_head[ring] = -1;
+    for (; id >= 0; id = nxt) {
+        int64_t b = id / n, v = id % n;
+        nxt = rec->elec_next[id];
+        if (known_bit(rec->known + b * rec->words_e, rec->elec_pos[id]))
+            continue;                       /* target overheard after all */
+        if (rec->suppression_k > 0
+            && rec->heard_total[id] - rec->elec_base[id]
+               >= rec->suppression_k)
+            continue;
+        fire_b[k] = b;
+        fire_v[k] = v;
+        k++;
+    }
+    return k;
+}
+
+/* ---------------------------------------------------------------------
  * Slot resolve and commit.
  *
  * Pairs (tx_tr[i], tx_nd[i]) are sorted by (trial, node) and unique.
@@ -177,6 +342,12 @@ static inline void accum_words(uint64_t *o, uint64_t *t2,
  * (need_coll_pairs == 0) collisions are added straight into the
  * caller's per-trial coll_counts.
  *
+ * With a recovery state (rec non-NULL) the slot's recovery accounting
+ * runs here too, in BatchRecoveryState.post_slot's order: each first
+ * transmission starts a guardian check, each clean decode bumps the
+ * receiver's heard counter and sets its overhear/ACK bit pair, and once
+ * a trial's decodes are done its newly informed nodes hold elections.
+ *
  * Every rx/collision is a neighbour of some transmitter, so each
  * output stream holds at most npairs * max_degree entries; the caller
  * sizes its scratch accordingly.  out_counts = {n_rx, n_coll, n_new}.
@@ -193,10 +364,10 @@ void resolve_slot(
     int need_senders, int need_coll_pairs,
     uint64_t *ones, uint64_t *twos, uint64_t *txw,
     int64_t *first_rx, int64_t *tx_count, int64_t *rx_count,
-    int64_t *rx_tr, int64_t *rx_nd, int64_t *rx_sv, int64_t *rx_ep,
+    int64_t *rx_tr, int64_t *rx_nd, int64_t *rx_sv,
     int64_t *new_tr, int64_t *new_nd,
     int64_t *coll_tr, int64_t *coll_nd, int64_t *coll_counts,
-    int64_t *out_counts)
+    recovery_t *rec, int64_t *out_counts)
 {
     size_t row_bytes = (size_t)words * sizeof(uint64_t);
     int64_t n_rx = 0, n_new = 0, n_coll = 0;
@@ -216,6 +387,19 @@ void resolve_slot(
         tx[tx_nd[i] >> 6] |= 1ULL << (tx_nd[i] & 63);
         if (tx_count)
             tx_count[b * n + tx_nd[i]]++;
+        if (rec && !rec->has_tx[b * n + tx_nd[i]]) {
+            /* First transmission: start the guardian episode.  A
+             * transmitter decodes nothing this slot, so its heard
+             * counter is already final. */
+            int64_t id = b * n + tx_nd[i];
+            rec->has_tx[id] = 1;
+            if (rec->max_retries > 0) {
+                rec->chk_base[id] = rec->heard_total[id];
+                rec->retries_used[id] = 0;
+                rec_push(rec, rec->chk_head, rec->chk_next, id,
+                         slot + rec->timeout);
+            }
+        }
     }
 
     for (i = 0; i < npairs; i++) {
@@ -224,7 +408,7 @@ void resolve_slot(
         int64_t *frx = first_rx + b * n;
         uint64_t key = 0;
         int blackout;
-        int64_t w;
+        int64_t w, new_start = n_new;
         if (i > 0 && tx_tr[i - 1] == b)
             continue;                       /* one pass per active trial */
         o = ones + b * words;
@@ -264,7 +448,7 @@ void resolve_slot(
                 int64_t node = (w << 6) + j;
                 rx_tr[n_rx] = b;
                 rx_nd[n_rx] = node;
-                if (need_senders) {
+                if (need_senders || rec) {
                     int64_t sv = -1, ep = -1;
                     int64_t e;
                     for (e = indptr[node]; e < indptr[node + 1]; e++) {
@@ -276,8 +460,15 @@ void resolve_slot(
                         }
                     }
                     rx_sv[n_rx] = sv;
-                    if (rx_ep)
-                        rx_ep[n_rx] = ep;   /* CSR pos of (node -> sv) */
+                    if (rec) {
+                        /* The decode's overhear bit (node -> sv, CSR
+                         * position ep) and ACK bit (sv -> node). */
+                        uint64_t *krow = rec->known + b * rec->words_e;
+                        int64_t r = rec->rev_edge[ep];
+                        rec->heard_total[b * n + node]++;
+                        krow[ep >> 6] |= 1ULL << (ep & 63);
+                        krow[r >> 6] |= 1ULL << (r & 63);
+                    }
                 }
                 n_rx++;
                 if (rx_count)
@@ -302,113 +493,13 @@ void resolve_slot(
                 coll_counts[b] += POPCNT64(cl);
             }
         }
+        if (rec && rec->election)
+            for (; new_start < n_new; new_start++)
+                rec_elect(rec, b, new_nd[new_start], slot);
     }
     out_counts[0] = n_rx;
     out_counts[1] = n_coll;
     out_counts[2] = n_new;
-}
-
-/* ---------------------------------------------------------------------
- * Recovery post-slot: per clean decode (trial rt[i], receiver rn[i])
- * bump the heard counter and set both known-edge bits -- the overhear
- * (receiver -> sender, CSR position epos[i]) and the ACK (sender ->
- * receiver, its precomputed reverse position).  known is (B, words_e)
- * uint64 over CSR edge positions: bit e & 63 of word e >> 6.
- * ------------------------------------------------------------------- */
-void recovery_post_slot(
-    int64_t nrx, const int64_t *rt, const int64_t *rn,
-    const int64_t *epos, const int64_t *rev_edge,
-    int64_t n, int64_t words_e,
-    uint64_t *known, int64_t *heard_total)
-{
-    int64_t i;
-    for (i = 0; i < nrx; i++) {
-        int64_t b = rt[i];
-        int64_t e = epos[i];
-        int64_t r = rev_edge[e];
-        uint64_t *row = known + b * words_e;
-        heard_total[b * n + rn[i]]++;
-        row[e >> 6] |= 1ULL << (e & 63);    /* overhear */
-        row[r >> 6] |= 1ULL << (r & 63);    /* ACK */
-    }
-}
-
-/* ---------------------------------------------------------------------
- * Recovery guardian checks due at slot t for pairs (bt[i], vt[i])
- * whose chk_slot equals t (caller pre-filters staleness).  Mirrors
- * BatchRecoveryState.pre_slot's check branch exactly: a covered node
- * (every bit of its CSR row range [indptr[v], indptr[v+1]) set in
- * known) clears its check without consuming a retry; otherwise the
- * check consumes one retry, fires unless >= suppression_k decodes were
- * overheard since the previous check, and reschedules at
- * t + timeout * backoff^used while budget remains.  Outputs: firing
- * pairs, rescheduled pairs + their slots (for the caller's due
- * buckets), out_counts = {n_fire, n_res, max rescheduled slot}.  Each
- * output stream holds at most k entries, in input order.
- * ------------------------------------------------------------------- */
-void recovery_checks(
-    int64_t t, int64_t k,
-    const int64_t *bt, const int64_t *vt,
-    int64_t n, int64_t words_e, const int64_t *indptr,
-    const uint64_t *known,
-    int64_t *chk_slot, int64_t *chk_base,
-    int64_t *retries_used, const int64_t *heard_total,
-    int64_t timeout, int64_t max_retries, int64_t backoff,
-    int64_t suppression_k,
-    int64_t *fire_b, int64_t *fire_v,
-    int64_t *res_b, int64_t *res_v, int64_t *res_slot,
-    int64_t *out_counts)
-{
-    int64_t n_fire = 0, n_res = 0, max_slot = 0;
-    int64_t i;
-    for (i = 0; i < k; i++) {
-        int64_t b = bt[i], v = vt[i];
-        const uint64_t *row = known + b * words_e;
-        int64_t s = indptr[v], e = indptr[v + 1];
-        int covered = 1;
-        int64_t w, heard, used;
-        for (w = s >> 6; covered && s < e && w <= (e - 1) >> 6; w++) {
-            int64_t wlo = s > (w << 6) ? s : (w << 6);
-            int64_t whi = e < ((w + 1) << 6) ? e : ((w + 1) << 6);
-            int64_t len = whi - wlo;
-            uint64_t mask = (len >= 64 ? ~0ULL
-                             : ((1ULL << len) - 1)) << (wlo & 63);
-            if ((row[w] & mask) != mask)
-                covered = 0;
-        }
-        if (covered) {
-            chk_slot[b * n + v] = 0;
-            continue;
-        }
-        heard = heard_total[b * n + v];
-        if (suppression_k <= 0
-            || heard - chk_base[b * n + v] < suppression_k) {
-            fire_b[n_fire] = b;
-            fire_v[n_fire] = v;
-            n_fire++;
-        }
-        used = retries_used[b * n + v] + 1;
-        retries_used[b * n + v] = used;
-        chk_base[b * n + v] = heard;
-        if (used < max_retries) {
-            int64_t step = timeout, j, nxt;
-            for (j = 0; j < used; j++)
-                step *= backoff;
-            nxt = t + step;
-            chk_slot[b * n + v] = nxt;
-            res_b[n_res] = b;
-            res_v[n_res] = v;
-            res_slot[n_res] = nxt;
-            n_res++;
-            if (nxt > max_slot)
-                max_slot = nxt;
-        } else {
-            chk_slot[b * n + v] = 0;
-        }
-    }
-    out_counts[0] = n_fire;
-    out_counts[1] = n_res;
-    out_counts[2] = max_slot;
 }
 """
 

@@ -2,324 +2,147 @@
 recovery layer.
 
 :class:`~repro.sim.recovery.BatchRecoveryState` vectorises the recovery
-machine over ``(B, nnz)`` boolean known-edge matrices, but three of its
-costs scale badly on recovery-heavy cells and are identical under every
-slot-resolve tier — the Amdahl bottleneck BENCH_kernel's
-``recovery_grid`` exposed:
+machine over ``(B, nnz)`` boolean known-edge matrices in numpy.
+:class:`NativeRecoveryState` computes the *same state machine*
+(:mod:`repro.sim.recovery` documents it; the differential suite holds
+it to trace equality with the batch state) entirely inside the cffi
+kernel (:mod:`repro.sim.native`), so a recovering slot on the compiled
+tier costs two C calls and no numpy work:
 
-* every slot scans the full ``(B, n)`` ``chk_slot``/``elec_slot``
-  arrays for due work (``== t`` + ``nonzero`` over B*n elements, twice,
-  whether or not anything is due);
-* every decode pair pays a ``searchsorted`` over the sorted ``row * n +
-  col`` edge keys to find its CSR position;
-* the per-check "all neighbours covered?" test gathers ``max_degree``
-  booleans per (trial, node) pair.
-
-:class:`NativeRecoveryState` removes all three while computing the
-*same state machine* (:mod:`repro.sim.recovery` documents it; the
-differential suite holds it to trace equality with the batch state):
-
-* **due buckets** — ``chk_slot``/``elec_slot`` stay the source of truth,
-  but every assignment also appends the (trial, node) pair to a
-  ``slot -> pairs`` bucket; ``pre_slot`` pops its bucket and drops the
-  stale entries (``chk_slot[b, v] != t``), so the per-slot cost scales
-  with the *due* count, not ``B * n``.  A pair's scheduled slots are
-  strictly increasing (episodes start once, reschedules move forward),
-  so a bucket never holds duplicates;
+* **one C struct** — ``recovery_t`` points at the state arrays this
+  object allocates once (so the pointers stay valid for the run) and
+  carries the policy scalars and the running ``horizon``.  The kernel
+  keeps no state of its own;
 * **edge-keyed word bitset** — the known-edge state is ``(B,
   ceil(nnz/64))`` uint64 words, bit ``e & 63`` of word ``e >> 6`` for
   CSR data position *e* (:mod:`repro.radio.bitpack` layout over edge
   positions instead of node ids).  The ACK/overhear pair of a decode is
-  two bits: the (receiver -> sender) position falls out of the
-  compiled resolve's sender attribution for free, and the (sender ->
-  receiver) position is one precomputed ``rev_edge`` lookup.  A node's
-  coverage test is an exact mask compare over the <= 2 words its
-  contiguous CSR row spans;
-* **C inner loops** — the two hot loops (per-decode bit sets + heard
-  counters, per-check covered/suppression/reschedule) run in the cffi
-  kernel's ``recovery_post_slot``/``recovery_checks`` (see
-  :mod:`repro.sim.native`).  Election bookkeeping stays numpy —
-  elections fire at most once per (trial, node) and never dominate.
+  two bits: the (receiver -> sender) position falls out of the resolve's
+  sender attribution, and the (sender -> receiver) position is one
+  precomputed ``rev_edge`` lookup.  A node's coverage test is an exact
+  mask compare over the words its contiguous CSR row spans;
+* **post-slot inside the resolve** — the compiled backend hands the
+  struct to ``resolve_slot``, which starts guardian checks at first
+  transmissions, sets the bit pair and heard counter per clean decode
+  and, once a trial's decodes are done, holds the elections of its
+  newly informed nodes;
+* **a C due calendar** — checks and elections are due in a power-of-two
+  ring of slot heads over intrusive per-pair lists (a pair is pending
+  at most once per list).  ``recovery_pre_slot`` walks slot *t*'s
+  lists and returns the retransmitting pairs, so the per-slot cost
+  scales with the *due* count, not ``B * n``.  The ring spans the
+  policy's farthest schedule distance, capped by the run's slot bound:
+  work past the bound can never fire, so it only raises the horizon.
 
 Instances are built by the compiled backend
-(:meth:`~repro.sim.backend.NativeBackend.make_recovery`), which also
-feeds ``post_slot`` the attribution edge positions.
+(:meth:`~repro.sim.backend.NativeBackend.make_recovery`), which keeps
+them alive for the run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .. import profiling
 from ..radio.bitpack import num_words
 from ..topology.base import Topology
 from .recovery import RecoveryPolicy
 
-__all__ = ["NativeRecoveryState", "push_buckets"]
-
-_EMPTY = np.empty(0, dtype=np.int64)
-_U64 = np.uint64
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: ``slot -> [(trials, nodes), ...]`` pair buckets.
-Buckets = Dict[int, List[Tuple[np.ndarray, np.ndarray]]]
-
-
-def push_buckets(buckets: Buckets, tr: np.ndarray, nd: np.ndarray,
-                 slots: np.ndarray) -> int:
-    """Bucket (trial, node) pairs by their per-pair *slots* (non-empty);
-    returns the latest slot.  Pairs all due in one slot — the common
-    case — go in as one entry without a grouping pass."""
-    lo, hi = int(slots.min()), int(slots.max())
-    if lo == hi:
-        buckets.setdefault(lo, []).append((tr, nd))
-        return hi
-    for s in np.unique(slots):
-        sel = slots == s
-        buckets.setdefault(int(s), []).append((tr[sel], nd[sel]))
-    return hi
+__all__ = ["NativeRecoveryState"]
 
 
 class NativeRecoveryState:
-    """B-trial recovery state over a word-packed known-edge bitset, its
-    hot inner loops in the cffi kernel *module*.
+    """B-trial recovery state over a word-packed known-edge bitset, run
+    by the cffi kernel *module* through one ``recovery_t`` struct.
 
     Bit-identical to :class:`~repro.sim.recovery.BatchRecoveryState` by
     construction: same per-(trial, node) scalars, same update order,
     same horizon growth — only the known-edge representation and the
-    due-work discovery differ.
+    due-work discovery differ.  *slot_bound* is the last slot the run
+    can reach.
     """
 
     def __init__(self, topology: Topology, policy: RecoveryPolicy,
-                 relay_like: np.ndarray, trials: int, module) -> None:
+                 relay_like: np.ndarray, trials: int, module,
+                 slot_bound: int) -> None:
         kernel = topology.slot_kernel
         n = topology.num_nodes
         self.policy = policy
         self.n = n
         self.trials = trials
-        self.relay_like = np.asarray(relay_like, dtype=bool)
+        self.relay_like = np.asarray(relay_like, dtype=np.uint8)
         indptr = np.ascontiguousarray(kernel.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(kernel.indices, dtype=np.int64)
-        self._indptr = indptr
-        nnz = len(indices)
-        self.words_e = max(num_words(nnz), 1)
         degrees = np.diff(indptr)
         rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
         # Reverse-edge table: the CSR position of (col -> row) for each
         # (row -> col) data position.  The adjacency is symmetric, so
-        # every reversed key exists; one argsort + searchsorted at init
-        # replaces the per-slot searchsorted of the dense batch state.
+        # every reversed key exists.
         keys = rows * n + indices
         order = np.argsort(keys, kind="stable")
         self.rev_edge = np.ascontiguousarray(
             order[np.searchsorted(keys[order], indices * n + rows)])
-        # Coverage masks: node v is covered iff every bit of its
-        # contiguous CSR range [indptr[v], indptr[v+1]) is set, i.e. a
-        # word-masked compare over the <= ceil(max_degree/64)+1 words
-        # the range spans.
-        s, e = indptr[:-1], indptr[1:]
-        w0 = s >> 6
-        w1 = np.maximum(e - 1, s) >> 6
-        span = int((w1 - w0 + 1).max()) if n else 1
-        j = np.arange(span, dtype=np.int64)
-        w = w0[:, None] + j[None, :]
-        valid = (w <= w1[:, None]) & (e > s)[:, None]
-        lo = np.maximum(s[:, None], w << 6)
-        hi = np.minimum(e[:, None], (w + 1) << 6)
-        length = np.maximum(hi - lo, 0)
-        lc = np.clip(length, 1, 64).astype(np.uint64)  # dodge >>64 UB
-        mask = ((_ALL_ONES >> (np.uint64(64) - lc))
-                << (lo & 63).astype(np.uint64))
-        self._cov_w = np.where(valid, w, 0)
-        self._cov_m = np.where(valid & (length > 0), mask, _U64(0))
-        # Padded per-node neighbour tables (election target search);
-        # vectorised build, pad sentinel n.
+        self.known = np.zeros((trials, max(num_words(len(indices)), 1)),
+                              dtype=np.uint64)
+        grid = (trials, n)
+        self.heard_total = np.zeros(grid, dtype=np.int64)
+        self.has_tx = np.zeros(grid, dtype=bool)
+        self.chk_base = np.zeros(grid, dtype=np.int64)
+        self.retries_used = np.zeros(grid, dtype=np.int64)
+        self.elec_base = np.zeros(grid, dtype=np.int64)
+        self.elec_pos = np.zeros(grid, dtype=np.int64)
+        # Calendar ring: one head per slot of the farthest distance any
+        # check or election is scheduled ahead, within the slot bound.
         maxdeg = int(degrees.max()) if n else 0
-        jd = np.arange(max(maxdeg, 1), dtype=np.int64)
-        dvalid = jd[None, :] < degrees[:, None]
-        pos = np.minimum(s[:, None] + jd[None, :], max(nnz - 1, 0))
-        self._P = np.where(dvalid, pos, 0)
-        self._N = np.where(dvalid, indices[pos] if nnz else 0, n)
-        self._V = dvalid
-        self._relay_ext = np.append(self.relay_like, False)
-        self.known = np.zeros((trials, self.words_e), dtype=np.uint64)
-        self.heard_total = np.zeros((trials, n), dtype=np.int64)
-        self.has_tx = np.zeros((trials, n), dtype=bool)
-        self.chk_slot = np.zeros((trials, n), dtype=np.int64)
-        self.chk_base = np.zeros((trials, n), dtype=np.int64)
-        self.retries_used = np.zeros((trials, n), dtype=np.int64)
-        self.elec_slot = np.zeros((trials, n), dtype=np.int64)
-        self.elec_base = np.zeros((trials, n), dtype=np.int64)
-        self.elec_pos = np.zeros((trials, n), dtype=np.int64)
-        self.horizon = 0
-        self._chk_due: Buckets = {}
-        self._elec_due: Buckets = {}
+        far = max(policy.timeout * policy.backoff
+                  ** min(max(policy.max_retries - 1, 0), 64),
+                  policy.election_delay + maxdeg if policy.election else 0)
+        ring = 1 << max(min(far, slot_bound), 0).bit_length()
+        self._heads = np.full((2, ring), -1, dtype=np.int64)
+        self._links = np.empty((2, trials * n), dtype=np.int64)
+        # A pair can fire from a check and an election in one slot.
+        self._fire = np.empty((2, 2 * trials * n), dtype=np.int64)
         self._ffi, self._lib = module.ffi, module.lib
         ffi = self._ffi
 
-        def pin(array, ctype):
-            return array, ffi.cast(ctype, ffi.from_buffer(array))
+        def ptr(array, ctype="int64_t *"):
+            return ffi.cast(ctype, ffi.from_buffer(array))
 
-        # The state arrays are allocated once here and never
-        # reallocated, so the pinned views stay valid for the run.
-        self._c_known = pin(self.known, "uint64_t *")
-        self._c_heard = pin(self.heard_total, "int64_t *")
-        self._c_chk_slot = pin(self.chk_slot, "int64_t *")
-        self._c_chk_base = pin(self.chk_base, "int64_t *")
-        self._c_retries = pin(self.retries_used, "int64_t *")
-        self._c_indptr = pin(self._indptr, "const int64_t *")
-        self._c_rev = pin(self.rev_edge, "const int64_t *")
-        self._c_counts = pin(np.zeros(3, dtype=np.int64), "int64_t *")
+        self._tables = (indptr, indices)  # the struct points into them
+        # Policy scalars capped at one past the bound: exact wherever a
+        # slot sum can still fire, and never overflowing int64.
+        cap = max(slot_bound, 0) + 1
+        c = self.c = ffi.new("recovery_t *")
+        c.n, c.words_e = n, self.known.shape[1]
+        c.indptr, c.indices = ptr(indptr), ptr(indices)
+        c.rev_edge = ptr(self.rev_edge)
+        c.relay_like = ptr(self.relay_like, "uint8_t *")
+        c.known = ptr(self.known, "uint64_t *")
+        c.heard_total = ptr(self.heard_total)
+        c.has_tx = ptr(self.has_tx, "uint8_t *")
+        c.chk_base, c.retries_used = ptr(self.chk_base), ptr(self.retries_used)
+        c.elec_base, c.elec_pos = ptr(self.elec_base), ptr(self.elec_pos)
+        c.timeout = min(policy.timeout, cap)
+        c.max_retries = min(policy.max_retries, cap)
+        c.backoff = min(policy.backoff, cap)
+        c.suppression_k = min(policy.suppression_k, cap)
+        c.election = int(policy.election)
+        c.election_delay = min(policy.election_delay, cap)
+        c.slot_bound, c.ring_mask = slot_bound, ring - 1
+        c.chk_head, c.elec_head = ptr(self._heads[0]), ptr(self._heads[1])
+        c.chk_next, c.elec_next = ptr(self._links[0]), ptr(self._links[1])
+        c.horizon = 0
+        self._fire_ptrs = ptr(self._fire[0]), ptr(self._fire[1])
 
-    # ------------------------------------------------------------------
-
-    def _pop_due(self, due: Buckets, slots: np.ndarray, t: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Pop bucket *t* and drop entries whose slot moved or cleared."""
-        entries = due.pop(t, None)
-        if not entries:
-            return _EMPTY, _EMPTY
-        if len(entries) == 1:
-            bt, vt = entries[0]
-        else:
-            bt = np.concatenate([p[0] for p in entries])
-            vt = np.concatenate([p[1] for p in entries])
-        live = slots[bt, vt] == t
-        if live.all():
-            return bt, vt
-        return bt[live], vt[live]
-
-    def _edge_bit(self, bt: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Known-bit test of CSR edge positions *pos* in trials *bt*."""
-        return ((self.known[bt, pos >> 6]
-                 >> (pos & 63).astype(np.uint64)) & _U64(1)).astype(bool)
-
-    def _as_i64(self, array: np.ndarray):
-        array = np.ascontiguousarray(array, dtype=np.int64)
-        return array, self._ffi.cast("const int64_t *",
-                                     self._ffi.from_buffer(array))
-
-    # ------------------------------------------------------------------
-
-    def _process_checks(self, t: int, bt: np.ndarray, vt: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Guardian checks due at *t*: covered test, suppression,
-        retry accounting, rescheduling.  Returns the firing pairs."""
-        pol = self.policy
-        k = len(vt)
-        kb, pb = self._as_i64(bt)
-        kv, pv = self._as_i64(vt)
-        fire_b = np.empty(k, dtype=np.int64)
-        fire_v = np.empty(k, dtype=np.int64)
-        res_b = np.empty(k, dtype=np.int64)
-        res_v = np.empty(k, dtype=np.int64)
-        res_slot = np.empty(k, dtype=np.int64)
-        ffi, out = self._ffi, self._c_counts
-        cast = lambda a: ffi.cast("int64_t *", ffi.from_buffer(a))
-        self._lib.recovery_checks(
-            t, k, pb, pv, self.n, self.words_e, self._c_indptr[1],
-            self._c_known[1], self._c_chk_slot[1], self._c_chk_base[1],
-            self._c_retries[1], self._c_heard[1],
-            pol.timeout, pol.max_retries, pol.backoff, pol.suppression_k,
-            cast(fire_b), cast(fire_v),
-            cast(res_b), cast(res_v), cast(res_slot), out[1])
-        n_fire, n_res, max_slot = map(int, out[0])
-        if n_res:
-            push_buckets(self._chk_due, res_b[:n_res], res_v[:n_res],
-                         res_slot[:n_res])
-            self.horizon = max(self.horizon, max_slot)
-        return fire_b[:n_fire], fire_v[:n_fire]
-
-    # ------------------------------------------------------------------
+    @property
+    def horizon(self) -> int:
+        """The latest slot any check or election has been scheduled."""
+        return self.c.horizon
 
     def pre_slot(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """Checks/elections due at *t*: returns retransmitting
         ``(trials, nodes)`` pair arrays (order unspecified; the engine
-        dedup-sorts recovery pairs)."""
-        pol = self.policy
-        out_tr, out_nd = [], []
-        bt, vt = self._pop_due(self._chk_due, self.chk_slot, t)
-        if len(vt):
-            fb, fv = self._process_checks(t, bt, vt)
-            if len(fv):
-                out_tr.append(fb)
-                out_nd.append(fv)
-        bt, wt = self._pop_due(self._elec_due, self.elec_slot, t)
-        if len(wt):
-            with profiling.phase("recovery-election"):
-                self.elec_slot[bt, wt] = 0        # one-shot
-                ok = ~self._edge_bit(bt, self.elec_pos[bt, wt])
-                if pol.suppression_k > 0:
-                    ok &= (self.heard_total[bt, wt]
-                           - self.elec_base[bt, wt] < pol.suppression_k)
-                out_tr.append(bt[ok])
-                out_nd.append(wt[ok])
-        if not out_nd:
-            return _EMPTY, _EMPTY
-        return np.concatenate(out_tr), np.concatenate(out_nd)
-
-    # ------------------------------------------------------------------
-
-    def post_slot(self, t: int, tr: np.ndarray, nd: np.ndarray,
-                  rt: np.ndarray, rn: np.ndarray, sv: np.ndarray,
-                  nt: np.ndarray, nn: np.ndarray,
-                  epos: np.ndarray) -> None:
-        """Account one resolved batch slot (mirrors
-        :meth:`~repro.sim.recovery.BatchRecoveryState.post_slot`).
-
-        *epos* are the CSR positions of the (receiver -> sender) edges,
-        as produced by the compiled backend's sender attribution.
-        """
-        pol = self.policy
-        if len(rn):
-            # Heard counters plus the ACK/overhear bit pair per decoded
-            # (receiver, sender) edge.
-            kt, pt = self._as_i64(rt)
-            kn, pn = self._as_i64(rn)
-            ke, pe = self._as_i64(epos)
-            self._lib.recovery_post_slot(
-                len(kn), pt, pn, pe, self._c_rev[1],
-                self.n, self.words_e, self._c_known[1], self._c_heard[1])
-        fresh = ~self.has_tx[tr, nd]
-        if fresh.any():
-            ft, fn = tr[fresh], nd[fresh]
-            self.has_tx[ft, fn] = True
-            if pol.max_retries > 0:
-                due = t + pol.timeout
-                self.chk_slot[ft, fn] = due
-                self.chk_base[ft, fn] = self.heard_total[ft, fn]
-                self.retries_used[ft, fn] = 0
-                self._chk_due.setdefault(due, []).append((ft, fn))
-                self.horizon = max(self.horizon, due)
-        if pol.election and len(nn):
-            with profiling.phase("recovery-election"):
-                self._schedule_elections(t, nt, nn)
-
-    def _schedule_elections(self, t: int, nt: np.ndarray,
-                            nn: np.ndarray) -> None:
-        """Schedule one-shot substitute transmissions for newly informed
-        non-relays with an unheard relay-like neighbour."""
-        pol = self.policy
-        sel = ~self.relay_like[nn]
-        et, en = nt[sel], nn[sel]
-        if not len(en):
-            return
-        nb = self._N[en]
-        pb = self._P[en]
-        cand = (self._V[en] & self._relay_ext[nb]
-                & ~self._edge_bit(et[:, None], pb))
-        tgt = np.where(cand, nb, self.n).min(axis=1)
-        has = tgt < self.n
-        et, en, tgt = et[has], en[has], tgt[has]
-        if not len(en):
-            return
-        rank = ((self._N[tgt] < en[:, None]) & self._V[tgt]).sum(axis=1)
-        slot = t + pol.election_delay + rank
-        self.elec_slot[et, en] = slot
-        self.elec_base[et, en] = self.heard_total[et, en]
-        self.elec_pos[et, en] = np.where(self._N[en] == tgt[:, None],
-                                         self._P[en], 0).sum(axis=1)
-        self.horizon = max(self.horizon,
-                           push_buckets(self._elec_due, et, en, slot))
+        dedup-sorts recovery pairs), views valid until the next call."""
+        k = self._lib.recovery_pre_slot(self.c, t, *self._fire_ptrs)
+        return self._fire[0, :k], self._fire[1, :k]

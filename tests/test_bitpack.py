@@ -4,7 +4,8 @@ CSR kernel.
 The compiled tier's value is entirely conditional on being *exactly*
 the dense kernel 64x denser — these tests pin the pack layout, the
 packed neighbour table, the C carry-save collision resolve and its
-sender/edge attribution against the dense reference, plus the
+sender attribution (and the recovery bits it sets per decode) against
+the dense reference, plus the
 integer-threshold Bernoulli equivalence the compiled loss draws rely
 on.
 """
@@ -18,7 +19,8 @@ from repro.radio import bitpack
 from repro.radio.impairments import (BernoulliBatchLoss, BurstBatchLoss,
                                      bernoulli_threshold, counter_slot_keys,
                                      counter_uniforms, trial_seeds)
-from repro.sim import (BroadcastSchedule, native_available, replay_batch)
+from repro.sim import (BroadcastSchedule, RecoveryPolicy, native_available,
+                       replay_batch)
 from repro.sim.engine import _BatchState
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 
@@ -89,9 +91,17 @@ class TestPackedResolve:
         # The neighbour table row v is v's CSR neighbour set.
         table = unpack(kernel.neighbour_words(), n)
         assert np.array_equal(table, mesh.adjacency.toarray() != 0)
+        edge = {(int(r), int(c)): e for r in range(n)
+                for e, c in enumerate(kernel.indices[kernel.indptr[r]:
+                                                     kernel.indptr[r + 1]],
+                                      start=int(kernel.indptr[r]))}
         rng = np.random.default_rng(42)
         for trials in (1, 3, 6):
             backend = self.backend(kernel, trials)
+            rec = backend.make_recovery(mesh, RecoveryPolicy(),
+                                        np.ones(n, bool), trials, 16)
+            known = np.zeros((trials, len(kernel.indices)), dtype=bool)
+            heard_total = np.zeros((trials, n), dtype=np.int64)
             for t in range(1, 16):
                 pairs = {(int(rng.integers(trials)), int(rng.integers(n)))
                          for _ in range(int(rng.integers(1, n)))}
@@ -107,11 +117,16 @@ class TestPackedResolve:
                 assert np.array_equal(ct, dct)
                 assert np.array_equal(cn, dcn)
                 assert np.array_equal(sv, senders[drt, drn])
-                # last_epos: the CSR position of each (rn -> sv) edge.
-                epos = backend.last_epos
-                assert np.array_equal(kernel.indices[epos], sv)
-                assert ((kernel.indptr[rn] <= epos)
-                        & (epos < kernel.indptr[rn + 1])).all()
+                # The fused recovery update: each decode bumps the
+                # receiver's heard counter and sets the overhear bit at
+                # the CSR position of (rn -> sv) and the ACK bit at
+                # (sv -> rn).
+                for b, r, w in zip(drt, drn, senders[drt, drn]):
+                    known[b, edge[r, w]] = known[b, edge[w, r]] = True
+                    heard_total[b, r] += 1
+                assert np.array_equal(
+                    unpack(rec.known, known.shape[1]), known)
+                assert np.array_equal(rec.heard_total, heard_total)
 
     def test_empty_slot(self):
         mesh = Mesh2D4(4, 4)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import BroadcastSchedule, replay, run_reactive
-from repro.sim.engine import sorted_unique_pairs
+from repro.sim.engine import _offset_masks, sorted_unique_pairs
 from repro.topology import Mesh2D4
 
 
@@ -206,3 +206,38 @@ class TestSortedUniquePairs:
         nd = np.array([2, 3, 2], dtype=np.int64)
         sorted_unique_pairs(tr, nd, 5)
         assert tr.tolist() == [1, 0, 1] and nd.tolist() == [2, 3, 2]
+
+
+class TestOffsetMasks:
+    """Repeat offsets regrouped per offset: one ``(rows, n)`` mask per
+    distinct offset, built once (not one throwaway matrix per entry)."""
+
+    ROWS = [{0: (1, 3), 4: (3,), 7: (2,)}, None, {4: (1,), 5: (3, 6)}]
+
+    def test_equals_reference_construction(self):
+        n = 9
+        ref = {}
+        for b, repeats in enumerate(self.ROWS):
+            for v, offs in (repeats or {}).items():
+                for off in offs:
+                    if off not in ref:
+                        ref[off] = np.zeros((len(self.ROWS), n), bool)
+                    ref[off][b, v] = True
+        got = _offset_masks(n, self.ROWS)
+        assert sorted(got) == sorted(ref)
+        for off, mask in ref.items():
+            assert got[off].dtype == bool
+            assert np.array_equal(got[off], mask)
+        assert _offset_masks(n, [None]) == {}
+
+    def test_one_allocation_per_distinct_offset(self, monkeypatch):
+        calls = []
+        zeros = np.zeros
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return zeros(*args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", counting)
+        masks = _offset_masks(9, self.ROWS)
+        assert len(calls) == len(masks) == 4

@@ -5,7 +5,7 @@ import pytest
 
 from repro import profiling
 from repro.radio.impairments import BernoulliBatchLoss, trial_seeds
-from repro.sim import native_available, run_reactive_batch
+from repro.sim import RecoveryPolicy, native_available, run_reactive_batch
 from repro.topology import Mesh2D4
 
 
@@ -56,3 +56,28 @@ def test_compiled_summary_run_records_commit():
     times = profiling.stop()
     assert times["commit"] > 0.0
     assert times["resolve"] > 0.0
+
+
+@pytest.mark.parametrize("engine", ["compiled", "batch"])
+def test_recovery_post_slot_phases_run_only_on_the_dense_tier(engine):
+    """Structural guard, no timing: the compiled kernel runs the whole
+    recovery post-slot update (elections included) inside ``resolve``,
+    so neither numpy phase is ever entered there; the dense tier still
+    records both."""
+    if engine == "compiled" and not native_available():
+        pytest.skip("native kernel unavailable")
+    mesh = Mesh2D4(8, 6)
+    trials = 4
+    loss = BernoulliBatchLoss(0.2, trial_seeds(2, 0.2, trials))
+    profiling.start()
+    run_reactive_batch(mesh, 0, np.ones(mesh.num_nodes, dtype=bool),
+                       loss=loss, summary=True, engine=engine,
+                       recovery=RecoveryPolicy())
+    times = profiling.stop()
+    assert times["recovery-pre"] > 0.0
+    dense = {"recovery-post", "recovery-election"}
+    if engine == "compiled":
+        assert not dense & set(times)
+        assert times["resolve"] > 0.0
+    else:
+        assert dense <= set(times)

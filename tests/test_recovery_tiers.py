@@ -5,13 +5,14 @@ The slot-resolve tiers are bit-identical to the dense batch kernel;
 this suite extends the contract to the recovery layer.  With a
 :class:`RecoveryPolicy` active, ``engine="compiled"`` runs
 :class:`~repro.sim.recovery_packed.NativeRecoveryState` (word-packed
-known-edge bitset, due-slot buckets, C inner loops) — it must stay
-trace-for-trace identical to the
+known-edge bitset, a C due calendar, the whole machine in the kernel)
+— it must stay trace-for-trace identical to the
 :class:`~repro.sim.recovery.BatchRecoveryState` oracle on
 hypothesis-generated scenarios over all four paper topologies, random
 policies (elections included — meaningful on 2D-8, whose triangles make
 repair possible), loss processes, dead-node masks, and every shard
-count.
+count, plus directed calendar edge cases (schedules past the slot
+bound, elections without retries).
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.radio.impairments import (BernoulliBatchLoss, BurstBatchLoss,
 from repro.sim import (NativeRecoveryState, RecoveryPolicy, native_available,
                        replay_batch, replay_batch_sharded,
                        run_reactive_batch, run_reactive_batch_sharded)
+from repro.sim.backend import NativeBackend
 from repro.sim.native import native_kernel
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 
@@ -61,8 +63,8 @@ def assert_summaries_equal(oracle, summary, tag):
 def recovery_policy(draw):
     return RecoveryPolicy(
         timeout=draw(st.integers(1, 3)),
-        max_retries=draw(st.integers(0, 3)),
-        backoff=draw(st.integers(1, 2)),
+        max_retries=draw(st.integers(0, 5)),
+        backoff=draw(st.integers(1, 3)),
         suppression_k=draw(st.integers(0, 3)),
         election=draw(st.booleans()))
 
@@ -213,6 +215,65 @@ class TestReplayRecoveryTiers:
         check()
 
 
+class TestCalendarEdgeCases:
+    """Directed cases of the compiled tier's due calendar, held to the
+    batch oracle at trace level."""
+
+    def test_schedules_past_the_slot_bound(self):
+        """Backoff 3 over 6 retries reaches 3 * 3**5 = 729 slots ahead,
+        far past max_slots: the calendar must drop that work (it can
+        never fire) while the horizon still keeps the loop running."""
+        mesh = Mesh2D4(6, 5)
+        src = mesh.index((3, 2))
+        plan = protocol_for(mesh.name).relay_plan(mesh, (3, 2))
+        compiled = protocol_for(mesh.name).compile(mesh, (3, 2))
+        trials, max_slots = 5, 24
+        policy = RecoveryPolicy(timeout=3, max_retries=6, backoff=3,
+                                suppression_k=0, election=True)
+        loss = BernoulliBatchLoss(0.35, trial_seeds(3, 0.35, trials))
+        kwargs = dict(loss=loss, trials=trials, recovery=policy)
+        uncut = run_reactive_batch(mesh, src, plan.relay_mask,
+                                   engine="batch", **kwargs)
+        assert max(t for tr in uncut for t, _ in tr.tx_events) > max_slots
+        kwargs["max_slots"] = max_slots
+        oracle = run_reactive_batch(mesh, src, plan.relay_mask,
+                                    engine="batch", **kwargs)
+        for tier in TIERS:
+            assert_traces_equal(
+                oracle, run_reactive_batch(mesh, src, plan.relay_mask,
+                                           engine=tier, **kwargs), tier)
+            assert_traces_equal(
+                replay_batch(mesh, compiled.schedule, src,
+                             engine="batch", **kwargs),
+                replay_batch(mesh, compiled.schedule, src, engine=tier,
+                             **kwargs), f"{tier} replay")
+
+    def test_elections_without_retries(self):
+        """max_retries=0 schedules no guardian check at all; elections
+        alone must still repair around a dead relay identically."""
+        mesh = Mesh2D8(5, 5)
+        src = mesh.index((2, 2))
+        plan = protocol_for("2D-8").relay_plan(mesh, (2, 2))
+        relays = plan.relay_mask.nonzero()[0]
+        trials = 4
+        dead_masks = np.zeros((trials, mesh.num_nodes), dtype=bool)
+        dead_masks[:, int(relays[relays != src][0])] = True
+        policy = RecoveryPolicy(timeout=1, max_retries=0, backoff=2,
+                                suppression_k=1, election=True)
+        kwargs = dict(dead_masks=dead_masks, trials=trials)
+        plain = run_reactive_batch(mesh, src, plan.relay_mask, **kwargs)
+        oracle = run_reactive_batch(mesh, src, plan.relay_mask,
+                                    engine="batch", recovery=policy,
+                                    **kwargs)
+        assert (sum(len(tr.tx_events) for tr in oracle)
+                > sum(len(tr.tx_events) for tr in plain))
+        for tier in TIERS:
+            assert_traces_equal(
+                oracle, run_reactive_batch(mesh, src, plan.relay_mask,
+                                           engine=tier, recovery=policy,
+                                           **kwargs), tier)
+
+
 class TestShardInvarianceWithRecovery:
     """Recovery state rides trial shards: every worker count and tier
     must reproduce the unsharded batch summary bit for bit (the
@@ -275,7 +336,7 @@ class TestPackedStateInternals:
     def state(mesh):
         return NativeRecoveryState(mesh, RecoveryPolicy(),
                                    np.ones(mesh.num_nodes, bool), 1,
-                                   native_kernel())
+                                   native_kernel(), 4 * mesh.num_nodes)
 
     def test_reverse_edge_table_is_involution(self):
         for cls, shape in MESHES:
@@ -291,13 +352,37 @@ class TestPackedStateInternals:
             assert np.array_equal(indices[rev], rows)
 
     def test_coverage_masks_cover_each_row_exactly(self):
+        """The kernel's coverage decision at a due check reads exactly
+        the guardian's CSR row: every bit of the row known clears the
+        check without using a retry, any one bit missing fires it.
+        Mesh2D8(4, 4) has 84 edge positions, so rows cross word
+        boundaries."""
         mesh = Mesh2D8(4, 4)
-        state = self.state(mesh)
+        n = mesh.num_nodes
         indptr = mesh.slot_kernel.indptr
-        for v in range(mesh.num_nodes):
-            bits = set()
-            for w, m in zip(state._cov_w[v], state._cov_m[v]):
-                for j in range(64):
-                    if int(m) >> j & 1:
-                        bits.add(int(w) * 64 + j)
-            assert bits == set(range(int(indptr[v]), int(indptr[v + 1])))
+        policy = RecoveryPolicy(timeout=1, max_retries=2, backoff=1,
+                                suppression_k=0, election=False)
+
+        def due_check(v, bits):
+            backend = NativeBackend(mesh.slot_kernel, 1, None, None,
+                                    need_senders=True,
+                                    need_coll_pairs=True)
+            backend.bind(np.full((1, n), -1, dtype=np.int64))
+            state = backend.make_recovery(mesh, policy, np.ones(n, bool),
+                                          1, 8)
+            one = np.ones(1, dtype=np.int64)
+            backend.resolve(1, 0 * one, v * one)  # check due at slot 2
+            state.known[:] = 0
+            for e in bits:
+                state.known[0, e >> 6] |= np.uint64(1) << np.uint64(e & 63)
+            fb, fv = state.pre_slot(2)
+            return (list(zip(fb.tolist(), fv.tolist())),
+                    int(state.retries_used[0, v]))
+
+        assert len(mesh.slot_kernel.indices) > 64
+        for v in range(n):
+            row = range(int(indptr[v]), int(indptr[v + 1]))
+            assert due_check(v, row) == ([], 0)
+            for e in row:
+                assert due_check(v, [x for x in row if x != e]) \
+                    == ([(0, v)], 1)
