@@ -29,7 +29,10 @@ each class *once*:
   serial compiler — each member's round is digested by the compiler's own
   per-member step (:class:`~repro.core.compiler._Fixpoint`: pruning, exit
   conditions, fix planner) — with each round's reactive waves batched
-  across the class.
+  across the class.  Both kinds of wave, and the representatives'
+  batched fixpoint, run on the compiled tier wherever the native kernel
+  builds (``run_reactive_multi``'s ``engine="auto"``, its scheduler
+  included) and on the dense tier otherwise, bit-identically.
 
 Exactness does **not** rest on the class key: every member's schedule is
 produced by the identical algorithm the direct path runs (the batched

@@ -18,9 +18,14 @@ with them).  On the compiled tier the Bernoulli loss draws, the
 summary-mode commit and the whole recovery post-slot update (elections
 included) run inside the C ``resolve`` call, so they count as
 ``resolve``: there ``loss-rng`` covers only burst blackout draws,
-``commit`` only the trace-mode event logs, ``recovery-pre`` is the one
-C calendar call, and ``recovery-post``/``recovery-election`` appear
-only on the dense tier.
+``commit`` only the trace-mode event logs, and
+``recovery-post``/``recovery-election`` appear only on the dense tier.
+A compiled reactive run also schedules in C: its one pre-slot call per
+transmitting slot (relay calendar, forced pairs, the pair read-back
+and, with a policy, the recovery calendar's due checks and elections)
+counts as ``recovery-pre`` when a recovery policy runs and as
+``resolve`` otherwise.  A compiled replay keeps ``recovery-pre`` as the
+one C recovery-calendar call.
 
 Not thread-safe, and deliberately not process-aware: a sharded run
 profiles only the parent process (per-shard phases happen in workers),

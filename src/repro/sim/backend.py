@@ -1,14 +1,16 @@
 """Slot-resolve backend dispatch: the ``engine=`` tier above "batch".
 
-:func:`~repro.sim.engine.run_reactive_batch` and
-:func:`~repro.sim.engine.replay_batch` accept ``engine`` in
+:func:`~repro.sim.engine.run_reactive_batch`,
+:func:`~repro.sim.engine.replay_batch` and
+:func:`~repro.sim.engine.run_reactive_multi` accept ``engine`` in
 
 * ``"batch"`` — the dense CSR kernel
   (:meth:`~repro.radio.channel.SlotKernel.resolve_batch`), always
-  available, the default;
+  available, the default of the first two;
 * ``"compiled"`` — the cffi/C word-space kernel
   (:mod:`repro.sim.native`), optional dependency;
-* ``"auto"`` — compiled if it builds, else batch.
+* ``"auto"`` — compiled if it builds, else batch; the default of
+  ``run_reactive_multi`` (the symmetry path's class waves).
 
 The compiled backend consumes the slot's deduplicated, (trial,
 node)-sorted transmission pairs and produces **sparse** outcomes —
@@ -36,14 +38,20 @@ benchmarks and CLI output.
 The compiled backend also owns the matching **recovery state**
 (:meth:`NativeBackend.make_recovery`, see
 :mod:`repro.sim.recovery_packed`): once it is made, every resolve runs
-the recovery post-slot accounting inside the same C call.
+the recovery post-slot accounting inside the same C call.  For a
+reactive run it owns the **scheduler** too (:meth:`NativeBackend.
+schedule`): a ``reactive_t`` due calendar that every resolve feeds with
+the newly informed relays and that :meth:`NativeBackend.next_slot` pops
+— with the forced pairs, the recovery calendar's retransmitters, the
+per-trial cut-off and the dropped-forced log — into the next slot's
+sorted unique pairs.  A compiled reactive slot is those two C calls.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -264,7 +272,9 @@ class NativeBackend:
 
     :meth:`bind` hands the backend the run's ``first_rx`` matrix (and,
     in summary mode, its count arrays) once; every :meth:`resolve`
-    then updates them in place.
+    then updates them in place.  A reactive run also calls
+    :meth:`schedule` once and then alternates :meth:`next_slot` and
+    :meth:`resolve_next`, the kernel choosing each slot's pairs.
     """
 
     name = "compiled"
@@ -308,8 +318,10 @@ class NativeBackend:
         self._out_counts = keep(np.zeros(3, dtype=np.int64), "int64_t *")
         self._first_rx = self._tx_count = self._rx_count = None
         self._collisions = (None, ffi.NULL)
+        self._rs = ffi.NULL
+        self._args: Optional[tuple] = None
         self._cap = 0
-        self._grow(64)
+        self._grow(min(batch * self._n, 1 << 10) + 1)
 
     def _pin(self, array: np.ndarray, ctype: str = "int64_t *"):
         # from_buffer pins the array; keep both so neither the ndarray
@@ -347,16 +359,43 @@ class NativeBackend:
         self._tx_count = pinned(tx_count, grid)
         self._rx_count = pinned(rx_count, grid)
         self._collisions = pinned(collisions, (self._batch,))
+        self._args = None
 
     def _grow(self, cap: int) -> None:
+        """Size the output scratch for *cap* entries, geometrically.
+        No stream ever exceeds ``B * n`` entries: a (trial, node) pair
+        decodes or collides at most once per slot."""
         if cap <= self._cap:
             return
+        cap = min(max(cap, 2 * self._cap), self._batch * self._n + 1)
         keep = lambda: self._pin(np.empty(cap, dtype=np.int64))
         self._rx_tr, self._rx_nd = keep(), keep()
         self._rx_sv = keep()
         self._new_tr, self._new_nd = keep(), keep()
         self._coll_tr, self._coll_nd = keep(), keep()
         self._cap = cap
+        self._args = None
+
+    def _kernel_args(self) -> tuple:
+        """``resolve_slot``'s arguments after the per-slot ones: fixed
+        for a run until :meth:`bind`, :meth:`_grow`,
+        :meth:`make_recovery` or :meth:`schedule` repoints them."""
+        if self._first_rx is None:
+            raise RuntimeError("NativeBackend.resolve before bind()")
+        spec, rec = self._loss, self._recovery
+        self._args = (
+            self._n, self._words,
+            self._indptr[1], self._indices[1], self._nbr_words[1],
+            self._alive[1], spec.kind, self._seeds[1], spec.threshold,
+            int(self._need_senders), int(self._need_coll_pairs),
+            self._ones[1], self._twos[1], self._txw[1],
+            self._first_rx[1], self._tx_count[1], self._rx_count[1],
+            self._rx_tr[1], self._rx_nd[1], self._rx_sv[1],
+            self._new_tr[1], self._new_nd[1],
+            self._coll_tr[1], self._coll_nd[1], self._collisions[1],
+            self._ffi.NULL if rec is None else rec.c, self._rs,
+            self._out_counts[1])
+        return self._args
 
     def make_recovery(self, topology: Topology, policy: RecoveryPolicy,
                       relay_like: np.ndarray, trials: int,
@@ -366,7 +405,135 @@ class NativeBackend:
         *slot_bound* is the last slot the run can reach."""
         self._recovery = NativeRecoveryState(
             topology, policy, relay_like, trials, self._module, slot_bound)
+        self._args = None
         return self._recovery
+
+    def schedule(self, relay: np.ndarray, delay: np.ndarray,
+                 offsets: Dict[int, np.ndarray],
+                 forced_at: Dict[int, Tuple[np.ndarray, np.ndarray]],
+                 limit: np.ndarray, sources: np.ndarray) -> None:
+        """Run the reactive scheduler in the kernel from now on.
+
+        Takes the engine's reactive plan — ``(rows, n)`` *relay* flags
+        and *delay*, ``offset -> (rows, n)`` repeat masks, with rows 1
+        for a shared plan and B otherwise — plus the forced pairs by
+        slot, each trial's slot cut-off *limit* and its *sources*, and
+        builds the ``reactive_t`` calendar the kernel reads.  Every
+        later :meth:`resolve` pushes the newly informed relays into it,
+        and :meth:`next_slot` pops it.  Call after :meth:`bind` and
+        :meth:`make_recovery`.
+        """
+        ffi, n, batch = self._ffi, self._n, self._batch
+        keep = self._pin
+        rows = relay.shape[0]
+        max_limit = int(limit.max())
+        # Distances past the bound are capped one beyond it: such work
+        # only raises the horizon, exactly as the uncapped value would.
+        cap = max_limit + 1
+        offs = sorted(offsets)
+        far = 1 + int(delay.max(initial=0)) + max(offs, default=0)
+        ring = 1 << min(far, max_limit).bit_length()
+        slots = sorted(forced_at)
+        pairs = [forced_at[s] for s in slots]
+        counts = [len(nd) for _, nd in pairs]
+        forced = sum(counts)
+        # With recovery the fired pairs pass through the output buffers.
+        width = batch * n * (1 if self._recovery is None else 2)
+        # Every int64 array the struct points at, carved from one block.
+        sizes = dict(rep_offsets=len(offs), limit=batch, head=ring,
+                     next=(len(offs) + 1) * batch * n,
+                     forced_slot=len(slots), forced_ptr=len(slots) + 1,
+                     forced_tr=forced, forced_nd=forced,
+                     drop_slot=forced, drop_tr=forced, drop_nd=forced,
+                     tx_tr=width, tx_nd=width, sources=batch)
+        block, base = keep(np.empty(sum(sizes.values()), dtype=np.int64))
+        self._plan = plan = {}
+        at = 0
+        for name, size in sizes.items():
+            plan[name] = block[at:at + size], base + at
+            at += size
+        plan["rep_offsets"][0][:] = np.minimum(offs, cap)
+        plan["limit"][0][:] = limit
+        plan["head"][0][:] = -1
+        plan["forced_slot"][0][:] = slots
+        plan["forced_ptr"][0][0] = 0
+        np.cumsum(counts, out=plan["forced_ptr"][0][1:])
+        for name, column in (("forced_tr", 0), ("forced_nd", 1)):
+            if pairs:
+                np.concatenate([pair[column] for pair in pairs],
+                               out=plan[name][0])
+        plan["sources"][0][:] = sources
+        self._tx = plan.pop("tx_tr"), plan.pop("tx_nd")
+        starts = plan.pop("sources")
+        plan.update(
+            relay=keep(np.ascontiguousarray(relay).view(np.uint8),
+                       "uint8_t *"),
+            delay=keep(np.ascontiguousarray(
+                np.minimum(delay, cap) if far > cap else delay,
+                dtype=np.int64)),
+            rep_masks=keep(np.ascontiguousarray(
+                np.stack([offsets[o] for o in offs]) if offs
+                else np.zeros(0), dtype=np.uint8), "uint8_t *"),
+            touched=keep(np.zeros(batch, dtype=np.uint8), "uint8_t *"))
+        # ffi.new zero-fills: slot, forced_cursor and n_dropped start at 0.
+        rs = self._rs = ffi.new("reactive_t *")
+        for name, (_, ptr) in plan.items():
+            setattr(rs, name, ptr)
+        rs.n, rs.batch, rs.words = n, batch, self._words
+        rs.plan_stride = 0 if rows == 1 else n
+        rs.n_offsets, rs.rep_plane = len(offs), rows * n
+        rs.max_limit, rs.ring_mask = max_limit, ring - 1
+        rs.n_forced_slots = len(slots)
+        rs.first_rx = self._first_rx[1]
+        rs.alive, rs.txw = self._alive[1], self._txw[1]
+        rs.horizon = max(slots, default=0)
+        self._args = None
+        self._lib.reactive_start(rs, starts[1])
+
+    @property
+    def slot(self) -> int:
+        """The slot :meth:`next_slot` last advanced to."""
+        return self._rs.slot
+
+    def next_slot(self) -> int:
+        """Advance the scheduler to the next slot that transmits.
+
+        Returns its pair count (``0`` once the run is over); the slot is
+        :attr:`slot` and the sorted unique pairs, relay, forced and
+        recovery alike, wait in the scheduler's buffers for
+        :meth:`resolve_next`.
+        """
+        rec = self._recovery
+        return self._lib.reactive_next_slot(
+            self._rs, self._ffi.NULL if rec is None else rec.c,
+            self._tx[0][1], self._tx[1][1])
+
+    def resolve_next(self, k: int) -> None:
+        """Resolve and commit the *k* pairs :meth:`next_slot` chose;
+        the kernel also schedules the relays among the newly informed
+        nodes.  In trace mode, :meth:`events` then holds the slot's
+        events."""
+        self._resolve(self._rs.slot, self._tx[0][1], self._tx[1][1], k)
+
+    def events(self, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray, np.ndarray,
+                                      Tuple[np.ndarray, np.ndarray]]:
+        """The trace-mode events of the slot :meth:`resolve_next` just
+        ran with *k* pairs: ``(tr, nd, rt, rn, sv, (ct, cn))`` —
+        transmissions, then decodes with senders, then collisions.
+        Views into reused scratch, valid until the next call."""
+        n_rx, n_coll, _ = self._out_counts[0].tolist()
+        return (self._tx[0][0][:k], self._tx[1][0][:k],
+                self._rx_tr[0][:n_rx], self._rx_nd[0][:n_rx],
+                self._rx_sv[0][:n_rx],
+                (self._coll_tr[0][:n_coll], self._coll_nd[0][:n_coll]))
+
+    def dropped_forced(self) -> Iterable[Tuple[int, int, int]]:
+        """``(slot, trial, node)`` of each forced transmission the
+        scheduler dropped, in slot then (trial, node) order."""
+        k = self._rs.n_dropped
+        return zip(*(self._plan[name][0][:k].tolist()
+                     for name in ("drop_slot", "drop_tr", "drop_nd")))
 
     def resolve(self, t: int, tr: np.ndarray, nd: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
@@ -392,37 +559,11 @@ class NativeBackend:
         ``first_rx`` this slot set.  The pair arrays are views into
         reused scratch, valid until the next call.
         """
-        faults.check(faults.BACKEND_RESOLVE, key=(self.name,),
-                     detail="native slot resolve")
-        if self._first_rx is None:
-            raise RuntimeError("NativeBackend.resolve before bind()")
-        ffi, lib = self._ffi, self._lib
+        ffi = self._ffi
         tr = np.ascontiguousarray(tr, dtype=np.int64)
         nd = np.ascontiguousarray(nd, dtype=np.int64)
-        # Every rx/collision is a neighbour of some transmitter.
-        self._grow(len(nd) * self._max_degree + 1)
-        spec, rec = self._loss, self._recovery
-        surv_ptr = ffi.NULL
-        surv = None  # keep the buffer alive across the C call
-        if spec.kind == 2:
-            with profiling.phase("loss-rng"):
-                surv = spec.burst.slot_survival(t).astype(np.uint8)
-                surv_ptr = ffi.cast("uint8_t *", ffi.from_buffer(surv))
-        with profiling.phase("resolve"):
-            lib.resolve_slot(
-                self._n, self._words,
-                self._indptr[1], self._indices[1], self._nbr_words[1],
-                ffi.cast("int64_t *", ffi.from_buffer(tr)),
-                ffi.cast("int64_t *", ffi.from_buffer(nd)), len(nd),
-                self._alive[1], t,
-                spec.kind, self._seeds[1], spec.threshold, surv_ptr,
-                int(self._need_senders), int(self._need_coll_pairs),
-                self._ones[1], self._twos[1], self._txw[1],
-                self._first_rx[1], self._tx_count[1], self._rx_count[1],
-                self._rx_tr[1], self._rx_nd[1], self._rx_sv[1],
-                self._new_tr[1], self._new_nd[1],
-                self._coll_tr[1], self._coll_nd[1], self._collisions[1],
-                ffi.NULL if rec is None else rec.c, self._out_counts[1])
+        self._resolve(t, ffi.cast("int64_t *", ffi.from_buffer(tr)),
+                      ffi.cast("int64_t *", ffi.from_buffer(nd)), len(nd))
         n_rx, n_coll, n_new = self._out_counts[0].tolist()
         rt = self._rx_tr[0][:n_rx]
         rn = self._rx_nd[0][:n_rx]
@@ -433,6 +574,25 @@ class NativeBackend:
             coll = self._collisions[0]
         return (rt, rn, sv, coll,
                 self._new_tr[0][:n_new], self._new_nd[0][:n_new])
+
+    def _resolve(self, t: int, tr, nd, npairs: int) -> None:
+        """One ``resolve_slot`` call over *npairs* pairs at the
+        pointers *tr*/*nd*; the counts land in ``_out_counts``."""
+        faults.check(faults.BACKEND_RESOLVE, key=(self.name,),
+                     detail="native slot resolve")
+        # Every rx/collision is a neighbour of some transmitter.
+        if npairs * self._max_degree >= self._cap:
+            self._grow(npairs * self._max_degree + 1)
+        args = self._args or self._kernel_args()
+        surv_ptr = self._ffi.NULL
+        surv = None  # keep the buffer alive across the C call
+        if self._loss.kind == 2:
+            with profiling.phase("loss-rng"):
+                surv = self._loss.burst.slot_survival(t).astype(np.uint8)
+                surv_ptr = self._ffi.cast("uint8_t *",
+                                          self._ffi.from_buffer(surv))
+        with profiling.phase("resolve"):
+            self._lib.resolve_slot(t, tr, nd, npairs, surv_ptr, *args)
 
 
 def make_backend(kernel: SlotKernel, batch: int, engine: str,

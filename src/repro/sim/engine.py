@@ -18,14 +18,19 @@ Both modes also exist *trial-batched* — :func:`run_reactive_batch` and
 :func:`replay_batch` advance B independent Monte-Carlo trials (same plan,
 per-trial loss/failure realisations) together, and
 :func:`run_reactive_multi` advances B waves with per-trial sources and
-plans.  The two reactive entry points only shape their arguments for one
-batched slot loop, in which a shared plan is a single broadcast row; the
-reactive and replay batches share one resolve/commit/recovery step
-(:meth:`_BatchState.step`), whose slot-resolve tiers
-(:mod:`repro.sim.backend`) differ only in their kernels.  Every batched
-trial is trace-for-trace identical to a serial run with the same
-per-trial seed; the differential suite pins that down.  The serial
-engine stays as the schedule compiler's wave and as that oracle.
+plans.  All three take ``engine=`` (the slot-resolve tier of
+:mod:`repro.sim.backend`, ``"auto"`` by default for
+:func:`run_reactive_multi`) and demote to the dense tier on a backend
+fault.  The two reactive entry points only shape their arguments for one
+batched slot loop (:func:`_reactive_loop`), in which a shared plan is a
+single broadcast row.  On the dense tier that loop schedules in Python
+(slot buckets, the oracle) and shares one resolve/commit/recovery step
+(:meth:`_BatchState.step`) with the replay batch; on the compiled tier
+the kernel's C calendar schedules too, so a reactive slot is one
+pre-slot call and one resolve call.  Every batched trial is
+trace-for-trace identical to a serial run with the same per-trial seed;
+the differential suite pins that down.  The serial engine stays as the
+schedule compiler's wave and as that oracle.
 Aggregate consumers pass
 ``summary=True`` to get a :class:`~repro.sim.summary.TraceSummary`
 (first_rx / tx / rx counts / collisions only) and skip per-event tuple
@@ -132,7 +137,7 @@ class _EventLog:
         self._len = need
 
     def tuples(self) -> List[tuple]:
-        return list(map(tuple, self._buf[:self._len].tolist()))
+        return list(zip(*self._buf[:self._len].T.tolist()))
 
 
 def run_reactive(
@@ -646,25 +651,38 @@ class _BatchState:
                 first_rx=self.first_rx, tx_count=self.tx_count,
                 rx_count=self.rx_count, collisions=self.collisions,
                 dropped_forced=self.dropped_forced)
-        traces = []
-        tx_buf = self.tx_log._buf[:self.tx_log._len]
-        rx_buf = self.rx_log._buf[:self.rx_log._len]
-        coll_buf = self.coll_log._buf[:self.coll_log._len]
-        for b in range(self.trials):
-            # Rows were appended slot-by-slot with intra-slot (trial,
-            # node) ordering, so a per-trial extraction preserves exactly
-            # the serial engine's chronological, node-sorted event order.
-            tx = tx_buf[tx_buf[:, 1] == b][:, (0, 2)]
-            rx = rx_buf[rx_buf[:, 1] == b][:, (0, 2, 3)]
-            coll = coll_buf[coll_buf[:, 1] == b][:, (0, 2)]
-            traces.append(BroadcastTrace(
-                num_nodes=self.n, source=int(self.sources[b]),
-                first_rx=self.first_rx[b].copy(),
-                tx_events=list(map(tuple, tx.tolist())),
-                rx_events=list(map(tuple, rx.tolist())),
-                collision_events=list(map(tuple, coll.tolist())),
-                dropped_forced=self.dropped_forced[b]))
-        return traces
+        tx = self._by_trial(self.tx_log, (0, 2))
+        rx = self._by_trial(self.rx_log, (0, 2, 3))
+        coll = self._by_trial(self.coll_log, (0, 2))
+        return [BroadcastTrace(
+                    num_nodes=self.n, source=int(self.sources[b]),
+                    first_rx=self.first_rx[b].copy(),
+                    tx_events=tx[b], rx_events=rx[b],
+                    collision_events=coll[b],
+                    dropped_forced=self.dropped_forced[b])
+                for b in range(self.trials)]
+
+    def _by_trial(self, log: _EventLog, columns: Tuple[int, ...]
+                  ) -> List[List[tuple]]:
+        """Split a ``(slot, trial, ...)`` log into per-trial event
+        lists of *columns*, in one stable pass.
+
+        Rows were appended slot by slot in (trial, node) order, so a
+        stable sort on the trial column keeps exactly the serial
+        engine's chronological, node-sorted order within each trial.
+        """
+        buf = log._buf[:log._len]
+        order = np.argsort(buf[:, 1], kind="stable")
+        cuts = np.zeros(self.trials + 1, dtype=np.int64)
+        np.cumsum(np.bincount(buf[:, 1], minlength=self.trials),
+                  out=cuts[1:])
+        cuts = cuts.tolist()
+        # (columns, events) in trial order; zipping a trial's column
+        # lists builds its tuples without the per-row lists a 2-D
+        # tolist() makes.
+        cols = buf[order[None, :], np.array(columns)[:, None]]
+        return [list(zip(*cols[:, cuts[b]:cuts[b + 1]].tolist()))
+                for b in range(self.trials)]
 
 
 def _backend_resolve(backend, t, tr, nd):
@@ -696,8 +714,15 @@ def _reactive_loop(
     scalar source) and follows plan row *b* of *relay* / *delay* /
     *offsets* — or row 0 for every trial when the plan is one shared
     row.  *forced_at* and the per-trial cut-off *limit* come from
-    :func:`_forced_schedule`.
+    :func:`_forced_schedule`.  The compiled tier hands the plan to the
+    kernel's scheduler (:func:`_compiled_reactive_loop`); the dense
+    tier schedules here, in Python slot buckets — the oracle the C
+    calendar is held to.
     """
+    backend = state.backend
+    if backend is not None:
+        return _compiled_reactive_loop(state, backend, relay, delay,
+                                       offsets, forced_at, limit)
     batch = state.trials
     shared = relay.shape[0] == 1
     if shared:
@@ -777,6 +802,52 @@ def _reactive_loop(
     return state.finish()
 
 
+def _compiled_reactive_loop(
+    state: _BatchState,
+    backend,
+    relay: np.ndarray,
+    delay: np.ndarray,
+    offsets: Dict[int, np.ndarray],
+    forced_at: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    limit: np.ndarray,
+) -> Union[TraceSummary, List[BroadcastTrace]]:
+    """:func:`_reactive_loop` on the compiled tier: the kernel's
+    calendar schedules every slot.
+
+    One C call pops the next transmitting slot with its sorted unique
+    pairs (relays, forced and recovery transmissions; the alive filter,
+    the per-trial cut-off and the dropped-forced log included) and one
+    resolves and commits it, pushing the newly informed relays back
+    into the calendar.  Python only appends the trace-mode event logs.
+    The scheduler call holds the recovery pre-slot walk when a policy
+    runs, so it is profiled as ``recovery-pre`` there and as
+    ``resolve`` otherwise.
+    """
+    summary = state.summary
+    schedule = "resolve" if state.rec is None else "recovery-pre"
+    try:
+        backend.schedule(relay, delay, offsets, forced_at, limit,
+                         state.sources)
+    except Exception as exc:
+        raise BackendFault(backend.name, exc) from exc
+    while True:
+        # As _backend_resolve: a fault tags the tier for the demotion.
+        try:
+            with profiling.phase(schedule):
+                k = backend.next_slot()
+            if not k:
+                break
+            backend.resolve_next(k)
+        except Exception as exc:
+            raise BackendFault(backend.name, exc) from exc
+        with profiling.phase("commit"):
+            if not summary:
+                state._log(backend.slot, *backend.events(k))
+    for t, b, v in backend.dropped_forced():
+        state.dropped_forced[b].append((t, v))
+    return state.finish()
+
+
 def _run_reactive_batch_impl(
     topology: Topology,
     source: int,
@@ -835,7 +906,7 @@ def _run_reactive_batch_impl(
                           offsets, forced_at, limit)
 
 
-def run_reactive_multi(
+def _run_reactive_multi_impl(
     topology: Topology,
     sources: np.ndarray,
     relay_masks: np.ndarray,
@@ -845,6 +916,7 @@ def run_reactive_multi(
     forced_tx_list: Optional[Sequence[_Forced]] = None,
     max_slots: Optional[int] = None,
     summary: bool = False,
+    engine: str = "auto",
 ) -> Union[TraceSummary, List[BroadcastTrace]]:
     """Run B reactive waves with *per-trial* sources and relay plans.
 
@@ -871,7 +943,13 @@ def run_reactive_multi(
     With ``summary=True`` the result is a
     :class:`~repro.sim.summary.TraceSummary` whose ``source`` attribute
     is the per-trial ``(B,)`` source array.
+
+    *engine* selects the slot-resolve tier as for
+    :func:`run_reactive_batch`, but defaults to ``"auto"``: the compiled
+    tier (kernel-side scheduling included) wherever it builds, the dense
+    tier otherwise — all bit-identical.
     """
+    check_engine(engine)
     n = topology.num_nodes
     sources = np.asarray(sources, dtype=np.int64)
     if sources.ndim != 1 or len(sources) < 1:
@@ -888,7 +966,7 @@ def run_reactive_multi(
     offsets = _offset_masks(n, repeat_offsets_list or [None])
     forced_at, limit = _forced_schedule(forced_tx_list or [None], batch, n,
                                         max_slots)
-    state = _BatchState(topology, sources, batch, summary)
+    state = _BatchState(topology, sources, batch, summary, engine=engine)
     return _reactive_loop(state, relay_masks, extra_delays, offsets,
                           forced_at, limit)
 
@@ -975,6 +1053,9 @@ run_reactive_batch.__name__ = run_reactive_batch.__qualname__ = \
     "run_reactive_batch"
 replay_batch = _with_tier_demotion(_replay_batch_impl)
 replay_batch.__name__ = replay_batch.__qualname__ = "replay_batch"
+run_reactive_multi = _with_tier_demotion(_run_reactive_multi_impl)
+run_reactive_multi.__name__ = run_reactive_multi.__qualname__ = \
+    "run_reactive_multi"
 
 
 def _execute_slot(kernel, t: int, tx_set: Set[int],

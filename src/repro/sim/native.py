@@ -33,7 +33,22 @@ counter and sets its ACK/overhear bit pair, and the trial's newly
 informed nodes hold their elections.  ``recovery_pre_slot`` walks the
 slot's due checks and elections in a C calendar (a ring of slot heads
 over intrusive per-pair lists) and returns the pairs that retransmit.
-A recovering slot is thus two C calls and no numpy work.
+
+The reactive scheduler runs in the kernel as well, over one
+``reactive_t`` struct (the plan rows — relay flags, extra delays and
+one mask per distinct repeat offset, shared by every trial or one row
+per trial — the per-trial slot cut-off, the forced pairs in slot order
+with a dropped-forced log, and its own due calendar: ring heads over
+one intrusive link per (trial, node, repeat index), plus the running
+``horizon``).  ``resolve_slot`` takes it (``NULL`` outside a reactive
+run) and pushes every newly informed relay's transmissions into the
+calendar; ``reactive_next_slot`` advances to the next slot that
+transmits, pops its links, ORs in the forced pairs whose node is
+informed (logging the rest as dropped) and, with a recovery state, the
+recovery calendar's retransmitters, and reads the per-trial transmit
+bitmap back as sorted unique pairs.  A compiled reactive slot —
+recovering or not — is thus two C calls; summary mode adds no numpy
+work, and trace mode only appends the slot's events to the logs.
 
 The kernel is single-threaded and holds no static mutable state: every
 buffer it touches is passed in by the caller, so concurrent calls on
@@ -87,23 +102,49 @@ typedef struct {
 } recovery_t;
 """
 
-_CDEF = _RECOVERY_T + """
+#: The reactive scheduler struct, declared to cffi and defined in C alike.
+_REACTIVE_T = """
+typedef struct {
+    int64_t n, batch, words;
+    const uint8_t *relay;
+    const int64_t *delay;
+    int64_t plan_stride, n_offsets, rep_plane;
+    const uint8_t *rep_masks;
+    const int64_t *rep_offsets;
+    const int64_t *limit;
+    int64_t max_limit, ring_mask;
+    int64_t *head, *next;
+    int64_t n_forced_slots, forced_cursor;
+    const int64_t *forced_slot, *forced_ptr, *forced_tr, *forced_nd;
+    int64_t n_dropped;
+    int64_t *drop_slot, *drop_tr, *drop_nd;
+    const int64_t *first_rx;
+    const uint64_t *alive;
+    uint64_t *txw;
+    uint8_t *touched;
+    int64_t slot, horizon;
+} reactive_t;
+"""
+
+_CDEF = _RECOVERY_T + _REACTIVE_T + """
+void reactive_start(reactive_t *rs, const int64_t *sources);
+int64_t reactive_next_slot(reactive_t *rs, recovery_t *rec,
+                           int64_t *tx_tr, int64_t *tx_nd);
 void resolve_slot(
+    int64_t slot, const int64_t *tx_tr, const int64_t *tx_nd,
+    int64_t npairs, const uint8_t *slot_survive,
     int64_t n, int64_t words,
     const int64_t *indptr, const int64_t *indices,
     const uint64_t *nbr_words,
-    const int64_t *tx_tr, const int64_t *tx_nd, int64_t npairs,
     const uint64_t *alive_words,
-    int64_t slot,
     int loss_kind, const uint64_t *loss_seeds, uint64_t loss_threshold,
-    const uint8_t *slot_survive,
     int need_senders, int need_coll_pairs,
     uint64_t *ones, uint64_t *twos, uint64_t *txw,
     int64_t *first_rx, int64_t *tx_count, int64_t *rx_count,
     int64_t *rx_tr, int64_t *rx_nd, int64_t *rx_sv,
     int64_t *new_tr, int64_t *new_nd,
     int64_t *coll_tr, int64_t *coll_nd, int64_t *coll_counts,
-    recovery_t *rec, int64_t *out_counts);
+    recovery_t *rec, reactive_t *rs, int64_t *out_counts);
 int64_t recovery_pre_slot(recovery_t *rec, int64_t t,
                           int64_t *fire_b, int64_t *fire_v);
 """
@@ -320,6 +361,178 @@ int64_t recovery_pre_slot(recovery_t *rec, int64_t t,
 }
 
 /* ---------------------------------------------------------------------
+ * Reactive scheduler (the engine's reactive loop owns every buffer;
+ * this struct only points at them).
+ *
+ * The plan rows: relay (rows, n) flags, delay (rows, n) extra slots and
+ * one (rows, n) mask per distinct repeat offset (rep_masks, n_offsets
+ * planes of rep_plane bytes, offsets in rep_offsets).  rows is B for
+ * per-trial plans (plan_stride n) and 1 for a shared plan (plan_stride
+ * 0).  A relay newly informed at slot t transmits at t + 1 + delay and
+ * again at each of its repeat offsets after that.
+ *
+ * Each of those transmissions is one calendar link: id = (r * B + b) *
+ * n + v for repeat index r (0 the first transmission, r + 1 offset r).
+ * A node is newly informed once per trial, so every link is pending at
+ * most once; the ring of slot heads spans the farthest schedule
+ * distance, capped by the slot bound, as in the recovery calendar.
+ * Work due past the trial's cut-off limit[b] only raises horizon.
+ *
+ * Forced transmissions sit in slot order (forced_slot, with the pairs
+ * of slot i at forced_ptr[i]..forced_ptr[i + 1], trial-major with nodes
+ * ascending); one the node cannot make (not informed before the slot)
+ * is appended to the drop log instead, which is sized for every forced
+ * pair.
+ * ------------------------------------------------------------------- */
+""" + _REACTIVE_T + r"""
+
+static inline void react_push(reactive_t *rs, int64_t id, int64_t b,
+                              int64_t s)
+{
+    if (s > rs->horizon)
+        rs->horizon = s;
+    if (s <= rs->limit[b]) {
+        rs->next[id] = rs->head[s & rs->ring_mask];
+        rs->head[s & rs->ring_mask] = id;
+    }
+}
+
+/* Node v of trial b was informed at slot t: schedule its transmissions
+ * if it relays (always, for a source: force). */
+static void react_relay(reactive_t *rs, int64_t b, int64_t v, int64_t t,
+                        int force)
+{
+    int64_t p = b * rs->plan_stride + v, base, r;
+    int64_t link = b * rs->n + v, step = rs->batch * rs->n;
+    if (!force && !rs->relay[p])
+        return;
+    base = t + 1 + rs->delay[p];
+    react_push(rs, link, b, base);
+    for (r = 0; r < rs->n_offsets; r++)
+        if (rs->rep_masks[r * rs->rep_plane + p])
+            react_push(rs, link + (r + 1) * step, b,
+                       base + rs->rep_offsets[r]);
+}
+
+/* Schedule every trial's source (it transmits whether it relays or
+ * not). */
+void reactive_start(reactive_t *rs, const int64_t *sources)
+{
+    int64_t b;
+    for (b = 0; b < rs->batch; b++)
+        react_relay(rs, b, sources[b], 0, 1);
+}
+
+/* Trial b's row of the transmit bitmap, zeroed on its first touch in
+ * the slot. */
+static inline uint64_t *react_row(reactive_t *rs, int64_t b,
+                                  int64_t *ntouched)
+{
+    uint64_t *row = rs->txw + b * rs->words;
+    if (!rs->touched[b]) {
+        rs->touched[b] = 1;
+        (*ntouched)++;
+        memset(row, 0, (size_t)rs->words * sizeof(uint64_t));
+    }
+    return row;
+}
+
+static inline int react_alive(const reactive_t *rs, int64_t b, int64_t v)
+{
+    return !rs->alive
+        || ((rs->alive[b * rs->words + (v >> 6)] >> (v & 63)) & 1ULL);
+}
+
+/* ---------------------------------------------------------------------
+ * Reactive pre-slot: advance rs->slot to the next slot that transmits
+ * and return its sorted unique (trial, node) pairs in tx_tr/tx_nd
+ * (capacity B * n, and 2 * B * n with a recovery state, whose fired
+ * pairs pass through them), or 0 once the run is over: the slot reached
+ * max_limit, or no relay, forced or recovery work is due at or after
+ * it.  Per slot, mirroring the dense tier's loop: the calendar's due
+ * links (alive ones), the forced pairs whose node was informed before
+ * the slot (the rest are logged as dropped), and -- with rec -- the
+ * recovery calendar's retransmitters, all ORed into the per-trial
+ * transmit bitmap (txw, which resolve_slot rebuilds from the pairs) and
+ * read back in (trial, node) order.
+ * ------------------------------------------------------------------- */
+int64_t reactive_next_slot(reactive_t *rs, recovery_t *rec,
+                           int64_t *tx_tr, int64_t *tx_nd)
+{
+    int64_t n = rs->n, words = rs->words;
+    while (rs->slot < rs->max_limit
+           && (rs->slot < rs->horizon || (rec && rs->slot < rec->horizon))) {
+        int64_t t = ++rs->slot, ntouched = 0, k = 0, id, nxt, i, b, w;
+        int64_t ring = t & rs->ring_mask;
+
+        id = rs->head[ring];
+        rs->head[ring] = -1;
+        for (; id >= 0; id = nxt) {
+            int64_t v = id % n;
+            nxt = rs->next[id];
+            b = (id / n) % rs->batch;
+            if (react_alive(rs, b, v)) {
+                uint64_t *row = react_row(rs, b, &ntouched);
+                row[v >> 6] |= 1ULL << (v & 63);
+            }
+        }
+
+        if (rs->forced_cursor < rs->n_forced_slots
+            && rs->forced_slot[rs->forced_cursor] == t) {
+            int64_t c = rs->forced_cursor++;
+            for (i = rs->forced_ptr[c]; i < rs->forced_ptr[c + 1]; i++) {
+                int64_t v = rs->forced_nd[i], f;
+                b = rs->forced_tr[i];
+                f = rs->first_rx[b * n + v];
+                if (f >= 0 && f < t) {
+                    if (react_alive(rs, b, v)) {
+                        uint64_t *row = react_row(rs, b, &ntouched);
+                        row[v >> 6] |= 1ULL << (v & 63);
+                    }
+                } else {
+                    rs->drop_slot[rs->n_dropped] = t;
+                    rs->drop_tr[rs->n_dropped] = b;
+                    rs->drop_nd[rs->n_dropped] = v;
+                    rs->n_dropped++;
+                }
+            }
+        }
+
+        if (rec) {
+            /* Retransmitters are informed (hence alive) by
+             * construction; their pairs land in the output buffers
+             * and are consumed before the read-back overwrites them. */
+            int64_t nfire = recovery_pre_slot(rec, t, tx_tr, tx_nd);
+            for (i = 0; i < nfire; i++) {
+                uint64_t *row = react_row(rs, tx_tr[i], &ntouched);
+                row[tx_nd[i] >> 6] |= 1ULL << (tx_nd[i] & 63);
+            }
+        }
+
+        for (b = 0; ntouched > 0 && b < rs->batch; b++) {
+            const uint64_t *row = rs->txw + b * words;
+            if (!rs->touched[b])
+                continue;
+            rs->touched[b] = 0;
+            ntouched--;
+            for (w = 0; w < words; w++) {
+                uint64_t m = row[w];
+                while (m) {
+                    int j = CTZ64(m);
+                    m &= m - 1;
+                    tx_tr[k] = b;
+                    tx_nd[k] = (w << 6) + j;
+                    k++;
+                }
+            }
+        }
+        if (k)
+            return k;
+    }
+    return 0;
+}
+
+/* ---------------------------------------------------------------------
  * Slot resolve and commit.
  *
  * Pairs (tx_tr[i], tx_nd[i]) are sorted by (trial, node) and unique.
@@ -347,27 +560,28 @@ int64_t recovery_pre_slot(recovery_t *rec, int64_t t,
  * transmission starts a guardian check, each clean decode bumps the
  * receiver's heard counter and sets its overhear/ACK bit pair, and once
  * a trial's decodes are done its newly informed nodes hold elections.
+ * With a reactive scheduler (rs non-NULL) those newly informed nodes
+ * that relay also enter its calendar.
  *
  * Every rx/collision is a neighbour of some transmitter, so each
  * output stream holds at most npairs * max_degree entries; the caller
  * sizes its scratch accordingly.  out_counts = {n_rx, n_coll, n_new}.
  * ------------------------------------------------------------------- */
 void resolve_slot(
+    int64_t slot, const int64_t *tx_tr, const int64_t *tx_nd,
+    int64_t npairs, const uint8_t *slot_survive,
     int64_t n, int64_t words,
     const int64_t *indptr, const int64_t *indices,
     const uint64_t *nbr_words,
-    const int64_t *tx_tr, const int64_t *tx_nd, int64_t npairs,
     const uint64_t *alive_words,
-    int64_t slot,
     int loss_kind, const uint64_t *loss_seeds, uint64_t loss_threshold,
-    const uint8_t *slot_survive,
     int need_senders, int need_coll_pairs,
     uint64_t *ones, uint64_t *twos, uint64_t *txw,
     int64_t *first_rx, int64_t *tx_count, int64_t *rx_count,
     int64_t *rx_tr, int64_t *rx_nd, int64_t *rx_sv,
     int64_t *new_tr, int64_t *new_nd,
     int64_t *coll_tr, int64_t *coll_nd, int64_t *coll_counts,
-    recovery_t *rec, int64_t *out_counts)
+    recovery_t *rec, reactive_t *rs, int64_t *out_counts)
 {
     size_t row_bytes = (size_t)words * sizeof(uint64_t);
     int64_t n_rx = 0, n_new = 0, n_coll = 0;
@@ -408,7 +622,7 @@ void resolve_slot(
         int64_t *frx = first_rx + b * n;
         uint64_t key = 0;
         int blackout;
-        int64_t w, new_start = n_new;
+        int64_t w, q, new_start = n_new;
         if (i > 0 && tx_tr[i - 1] == b)
             continue;                       /* one pass per active trial */
         o = ones + b * words;
@@ -493,6 +707,9 @@ void resolve_slot(
                 coll_counts[b] += POPCNT64(cl);
             }
         }
+        if (rs)
+            for (q = new_start; q < n_new; q++)
+                react_relay(rs, b, new_nd[q], slot, 0);
         if (rec && rec->election)
             for (; new_start < n_new; new_start++)
                 rec_elect(rec, b, new_nd[new_start], slot);

@@ -34,7 +34,7 @@ from repro.radio.impairments import (BernoulliBatchLoss, BurstBatchLoss,
 from repro.sim import (ReferenceSimulator, native_available, native_reason,
                        replay_batch, replay_batch_sharded, resolve_engine,
                        run_reactive, run_reactive_batch,
-                       run_reactive_batch_sharded)
+                       run_reactive_batch_sharded, run_reactive_multi)
 from repro.sim.recovery import RecoveryPolicy
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 
@@ -194,6 +194,163 @@ class TestTierChain:
                                    trials=trials, summary=True,
                                    recovery=pol, engine=engine),
                 engine)
+
+
+@st.composite
+def scheduler_scenario(draw, num_nodes):
+    """Reactive-plan inputs aimed at the compiled tier's C scheduler:
+    repeat offsets ``(1, 3)``, extra delays 0-2, forced pairs early
+    enough to be dropped (a node forced before it is informed) and
+    explicit ``max_slots`` cut-offs."""
+    nodes = st.integers(0, num_nodes - 1)
+    trials = draw(st.integers(1, 4))
+    repeats = [{v: (1, 3) for v in draw(st.lists(nodes, max_size=3))}
+               for _ in range(trials)]
+    forced = [{slot: set(draw(st.lists(nodes, min_size=1, max_size=3)))
+               for slot in draw(st.lists(st.integers(1, 8), max_size=3,
+                                         unique=True))}
+              for _ in range(trials)]
+    return dict(
+        trials=trials,
+        sources=np.array([draw(nodes) for _ in range(trials)]),
+        relay=np.array(draw(st.lists(
+            st.lists(st.booleans(), min_size=num_nodes,
+                     max_size=num_nodes),
+            min_size=trials, max_size=trials))),
+        delay=np.array(draw(st.lists(
+            st.lists(st.integers(0, 2), min_size=num_nodes,
+                     max_size=num_nodes),
+            min_size=trials, max_size=trials)), dtype=np.int64),
+        repeats=repeats, forced=forced,
+        max_slots=draw(st.one_of(st.none(), st.integers(1, 14))))
+
+
+def _both_modes(run):
+    """(traces, summary) of one run, on the batch and compiled tiers."""
+    return {engine: (run(engine=engine, summary=False),
+                     run(engine=engine, summary=True))
+            for engine in ["batch"] + TIERS}
+
+
+@needs_packing
+@pytest.mark.skipif(not native_available(),
+                    reason="native kernel unavailable")
+class TestReactiveScheduler:
+    """The compiled tier schedules reactive waves in C (a due calendar
+    with forced pairs, the per-trial cut-off, the alive filter and the
+    recovery calendar); the dense tier's Python scheduler is the oracle,
+    trace for trace."""
+
+    @pytest.mark.parametrize("cls,shape", MESHES)
+    def test_multi_plans(self, cls, shape):
+        mesh = cls(*shape)
+
+        @given(sc=scheduler_scenario(mesh.num_nodes))
+        @settings(max_examples=25, deadline=None)
+        def check(sc):
+            def run(**kw):
+                return run_reactive_multi(
+                    mesh, sc["sources"], sc["relay"],
+                    extra_delays=sc["delay"],
+                    repeat_offsets_list=sc["repeats"],
+                    forced_tx_list=sc["forced"],
+                    max_slots=sc["max_slots"], **kw)
+
+            runs = _both_modes(run)
+            for engine in TIERS:
+                assert_traces_equal(runs["batch"][0], runs[engine][0],
+                                    engine)
+                assert_summaries_equal(runs["batch"][1], runs[engine][1],
+                                       engine)
+
+        check()
+
+    @pytest.mark.parametrize("cls,shape", MESHES)
+    def test_shared_plan_with_faults_and_recovery(self, cls, shape):
+        mesh = cls(*shape)
+        n = mesh.num_nodes
+
+        @given(sc=scheduler_scenario(n), data=st.data())
+        @settings(max_examples=25, deadline=None)
+        def check(sc, data):
+            trials, source = sc["trials"], int(sc["sources"][0])
+            dead = np.array(data.draw(st.lists(
+                st.lists(st.booleans(), min_size=n, max_size=n),
+                min_size=trials, max_size=trials)))
+            dead[:, source] = False
+            loss = BernoulliBatchLoss(
+                data.draw(st.sampled_from([0.1, 0.3])),
+                trial_seeds(data.draw(st.integers(0, 5)), 0.2, trials))
+            policy = RecoveryPolicy(
+                timeout=data.draw(st.integers(1, 3)), max_retries=2,
+                backoff=2, suppression_k=data.draw(st.integers(0, 2)),
+                election=data.draw(st.booleans()))
+
+            def run(**kw):
+                return run_reactive_batch(
+                    mesh, source, sc["relay"][0],
+                    extra_delay=sc["delay"][0],
+                    repeat_offsets=sc["repeats"][0],
+                    forced_tx=sc["forced"][0], max_slots=sc["max_slots"],
+                    dead_masks=dead, loss=loss, recovery=policy, **kw)
+
+            runs = _both_modes(run)
+            for engine in TIERS:
+                assert_traces_equal(runs["batch"][0], runs[engine][0],
+                                    engine)
+                assert_summaries_equal(runs["batch"][1], runs[engine][1],
+                                       engine)
+
+        check()
+
+    def test_forced_pairs_are_dropped_identically(self):
+        """A forced transmission before its node is informed is dropped
+        and logged, in slot then node order, on both tiers."""
+        mesh = Mesh2D4(6, 5)
+        n = mesh.num_nodes
+        forced = {1: {n - 1, 7}, 2: {0, n - 2}, 30: {3}}
+        runs = _both_modes(lambda **kw: run_reactive_multi(
+            mesh, np.array([0, n - 1]), np.ones((2, n), dtype=bool),
+            forced_tx_list=[forced, {}], **kw))
+        want = runs["batch"][0][0].dropped_forced
+        assert want and want == sorted(want)
+        for engine in TIERS:
+            assert_traces_equal(runs["batch"][0], runs[engine][0], engine)
+            assert runs[engine][1].dropped_forced == \
+                runs["batch"][1].dropped_forced
+
+    def test_python_scheduler_is_never_called(self, monkeypatch):
+        """Structural guard: on the compiled tier a reactive wave —
+        repeats, forced pairs and recovery included — runs no Python
+        bucket scheduling and no numpy dedup."""
+        from repro.sim import engine as engine_mod
+        mesh = Mesh2D4(8, 6)
+        n = mesh.num_nodes
+        kw = dict(repeat_offsets={5: (1, 3), 9: (2,)},
+                  forced_tx={1: [n - 1], 4: [0, 12], 9: [20]},
+                  loss=BernoulliBatchLoss(0.25, trial_seeds(7, 0.25, 4)),
+                  recovery=RecoveryPolicy(timeout=2, max_retries=2,
+                                          election=True))
+        relay = np.arange(n) % 3 == 0
+
+        def multi(engine):
+            return run_reactive_multi(
+                mesh, np.array([0, 17]), np.stack([relay, ~relay]),
+                repeat_offsets_list=[kw["repeat_offsets"], {}],
+                forced_tx_list=[kw["forced_tx"], {2: [3]}], engine=engine)
+
+        want = run_reactive_batch(mesh, 0, relay, engine="batch", **kw)
+        want_multi = multi("batch")
+
+        def banned(*args, **kwargs):
+            raise AssertionError("Python scheduler used on compiled tier")
+
+        monkeypatch.setattr(engine_mod, "push_buckets", banned)
+        monkeypatch.setattr(engine_mod, "sorted_unique_pairs", banned)
+        assert_traces_equal(
+            want, run_reactive_batch(mesh, 0, relay, engine="compiled",
+                                     **kw), "compiled")
+        assert_traces_equal(want_multi, multi("compiled"), "multi")
 
 
 @needs_packing

@@ -50,7 +50,8 @@ from repro.service.server import _error_payload
 from repro.service.wire import MAX_WIRE_BATCH, request_from_dict
 from repro.sim import (native_available, resolve_engine,
                        run_reactive_batch, run_reactive_batch_sharded,
-                       replay_batch, replay_batch_sharded)
+                       run_reactive_multi, replay_batch,
+                       replay_batch_sharded)
 from repro.sim.backend import BREAKER
 from repro.sim.metrics import compute_metrics
 from repro.sim.shard import MAX_SHARD_ATTEMPTS, ShardFailure
@@ -308,6 +309,32 @@ class TestTierDemotion:
                                      engine="compiled", **kwargs)
         assert plan.fired(faults.BACKEND_RESOLVE) == 1
         assert_summaries_equal(want, got, "compiled->batch demotion")
+        assert BREAKER.state()["compiled"]["failures"] == 1
+        assert not BREAKER.state()["compiled"]["open"]
+
+    @needs_native
+    def test_multi_source_fault_demotes_bit_identically(self):
+        """run_reactive_multi (the symmetry path's waves) rides the same
+        demotion: a mid-run resolve fault reruns it on the dense tier."""
+        mesh = Mesh2D4(*SHAPE)
+        n = mesh.num_nodes
+        sources = np.array([0, 7, n - 1])
+        relay = np.stack([relay_all(mesh)] * len(sources))
+        kwargs = dict(repeat_offsets_list=[{1: (1,)}, {}, {}],
+                      forced_tx_list=[{}, {1: {3}}, {}])
+        want = run_reactive_multi(mesh, sources, relay, engine="batch",
+                                  **kwargs)
+        # The fourth slot's resolve faults: the calendar is mid-wave.
+        plan = FaultPlan([FaultSpec(faults.BACKEND_RESOLVE, at=(3,))])
+        with plan.arm():
+            got = run_reactive_multi(mesh, sources, relay, **kwargs)
+        assert plan.fired(faults.BACKEND_RESOLVE) == 1
+        for a, b in zip(want, got):
+            assert a.tx_events == b.tx_events
+            assert a.rx_events == b.rx_events
+            assert a.collision_events == b.collision_events
+            assert a.dropped_forced == b.dropped_forced
+            assert (a.first_rx == b.first_rx).all()
         assert BREAKER.state()["compiled"]["failures"] == 1
         assert not BREAKER.state()["compiled"]["open"]
 
@@ -624,6 +651,13 @@ class TestCanonicalChaos:
         plan = faults.canonical_plan()
         chaos = QueryEngine(tmp_path / "store")  # store: torn writes bite
         answered = {}
+        # The service's cold class waves (run_reactive_multi) build
+        # compiled backends, so both backend seams fire while it serves:
+        # the mid-run resolve fault in the first class wave, the build
+        # fault at the second construction.  Record the query each
+        # first fired under.
+        backend_seams = (faults.BACKEND_RESOLVE, faults.NATIVE_BUILD)
+        fired_at = {}
         with plan.arm():
             with BackgroundServer(chaos, port=0) as srv:
                 client = ServiceClient(
@@ -634,7 +668,12 @@ class TestCanonicalChaos:
                     response = client.query(Query(
                         "2D-4", src, shape=shape, timeout_ms=30000))
                     answered[src] = response
+                    for seam in backend_seams:
+                        if plan.fired(seam) and seam not in fired_at:
+                            fired_at[seam] = src
                 client.close()
+            service_fired = {seam: plan.fired(seam)
+                             for seam in backend_seams}
             # Sharded leg of the canonical schedule: worker murder.
             mesh = Mesh2D4(*SHAPE)
             kwargs = dict(trials=6, summary=True,
@@ -644,8 +683,9 @@ class TestCanonicalChaos:
                                            **kwargs)
             sharded = run_reactive_batch_sharded(
                 mesh, 0, relay_all(mesh), workers=3, **kwargs)
-            # Backend leg: a mid-run fault, then a build fault at the
-            # next construction, both ride the demotion to batch.
+            # Backend leg: with both backend seams spent by the service,
+            # the compiled tier runs again after its demotions (the
+            # breaker stayed closed) and still equals the dense floor.
             calm = run_reactive_batch(mesh, 0, relay_all(mesh),
                                       engine="batch", trials=4,
                                       summary=True)
@@ -673,6 +713,12 @@ class TestCanonicalChaos:
         if native_available():
             assert stats[faults.BACKEND_RESOLVE]["fired"] == 1
             assert stats[faults.NATIVE_BUILD]["fired"] == 1
+            # Both fired in the service leg, and the queries whose class
+            # waves were demoted answered the oracle's metrics.
+            assert service_fired == {seam: 1 for seam in backend_seams}
+            for seam, src in fired_at.items():
+                assert answered[src].get("ok"), (seam, src)
+                assert answered[src]["metrics"] == expected[src], seam
         assert chaos.cache.store_errors >= 1
         # The server stayed consistent throughout.
         assert chaos.stats()["queries"] >= len(sources)

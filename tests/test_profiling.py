@@ -5,7 +5,8 @@ import pytest
 
 from repro import profiling
 from repro.radio.impairments import BernoulliBatchLoss, trial_seeds
-from repro.sim import RecoveryPolicy, native_available, run_reactive_batch
+from repro.sim import (RecoveryPolicy, native_available, run_reactive_batch,
+                       run_reactive_multi)
 from repro.topology import Mesh2D4
 
 
@@ -72,12 +73,38 @@ def test_recovery_post_slot_phases_run_only_on_the_dense_tier(engine):
     profiling.start()
     run_reactive_batch(mesh, 0, np.ones(mesh.num_nodes, dtype=bool),
                        loss=loss, summary=True, engine=engine,
-                       recovery=RecoveryPolicy())
+                       recovery=RecoveryPolicy(),
+                       repeat_offsets={3: (1, 3)}, forced_tx={2: [0, 40]})
     times = profiling.stop()
     assert times["recovery-pre"] > 0.0
     dense = {"recovery-post", "recovery-election"}
     if engine == "compiled":
-        assert not dense & set(times)
+        # The C scheduler (relay calendar, forced pairs and the recovery
+        # calendar) is one call timed as recovery-pre; Bernoulli draws,
+        # commit and post-slot recovery sit inside resolve.
+        assert set(times) == {"resolve", "commit", "recovery-pre"}
         assert times["resolve"] > 0.0
     else:
         assert dense <= set(times)
+
+
+@pytest.mark.parametrize("engine", ["compiled", "batch"])
+def test_scheduler_time_without_recovery(engine):
+    """Structural guard, no timing: without a recovery policy the
+    compiled tier's C scheduler counts as ``resolve`` — a multi-source
+    wave records no recovery phase on either tier."""
+    if engine == "compiled" and not native_available():
+        pytest.skip("native kernel unavailable")
+    mesh = Mesh2D4(8, 6)
+    n = mesh.num_nodes
+    profiling.start()
+    run_reactive_multi(mesh, np.array([0, 20]), np.ones((2, n), dtype=bool),
+                       repeat_offsets_list=[{3: (1, 3)}, {}],
+                       forced_tx_list=[{2: [0, 40]}, {}], engine=engine)
+    times = profiling.stop()
+    assert times["commit"] > 0.0
+    assert not {"recovery-pre", "recovery-post", "recovery-election",
+                "loss-rng"} & set(times)
+    if engine == "compiled":
+        assert set(times) == {"resolve", "commit"}
+        assert times["resolve"] > 0.0

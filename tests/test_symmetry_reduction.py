@@ -3,9 +3,10 @@
 Three layers, matching the exactness argument of
 :mod:`repro.core.symmetry`:
 
-1. the batched multi-source engine is trace-for-trace identical to the
-   serial engine (including forced transmissions and droppable forced) —
-   hypothesis-randomised across all four paper topologies;
+1. the batched multi-source engine, on the dense and the compiled tier,
+   is trace-for-trace identical to the serial engine (including forced
+   transmissions and droppable forced) — hypothesis-randomised across
+   all four paper topologies;
 2. every symmetry-derived sweep member equals direct
    ``compile_broadcast`` output event for event, exhaustively over all
    source positions of small grids (odd shapes included: 1xN, Mx1, 2x2,
@@ -32,8 +33,9 @@ from repro.core.compiler import compile_call_count
 from repro.core.symmetry import (ClassMemberResult,
                                  _compile_fixpoint_batch, compile_class,
                                  group_sources, sweep_compile)
-from repro.sim import (TranslationError, compute_metrics, run_reactive,
-                       run_reactive_multi, translate_compiled)
+from repro.sim import (TranslationError, compute_metrics,
+                       native_available, run_reactive, run_reactive_multi,
+                       translate_compiled)
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 from repro.topology.base import Topology
 
@@ -64,10 +66,20 @@ TOPOLOGIES = [Mesh2D4(5, 4), Mesh2D8(5, 4), Mesh2D3(6, 4), Mesh3D6(3, 3, 2)]
 # Layer 1: batched multi-source engine == serial engine
 # ---------------------------------------------------------------------------
 
+#: The multi-source engine's tiers: the dense Python scheduler and the
+#: compiled kernel's C scheduler.
+MULTI_ENGINES = [
+    "batch",
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not native_available(), reason="native kernel unavailable")),
+]
+
+
+@pytest.mark.parametrize("engine", MULTI_ENGINES)
 class TestMultiEngineDifferential:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_multi_matches_serial(self, data):
+    def test_multi_matches_serial(self, engine, data):
         topo = data.draw(st.sampled_from(TOPOLOGIES))
         n = topo.num_nodes
         trials = data.draw(st.integers(1, 4))
@@ -89,14 +101,15 @@ class TestMultiEngineDifferential:
         traces = run_reactive_multi(
             topo, np.asarray(sources), np.stack(masks),
             extra_delays=np.stack(delays),
-            repeat_offsets_list=repeats, forced_tx_list=forceds)
+            repeat_offsets_list=repeats, forced_tx_list=forceds,
+            engine=engine)
         for b in range(trials):
             serial = run_reactive(
                 topo, sources[b], masks[b], extra_delay=delays[b],
                 repeat_offsets=repeats[b], forced_tx=forceds[b])
             assert_traces_equal(traces[b], serial)
 
-    def test_summary_mode_matches_trace_mode(self):
+    def test_summary_mode_matches_trace_mode(self, engine):
         topo = Mesh2D4(6, 5)
         proto = protocol_for(topo)
         srcs = [topo.index((2, 2)), topo.index((5, 4)), topo.index((1, 1))]
@@ -105,9 +118,10 @@ class TestMultiEngineDifferential:
             extra_delays=np.stack([p.extra_delay for p in plans]),
             repeat_offsets_list=[p.repeat_offsets for p in plans])
         masks = np.stack([p.relay_mask for p in plans])
-        traces = run_reactive_multi(topo, np.asarray(srcs), masks, **kw)
+        traces = run_reactive_multi(topo, np.asarray(srcs), masks,
+                                    engine=engine, **kw)
         summary = run_reactive_multi(topo, np.asarray(srcs), masks,
-                                     summary=True, **kw)
+                                     summary=True, engine=engine, **kw)
         for b, tr in enumerate(traces):
             assert (summary.first_rx[b] == tr.first_rx).all()
             assert summary.tx_count[b].sum() == tr.num_tx
