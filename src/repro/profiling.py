@@ -24,8 +24,7 @@ A compiled reactive run also schedules in C: its one pre-slot call per
 transmitting slot (relay calendar, forced pairs, the pair read-back
 and, with a policy, the recovery calendar's due checks and elections)
 counts as ``recovery-pre`` when a recovery policy runs and as
-``resolve`` otherwise.  A compiled replay keeps ``recovery-pre`` as the
-one C recovery-calendar call.
+``resolve`` otherwise; a compiled replay is such a run.
 
 Not thread-safe, and deliberately not process-aware: a sharded run
 profiles only the parent process (per-shard phases happen in workers),

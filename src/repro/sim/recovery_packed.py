@@ -28,11 +28,13 @@ tier costs two C calls and no numpy work:
   newly informed nodes;
 * **a C due calendar** — checks and elections are due in a power-of-two
   ring of slot heads over intrusive per-pair lists (a pair is pending
-  at most once per list).  ``recovery_pre_slot`` walks slot *t*'s
-  lists and returns the retransmitting pairs, so the per-slot cost
-  scales with the *due* count, not ``B * n``.  The ring spans the
-  policy's farthest schedule distance, capped by the run's slot bound:
-  work past the bound can never fire, so it only raises the horizon.
+  at most once per list).  The kernel's scheduler
+  (``reactive_next_slot``) walks slot *t*'s lists through
+  ``recovery_pre_slot`` and adds the retransmitting pairs to the slot,
+  so the per-slot cost scales with the *due* count, not ``B * n``.  The
+  ring spans the policy's farthest schedule distance, capped by the
+  run's slot bound: work past the bound can never fire, so it only
+  raises the horizon.
 
 Instances are built by the compiled backend
 (:meth:`~repro.sim.backend.NativeBackend.make_recovery`), which keeps
@@ -40,8 +42,6 @@ them alive for the run.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -101,10 +101,7 @@ class NativeRecoveryState:
         ring = 1 << max(min(far, slot_bound), 0).bit_length()
         self._heads = np.full((2, ring), -1, dtype=np.int64)
         self._links = np.empty((2, trials * n), dtype=np.int64)
-        # A pair can fire from a check and an election in one slot.
-        self._fire = np.empty((2, 2 * trials * n), dtype=np.int64)
-        self._ffi, self._lib = module.ffi, module.lib
-        ffi = self._ffi
+        ffi = module.ffi
 
         def ptr(array, ctype="int64_t *"):
             return ffi.cast(ctype, ffi.from_buffer(array))
@@ -133,16 +130,8 @@ class NativeRecoveryState:
         c.chk_head, c.elec_head = ptr(self._heads[0]), ptr(self._heads[1])
         c.chk_next, c.elec_next = ptr(self._links[0]), ptr(self._links[1])
         c.horizon = 0
-        self._fire_ptrs = ptr(self._fire[0]), ptr(self._fire[1])
 
     @property
     def horizon(self) -> int:
         """The latest slot any check or election has been scheduled."""
         return self.c.horizon
-
-    def pre_slot(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Checks/elections due at *t*: returns retransmitting
-        ``(trials, nodes)`` pair arrays (order unspecified; the engine
-        dedup-sorts recovery pairs), views valid until the next call."""
-        k = self._lib.recovery_pre_slot(self.c, t, *self._fire_ptrs)
-        return self._fire[0, :k], self._fire[1, :k]

@@ -20,8 +20,9 @@ from repro.core import protocol_for
 from repro.radio.impairments import (BernoulliBatchLoss, BernoulliLoss,
                                      BurstBatchLoss, BurstLoss,
                                      PerTrialBatchLoss, trial_seeds)
-from repro.sim import (BroadcastSchedule, replay, replay_batch, run_reactive,
-                       run_reactive_batch)
+from repro.sim import (BroadcastSchedule, RecoveryPolicy, replay,
+                       replay_batch, run_reactive, run_reactive_batch)
+from repro.sim.reference import ReferenceSimulator
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 
 MESHES = [
@@ -200,15 +201,74 @@ class TestReplayBatchDifferential:
                 loss = BernoulliBatchLoss(
                     0.2, trial_seeds(data.draw(st.integers(0, 3)),
                                      0.2, trials))
-            traces = replay_batch(mesh, sched, src, dead_masks=dead_masks,
-                                  loss=loss, trials=trials)
-            for b, batch_trace in enumerate(traces):
-                assert_trial_equal(
-                    batch_trace,
-                    replay(mesh, sched, src,
-                           **serial_kwargs(b, dead_masks, loss)))
+            serial = [replay(mesh, sched, src,
+                             **serial_kwargs(b, dead_masks, loss))
+                      for b in range(trials)]
+            # Both tiers, on schedules that need not be causal.
+            for engine in ("batch", "compiled"):
+                traces = replay_batch(mesh, sched, src,
+                                      dead_masks=dead_masks, loss=loss,
+                                      trials=trials, engine=engine)
+                for batch_trace, serial_trace in zip(traces, serial):
+                    assert_trial_equal(batch_trace, serial_trace)
 
         check()
+
+    def test_pristine_replay_is_unchecked(self):
+        """A pristine replay transmits what the schedule says, even a
+        node that never received (how validate_broadcast sees causality
+        violations): node 3 transmits in slot 1 on every engine."""
+        mesh = Mesh2D4(6, 1)
+        sched = BroadcastSchedule.from_events([(1, 0), (1, 3)])
+        want = ReferenceSimulator(mesh).replay(sched, 0)
+        assert want.tx_events == [(1, 0), (1, 3)]
+        got = [replay(mesh, sched, 0)]
+        for engine in ("batch", "compiled"):
+            got += replay_batch(mesh, sched, 0, trials=1, engine=engine)
+        for trace in got:
+            assert_trial_equal(trace, want)
+
+    @pytest.mark.parametrize("recovery", [None, RecoveryPolicy(
+        timeout=1, max_retries=2, backoff=1, suppression_k=0)])
+    def test_max_slots_cuts_every_tier(self, recovery):
+        """max_slots=k cuts every replay at slot k, recovering or not,
+        on every tier.  Without recovery the cut replay equals a replay
+        of the schedule truncated at k; with recovery (whose repairs
+        continue past the schedule) it equals the uncut replay's first
+        k slots."""
+        mesh = Mesh2D8(6, 5)
+        src = mesh.index((3, 2))
+        sched = protocol_for("2D-8").compile(mesh, (3, 2)).schedule
+        trials = 3
+        dead = np.zeros((trials, mesh.num_nodes), dtype=bool)
+        dead[1, [7, 21]] = dead[2, 12] = True
+        loss = BernoulliBatchLoss(0.3, trial_seeds(4, 0.3, trials))
+        faults = dict(dead_masks=dead, loss=loss, trials=trials,
+                      recovery=recovery)
+        for k in (1, 3, sched.max_slot - 1):
+            cut = BroadcastSchedule.from_events(
+                (t, v) for t, v in sched if t <= k)
+            for engine in ("batch", "compiled"):
+                for kw in (dict(trials=1), faults):
+                    full = replay_batch(mesh, sched, src, engine=engine,
+                                        **kw)
+                    got = replay_batch(mesh, sched, src, max_slots=k,
+                                       engine=engine, **kw)
+                    want = replay_batch(mesh, cut, src, engine=engine,
+                                        **kw)
+                    for b, trace in enumerate(got):
+                        serial = replay(mesh, sched, src, max_slots=k,
+                                        recovery=kw.get("recovery"),
+                                        **serial_kwargs(
+                                            b, kw.get("dead_masks"),
+                                            kw.get("loss")))
+                        assert_trial_equal(trace, serial)
+                        assert trace.tx_events == [
+                            e for e in full[b].tx_events if e[0] <= k]
+                        assert trace.rx_events == [
+                            e for e in full[b].rx_events if e[0] <= k]
+                        if kw.get("recovery") is None:
+                            assert_trial_equal(trace, want[b])
 
     def test_perfect_channel_replay(self):
         """No faults: every trial must equal the single perfect replay."""

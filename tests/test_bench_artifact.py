@@ -217,6 +217,19 @@ def _validate_kernel(payload):
     assert payload["cores_available"] >= 1
     for key in ("threads", "mt_speedup_floors", "mt_floors_exercised"):
         assert key not in payload, key
+    # v6: the replay cell — faulty summary replays, every tier held to
+    # the batch answer before writing; timed, no floor.
+    replay = payload["replay_grid"]
+    assert replay["nodes"] == replay["shape"][0] * replay["shape"][1]
+    assert replay["nodes"] >= 1536 and replay["trials"] >= 32
+    assert replay["dead_nodes"] >= 1 and replay["transmissions"] > 0
+    assert "batch" in replay["entries"]
+    if payload["native_available"]:
+        assert "compiled" in replay["entries"]
+        assert replay["compiled_speedup_vs_batch"] > 0
+    for label, entry in replay["entries"].items():
+        assert entry["seconds"] > 0, label
+        assert entry["simulations_per_second"] > 0, label
     for section in ("large_grid", "recovery_grid"):
         grid = payload[section]
         assert "compiled-mt" not in grid["entries"]
@@ -269,7 +282,7 @@ VALIDATORS = {
     "repro-wsn/bench-symmetry/v1": _validate_symmetry,
     "repro-wsn/bench-recovery/v1": _validate_recovery,
     "repro-wsn/bench-scaling/v1": _validate_scaling,
-    "repro-wsn/bench-kernel/v5": _validate_kernel,
+    "repro-wsn/bench-kernel/v6": _validate_kernel,
     "repro-wsn/bench-service/v1": _validate_service,
     "repro-wsn/bench-faults/v1": _validate_faults,
 }
@@ -280,7 +293,7 @@ _ARTIFACTS = [
     (SYMMETRY_ARTIFACT, "repro-wsn/bench-symmetry/v1"),
     (RECOVERY_ARTIFACT, "repro-wsn/bench-recovery/v1"),
     (SCALING_ARTIFACT, "repro-wsn/bench-scaling/v1"),
-    (KERNEL_ARTIFACT, "repro-wsn/bench-kernel/v5"),
+    (KERNEL_ARTIFACT, "repro-wsn/bench-kernel/v6"),
     (SERVICE_ARTIFACT, "repro-wsn/bench-service/v1"),
     (FAULTS_ARTIFACT, "repro-wsn/bench-faults/v1"),
 ]

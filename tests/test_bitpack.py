@@ -20,8 +20,9 @@ from repro.radio.impairments import (BernoulliBatchLoss, BurstBatchLoss,
                                      bernoulli_threshold, counter_slot_keys,
                                      counter_uniforms, trial_seeds)
 from repro.sim import (BroadcastSchedule, RecoveryPolicy, native_available,
-                       replay_batch)
+                       replay, replay_batch)
 from repro.sim.engine import _BatchState
+from repro.sim.reference import ReferenceSimulator
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 
 pytestmark = pytest.mark.skipif(not bitpack.packing_supported(),
@@ -36,6 +37,47 @@ def unpack(words, n):
     bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8),
                          axis=1, bitorder="little")
     return bits[:, :n].astype(bool)
+
+
+def forced_only(backend, slots):
+    """Schedule ``[(slot, tr, nd), ...]`` (slots ascending, pairs
+    (trial, node)-sorted and unique) on *backend* as an unchecked
+    forced-only plan: no relays and no source, so every pair transmits
+    in its slot whether or not its node holds the message."""
+    n, batch = backend._n, backend._batch
+    ptr = np.cumsum([0] + [len(nd) for _, _, nd in slots])
+    forced = ([slot for slot, _, _ in slots], ptr.tolist(),
+              np.concatenate([tr for _, tr, _ in slots]),
+              np.concatenate([nd for _, _, nd in slots]))
+    backend.schedule(np.zeros((1, n), dtype=bool),
+                     np.zeros((1, n), dtype=np.int64), {}, forced,
+                     np.full(batch, slots[-1][0], dtype=np.int64), None,
+                     checked=False)
+
+
+def drive(backend, slots):
+    """Run *slots* (see :func:`forced_only`) through the kernel's
+    scheduler, one ``next_slot``/``resolve_next`` step per slot.
+
+    Yields each slot's ``(rt, rn, sv, coll, nt, nn)``: received pairs,
+    their senders (``None`` when not requested), collision pairs (trace
+    mode) or the bound per-trial totals (summary mode), and the newly
+    informed pairs.  Views into the backend's scratch, valid until the
+    next step.
+    """
+    forced_only(backend, slots)
+    for slot, tr, nd in slots:
+        k = backend.next_slot()
+        assert backend.slot == slot
+        got = backend.events(k)[:2] if k else (tr[:0], nd[:0])
+        assert np.array_equal(got[0], tr) and np.array_equal(got[1], nd)
+        backend.resolve_next(k)
+        n_rx, n_coll, n_new = backend._out_counts[0].tolist()
+        yield (backend._rx_tr[0][:n_rx], backend._rx_nd[0][:n_rx],
+               backend._rx_sv[0][:n_rx] if backend._need_senders else None,
+               ((backend._coll_tr[0][:n_coll], backend._coll_nd[0][:n_coll])
+                if backend._need_coll_pairs else backend._collisions[0]),
+               backend._new_tr[0][:n_new], backend._new_nd[0][:n_new])
 
 
 class TestPacking:
@@ -98,18 +140,24 @@ class TestPackedResolve:
         rng = np.random.default_rng(42)
         for trials in (1, 3, 6):
             backend = self.backend(kernel, trials)
-            rec = backend.make_recovery(mesh, RecoveryPolicy(),
-                                        np.ones(n, bool), trials, 16)
+            # No retries and no elections: the recovery calendar stays
+            # silent, so the kernel transmits exactly the forced pairs
+            # and only the per-decode bookkeeping runs.
+            rec = backend.make_recovery(
+                mesh, RecoveryPolicy(max_retries=0, election=False),
+                np.ones(n, bool), trials, 16)
             known = np.zeros((trials, len(kernel.indices)), dtype=bool)
             heard_total = np.zeros((trials, n), dtype=np.int64)
+            slots = []
             for t in range(1, 16):
                 pairs = {(int(rng.integers(trials)), int(rng.integers(n)))
                          for _ in range(int(rng.integers(1, n)))}
                 arr = np.array(sorted(pairs), dtype=np.int64)
-                tr, nd = arr[:, 0].copy(), arr[:, 1].copy()
+                slots.append((t, arr[:, 0].copy(), arr[:, 1].copy()))
+            for (t, tr, nd), (rt, rn, sv, (ct, cn), _, _) in zip(
+                    slots, drive(backend, slots)):
                 heard, received, collided, senders = kernel.resolve_batch(
                     nd, tr, trials)
-                rt, rn, sv, (ct, cn), _, _ = backend.resolve(t, tr, nd)
                 drt, drn = received.nonzero()
                 assert np.array_equal(rt, drt)
                 assert np.array_equal(rn, drn)
@@ -127,14 +175,6 @@ class TestPackedResolve:
                 assert np.array_equal(
                     unpack(rec.known, known.shape[1]), known)
                 assert np.array_equal(rec.heard_total, heard_total)
-
-    def test_empty_slot(self):
-        mesh = Mesh2D4(4, 4)
-        backend = self.backend(mesh.slot_kernel, 2)
-        e = np.empty(0, dtype=np.int64)
-        rt, rn, sv, (ct, cn), nt, nn = backend.resolve(1, e, e)
-        assert len(rt) == len(rn) == len(sv) == 0
-        assert len(ct) == len(cn) == len(nt) == len(nn) == 0
 
 
 @pytest.mark.skipif(not native_available(),
@@ -170,11 +210,14 @@ class TestFusedCommit:
         fused = _BatchState(mesh, 0, trials, summary, engine="compiled",
                             **kw)
         assert dense.backend is None and fused.backend is not None
+        slots = []
         for t in range(1, 30):
             pick = rng.random((trials, n)) < 0.12
             if dead:
                 pick &= ~dead_masks
-            tr, nd = pick.nonzero()
+            slots.append((t, *pick.nonzero()))
+        for (t, tr, nd), (frt, frn, fsv, fcoll, fnt, fnn) in zip(
+                slots, drive(fused.backend, slots)):
             # The dense tier's step, by hand.
             _, received, collided, senders = kernel.resolve_batch(
                 nd, tr, trials)
@@ -188,8 +231,6 @@ class TestFusedCommit:
                     else collided.nonzero())
             nt, nn = dense.commit_sparse(t, tr, nd, rt, rn,
                                          senders[rt, rn], coll)
-            frt, frn, fsv, fcoll, fnt, fnn = fused.backend.resolve(
-                t, tr, nd)
             assert np.array_equal(frt, rt) and np.array_equal(frn, rn)
             if summary:                     # no recovery: no senders
                 assert fsv is None
@@ -213,8 +254,9 @@ class TestFusedCommit:
         backend = NativeBackend(mesh.slot_kernel, 2, None, None,
                                 need_senders=False, need_coll_pairs=False)
         grid = np.full((2, 16), -1, dtype=np.int64)
+        one = np.zeros(1, np.int64)
         with pytest.raises(RuntimeError, match="bind"):
-            backend.resolve(1, np.zeros(1, np.int64), np.zeros(1, np.int64))
+            forced_only(backend, [(1, one, one)])
         with pytest.raises(ValueError):
             backend.bind(grid)              # summary mode needs counts
         with pytest.raises(ValueError):
@@ -269,18 +311,21 @@ class TestBernoulliThreshold:
                                 need_senders=False, need_coll_pairs=True)
         backend.bind(np.full((trials, n), -1, dtype=np.int64))
         rng = np.random.default_rng(5)
-        for slot in self.EDGE_SLOTS:
-            tr, nd = (rng.random((trials, n)) < 0.1).nonzero()
+        slots = [(slot, *(rng.random((trials, n)) < 0.1).nonzero())
+                 for slot in self.EDGE_SLOTS]
+        for (slot, tr, nd), (rt, rn, *_) in zip(slots,
+                                                 drive(backend, slots)):
             _, received, _, _ = kernel.resolve_batch(nd, tr, trials)
             want = loss.apply_batch(slot, received).nonzero()
-            rt, rn = backend.resolve(slot, tr, nd)[:2]
             assert np.array_equal(rt, want[0]), slot
             assert np.array_equal(rn, want[1]), slot
 
     @pytest.mark.parametrize("p", EDGE_PS)
     def test_compiled_run_at_far_slots_matches_dense(self, p):
         """A whole compiled replay with edge seeds, transmitting at
-        slots up to 2**40, is trace-identical to the dense tier."""
+        slots up to 2**40, is trace-identical to the dense tier, the
+        serial engine and the reference oracle.  Every loop skips the
+        idle slots in between, so none of them walks 2**40 slots."""
         mesh = Mesh2D4(9, 8)
         source = mesh.index((4, 4))
         sched = BroadcastSchedule.from_events(
@@ -290,10 +335,14 @@ class TestBernoulliThreshold:
         runs = [replay_batch(mesh, sched, source, loss=loss,
                              engine=engine)
                 for engine in ("batch", "compiled")]
-        for dense, fused in zip(*runs):
-            assert dense.rx_events == fused.rx_events
-            assert dense.tx_events == fused.tx_events
-            assert dense.collision_events == fused.collision_events
-            assert np.array_equal(dense.first_rx, fused.first_rx)
+        oracle = ReferenceSimulator(mesh)
+        for b, (dense, fused) in enumerate(zip(*runs)):
+            trial = loss.trial_loss(b)
+            for other in (fused, replay(mesh, sched, source, loss=trial),
+                          oracle.replay(sched, source, loss=trial)):
+                assert dense.rx_events == other.rx_events
+                assert dense.tx_events == other.tx_events
+                assert dense.collision_events == other.collision_events
+                assert np.array_equal(dense.first_rx, other.first_rx)
         if p == 0.5:
             assert any(t.rx_events for t in runs[0])

@@ -28,13 +28,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import protocol_for
 from repro.radio import bitpack
 from repro.radio.impairments import (BernoulliBatchLoss, BurstBatchLoss,
                                      trial_seeds)
-from repro.sim import (ReferenceSimulator, native_available, native_reason,
-                       replay_batch, replay_batch_sharded, resolve_engine,
-                       run_reactive, run_reactive_batch,
-                       run_reactive_batch_sharded, run_reactive_multi)
+from repro.sim import (BroadcastSchedule, ReferenceSimulator,
+                       native_available, native_reason, replay, replay_batch,
+                       replay_batch_sharded, resolve_engine, run_reactive,
+                       run_reactive_batch, run_reactive_batch_sharded,
+                       run_reactive_multi)
 from repro.sim.recovery import RecoveryPolicy
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 
@@ -321,8 +323,9 @@ class TestReactiveScheduler:
 
     def test_python_scheduler_is_never_called(self, monkeypatch):
         """Structural guard: on the compiled tier a reactive wave —
-        repeats, forced pairs and recovery included — runs no Python
-        bucket scheduling and no numpy dedup."""
+        repeats, forced pairs and recovery included — and a replay with
+        dead nodes, loss and recovery run no Python bucket scheduling,
+        no numpy dedup and no dense slot step."""
         from repro.sim import engine as engine_mod
         mesh = Mesh2D4(8, 6)
         n = mesh.num_nodes
@@ -339,18 +342,63 @@ class TestReactiveScheduler:
                 repeat_offsets_list=[kw["repeat_offsets"], {}],
                 forced_tx_list=[kw["forced_tx"], {2: [3]}], engine=engine)
 
+        sched = protocol_for("2D-4").compile(mesh, (4, 3)).schedule
+        dead = np.zeros((4, n), dtype=bool)
+        dead[1, [9, 30]] = dead[3, 22] = True
+
+        def replayed(engine):
+            return replay_batch(mesh, sched, mesh.index((4, 3)),
+                                dead_masks=dead, loss=kw["loss"],
+                                recovery=kw["recovery"], engine=engine)
+
         want = run_reactive_batch(mesh, 0, relay, engine="batch", **kw)
         want_multi = multi("batch")
+        want_replay = replayed("batch")
 
         def banned(*args, **kwargs):
             raise AssertionError("Python scheduler used on compiled tier")
 
         monkeypatch.setattr(engine_mod, "push_buckets", banned)
         monkeypatch.setattr(engine_mod, "sorted_unique_pairs", banned)
+        monkeypatch.setattr(engine_mod._BatchState, "step", banned)
         assert_traces_equal(
             want, run_reactive_batch(mesh, 0, relay, engine="compiled",
                                      **kw), "compiled")
         assert_traces_equal(want_multi, multi("compiled"), "multi")
+        assert_traces_equal(want_replay, replayed("compiled"), "replay")
+
+
+class TestForcedNodeBounds:
+    """Every entry point rejects a forced or scheduled node outside
+    ``[0, n)`` with ValueError on every tier, before any kernel sees it
+    (a compiled replay used to crash the process on one)."""
+
+    @pytest.mark.parametrize("node", [16, 5000, -3])
+    def test_every_entry_point_rejects(self, node):
+        mesh = Mesh2D4(4, 4)
+        relay = np.ones(mesh.num_nodes, dtype=bool)
+        forced = {3: [node]}
+        calls = [lambda: run_reactive(mesh, 0, relay, forced_tx=forced)]
+        if node >= 0:   # BroadcastSchedule.add rejects negative nodes
+            sched = BroadcastSchedule.from_events([(1, 0), (2, node)])
+            calls.append(lambda: replay(mesh, sched, 0))
+        for engine in ("batch", "compiled"):
+            calls += [
+                lambda e=engine: run_reactive_batch(
+                    mesh, 0, relay, forced_tx=forced, trials=2, engine=e),
+                lambda e=engine: run_reactive_multi(
+                    mesh, np.array([0, 5]), np.stack([relay, relay]),
+                    forced_tx_list=[{}, forced], engine=e)]
+            if node >= 0:
+                calls += [
+                    lambda e=engine: replay_batch(mesh, sched, 0, trials=2,
+                                                  engine=e),
+                    lambda e=engine: replay_batch(
+                        mesh, sched, 0, engine=e,
+                        dead_masks=np.zeros((2, 16), dtype=bool))]
+        for call in calls:
+            with pytest.raises(ValueError, match="out of range"):
+                call()
 
 
 @needs_packing

@@ -48,7 +48,7 @@ from repro.service import (BackgroundServer, DeadlineExceeded, Overloaded,
 from repro.service.runtime import AsyncRuntime
 from repro.service.server import _error_payload
 from repro.service.wire import MAX_WIRE_BATCH, request_from_dict
-from repro.sim import (native_available, resolve_engine,
+from repro.sim import (RecoveryPolicy, native_available, resolve_engine,
                        run_reactive_batch, run_reactive_batch_sharded,
                        run_reactive_multi, replay_batch,
                        replay_batch_sharded)
@@ -335,6 +335,38 @@ class TestTierDemotion:
             assert a.collision_events == b.collision_events
             assert a.dropped_forced == b.dropped_forced
             assert (a.first_rx == b.first_rx).all()
+        assert BREAKER.state()["compiled"]["failures"] == 1
+        assert not BREAKER.state()["compiled"]["open"]
+
+    @needs_native
+    def test_replay_fault_demotes_bit_identically(self):
+        """A recovering, faulty replay_batch rides the same demotion: a
+        mid-run resolve fault reruns it on the dense tier."""
+        mesh = Mesh2D4(*SHAPE)
+        src = mesh.index((3, 2))
+        sched = protocol_for("2D-4").compile(mesh, (3, 2)).schedule
+        dead = np.zeros((3, mesh.num_nodes), dtype=bool)
+        dead[1, 7] = True
+        kwargs = dict(dead_masks=dead,
+                      loss=BernoulliBatchLoss(0.3, trial_seeds(2, 0.3, 3)),
+                      recovery=RecoveryPolicy(timeout=1, max_retries=2))
+        want = replay_batch(mesh, sched, src, engine="batch", **kwargs)
+        # The fourth slot's resolve faults: the replay is mid-schedule.
+        plan = FaultPlan([FaultSpec(faults.BACKEND_RESOLVE, at=(3,))])
+        with plan.arm():
+            got = replay_batch(mesh, sched, src, engine="compiled",
+                               **kwargs)
+        assert plan.fired(faults.BACKEND_RESOLVE) == 1
+        for a, b in zip(want, got):
+            assert a.tx_events == b.tx_events
+            assert a.rx_events == b.rx_events
+            assert a.collision_events == b.collision_events
+            assert a.dropped_forced == b.dropped_forced == []
+            assert (a.first_rx == b.first_rx).all()
+        # The recovery layer did act on this run.
+        bare = replay_batch(mesh, sched, src, engine="batch",
+                            dead_masks=dead, loss=kwargs["loss"])
+        assert any(a.tx_events != c.tx_events for a, c in zip(want, bare))
         assert BREAKER.state()["compiled"]["failures"] == 1
         assert not BREAKER.state()["compiled"]["open"]
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro import profiling
+from repro.core import protocol_for
 from repro.radio.impairments import BernoulliBatchLoss, trial_seeds
-from repro.sim import (RecoveryPolicy, native_available, run_reactive_batch,
-                       run_reactive_multi)
+from repro.sim import (RecoveryPolicy, native_available, replay_batch,
+                       run_reactive_batch, run_reactive_multi)
 from repro.topology import Mesh2D4
 
 
@@ -108,3 +109,28 @@ def test_scheduler_time_without_recovery(engine):
     if engine == "compiled":
         assert set(times) == {"resolve", "commit"}
         assert times["resolve"] > 0.0
+
+
+def test_compiled_replay_runs_in_the_kernel_scheduler():
+    """Structural guard, no timing: a compiled replay is a forced-only
+    wave of the C scheduler, so a recovering, faulty one records exactly
+    the compiled reactive phases, and its dense twin records the Python
+    step's."""
+    if not native_available():
+        pytest.skip("native kernel unavailable")
+    mesh = Mesh2D4(8, 6)
+    trials = 4
+    src = mesh.index((4, 3))
+    sched = protocol_for("2D-4").compile(mesh, (4, 3)).schedule
+    dead = np.zeros((trials, mesh.num_nodes), dtype=bool)
+    dead[2, 20] = True
+    kwargs = dict(dead_masks=dead, recovery=RecoveryPolicy(),
+                  loss=BernoulliBatchLoss(0.2, trial_seeds(4, 0.2, trials)))
+    phases = {}
+    for engine in ("compiled", "batch"):
+        profiling.start()
+        replay_batch(mesh, sched, src, engine=engine, **kwargs)
+        phases[engine] = profiling.stop()
+    assert set(phases["compiled"]) == {"resolve", "commit", "recovery-pre"}
+    assert phases["compiled"]["resolve"] > 0.0
+    assert {"loss-rng", "recovery-post"} <= set(phases["batch"])

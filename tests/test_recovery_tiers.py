@@ -370,14 +370,28 @@ class TestPackedStateInternals:
             backend.bind(np.full((1, n), -1, dtype=np.int64))
             state = backend.make_recovery(mesh, policy, np.ones(n, bool),
                                           1, 8)
-            one = np.ones(1, dtype=np.int64)
-            backend.resolve(1, 0 * one, v * one)  # check due at slot 2
+            # v alone transmits in slot 1 (an unchecked forced-only
+            # plan: v needs no message), so its check is due at slot 2.
+            backend.schedule(np.zeros((1, n), dtype=bool),
+                             np.zeros((1, n), dtype=np.int64), {},
+                             ([1], [0, 1], np.zeros(1, dtype=np.int64),
+                              np.full(1, v, dtype=np.int64)),
+                             np.full(1, 8, dtype=np.int64), None,
+                             checked=False)
+            assert backend.next_slot() == 1
+            backend.resolve_next(1)
             state.known[:] = 0
             for e in bits:
                 state.known[0, e >> 6] |= np.uint64(1) << np.uint64(e & 63)
-            fb, fv = state.pre_slot(2)
-            return (list(zip(fb.tolist(), fv.tolist())),
-                    int(state.retries_used[0, v]))
+            # The scheduler pops the check's retransmission, if any, as
+            # slot 2's one pair.
+            k = backend.next_slot()
+            fired = []
+            if k:
+                assert backend.slot == 2
+                fb, fv = backend.events(k)[:2]
+                fired = list(zip(fb.tolist(), fv.tolist()))
+            return fired, int(state.retries_used[0, v])
 
         assert len(mesh.slot_kernel.indices) > 64
         for v in range(n):
