@@ -161,6 +161,22 @@ class TestSlotKernel:
         _, recv_a2, _, senders_a2 = kernel.resolve(a)
         assert (senders_a2[recv_a2] == senders_a_snapshot).all()
 
+    def test_neighbour_table_published_filled(self, mesh, monkeypatch):
+        """Threads share a topology's kernel, so the lazily built padded
+        neighbour table must not be visible before it is filled: a
+        concurrent resolve would gather padding only."""
+        from repro.radio.channel import SlotKernel
+        kernel = SlotKernel(mesh.adjacency)
+        repeat = np.repeat
+
+        def building(*args, **kwargs):
+            assert kernel._rows is None
+            return repeat(*args, **kwargs)
+
+        monkeypatch.setattr(np, "repeat", building)
+        kernel.resolve(np.array([mesh.index((3, 3))], dtype=np.int64))
+        assert kernel._rows is not None
+
     def test_batch_scratch_keyed_on_trials_and_nodes(self):
         """Interleaving resolve_batch on kernels of different node
         counts but equal trial counts must not cross-corrupt: the
