@@ -26,11 +26,18 @@ workloads and writes ``BENCH_kernel.json`` (repo root by default):
   centre of a 48x32 2D-4 lattice, ``batch`` against ``compiled``.  A
   replay is a forced-only wave of the same slot loop as the cells
   above; this cell times that path.  No floor.
+* ``b1_trace`` — one-trial trace-mode waves (the schedule compiler's
+  call) from the centre of 2D-4 48x32, 2D-8 12x12 and 3D-6 5x5x5 on the
+  protocol's relay plan: the ``compiled`` tier at B=1 against the
+  serial engine, traces asserted equal before timing.  Each shape
+  records the ratio compiled / serial and whether it meets the 10 %
+  gate for routing the serial entry points through B=1
+  (:data:`B1_GATE`); the gate is reported, not enforced.
 
-v6 adds ``replay_grid``.  v5 dropped the ``compiled-mt`` entries and
-the multi-thread floors with the kernel's thread pool: the compiled
-kernel is single-threaded, and the entries are ``batch`` and
-``compiled`` (where the native kernel builds).  Multi-core runs shard
+v7 adds ``b1_trace``.  v6 added ``replay_grid``.  v5 dropped the
+``compiled-mt`` entries and the multi-thread floors with the kernel's
+thread pool: the compiled kernel is single-threaded, and the entries
+are ``batch`` and ``compiled`` (where the native kernel builds).  Multi-core runs shard
 trials across processes, which the equivalence pass below covers.
 
 Every engine's results are asserted **bit-identical** to the batch
@@ -48,8 +55,9 @@ Run as a script::
 
 ``--profile`` additionally captures per-phase timings (CSR gather,
 bincount, word resolve, loss RNG, commit, and the recovery phases
-``recovery-pre`` / ``recovery-post`` / ``recovery-election``) for each
-engine via :mod:`repro.profiling` and records them under
+``recovery-pre`` / ``recovery-post`` / ``recovery-election``; a compiled
+run is one kernel call, timed as ``resolve``) for each engine via
+:mod:`repro.profiling` and records them under
 ``"profile"``; profiles are captured with sharding disabled (the
 accumulator is per-process).
 
@@ -77,12 +85,13 @@ from repro.core import compile_broadcast
 from repro.core.registry import protocol_for
 from repro.radio.impairments import BernoulliBatchLoss, trial_seeds
 from repro.sim import (native_available, native_reason, replay_batch,
-                       run_reactive_batch, run_reactive_batch_sharded)
+                       resolve_engine, run_reactive, run_reactive_batch,
+                       run_reactive_batch_sharded)
 from repro.sim.recovery import RecoveryPolicy
 from repro.topology.builder import make_topology
 from serial_baseline import loss_curve
 
-SCHEMA = "repro-wsn/bench-kernel/v6"
+SCHEMA = "repro-wsn/bench-kernel/v7"
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 DEFAULT_LOSS_RATES = (0.0, 0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3)
 
@@ -94,6 +103,13 @@ RECOVERY_FLOORS = {"compiled": 5.0}
 REPLAY_TOPOLOGY = "2D-4"
 REPLAY_DEAD_FRACTION = 0.02
 REPLAY_CALLS = 20
+#: The B=1 trace cell: shapes (centre source, the protocol's relay
+#: plan), interleaved rounds and back-to-back waves per timing, and the
+#: gate on compiled / serial.
+B1_SHAPES = (("2D-4", (48, 32)), ("2D-8", (12, 12)), ("3D-6", (5, 5, 5)))
+B1_ROUNDS = 9
+B1_CALLS = 20
+B1_GATE = 1.10
 
 
 def _cores_available() -> int:
@@ -305,6 +321,50 @@ def run_replay_grid(shape: Sequence[int] = (48, 32),
     return out
 
 
+def run_b1_trace() -> dict:
+    """One-trial trace waves per :data:`B1_SHAPES` shape, serial against
+    the ``compiled`` tier at B=1.  Traces are asserted equal first; each
+    side's time is the median, over :data:`B1_ROUNDS` interleaved
+    rounds, of :data:`B1_CALLS` back-to-back waves."""
+    cells = []
+    for label, shape in B1_SHAPES:
+        topology = make_topology(label, shape=shape)
+        coord = tuple(s // 2 for s in shape)
+        source = topology.index(coord)
+        plan = protocol_for(label).relay_plan(topology, coord)
+        kwargs = dict(extra_delay=plan.extra_delay,
+                      repeat_offsets=plan.repeat_offsets)
+        runs = {
+            "serial": lambda: [run_reactive(topology, source,
+                                            plan.relay_mask, **kwargs)],
+            "compiled": lambda: run_reactive_batch(
+                topology, source, plan.relay_mask, trials=1,
+                engine="compiled", **kwargs),
+        }
+        (want,), (got,) = runs["serial"](), runs["compiled"]()
+        assert (want.tx_events == got.tx_events
+                and want.rx_events == got.rx_events
+                and want.collision_events == got.collision_events
+                and np.array_equal(want.first_rx, got.first_rx)), (
+            f"{label} B=1 compiled trace diverged from serial")
+        times = {name: [] for name in runs}
+        for _ in range(B1_ROUNDS):
+            for name, run in runs.items():
+                times[name].append(_timed(run, B1_CALLS))
+        ms = {name: float(np.median(t)) * 1e3 for name, t in times.items()}
+        cells.append({
+            "topology": label, "shape": list(shape),
+            "nodes": topology.num_nodes,
+            "tier": resolve_engine("compiled", topology.num_nodes),
+            "serial_ms": round(ms["serial"], 4),
+            "compiled_ms": round(ms["compiled"], 4),
+            "ratio": round(ms["compiled"] / ms["serial"], 3),
+        })
+    return {"rounds": B1_ROUNDS, "calls": B1_CALLS, "gate": B1_GATE,
+            "gate_met": all(c["ratio"] <= B1_GATE for c in cells),
+            "cells": cells}
+
+
 def _timed(run, calls: int) -> float:
     """Seconds per call of *run*, over *calls* back-to-back calls."""
     t0 = time.perf_counter()
@@ -349,6 +409,7 @@ def run_benchmark(sweep_shape: Sequence[int] = (32, 16),
     recovery_grid["speedup_floors"] = dict(RECOVERY_FLOORS)
     replay_grid = run_replay_grid(shape=replay_shape, trials=replay_trials,
                                   seed=seed, repeats=repeats)
+    b1_trace = run_b1_trace()
     return {
         "schema": SCHEMA,
         "platform": platform.platform(),
@@ -363,6 +424,7 @@ def run_benchmark(sweep_shape: Sequence[int] = (32, 16),
         "large_grid": grid,
         "recovery_grid": recovery_grid,
         "replay_grid": replay_grid,
+        "b1_trace": b1_trace,
     }
 
 
@@ -422,6 +484,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     for label, entry in replay["entries"].items():
         print(f"{label:>9}: {entry['seconds'] * 1e3:8.3f}ms "
               f"({entry['simulations_per_second']:9.1f} sims/s)")
+    b1 = payload["b1_trace"]
+    print(f"b1_trace (compiled / serial, gate {b1['gate']}, "
+          f"met: {b1['gate_met']}):")
+    for cell in b1["cells"]:
+        print(f"{cell['topology']:>5} {cell['nodes']:5d} nodes: serial "
+              f"{cell['serial_ms']:.3f}ms, {cell['tier']} "
+              f"{cell['compiled_ms']:.3f}ms, ratio {cell['ratio']}")
     print(f"written: {args.out}")
     return 0
 

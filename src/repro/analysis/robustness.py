@@ -101,10 +101,10 @@ def harden_plan(plan: RelayPlan, repeats: int) -> RelayPlan:
         return hardened
     extra = tuple(range(2, 2 * repeats + 1, 2))
     offsets = dict(hardened.repeat_offsets)
-    for v in np.nonzero(hardened.relay_mask)[0]:
-        existing = offsets.get(int(v), ())
-        merged = tuple(sorted(set(existing) | set(extra)))
-        offsets[int(v)] = merged
+    for v in np.flatnonzero(hardened.relay_mask).tolist():
+        existing = offsets.get(v)
+        offsets[v] = (tuple(sorted(set(existing) | set(extra)))
+                      if existing else extra)
     hardened.repeat_offsets = offsets
     return hardened
 
@@ -117,8 +117,13 @@ def _point(parameter: float, reaches: np.ndarray,
         min_reachability=float(np.min(reaches)),
         mean_tx=float(np.mean(txs)),
         std_reach=float(np.std(reaches)),
-        p5_reach=float(np.percentile(reaches, 5)),
-        p50_reach=float(np.percentile(reaches, 50)))
+        **_percentiles(reaches))
+
+
+def _percentiles(reaches: np.ndarray) -> dict:
+    """The 5th and 50th reachability percentiles, in one pass."""
+    p5, p50 = np.percentile(reaches, [5, 50]).tolist()
+    return dict(p5_reach=p5, p50_reach=p50)
 
 
 def _chunk(items: List, workers: int) -> List[List]:
@@ -427,8 +432,7 @@ def _frontier_point(label: str, p: float, k: int, reaches: np.ndarray,
         mean_reachability=float(np.mean(reaches)),
         min_reachability=float(np.min(reaches)),
         std_reach=float(np.std(reaches)),
-        p5_reach=float(np.percentile(reaches, 5)),
-        p50_reach=float(np.percentile(reaches, 50)),
+        **_percentiles(reaches),
         mean_tx=float(np.mean(txs)), mean_rx=float(np.mean(rxs)),
         mean_energy_j=float(np.mean(energy)))
 

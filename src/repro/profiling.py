@@ -14,17 +14,12 @@ Phases are free-form names; the engine currently emits ``resolve``,
 ``recovery-post`` (ACK/overhear + episode accounting after it), and
 ``recovery-election`` (the election bookkeeping *inside* the other two:
 a sub-phase, so its time is also counted by its parent — do not sum it
-with them).  On the compiled tier the Bernoulli loss draws, the
-summary-mode commit and the whole recovery post-slot update (elections
-included) run inside the C ``resolve`` call, so they count as
-``resolve``: there ``loss-rng`` covers only burst blackout draws,
-``commit`` only the trace-mode event logs, and
-``recovery-post``/``recovery-election`` appear only on the dense tier.
-A compiled reactive run also schedules in C: its one pre-slot call per
-transmitting slot (relay calendar, forced pairs, the pair read-back
-and, with a policy, the recovery calendar's due checks and elections)
-counts as ``recovery-pre`` when a recovery policy runs and as
-``resolve`` otherwise; a compiled replay is such a run.
+with them).  Those are the dense tier's phases.  On the compiled tier a
+whole run — reactive or replayed, recovering or not — is one kernel
+call (its scheduling, loss draws, commit, recovery and trace-mode event
+logs all run in C) and counts as ``resolve`` alone: ``commit``,
+``loss-rng`` and the ``recovery-*`` phases appear only on the dense
+tier.
 
 Not thread-safe, and deliberately not process-aware: a sharded run
 profiles only the parent process (per-shard phases happen in workers),

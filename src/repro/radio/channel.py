@@ -17,8 +17,9 @@ one sparse mat-vec per slot, as recommended by the HPC guides.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -99,17 +100,21 @@ class SlotKernel:
         self._indices = adjacency.indices.astype(np.int64)
         self.max_degree = (int(np.diff(self._indptr).max())
                            if self.num_nodes else 0)
-        self._rows: Optional[np.ndarray] = None
-        # Scratch buffers reused across resolve()/resolve_batch() calls.
-        self._senders = np.empty(self.num_nodes + 1, dtype=np.int64)
-        self._batch_senders = None
-        # Flat (trials * n) outcome buffers of resolve_batch, reset
-        # sparsely via the previous call's touched-cell list.
-        self._batch_heard = None
-        self._batch_received = None
-        self._batch_collided = None
-        self._batch_touched = np.empty(0, dtype=np.int64)
-        self._nbr_words: Optional[np.ndarray] = None
+        self._derived: Dict[str, object] = {}
+        # resolve_batch's scratch, one set per thread: the threads that
+        # serve one topology share its kernel.
+        self._local = threading.local()
+
+    def __getstate__(self) -> dict:
+        # Derived tables (some hold C pointers) and per-thread scratch
+        # stay behind; the receiving process rebuilds them on demand.
+        state = dict(self.__dict__, _derived={})
+        del state["_local"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._local = threading.local()
 
     @property
     def indptr(self) -> np.ndarray:
@@ -121,41 +126,32 @@ class SlotKernel:
         """CSR column-index array of the bound adjacency (read-only use)."""
         return self._indices
 
-    def resolve(self, tx_nodes: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve one slot given the array of transmitting node indices.
+    def derived(self, name: str, build: Callable[["SlotKernel"], object]):
+        """The table *name*, built by ``build(self)`` on first use and
+        shared by every later caller.
 
-        Returns ``(heard, received, collided, senders)``.  ``senders[v]``
-        is the delivering neighbour wherever ``received[v]`` is True and
-        garbage elsewhere; the senders array is a scratch buffer reused by
-        the next ``resolve`` call, so consumers must copy out what they
-        need before resolving another slot.
+        Threads share a topology's kernel, so a table is published only
+        once fully built; when two threads race, both build and the
+        first published copy wins.
         """
-        tx_nodes = np.asarray(tx_nodes, dtype=np.int64)
-        n = self.num_nodes
-        if self._rows is None:
-            # Neighbour rows padded to max_degree with node n, which
-            # lands in one spare bincount bin and one spare sender cell:
-            # a slot's gather is one fancy index.  Published only once
-            # filled, since threads share a topology's kernel.
-            degrees = np.diff(self._indptr)
-            rows = np.full((n, self.max_degree), n, dtype=np.int64)
+        table = self._derived.get(name)
+        if table is None:
+            table = self._derived.setdefault(name, build(self))
+        return table
+
+    def padded_rows(self) -> np.ndarray:
+        """``(n, max_degree)`` neighbour rows padded with node ``n``: a
+        slot's neighbour gather is one fancy index, and the padding
+        lands in one spare counting bin and one spare sender cell."""
+        def build(kernel: "SlotKernel") -> np.ndarray:
+            n, indptr = kernel.num_nodes, kernel._indptr
+            degrees = np.diff(indptr)
+            rows = np.full((n, kernel.max_degree), n, dtype=np.int64)
             rows[np.repeat(np.arange(n), degrees),
-                 np.arange(len(self._indices))
-                 - np.repeat(self._indptr[:-1], degrees)] = self._indices
-            self._rows = rows
-        nbrs = self._rows[tx_nodes].ravel()
-        heard = np.bincount(nbrs, minlength=n + 1)[:n]
-        # Exactly one writer reaches any node with heard == 1, so the
-        # scatter leaves the unique sender there; collided or silent
-        # entries hold garbage and are never read.
-        self._senders[nbrs] = tx_nodes.repeat(self.max_degree)
-        received = heard == 1
-        collided = heard >= 2
-        # Half-duplex: transmitters hear nothing.
-        received[tx_nodes] = False
-        collided[tx_nodes] = False
-        return heard, received, collided, self._senders[:n]
+                 np.arange(len(kernel._indices))
+                 - np.repeat(indptr[:-1], degrees)] = kernel._indices
+            return rows
+        return self.derived("padded_rows", build)
 
     def neighbour_words(self) -> np.ndarray:
         """Lazily built ``(n, ceil(n/64))`` packed neighbour table of
@@ -163,31 +159,72 @@ class SlotKernel:
         neighbour_words`).  Raises on big-endian hosts; callers gate on
         :func:`repro.radio.bitpack.packing_supported`.
         """
-        if self._nbr_words is None:
-            self._nbr_words = bitpack.neighbour_words(
-                self._indptr, self._indices, self.num_nodes)
-        return self._nbr_words
+        return self.derived("neighbour_words", lambda kernel: (
+            bitpack.neighbour_words(kernel._indptr, kernel._indices,
+                                    kernel.num_nodes)))
 
-    def _batch_buffers(self, trials: int
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray]:
-        """(Re)build the per-batch scratch, keyed on the full ``(trials,
-        n)`` shape: two kernels of different ``n`` can interleave calls
-        with the same trial count without corrupting each other."""
+    def rev_edge(self) -> np.ndarray:
+        """Reverse-edge table: the CSR position of ``(col -> row)`` for
+        each ``(row -> col)`` data position.  The adjacency is
+        symmetric, so every reversed key exists."""
+        def build(kernel: "SlotKernel") -> np.ndarray:
+            n, indices = kernel.num_nodes, kernel._indices
+            rows = np.repeat(np.arange(n, dtype=np.int64),
+                             np.diff(kernel._indptr))
+            keys = rows * n + indices
+            order = np.argsort(keys, kind="stable")
+            return np.ascontiguousarray(
+                order[np.searchsorted(keys[order], indices * n + rows)])
+        return self.derived("rev_edge", build)
+
+    def resolve(self, tx_nodes: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Resolve one slot given the array of transmitting node indices.
+
+        Returns ``(heard, received, collided, senders)``, all fresh
+        arrays.  ``senders[v]`` is the delivering neighbour wherever
+        ``received[v]`` is True and garbage elsewhere.
+        """
+        tx_nodes = np.asarray(tx_nodes, dtype=np.int64)
         n = self.num_nodes
-        senders = self._batch_senders
-        if senders is None or senders.shape != (trials, n):
+        nbrs = self.padded_rows()[tx_nodes].ravel()
+        heard = np.bincount(nbrs, minlength=n + 1)[:n]
+        # Exactly one writer reaches any node with heard == 1, so the
+        # scatter leaves the unique sender there; collided or silent
+        # entries hold garbage and are never read.
+        senders = np.empty(n + 1, dtype=np.int64)
+        senders[nbrs] = tx_nodes.repeat(self.max_degree)
+        received = heard == 1
+        collided = heard >= 2
+        # Half-duplex: transmitters hear nothing.
+        received[tx_nodes] = False
+        collided[tx_nodes] = False
+        return heard, received, collided, senders[:n]
+
+    def _batch_buffers(self, trials: int):
+        """This thread's per-batch scratch, keyed on the full ``(trials,
+        n)`` shape.  Rows are ``n + 1`` wide: column ``n`` takes the
+        padded rows' padding.  Two kernels of different ``n`` can
+        interleave calls with the same trial count without corrupting
+        each other, and so can two threads on one kernel."""
+        local = self._local
+        if getattr(local, "trials", None) != trials:
             # Narrower-than-int64 heard accumulator where the degree
             # bound permits: counts are capped by max_degree, so uint8
             # is exact on every lattice the paper uses (degree <= 26).
+            cells = trials * (self.num_nodes + 1)
             heard_dtype = np.uint8 if self.max_degree < 255 else np.int64
-            self._batch_senders = np.empty((trials, n), dtype=np.int64)
-            self._batch_heard = np.zeros(trials * n, dtype=heard_dtype)
-            self._batch_received = np.zeros(trials * n, dtype=bool)
-            self._batch_collided = np.zeros(trials * n, dtype=bool)
-            self._batch_touched = np.empty(0, dtype=np.int64)
-        return (self._batch_senders, self._batch_heard,
-                self._batch_received, self._batch_collided)
+            local.flat = (np.zeros(cells, dtype=heard_dtype),
+                          np.zeros(cells, dtype=bool),
+                          np.zeros(cells, dtype=bool),
+                          np.empty(cells, dtype=np.int64))
+            # The (trials, n) views handed out: every column but the
+            # padding one.
+            local.grids = tuple(flat.reshape(trials, -1)[:, :-1]
+                                for flat in local.flat)
+            local.touched = np.empty(0, dtype=np.int64)
+            local.trials = trials
+        return local
 
     def resolve_batch(self, tx_nodes: np.ndarray, tx_trials: np.ndarray,
                       trials: int
@@ -198,27 +235,28 @@ class SlotKernel:
         ``(tx_trials[i], tx_nodes[i])`` are the (trial, node) transmission
         pairs of the slot across the whole batch.  The physics is the same
         as :meth:`resolve` applied per trial, but all trials share a
-        single CSR row gather; a neighbour hit of trial *b* lands in flat
-        cell ``b * n + neighbour``, so every trial's airspace stays
-        independent.  Counting is sparse — unique hit cells with
+        single padded-row gather; a neighbour hit of trial *b* lands in
+        flat cell ``b * (n + 1) + neighbour``, so every trial's airspace
+        stays independent.  Counting is sparse — unique hit cells with
         multiplicities — and lands in a reused narrow accumulator that is
         reset cell-by-cell from the previous slot's touched list, so no
         dense ``(B, n)`` int64 array is zeroed, written, or compared per
         slot.  A single transmission pair (wave tails, repair rounds)
         skips counting entirely: every neighbour decodes.
 
-        Returns ``(heard, received, collided, senders)``, each of shape
-        ``(trials, num_nodes)``.  All four are scratch buffers reused by
-        the next ``resolve_batch`` call (and keyed on the full
+        Returns ``(heard, received, collided, senders)``, each a
+        ``(trials, num_nodes)`` view of scratch that this thread's next
+        ``resolve_batch`` call on this kernel reuses (keyed on the full
         ``(trials, num_nodes)`` shape), so consumers must finish with a
         slot before resolving the next; ``senders`` is only meaningful
         where ``received`` is True.
         """
         tx_nodes = np.asarray(tx_nodes, dtype=np.int64)
         tx_trials = np.asarray(tx_trials, dtype=np.int64)
-        n = self.num_nodes
-        senders, heard, received, collided = self._batch_buffers(trials)
-        prev = self._batch_touched
+        width = self.num_nodes + 1
+        buf = self._batch_buffers(trials)
+        heard, received, collided, senders = buf.flat
+        prev = buf.touched
         if len(prev):
             heard[prev] = 0
             received[prev] = False
@@ -227,41 +265,29 @@ class SlotKernel:
             # Single-transmitter fast path: one CSR row, no counting —
             # every neighbour decodes and attributes the same sender.
             v = int(tx_nodes[0])
-            nbrs = self._indices[self._indptr[v]:self._indptr[v + 1]]
-            cells = int(tx_trials[0]) * n + nbrs
+            cells = (int(tx_trials[0]) * width
+                     + self._indices[self._indptr[v]:self._indptr[v + 1]])
             heard[cells] = 1
             received[cells] = True
-            senders[int(tx_trials[0]), nbrs] = v
-            self._batch_touched = cells
-        else:
-            with profiling.phase("gather"):
-                starts = self._indptr[tx_nodes]
-                counts = self._indptr[tx_nodes + 1] - starts
-                total = int(counts.sum())
-                if total:
-                    out_starts = counts.cumsum() - counts
-                    pos = (np.arange(total, dtype=np.int64)
-                           - out_starts.repeat(counts)
-                           + starts.repeat(counts))
-                    nbrs = self._indices[pos]
-                    keys = tx_trials.repeat(counts) * n + nbrs
-            if total:
-                with profiling.phase("bincount"):
-                    uniq, cnt = np.unique(keys, return_counts=True)
-                    heard[uniq] = cnt
-                    received[uniq[cnt == 1]] = True
-                    collided[uniq[cnt >= 2]] = True
-                # heard == 1 cells have exactly one writer: the sender.
-                senders.reshape(-1)[keys] = tx_nodes.repeat(counts)
-                # Half-duplex: transmitters hear nothing in their trial.
-                tx_cells = tx_trials * n + tx_nodes
-                received[tx_cells] = False
-                collided[tx_cells] = False
-                self._batch_touched = uniq
-            else:
-                self._batch_touched = np.empty(0, dtype=np.int64)
-        return (heard.reshape(trials, n), received.reshape(trials, n),
-                collided.reshape(trials, n), senders)
+            senders[cells] = v
+            buf.touched = cells
+            return buf.grids
+        with profiling.phase("gather"):
+            keys = (self.padded_rows()[tx_nodes]
+                    + (tx_trials * width)[:, None]).ravel()
+        with profiling.phase("bincount"):
+            uniq, cnt = np.unique(keys, return_counts=True)
+            heard[uniq] = cnt
+            received[uniq[cnt == 1]] = True
+            collided[uniq[cnt >= 2]] = True
+        # heard == 1 cells have exactly one writer: the sender.
+        senders[keys] = tx_nodes.repeat(self.max_degree)
+        # Half-duplex: transmitters hear nothing in their trial.
+        tx_cells = tx_trials * width + tx_nodes
+        received[tx_cells] = False
+        collided[tx_cells] = False
+        buf.touched = uniq
+        return buf.grids
 
 
 def unique_transmitter(adjacency: sparse.csr_matrix,

@@ -349,9 +349,9 @@ class BurstBatchLoss(BatchLoss):
     def slot_survival(self, slot: int) -> np.ndarray:
         """``(B,)`` True where the trial's slot is *not* blacked out.
 
-        Shared by the dense tier (broadcast over columns) and the
-        compiled tier (zero the trial's word rows), so both tiers draw
-        the identical burst pattern.
+        The dense tier broadcasts it over columns; the compiled kernel
+        draws the same window of start draws in C, against the integer
+        threshold of :func:`bernoulli_threshold`.
         """
         survive = np.ones(self.trials, dtype=bool)
         if self.p == 0.0:
@@ -417,14 +417,14 @@ def random_dead_mask(topology, count: int, seed: int = 0,
     Deterministic given the seed; used by the fault-injection benchmarks.
     """
     n = topology.num_nodes
-    protected = set(int(v) for v in protect)
-    candidates = [v for v in range(n) if v not in protected]
+    allowed = np.ones(n, dtype=bool)
+    allowed[[v for v in map(int, protect) if 0 <= v < n]] = False
+    candidates = np.flatnonzero(allowed)
     if count > len(candidates):
         raise ValueError(
             f"cannot kill {count} of {len(candidates)} candidate nodes")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(candidates), size=count, replace=False)
     mask = np.zeros(n, dtype=bool)
-    for k in chosen:
-        mask[candidates[int(k)]] = True
+    mask[candidates[chosen]] = True
     return mask

@@ -38,8 +38,9 @@ fault, and only shape their arguments for :func:`_reactive_loop`, in
 which a shared plan is a single broadcast row.  On the dense tier that
 loop schedules in Python (slot buckets, the oracle) around one
 resolve/commit/recovery step (:meth:`_BatchState.step`); on the
-compiled tier the kernel's C calendar schedules too, so a slot is one
-pre-slot call and one resolve call.  Every batched trial is
+compiled tier one kernel call runs the whole wave, scheduling,
+resolving and (in trace mode) logging every slot in C.  Every batched
+trial is
 trace-for-trace identical to a serial run with the same per-trial seed;
 the differential suite pins that down.  The serial engine stays as the
 schedule compiler's wave and as that oracle.  Aggregate consumers pass
@@ -88,35 +89,54 @@ Buckets = Dict[int, List[Tuple[np.ndarray, np.ndarray]]]
 #: the pairs' trials and nodes, trial-major with nodes ascending.
 ForcedPlan = Tuple[List[int], List[int], np.ndarray, np.ndarray]
 
+_EMPTY = np.empty(0, dtype=np.int64)
+
 
 def _forced_pairs(forced: Union[_Forced, BroadcastSchedule],
-                  num_nodes: int
-                  ) -> Tuple[Dict[int, List[int]], np.ndarray, int]:
+                  num_nodes: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """One trial's forced transmissions — a schedule's for a replay — as
-    ``slot -> sorted nodes`` in slot order and as one array of those
-    nodes in that order, plus the default slot cut-off: ``4 * n + 16``,
-    or two past the last forced slot.
+    distinct ``(slot, node)`` pairs in slot then node order, in two
+    arrays, plus the default slot cut-off: ``4 * n + 16``, or two past
+    the last forced slot.
 
     Every entry point's forced or scheduled nodes pass through here, so
     this is the one bounds check, made before any kernel sees a node.
     """
+    if not forced:
+        return _EMPTY, _EMPTY, 4 * num_nodes + 16
     if isinstance(forced, BroadcastSchedule):
-        rows = {s: sorted(forced.transmitters(s))
-                for s in forced.active_slots()}
+        slots, nodes = forced.to_arrays()
+        last = forced.max_slot
     else:
-        rows = {}
-        for slot in sorted(forced or {}):
-            if slot < 1:
-                raise ValueError(f"forced slots are 1-based, got {slot}")
-            rows[int(slot)] = sorted({int(v) for v in forced[slot]})
-    if not rows:
-        return rows, _EMPTY, 4 * num_nodes + 16
-    nodes = np.fromiter(chain.from_iterable(rows.values()), np.int64)
+        last = max(forced)
+        if min(forced) < 1:
+            raise ValueError(f"forced slots are 1-based, got "
+                             f"{min(forced)}")
+        groups = [list(row) for row in forced.values()]
+        slots = np.repeat(np.fromiter(forced, np.int64, len(forced)),
+                          [len(row) for row in groups])
+        nodes = np.fromiter(chain.from_iterable(groups), np.int64,
+                            len(slots))
+        if len(nodes) > 1:
+            order = np.lexsort((nodes, slots))
+            slots, nodes = slots[order], nodes[order]
+            fresh = np.empty(len(nodes), dtype=bool)
+            fresh[0] = True
+            np.not_equal(nodes[1:], nodes[:-1], out=fresh[1:])
+            fresh[1:] |= slots[1:] != slots[:-1]
+            slots, nodes = slots[fresh], nodes[fresh]
     # Negative nodes wrap to huge unsigned ones: one max checks both ends.
     if len(nodes) and nodes.view(np.uint64).max() >= num_nodes:
         bad = nodes[(nodes < 0) | (nodes >= num_nodes)][0]
         raise ValueError(f"node index {bad} out of range [0, {num_nodes})")
-    return rows, nodes, max(4 * num_nodes + 16, max(rows, default=0) + 2)
+    return slots, nodes, max(4 * num_nodes + 16, last + 2)
+
+
+def _slot_runs(slots: np.ndarray) -> Tuple[List[int], List[int]]:
+    """The distinct values of the ascending positive *slots* and the
+    offsets of their runs (run ``i`` is ``ptr[i]:ptr[i + 1]``)."""
+    starts = np.flatnonzero(np.diff(slots, prepend=0))
+    return slots[starts].tolist(), starts.tolist() + [len(slots)]
 
 
 def _shaped(array, shape: Tuple[int, ...], name: str, dtype) -> np.ndarray:
@@ -167,8 +187,12 @@ class _EventLog:
             rows[:, j] = col
         self._len = need
 
+    def rows(self) -> np.ndarray:
+        """The logged ``(k, columns)`` rows."""
+        return self._buf[:self._len]
+
     def tuples(self) -> List[tuple]:
-        return list(zip(*self._buf[:self._len].T.tolist()))
+        return list(zip(*self.rows().T.tolist()))
 
 
 def run_reactive(
@@ -237,13 +261,13 @@ def run_reactive(
         for off in offs:
             if off < 1:
                 raise ValueError(f"repeat offsets must be >= 1, got {off}")
-    forced, _, bound = _forced_pairs(forced_tx, n)
+    forced = _forced_pairs(forced_tx, n)
     rec = None
     if recovery is not None:
         rec = RecoveryState(topology, recovery,
                             relay_like_mask(n, relay_mask, source))
     return _wave(topology, source, forced,
-                 bound if max_slots is None else max_slots,
+                 forced[2] if max_slots is None else max_slots,
                  relay_mask=relay_mask, extra_delay=extra_delay,
                  repeats=repeats, dead_mask=dead_mask, loss=loss, rec=rec)
 
@@ -275,19 +299,19 @@ def replay(topology: Topology, schedule: BroadcastSchedule,
         raise ValueError(f"source index {source} out of range")
     if dead_mask is not None:
         dead_mask = _shaped(dead_mask, (n,), "dead_mask", bool)
-    forced, _, bound = _forced_pairs(schedule, n)
+    forced = _forced_pairs(schedule, n)
     rec = None
     if recovery is not None:
         rec = RecoveryState(topology, recovery,
                             relay_like_from_schedule(n, schedule))
     return _wave(topology, source, forced,
-                 bound if max_slots is None else max_slots,
+                 forced[2] if max_slots is None else max_slots,
                  dead_mask=dead_mask, loss=loss, rec=rec, replay=True,
                  checked=dead_mask is not None or loss is not None)
 
 
-def _wave(topology: Topology, source: int, forced: Dict[int, List[int]],
-          max_slots: int, *,
+def _wave(topology: Topology, source: int,
+          forced: Tuple[np.ndarray, np.ndarray, int], max_slots: int, *,
           relay_mask: Optional[np.ndarray] = None,
           extra_delay: Optional[np.ndarray] = None,
           repeats: Optional[Dict[int, Tuple[int, ...]]] = None,
@@ -329,7 +353,8 @@ def _wave(topology: Topology, source: int, forced: Dict[int, List[int]],
     if not replay:
         schedule_node(source, 1 + int(extra_delay[source]))
 
-    f_slots = list(forced)
+    f_slots, f_ptr = _slot_runs(forced[0])
+    f_nodes = forced[1].tolist()
     fi = 0
     t = 0
     while True:
@@ -345,11 +370,12 @@ def _wave(topology: Topology, source: int, forced: Dict[int, List[int]],
             break
         tx_set = pending.pop(t, None) or set()
         if fi < len(f_slots) and f_slots[fi] == t:
+            nodes = f_nodes[f_ptr[fi]:f_ptr[fi + 1]]
             fi += 1
             if not checked:
-                tx_set.update(forced[t])
+                tx_set.update(nodes)
             else:
-                for v in forced[t]:
+                for v in nodes:
                     if not 0 <= first_rx[v] < t:
                         if not replay:
                             dropped_forced.append((t, v))
@@ -367,9 +393,6 @@ def _wave(topology: Topology, source: int, forced: Dict[int, List[int]],
         num_nodes=n, source=source, first_rx=first_rx,
         tx_events=tx_log.tuples(), rx_events=rx_log.tuples(),
         collision_events=coll_log.tuples(), dropped_forced=dropped_forced)
-
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def sorted_unique_pairs(tr: np.ndarray, nd: np.ndarray, num_nodes: int
@@ -409,19 +432,23 @@ def _offset_masks(num_nodes: int, repeats_rows: Sequence[_Repeats]
     the nodes repeating ``off`` slots after each transmission, so
     scheduling a batch of newly informed relays is one boolean gather per
     distinct offset instead of a per-node python loop."""
-    cells: Dict[int, List[Tuple[int, int]]] = {}
+    masks: Dict[int, np.ndarray] = {}
     for b, repeats in enumerate(repeats_rows):
+        # Nodes grouped by their offsets: a hardened plan gives almost
+        # every relay the same tuple, so each group is one scatter.
+        groups: Dict[Tuple[int, ...], List[int]] = {}
         for v, offs in (repeats or {}).items():
+            groups.setdefault(tuple(offs), []).append(v)
+        for offs, nodes in groups.items():
             for off in offs:
                 if off < 1:
                     raise ValueError(
                         f"repeat offsets must be >= 1, got {off}")
-                cells.setdefault(int(off), []).append((b, int(v)))
-    masks: Dict[int, np.ndarray] = {}
-    for off, pairs in cells.items():
-        mask = masks[off] = np.zeros((len(repeats_rows), num_nodes),
-                                     dtype=bool)
-        mask[tuple(np.array(pairs, dtype=np.int64).T)] = True
+                mask = masks.get(int(off))
+                if mask is None:
+                    mask = masks[int(off)] = np.zeros(
+                        (len(repeats_rows), num_nodes), dtype=bool)
+                mask[b, nodes] = True
     return masks
 
 
@@ -439,29 +466,35 @@ def _forced_schedule(forced_rows: Sequence[Union[_Forced,
     """
     rows = [_forced_pairs(f, num_nodes) for f in forced_rows]
     cuts = [bound if max_slots is None else max_slots for *_, bound in rows]
+    # Each row is slot-sorted, so its cut keeps a prefix.
+    kept = [np.searchsorted(slots, cut, side="right")
+            for (slots, *_), cut in zip(rows, cuts)]
     if len(rows) == 1:
-        (forced, nodes, _), cut = rows[0], cuts[0]
-        slots = [s for s in forced if s <= cut]
-        counts = np.array([len(forced[s]) for s in slots], dtype=np.int64)
-        ptr = np.zeros(len(slots) + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
+        (slots, nodes, _), k = rows[0], kept[0]
+        if not k:
+            return (([], [0], _EMPTY, _EMPTY),
+                    np.full(trials, cuts[0], dtype=np.int64))
+        distinct, ptr = _slot_runs(slots[:k])
+        starts = np.array(ptr[:-1], dtype=np.int64)
+        counts = np.diff(ptr)
         # Tile the row into every trial: slot i's run is one segment of
         # its counts[i] nodes per trial.
         seg = np.repeat(counts, trials)
         start = np.zeros(len(seg), dtype=np.int64)
         np.cumsum(seg[:-1], out=start[1:])
-        at = np.repeat(np.repeat(ptr[:-1], trials) - start, seg)
+        at = np.repeat(np.repeat(starts, trials) - start, seg)
         at += np.arange(len(at), dtype=np.int64)
         tr = np.repeat(np.arange(len(seg), dtype=np.int64) % trials, seg)
-        return ((slots, (ptr * trials).tolist(), tr, nodes[at]),
-                np.full(trials, cut, dtype=np.int64))
-    # Per-trial rows hold the compiler's few repairs: sort them in Python.
-    slots, tr, nd = np.array(sorted(
-        (s, b, v) for b, ((forced, *_), cut) in enumerate(zip(rows, cuts))
-        for s in forced if s <= cut for v in forced[s]),
-        dtype=np.int64).reshape(-1, 3).T.copy()
-    starts = np.flatnonzero(np.diff(slots, prepend=0))
-    return ((slots[starts].tolist(), starts.tolist() + [len(nd)], tr, nd),
+        return ((distinct, [p * trials for p in ptr], tr, nodes[at]),
+                np.full(trials, cuts[0], dtype=np.int64))
+    # Per-trial rows: one stable sort of all pairs by (slot, trial,
+    # node).
+    slots = np.concatenate([s[:k] for (s, *_), k in zip(rows, kept)])
+    nodes = np.concatenate([v[:k] for (_, v, _), k in zip(rows, kept)])
+    tr = np.repeat(np.arange(len(rows), dtype=np.int64), kept)
+    order = np.lexsort((nodes, tr, slots))
+    slots, tr, nodes = slots[order], tr[order], nodes[order]
+    return ((*_slot_runs(slots), tr, nodes),
             np.array(cuts, dtype=np.int64))
 
 
@@ -500,9 +533,10 @@ def _resolve_trials(trials: Optional[int],
 class _BatchState:
     """One batched simulation: its (B, n) arrays and its slot step.
 
-    Owns the per-trial first-reception matrix, either the per-event logs
-    (full trace mode) or the count matrices (summary mode), the
-    slot-resolve tier and the recovery state.  :meth:`step` is the dense
+    Owns the per-trial first-reception matrix, the count matrices
+    (summary mode) or, on the dense tier, the per-event logs (trace
+    mode; the compiled kernel keeps its own), the slot-resolve tier and
+    the recovery state.  :meth:`step` is the dense
     tier's resolve/commit/recovery step; the compiled backend runs the
     same step inside its kernel.  With a recovery policy, *slot_bound*
     is the last slot the loop can reach.
@@ -535,16 +569,17 @@ class _BatchState:
             self.tx_count = np.zeros((trials, n), dtype=np.int64)
             self.rx_count = np.zeros((trials, n), dtype=np.int64)
             self.collisions = np.zeros(trials, dtype=np.int64)
-        else:
-            self.tx_log = _EventLog(3)    # slot, trial, node
-            self.rx_log = _EventLog(4)    # slot, trial, receiver, sender
-            self.coll_log = _EventLog(3)  # slot, trial, node
         self.need_senders = not summary or recovery is not None
         self.backend = make_backend(self.kernel, trials, engine, loss,
                                     self.alive,
                                     need_senders=self.need_senders,
                                     need_coll_pairs=not summary)
-        if self.backend is not None:
+        if self.backend is None and not summary:
+            # The dense tier's trace logs; the kernel keeps its own.
+            self.tx_log = _EventLog(3)    # slot, trial, node
+            self.rx_log = _EventLog(4)    # slot, trial, receiver, sender
+            self.coll_log = _EventLog(3)  # slot, trial, node
+        elif self.backend is not None:
             # The compiled kernel commits each slot into these arrays.
             self.backend.bind(self.first_rx, *((self.tx_count,
                                                 self.rx_count,
@@ -629,22 +664,20 @@ class _BatchState:
             self.rx_count[rt, rn] += 1
             self.collisions += coll
         else:
-            self._log(t, tr, nd, rt, rn, sv, coll)
+            self.tx_log.extend(t, tr, nd)
+            self.coll_log.extend(t, *coll)
+            self.rx_log.extend(t, rt, rn, sv)
         new = self.first_rx[rt, rn] < 0
         nt, nn = rt[new], rn[new]
         self.first_rx[nt, nn] = t
         return nt, nn
 
-    def _log(self, t: int, tr: np.ndarray, nd: np.ndarray,
-             rt: np.ndarray, rn: np.ndarray, sv: np.ndarray,
-             coll: Tuple[np.ndarray, np.ndarray]) -> None:
-        """Append one slot's events to the trace-mode logs."""
-        self.tx_log.extend(t, tr, nd)
-        ct, cn = coll
-        self.coll_log.extend(t, ct, cn)
-        self.rx_log.extend(t, rt, rn, sv)
-
-    def finish(self) -> Union[TraceSummary, List[BroadcastTrace]]:
+    def finish(self, logs: Optional[Tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]] = None
+               ) -> Union[TraceSummary, List[BroadcastTrace]]:
+        """The run's result.  In trace mode *logs* are the compiled
+        tier's ``(tx, rx, collision)`` event rows; the dense tier's own
+        logs are used when it is ``None``."""
         if self.backend is not None:
             BREAKER.record_success(self.backend.name)
         if self.summary:
@@ -653,9 +686,11 @@ class _BatchState:
                 first_rx=self.first_rx, tx_count=self.tx_count,
                 rx_count=self.rx_count, collisions=self.collisions,
                 dropped_forced=self.dropped_forced)
-        tx = self._by_trial(self.tx_log, (0, 2))
-        rx = self._by_trial(self.rx_log, (0, 2, 3))
-        coll = self._by_trial(self.coll_log, (0, 2))
+        if logs is None:
+            logs = (self.tx_log.rows(), self.rx_log.rows(),
+                    self.coll_log.rows())
+        tx, rx, coll = (self._by_trial(rows, columns) for rows, columns in
+                        zip(logs, ((0, 2), (0, 2, 3), (0, 2))))
         return [BroadcastTrace(
                     num_nodes=self.n, source=int(self.sources[b]),
                     first_rx=self.first_rx[b].copy(),
@@ -664,29 +699,28 @@ class _BatchState:
                     dropped_forced=self.dropped_forced[b])
                 for b in range(self.trials)]
 
-    def _by_trial(self, log: _EventLog, columns: Tuple[int, ...]
+    def _by_trial(self, rows: np.ndarray, columns: Tuple[int, ...]
                   ) -> List[List[tuple]]:
-        """Split a ``(slot, trial, ...)`` log into per-trial event
-        lists of *columns*, in one stable pass.
+        """Split ``(slot, trial, ...)`` event *rows* into per-trial
+        event lists of *columns*, in one stable pass.
 
         Rows were appended slot by slot in (trial, node) order, so a
         stable sort on the trial column keeps exactly the serial
         engine's chronological, node-sorted order within each trial.
         """
-        buf = log._buf[:log._len]
         if self.trials == 1:
             # One trial needs no split: this saves about a tenth of a
             # small-lattice B=1 trace run.
-            return [list(zip(*buf[:, columns].T.tolist()))]
-        order = np.argsort(buf[:, 1], kind="stable")
+            return [list(zip(*rows[:, columns].T.tolist()))]
+        order = np.argsort(rows[:, 1], kind="stable")
         cuts = np.zeros(self.trials + 1, dtype=np.int64)
-        np.cumsum(np.bincount(buf[:, 1], minlength=self.trials),
+        np.cumsum(np.bincount(rows[:, 1], minlength=self.trials),
                   out=cuts[1:])
         cuts = cuts.tolist()
         # (columns, events) in trial order; zipping a trial's column
         # lists builds its tuples without the per-row lists a 2-D
         # tolist() makes.
-        cols = buf[order[None, :], np.array(columns)[:, None]]
+        cols = rows[order[None, :], np.array(columns)[:, None]]
         return [list(zip(*cols[:, cuts[b]:cuts[b + 1]].tolist()))
                 for b in range(self.trials)]
 
@@ -823,45 +857,30 @@ def _compiled_reactive_loop(
     replay: bool,
     checked: bool,
 ) -> Union[TraceSummary, List[BroadcastTrace]]:
-    """:func:`_reactive_loop` on the compiled tier: the kernel's
-    calendar schedules every slot.
+    """:func:`_reactive_loop` on the compiled tier: one kernel call runs
+    the whole wave.
 
-    One C call pops the next transmitting slot with its sorted unique
-    pairs (relays, forced and recovery transmissions; the per-trial
-    cut-off, the forced pairs' alive filter and the dropped-forced log
-    included) and one
-    resolves and commits it, pushing the newly informed relays back
-    into the calendar.  Python only appends the trace-mode event logs.
-    The scheduler call holds the recovery pre-slot walk when a policy
-    runs, so it is profiled as ``recovery-pre`` there and as
-    ``resolve`` otherwise.  Any backend exception (injected via
+    The kernel's calendar schedules every slot (relays, forced and
+    recovery transmissions; the per-trial cut-off, the forced pairs'
+    alive filter and the dropped-forced log included), and each slot is
+    resolved and committed in C, which also appends the trace-mode event
+    logs.  Python only splits those logs by trial at the end.  The call
+    is profiled as ``resolve``.  Any backend exception (injected via
     :data:`repro.faults.BACKEND_RESOLVE` or organic) becomes a
     :class:`~repro.sim.backend.BackendFault`, so the demotion wrapper
     reruns the whole batch on the dense tier.
     """
-    summary = state.summary
-    schedule = "resolve" if state.rec is None else "recovery-pre"
     try:
         backend.schedule(relay, delay, offsets, forced, limit,
                          None if replay else state.sources, checked)
+        with profiling.phase("resolve"):
+            logs = backend.run()
     except Exception as exc:
         raise BackendFault(backend.name, exc) from exc
-    while True:
-        try:
-            with profiling.phase(schedule):
-                k = backend.next_slot()
-            if not k:
-                break
-            backend.resolve_next(k)
-        except Exception as exc:
-            raise BackendFault(backend.name, exc) from exc
-        with profiling.phase("commit"):
-            if not summary:
-                state._log(backend.slot, *backend.events(k))
     if not replay:
         for t, b, v in backend.dropped_forced():
             state.dropped_forced[b].append((t, v))
-    return state.finish()
+    return state.finish(logs)
 
 
 def _run_reactive_batch_impl(

@@ -5,23 +5,24 @@ This module resolves the slot in word space instead (the
 :mod:`repro.radio.bitpack` layout, 64 nodes per ``uint64``): a small C
 kernel fuses the whole slot — carry-save accumulate, half-duplex, alive
 mask, counter-RNG loss, sparse extraction, sender attribution — into
-one pass over the packed words, drawing Bernoulli erasures with the
-identical splitmix64 stream (each trial's slot key derived in C from
-its seed and the slot, as
+one pass over the packed words, drawing Bernoulli erasures and burst
+blackouts with the identical splitmix64 stream (each trial's slot key
+derived in C from its seed and the slot, as
 :func:`~repro.radio.impairments.counter_slot_keys` does) and the
 integer threshold of
 :func:`~repro.radio.impairments.bernoulli_threshold`, so its output is
 bit-identical to the dense tier (the differential suite runs the full
 ``reference == serial == batch == compiled`` chain).
 
-``resolve_slot`` also *commits* the slot into the caller's run arrays:
-it stamps ``first_rx`` in place and emits the newly informed (trial,
-node) pairs, and in summary mode bumps the ``tx_count``/``rx_count``
-matrices and adds collisions into the per-trial totals.  Its inputs
-are the sorted unique transmission pairs, the slot, the per-trial loss
-seeds (or blackout flags) and those arrays; its outputs are the
-received pairs (with senders), the collision pairs (trace mode) and the
-new pairs, all in (trial, node) order.
+``resolve_slot`` also *commits* the slot into the run's arrays: it
+stamps ``first_rx`` in place and emits the newly informed (trial, node)
+pairs, and in summary mode bumps the ``tx_count``/``rx_count`` matrices
+and adds collisions into the per-trial totals.  It reads everything
+through one ``wave_t`` struct: the topology's tables, the loss, the
+run's arrays, the per-slot scratch (the sorted unique transmission
+pairs in; the received pairs with senders, the collision pairs in trace
+mode and the new pairs out, all in (trial, node) order) and the trace
+logs.
 
 The closed-loop recovery machine (:mod:`repro.sim.recovery_packed`)
 runs in the kernel too, over one ``recovery_t`` struct that points at
@@ -48,12 +49,23 @@ pairs (informed ones, logging the rest as dropped, unless
 ``check_forced`` is off) and the recovery retransmitters, and reads the
 per-trial transmit bitmap back as sorted unique pairs.  A replay is such
 a run with no relays, no source start and the schedule as its forced
-pairs.  A compiled slot is thus two C calls; summary mode adds no numpy
-work, and trace mode only appends the slot's events to the logs.
+pairs.
+
+``run_wave`` is the one entry point a run calls: it loops
+``reactive_next_slot`` and ``resolve_slot`` until the wave is over, and
+in trace mode appends each slot's transmissions, decodes and collisions
+as ``(slot, trial, node[, sender])`` rows to three logs the caller
+owns.  It returns early only when a log could not hold one more slot's
+worst case (``B * n`` rows); the caller grows the log and calls again,
+and the wave resumes where it stopped.  A summary run is thus one C
+call, and a trace run one call plus one per log growth.
 
 The kernel is single-threaded and holds no static mutable state: every
 buffer it touches is passed in by the caller, so concurrent calls on
 separate backends (cffi releases the GIL) never share anything.  The
+tables that depend on the topology alone (:class:`TopologyTables`) are
+built once per :class:`~repro.radio.channel.SlotKernel` and only read
+by the kernel, so concurrent runs share them.  The
 multi-core path is process sharding (:mod:`repro.sim.shard`), which is
 bit-identical at every worker count.
 
@@ -81,8 +93,11 @@ import os
 from pathlib import Path
 from typing import Optional, Tuple
 
-__all__ = ["default_native_threads", "native_available",
-           "native_kernel", "native_reason", "native_state"]
+import numpy as np
+
+__all__ = ["TopologyTables", "default_native_threads", "native_available",
+           "native_kernel", "native_reason", "native_state", "pointer",
+           "topology_tables"]
 
 #: The recovery state struct, declared to cffi and defined in C alike.
 _RECOVERY_T = """
@@ -127,25 +142,34 @@ typedef struct {
 } reactive_t;
 """
 
-_CDEF = _RECOVERY_T + _REACTIVE_T + """
+#: The wave struct: the run's tables, loss, commit arrays, scratch and
+#: trace logs, declared to cffi and defined in C alike.
+_WAVE_T = """
+typedef struct {
+    int64_t n, batch, words;
+    const int64_t *indptr, *indices, *nbr_span;
+    const uint64_t *nbr_words, *alive;
+    int64_t loss_kind, burst_length;
+    const uint64_t *loss_seeds;
+    uint64_t loss_threshold;
+    int64_t need_senders, trace;
+    uint64_t *ones, *twos, *txw;
+    int64_t *first_rx, *tx_count, *rx_count, *collisions;
+    int64_t *tx_tr, *tx_nd;
+    int64_t *rx_tr, *rx_nd, *rx_sv, *new_tr, *new_nd, *coll_tr, *coll_nd;
+    int64_t n_rx, n_coll, n_new;
+    int64_t *log[3];
+    int64_t log_len[3], log_cap[3];
+} wave_t;
+"""
+
+_CDEF = _RECOVERY_T + _REACTIVE_T + _WAVE_T + """
 void reactive_start(reactive_t *rs, const int64_t *sources);
 int64_t reactive_next_slot(reactive_t *rs, recovery_t *rec,
                            int64_t *tx_tr, int64_t *tx_nd);
-void resolve_slot(
-    int64_t slot, const int64_t *tx_tr, const int64_t *tx_nd,
-    int64_t npairs, const uint8_t *slot_survive,
-    int64_t n, int64_t words,
-    const int64_t *indptr, const int64_t *indices,
-    const uint64_t *nbr_words,
-    const uint64_t *alive_words,
-    int loss_kind, const uint64_t *loss_seeds, uint64_t loss_threshold,
-    int need_senders, int need_coll_pairs,
-    uint64_t *ones, uint64_t *twos, uint64_t *txw,
-    int64_t *first_rx, int64_t *tx_count, int64_t *rx_count,
-    int64_t *rx_tr, int64_t *rx_nd, int64_t *rx_sv,
-    int64_t *new_tr, int64_t *new_nd,
-    int64_t *coll_tr, int64_t *coll_nd, int64_t *coll_counts,
-    recovery_t *rec, reactive_t *rs, int64_t *out_counts);
+void resolve_slot(wave_t *w, recovery_t *rec, reactive_t *rs,
+                  int64_t slot, int64_t npairs);
+int64_t run_wave(wave_t *w, reactive_t *rs, recovery_t *rec);
 """
 
 _SOURCE = r"""
@@ -541,27 +565,35 @@ int64_t reactive_next_slot(reactive_t *rs, recovery_t *rec,
 }
 
 /* ---------------------------------------------------------------------
- * Slot resolve and commit.
+ * Slot resolve and commit, over one wave_t struct (the engine's backend
+ * owns every buffer it points at).
  *
- * Pairs (tx_tr[i], tx_nd[i]) are sorted by (trial, node) and unique.
- * ones/twos/txw are (B, words) caller-owned scratch; the rows of the
- * trials active in THIS call are zeroed here before use, so stale rows
- * of other trials are never read.  Loss kinds: 0 none, 1 Bernoulli
- * (survive iff (sm64(key ^ node) >> 11) >= threshold, with the trial's
- * slot key derived here as sm64(sm64(loss_seeds[b]) ^ slot) -- the
- * counter_slot_keys stream), 2 whole-slot blackout where
- * slot_survive[b] == 0.  Extraction order is (trial, node) ascending:
- * pairs group trials in ascending order, words ascend within a row,
- * and bits are pulled lowest-first.
+ * The slot's pairs (w->tx_tr[i], w->tx_nd[i]), i < npairs, are sorted by
+ * (trial, node) and unique.  ones/twos/txw are (B, words) scratch, and
+ * nbr_span[2v], nbr_span[2v + 1] the words [lo, hi) node v's neighbour
+ * row spans: an active trial's counting words are zeroed and scanned
+ * over the hull of its transmitters' spans only, and its txw row is
+ * zeroed whole, so stale words are never read.  Loss kinds: 0 none, 1
+ * Bernoulli (survive iff (sm64(key ^ node) >> 11) >= threshold, with the
+ * trial's slot key derived here as sm64(sm64(loss_seeds[b]) ^ slot) --
+ * the counter_slot_keys stream), 2 whole-slot blackout bursts (the slot
+ * is blacked out iff some start draw s in [slot - burst_length + 1,
+ * slot], s >= 1, has (sm64(sm64(sm64(seed) ^ s)) >> 11) < threshold --
+ * BurstBatchLoss.slot_survival in the same integer form).  Extraction
+ * order is (trial, node) ascending: pairs group trials in ascending
+ * order, words ascend within a row, and bits are pulled lowest-first.
  *
- * The slot is also committed here.  first_rx is the caller's (B, n)
+ * The slot is also committed here.  first_rx is the run's (B, n)
  * first-reception matrix: every decode of a node with first_rx < 0
  * stamps it with `slot` and is emitted as a newly informed pair
- * (new_tr, new_nd), a subsequence of the rx stream in the same order.
- * tx_count/rx_count, when non-NULL (summary mode), are the caller's
- * (B, n) counters, bumped once per transmission/decode; in summary mode
- * (need_coll_pairs == 0) collisions are added straight into the
- * caller's per-trial coll_counts.
+ * (new_tr, new_nd), a subsequence of the rx stream (rx_tr, rx_nd, and
+ * the senders rx_sv when need_senders or rec) in the same order.  In
+ * summary mode (trace == 0) tx_count/rx_count, the run's (B, n)
+ * counters, are bumped once per transmission/decode and collisions are
+ * added into the per-trial totals; in trace mode the collision pairs go
+ * to coll_tr/coll_nd instead.  Each stream holds at most B * n entries
+ * (a pair decodes or collides at most once per slot); n_rx, n_coll and
+ * n_new report the slot's counts.
  *
  * With a recovery state (rec non-NULL) the slot's recovery accounting
  * runs here too, in BatchRecoveryState.post_slot's order: each first
@@ -570,107 +602,127 @@ int64_t reactive_next_slot(reactive_t *rs, recovery_t *rec,
  * a trial's decodes are done its newly informed nodes hold elections.
  * With a reactive scheduler (rs non-NULL) those newly informed nodes
  * that relay also enter its calendar.
- *
- * Every rx/collision is a neighbour of some transmitter, so each
- * output stream holds at most npairs * max_degree entries; the caller
- * sizes its scratch accordingly.  out_counts = {n_rx, n_coll, n_new}.
  * ------------------------------------------------------------------- */
-void resolve_slot(
-    int64_t slot, const int64_t *tx_tr, const int64_t *tx_nd,
-    int64_t npairs, const uint8_t *slot_survive,
-    int64_t n, int64_t words,
-    const int64_t *indptr, const int64_t *indices,
-    const uint64_t *nbr_words,
-    const uint64_t *alive_words,
-    int loss_kind, const uint64_t *loss_seeds, uint64_t loss_threshold,
-    int need_senders, int need_coll_pairs,
-    uint64_t *ones, uint64_t *twos, uint64_t *txw,
-    int64_t *first_rx, int64_t *tx_count, int64_t *rx_count,
-    int64_t *rx_tr, int64_t *rx_nd, int64_t *rx_sv,
-    int64_t *new_tr, int64_t *new_nd,
-    int64_t *coll_tr, int64_t *coll_nd, int64_t *coll_counts,
-    recovery_t *rec, reactive_t *rs, int64_t *out_counts)
+""" + _WAVE_T + r"""
+
+static int burst_blackout(const wave_t *w, int64_t b, int64_t slot)
 {
-    size_t row_bytes = (size_t)words * sizeof(uint64_t);
-    int64_t n_rx = 0, n_new = 0, n_coll = 0;
-    int64_t i;
+    uint64_t seed = sm64(w->loss_seeds[b]);
+    int64_t s = slot - w->burst_length + 1;
+    for (s = s < 1 ? 1 : s; s <= slot; s++)
+        if ((sm64(sm64(seed ^ (uint64_t)s)) >> 11) < w->loss_threshold)
+            return 1;
+    return 0;
+}
 
-    for (i = 0; i < npairs; i++) {
-        int64_t b = tx_tr[i];
-        uint64_t *o = ones + b * words;
-        uint64_t *t2 = twos + b * words;
-        uint64_t *tx = txw + b * words;
-        if (i == 0 || tx_tr[i - 1] != b) {
-            memset(o, 0, row_bytes);
-            memset(t2, 0, row_bytes);
-            memset(tx, 0, row_bytes);
-        }
-        accum_words(o, t2, nbr_words + tx_nd[i] * words, words);
-        tx[tx_nd[i] >> 6] |= 1ULL << (tx_nd[i] & 63);
-        if (tx_count)
-            tx_count[b * n + tx_nd[i]]++;
-        if (rec && !rec->has_tx[b * n + tx_nd[i]]) {
-            /* First transmission: start the guardian episode.  A
-             * transmitter decodes nothing this slot, so its heard
-             * counter is already final. */
-            int64_t id = b * n + tx_nd[i];
-            rec->has_tx[id] = 1;
-            if (rec->max_retries > 0) {
-                rec->chk_base[id] = rec->heard_total[id];
-                rec->retries_used[id] = 0;
-                rec_push(rec, rec->chk_head, rec->chk_next, id,
-                         slot + rec->timeout);
-            }
-        }
+/* Zero the words of [a, z) that the trial's span [*lo, *hi) does not
+ * cover yet, and widen the span to the hull of both. */
+static inline void widen_span(uint64_t *o, uint64_t *t2, int64_t *lo,
+                              int64_t *hi, int64_t a, int64_t z)
+{
+    if (*lo >= *hi) {
+        *lo = a;
+        *hi = a;
     }
+    if (a < *lo) {
+        memset(o + a, 0, (size_t)(*lo - a) * sizeof(uint64_t));
+        memset(t2 + a, 0, (size_t)(*lo - a) * sizeof(uint64_t));
+        *lo = a;
+    }
+    if (z > *hi) {
+        memset(o + *hi, 0, (size_t)(z - *hi) * sizeof(uint64_t));
+        memset(t2 + *hi, 0, (size_t)(z - *hi) * sizeof(uint64_t));
+        *hi = z;
+    }
+}
 
-    for (i = 0; i < npairs; i++) {
-        int64_t b = tx_tr[i];
-        const uint64_t *o, *t2, *tx, *alive;
-        int64_t *frx = first_rx + b * n;
+void resolve_slot(wave_t *w, recovery_t *rec, reactive_t *rs,
+                  int64_t slot, int64_t npairs)
+{
+    const int64_t n = w->n, words = w->words;
+    const int64_t *tx_tr = w->tx_tr, *tx_nd = w->tx_nd;
+    const int64_t *indptr = w->indptr, *indices = w->indices;
+    int64_t n_rx = 0, n_new = 0, n_coll = 0;
+    int64_t i0, i1;
+
+    /* One pass per active trial: its pairs are the run [i0, i1). */
+    for (i0 = 0; i0 < npairs; i0 = i1) {
+        const int64_t b = tx_tr[i0];
+        uint64_t *o = w->ones + b * words;
+        uint64_t *t2 = w->twos + b * words;
+        uint64_t *tx = w->txw + b * words;
+        const uint64_t *alive = w->alive ? w->alive + b * words : 0;
+        int64_t *frx = w->first_rx + b * n;
+        int64_t lo = 0, hi = 0, wd, q, new_start = n_new;
         uint64_t key = 0;
         int blackout;
-        int64_t w, q, new_start = n_new;
-        if (i > 0 && tx_tr[i - 1] == b)
-            continue;                       /* one pass per active trial */
-        o = ones + b * words;
-        t2 = twos + b * words;
-        tx = txw + b * words;
-        alive = alive_words ? alive_words + b * words : 0;
-        if (loss_kind == 1)
-            key = sm64(sm64(loss_seeds[b]) ^ (uint64_t)slot);
-        blackout = (loss_kind == 2 && !slot_survive[b]);
-        for (w = 0; w < words; w++) {
-            uint64_t quiet = ~tx[w];
-            uint64_t rx = o[w] & ~t2[w] & quiet;
-            uint64_t cl = t2[w] & quiet;
+
+        /* Accumulate the transmitters' neighbour rows over the words
+         * they span (a row is zero outside its span), zeroing the
+         * trial's scratch words as the span grows. */
+        memset(tx, 0, (size_t)words * sizeof(uint64_t));
+        for (i1 = i0; i1 < npairs && tx_tr[i1] == b; i1++) {
+            const int64_t v = tx_nd[i1], id = b * n + v;
+            const int64_t a = w->nbr_span[2 * v], z = w->nbr_span[2 * v + 1];
+            if (a < z) {
+                widen_span(o, t2, &lo, &hi, a, z);
+                accum_words(o + a, t2 + a, w->nbr_words + v * words + a,
+                            z - a);
+            }
+            tx[v >> 6] |= 1ULL << (v & 63);
+            if (!w->trace)
+                w->tx_count[id]++;
+            if (rec && !rec->has_tx[id]) {
+                /* First transmission: start the guardian episode.  A
+                 * transmitter decodes nothing this slot, so its heard
+                 * counter is already final. */
+                rec->has_tx[id] = 1;
+                if (rec->max_retries > 0) {
+                    rec->chk_base[id] = rec->heard_total[id];
+                    rec->retries_used[id] = 0;
+                    rec_push(rec, rec->chk_head, rec->chk_next, id,
+                             slot + rec->timeout);
+                }
+            }
+        }
+
+        if (w->loss_kind == 1)
+            key = sm64(sm64(w->loss_seeds[b]) ^ (uint64_t)slot);
+        blackout = w->loss_kind == 2 && burst_blackout(w, b, slot);
+        for (wd = lo; wd < hi; wd++) {
+            uint64_t quiet = ~tx[wd];
+            uint64_t rx = o[wd] & ~t2[wd] & quiet;
+            uint64_t cl = t2[wd] & quiet;
             uint64_t m;
             if (alive) {
-                rx &= alive[w];
-                cl &= alive[w];
+                rx &= alive[wd];
+                cl &= alive[wd];
             }
             if (rx) {
                 if (blackout) {
                     rx = 0;
-                } else if (loss_kind == 1 && loss_threshold) {
+                } else if (w->loss_kind == 1) {
+                    /* Branch-free: a draw's outcome is unpredictable. */
+                    uint64_t lost = 0;
                     m = rx;
                     while (m) {
                         int j = CTZ64(m);
+                        uint64_t node = (uint64_t)(wd << 6) + j;
                         m &= m - 1;
-                        uint64_t node = (uint64_t)(w << 6) + j;
-                        if ((sm64(key ^ node) >> 11) < loss_threshold)
-                            rx &= ~(1ULL << j);
+                        lost |= (uint64_t)((sm64(key ^ node) >> 11)
+                                           < w->loss_threshold) << j;
                     }
+                    rx &= ~lost;
                 }
             }
             m = rx;
             while (m) {
                 int j = CTZ64(m);
                 m &= m - 1;
-                int64_t node = (w << 6) + j;
-                rx_tr[n_rx] = b;
-                rx_nd[n_rx] = node;
-                if (need_senders || rec) {
+                int64_t node = (wd << 6) + j;
+                w->rx_tr[n_rx] = b;
+                w->rx_nd[n_rx] = node;
+                if (w->need_senders || rec) {
                     int64_t sv = -1, ep = -1;
                     int64_t e;
                     for (e = indptr[node]; e < indptr[node + 1]; e++) {
@@ -681,7 +733,7 @@ void resolve_slot(
                             break;          /* heard == 1: unique hit */
                         }
                     }
-                    rx_sv[n_rx] = sv;
+                    w->rx_sv[n_rx] = sv;
                     if (rec) {
                         /* The decode's overhear bit (node -> sv, CSR
                          * position ep) and ACK bit (sv -> node). */
@@ -693,38 +745,87 @@ void resolve_slot(
                     }
                 }
                 n_rx++;
-                if (rx_count)
-                    rx_count[b * n + node]++;
+                if (!w->trace)
+                    w->rx_count[b * n + node]++;
                 if (frx[node] < 0) {
                     frx[node] = slot;
-                    new_tr[n_new] = b;
-                    new_nd[n_new] = node;
+                    w->new_tr[n_new] = b;
+                    w->new_nd[n_new] = node;
                     n_new++;
                 }
             }
-            if (need_coll_pairs) {
+            if (w->trace) {
                 m = cl;
                 while (m) {
                     int j = CTZ64(m);
                     m &= m - 1;
-                    coll_tr[n_coll] = b;
-                    coll_nd[n_coll] = (w << 6) + j;
+                    w->coll_tr[n_coll] = b;
+                    w->coll_nd[n_coll] = (wd << 6) + j;
                     n_coll++;
                 }
             } else {
-                coll_counts[b] += POPCNT64(cl);
+                w->collisions[b] += POPCNT64(cl);
             }
         }
         if (rs)
             for (q = new_start; q < n_new; q++)
-                react_relay(rs, b, new_nd[q], slot, 0);
+                react_relay(rs, b, w->new_nd[q], slot, 0);
         if (rec && rec->election)
             for (; new_start < n_new; new_start++)
-                rec_elect(rec, b, new_nd[new_start], slot);
+                rec_elect(rec, b, w->new_nd[new_start], slot);
     }
-    out_counts[0] = n_rx;
-    out_counts[1] = n_coll;
-    out_counts[2] = n_new;
+    w->n_rx = n_rx;
+    w->n_coll = n_coll;
+    w->n_new = n_new;
+}
+
+/* Append k rows of (slot, tr[i], nd[i] [, sv[i]]) to trace log j. */
+static void log_rows(wave_t *w, int j, int64_t slot, int64_t k,
+                     const int64_t *tr, const int64_t *nd,
+                     const int64_t *sv)
+{
+    int64_t cols = sv ? 4 : 3, i;
+    int64_t *row = w->log[j] + w->log_len[j] * cols;
+    for (i = 0; i < k; i++, row += cols) {
+        row[0] = slot;
+        row[1] = tr[i];
+        row[2] = nd[i];
+        if (sv)
+            row[3] = sv[i];
+    }
+    w->log_len[j] += k;
+}
+
+/* ---------------------------------------------------------------------
+ * One whole wave: reactive_next_slot and resolve_slot, slot after slot,
+ * until the run is over (returns 0).  In trace mode each slot's
+ * transmissions, decodes (with senders) and collisions are appended to
+ * logs 0, 1 and 2 as (slot, trial, node[, sender]) rows; the call
+ * returns 1 before a slot whenever some log cannot hold that slot's
+ * worst case (B * n rows), and the caller grows it and calls again --
+ * every piece of the run's state lives in the structs, so the wave
+ * resumes exactly where it stopped.
+ * ------------------------------------------------------------------- */
+int64_t run_wave(wave_t *w, reactive_t *rs, recovery_t *rec)
+{
+    const int64_t worst = w->batch * w->n;
+    for (;;) {
+        int64_t k, j;
+        if (w->trace)
+            for (j = 0; j < 3; j++)
+                if (w->log_cap[j] - w->log_len[j] < worst)
+                    return 1;
+        k = reactive_next_slot(rs, rec, w->tx_tr, w->tx_nd);
+        if (!k)
+            return 0;
+        resolve_slot(w, rec, rs, rs->slot, k);
+        if (w->trace) {
+            log_rows(w, 0, rs->slot, k, w->tx_tr, w->tx_nd, 0);
+            log_rows(w, 1, rs->slot, w->n_rx, w->rx_tr, w->rx_nd,
+                     w->rx_sv);
+            log_rows(w, 2, rs->slot, w->n_coll, w->coll_tr, w->coll_nd, 0);
+        }
+    }
 }
 """
 
@@ -797,6 +898,51 @@ def native_state() -> Tuple[Optional[bool], Optional[str]]:
     if _state is None:
         return None, "not yet probed (build is lazy)"
     return _state[0] is not None, _state[1]
+
+
+def pointer(ffi, array, ctype: str = "int64_t *"):
+    """A C pointer into *array*'s buffer.  It does not keep *array*
+    alive: the caller does, for as long as the kernel may use it."""
+    return ffi.cast(ctype, ffi.from_buffer(array))
+
+
+class TopologyTables:
+    """One topology's kernel tables, pinned: the int64 CSR arrays, the
+    packed neighbour table and the reverse-edge table, with their C
+    pointers.  They depend on the topology alone, so
+    :func:`topology_tables` builds them once per
+    :class:`~repro.radio.channel.SlotKernel` and every run shares them
+    (the kernel only reads them)."""
+
+    def __init__(self, kernel) -> None:
+        ffi = native_kernel().ffi
+        self.indptr, self.indices = kernel.indptr, kernel.indices
+        self.nbr_words = kernel.neighbour_words()
+        self.rev_edge = kernel.rev_edge()
+        self.words = self.nbr_words.shape[1]
+        self.words_e = max(-(-len(self.indices) // 64), 1)
+        # Each node's neighbour row spans words [lo, hi): a lattice row
+        # touches a few of them, whatever the topology's size.
+        n, indptr = kernel.num_nodes, self.indptr
+        full = np.flatnonzero(np.diff(indptr))
+        self.nbr_span = np.zeros((n, 2), dtype=np.int64)
+        if len(full):
+            starts = indptr[full]
+            self.nbr_span[full, 0] = np.minimum.reduceat(
+                self.indices, starts) >> 6
+            self.nbr_span[full, 1] = (np.maximum.reduceat(
+                self.indices, starts) >> 6) + 1
+        self.indptr_p = pointer(ffi, self.indptr)
+        self.indices_p = pointer(ffi, self.indices)
+        self.nbr_words_p = pointer(ffi, self.nbr_words, "uint64_t *")
+        self.rev_edge_p = pointer(ffi, self.rev_edge)
+        self.nbr_span_p = pointer(ffi, self.nbr_span)
+
+
+def topology_tables(kernel) -> TopologyTables:
+    """*kernel*'s :class:`TopologyTables`, built on first use (needs
+    the compiled kernel)."""
+    return kernel.derived("native_tables", TopologyTables)
 
 
 def default_native_threads() -> int:

@@ -6,21 +6,26 @@ machine over ``(B, nnz)`` boolean known-edge matrices in numpy.
 :class:`NativeRecoveryState` computes the *same state machine*
 (:mod:`repro.sim.recovery` documents it; the differential suite holds
 it to trace equality with the batch state) entirely inside the cffi
-kernel (:mod:`repro.sim.native`), so a recovering slot on the compiled
-tier costs two C calls and no numpy work:
+kernel (:mod:`repro.sim.native`), inside the compiled tier's one
+kernel call per run and with no numpy work per slot:
 
 * **one C struct** — ``recovery_t`` points at the state arrays this
-  object allocates once (so the pointers stay valid for the run) and
-  carries the policy scalars and the running ``horizon``.  The kernel
-  keeps no state of its own;
+  object carves from one block (so the pointers stay valid for the run;
+  only the counters, the known bits and the calendar heads are filled,
+  since the kernel writes every other field before reading it) and at
+  the topology's shared tables (CSR, reverse edges), and carries the
+  policy scalars and the running ``horizon``.  The kernel keeps no
+  state of its own;
 * **edge-keyed word bitset** — the known-edge state is ``(B,
   ceil(nnz/64))`` uint64 words, bit ``e & 63`` of word ``e >> 6`` for
   CSR data position *e* (:mod:`repro.radio.bitpack` layout over edge
   positions instead of node ids).  The ACK/overhear pair of a decode is
   two bits: the (receiver -> sender) position falls out of the resolve's
   sender attribution, and the (sender -> receiver) position is one
-  precomputed ``rev_edge`` lookup.  A node's coverage test is an exact
-  mask compare over the words its contiguous CSR row spans;
+  lookup in the topology's reverse-edge table, built once per topology
+  (:meth:`~repro.radio.channel.SlotKernel.rev_edge`).  A node's
+  coverage test is an exact mask compare over the words its contiguous
+  CSR row spans;
 * **post-slot inside the resolve** — the compiled backend hands the
   struct to ``resolve_slot``, which starts guardian checks at first
   transmissions, sets the bit pair and heard counter per clean decode
@@ -45,8 +50,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..radio.bitpack import num_words
 from ..topology.base import Topology
+from . import native
 from .recovery import RecoveryPolicy
 
 __all__ = ["NativeRecoveryState"]
@@ -66,54 +71,61 @@ class NativeRecoveryState:
     def __init__(self, topology: Topology, policy: RecoveryPolicy,
                  relay_like: np.ndarray, trials: int, module,
                  slot_bound: int) -> None:
-        kernel = topology.slot_kernel
+        tables = native.topology_tables(topology.slot_kernel)
         n = topology.num_nodes
         self.policy = policy
         self.n = n
         self.trials = trials
         self.relay_like = np.asarray(relay_like, dtype=np.uint8)
-        indptr = np.ascontiguousarray(kernel.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(kernel.indices, dtype=np.int64)
-        degrees = np.diff(indptr)
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        # Reverse-edge table: the CSR position of (col -> row) for each
-        # (row -> col) data position.  The adjacency is symmetric, so
-        # every reversed key exists.
-        keys = rows * n + indices
-        order = np.argsort(keys, kind="stable")
-        self.rev_edge = np.ascontiguousarray(
-            order[np.searchsorted(keys[order], indices * n + rows)])
-        self.known = np.zeros((trials, max(num_words(len(indices)), 1)),
-                              dtype=np.uint64)
-        grid = (trials, n)
-        self.heard_total = np.zeros(grid, dtype=np.int64)
-        self.has_tx = np.zeros(grid, dtype=bool)
-        self.chk_base = np.zeros(grid, dtype=np.int64)
-        self.retries_used = np.zeros(grid, dtype=np.int64)
-        self.elec_base = np.zeros(grid, dtype=np.int64)
-        self.elec_pos = np.zeros(grid, dtype=np.int64)
+        self.rev_edge = tables.rev_edge
         # Calendar ring: one head per slot of the farthest distance any
         # check or election is scheduled ahead, within the slot bound.
-        maxdeg = int(degrees.max()) if n else 0
+        maxdeg = topology.slot_kernel.max_degree
         far = max(policy.timeout * policy.backoff
                   ** min(max(policy.max_retries - 1, 0), 64),
                   policy.election_delay + maxdeg if policy.election else 0)
         ring = 1 << max(min(far, slot_bound), 0).bit_length()
-        self._heads = np.full((2, ring), -1, dtype=np.int64)
-        self._links = np.empty((2, trials * n), dtype=np.int64)
+        # Every array carved from one int64 block.  Only the heard
+        # counters, the known bits and the ring heads need filling: the
+        # kernel writes a check's or an election's scalars when it
+        # schedules it, before it reads them, and a link when it pushes
+        # it.  has_tx is a flag per pair, the block's last bytes.
+        grid = trials * n
+        words_e = tables.words_e
+        sizes = dict(heard_total=grid, known=trials * words_e,
+                     heads=2 * ring, chk_base=grid, retries_used=grid,
+                     elec_base=grid, elec_pos=grid, links=2 * grid,
+                     has_tx=-(-grid // 8))
+        block = np.empty(sum(sizes.values()), dtype=np.int64)
+        view, at = {}, 0
+        for name, size in sizes.items():
+            view[name] = block[at:at + size]
+            at += size
+        view["heard_total"][:] = 0
+        view["known"][:] = 0
+        view["heads"][:] = -1
+        view["has_tx"][:] = 0
+        self._block = block
+        self.known = view["known"].view(np.uint64).reshape(trials, words_e)
+        self.has_tx = view["has_tx"].view(np.bool_)[:grid].reshape(trials, n)
+        for name in ("heard_total", "chk_base", "retries_used", "elec_base",
+                     "elec_pos"):
+            setattr(self, name, view[name].reshape(trials, n))
+        self._heads = view["heads"].reshape(2, ring)
+        self._links = view["links"].reshape(2, grid)
         ffi = module.ffi
 
         def ptr(array, ctype="int64_t *"):
-            return ffi.cast(ctype, ffi.from_buffer(array))
+            return native.pointer(ffi, array, ctype)
 
-        self._tables = (indptr, indices)  # the struct points into them
+        self._tables = tables  # the struct points into them
         # Policy scalars capped at one past the bound: exact wherever a
         # slot sum can still fire, and never overflowing int64.
         cap = max(slot_bound, 0) + 1
         c = self.c = ffi.new("recovery_t *")
-        c.n, c.words_e = n, self.known.shape[1]
-        c.indptr, c.indices = ptr(indptr), ptr(indices)
-        c.rev_edge = ptr(self.rev_edge)
+        c.n, c.words_e = n, words_e
+        c.indptr, c.indices = tables.indptr_p, tables.indices_p
+        c.rev_edge = tables.rev_edge_p
         c.relay_like = ptr(self.relay_like, "uint8_t *")
         c.known = ptr(self.known, "uint64_t *")
         c.heard_total = ptr(self.heard_total)

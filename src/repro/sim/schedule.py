@@ -10,6 +10,7 @@ Slots are 1-based; the source transmits in slot 1.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 import numpy as np
@@ -128,12 +129,14 @@ class BroadcastSchedule:
         return self._slots == other._slots
 
     def to_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(slots, nodes)`` int arrays in deterministic order."""
-        pairs = list(self)
-        if not pairs:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        arr = np.asarray(pairs, dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
+        """``(slots, nodes)`` int64 arrays in :meth:`__iter__` order:
+        slots ascending, nodes ascending within a slot."""
+        slots = sorted(self._slots)
+        counts = [len(self._slots[s]) for s in slots]
+        nodes = np.fromiter(
+            chain.from_iterable(sorted(self._slots[s]) for s in slots),
+            np.int64, sum(counts))
+        return np.repeat(np.array(slots, dtype=np.int64), counts), nodes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<BroadcastSchedule tx={self.num_transmissions} "

@@ -16,6 +16,7 @@ silently riding along unchecked.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,24 @@ def _validate_kernel(payload):
         assert "mt_speedup_vs_compiled" not in grid
         for label, entry in grid["entries"].items():
             assert "threads" not in entry, label
+    # v7: the B=1 trace cell — compiled one-trial trace waves against
+    # the serial engine on three shapes, traces asserted equal before
+    # writing; the 10% gate is reported, and the report must be true
+    # to the ratios.
+    b1 = payload["b1_trace"]
+    assert b1["gate"] == 1.10 and b1["rounds"] >= 1 and b1["calls"] >= 1
+    shapes = {(c["topology"], tuple(c["shape"])) for c in b1["cells"]}
+    assert shapes == {("2D-4", (48, 32)), ("2D-8", (12, 12)),
+                      ("3D-6", (5, 5, 5))}
+    for cell in b1["cells"]:
+        assert cell["nodes"] == math.prod(cell["shape"])
+        assert cell["serial_ms"] > 0 and cell["compiled_ms"] > 0
+        assert abs(cell["ratio"] - cell["compiled_ms"] / cell["serial_ms"]
+                   ) < 0.01
+        assert cell["tier"] == ("compiled" if payload["native_available"]
+                                else "batch")
+    assert b1["gate_met"] == all(c["ratio"] <= b1["gate"]
+                                 for c in b1["cells"])
 
 
 def _validate_faults(payload):
@@ -282,7 +301,7 @@ VALIDATORS = {
     "repro-wsn/bench-symmetry/v1": _validate_symmetry,
     "repro-wsn/bench-recovery/v1": _validate_recovery,
     "repro-wsn/bench-scaling/v1": _validate_scaling,
-    "repro-wsn/bench-kernel/v6": _validate_kernel,
+    "repro-wsn/bench-kernel/v7": _validate_kernel,
     "repro-wsn/bench-service/v1": _validate_service,
     "repro-wsn/bench-faults/v1": _validate_faults,
 }
@@ -293,7 +312,7 @@ _ARTIFACTS = [
     (SYMMETRY_ARTIFACT, "repro-wsn/bench-symmetry/v1"),
     (RECOVERY_ARTIFACT, "repro-wsn/bench-recovery/v1"),
     (SCALING_ARTIFACT, "repro-wsn/bench-scaling/v1"),
-    (KERNEL_ARTIFACT, "repro-wsn/bench-kernel/v6"),
+    (KERNEL_ARTIFACT, "repro-wsn/bench-kernel/v7"),
     (SERVICE_ARTIFACT, "repro-wsn/bench-service/v1"),
     (FAULTS_ARTIFACT, "repro-wsn/bench-faults/v1"),
 ]

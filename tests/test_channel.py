@@ -170,12 +170,12 @@ class TestSlotKernel:
         repeat = np.repeat
 
         def building(*args, **kwargs):
-            assert kernel._rows is None
+            assert "padded_rows" not in kernel._derived
             return repeat(*args, **kwargs)
 
         monkeypatch.setattr(np, "repeat", building)
         kernel.resolve(np.array([mesh.index((3, 3))], dtype=np.int64))
-        assert kernel._rows is not None
+        assert "padded_rows" in kernel._derived
 
     def test_batch_scratch_keyed_on_trials_and_nodes(self):
         """Interleaving resolve_batch on kernels of different node

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import BroadcastSchedule, replay, run_reactive
-from repro.sim.engine import _offset_masks, sorted_unique_pairs
+from repro.sim.engine import (_forced_schedule, _offset_masks,
+                               sorted_unique_pairs)
 from repro.topology import Mesh2D4
 
 
@@ -241,3 +242,75 @@ class TestOffsetMasks:
         monkeypatch.setattr(np, "zeros", counting)
         masks = _offset_masks(9, self.ROWS)
         assert len(calls) == len(masks) == 4
+
+
+@st.composite
+def forced_rows(draw):
+    """One shared forced row or one per trial, as ``slot -> nodes``
+    mappings or :class:`BroadcastSchedule` objects, with duplicate
+    nodes, invalid slots and nodes outside ``[0, n)`` mixed in."""
+    n = draw(st.integers(1, 12))
+    trials = draw(st.integers(1, 4))
+    slots = st.integers(-1, 14) if draw(st.booleans()) else st.integers(1, 14)
+    nodes = (st.integers(-2, n + 1) if draw(st.booleans())
+             else st.integers(0, n - 1))
+    rows = []
+    for _ in range(1 if draw(st.booleans()) else trials):
+        row = draw(st.dictionaries(slots, st.lists(nodes, max_size=5),
+                                   max_size=5))
+        if draw(st.booleans()) and all(s >= 1 and all(v >= 0 for v in vs)
+                                       for s, vs in row.items()):
+            row = BroadcastSchedule.from_events(
+                (s, v) for s, vs in row.items() for v in vs)
+        rows.append(row)
+    max_slots = draw(st.one_of(st.none(), st.integers(0, 16)))
+    return rows, trials, n, max_slots
+
+
+def reference_forced_plan(rows, trials, n, max_slots):
+    """The plan as plain sorted ``(slot, trial, node)`` triples, plus
+    the per-trial cut-offs, or the ValueError's kind."""
+    triples, cuts = set(), []
+    for b, row in enumerate(rows):
+        if isinstance(row, BroadcastSchedule):
+            pairs = set(row)
+            last = row.max_slot
+        else:
+            if any(s < 1 for s in row):
+                return "1-based"
+            pairs = {(s, v) for s, vs in row.items() for v in vs}
+            last = max(row, default=0)
+        if any(not 0 <= v < n for _, v in pairs):
+            return "out of range"
+        cut = max(4 * n + 16, last + 2) if max_slots is None else max_slots
+        cuts.append(cut)
+        for trial in (range(trials) if len(rows) == 1 else [b]):
+            triples |= {(s, trial, v) for s, v in pairs if s <= cut}
+    if len(rows) == 1:
+        cuts = cuts * trials
+    return sorted(triples), cuts
+
+
+class TestForcedSchedule:
+    """Forced plans are built from arrays; they must hold exactly the
+    distinct forced triples, slot-grouped, trial-major with nodes
+    ascending, cut at each trial's bound, after one bounds check."""
+
+    @given(forced_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sorted_triples(self, case):
+        rows, trials, n, max_slots = case
+        want = reference_forced_plan(rows, trials, n, max_slots)
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=want):
+                _forced_schedule(rows, trials, n, max_slots)
+            return
+        (slots, ptr, tr, nd), limit = _forced_schedule(rows, trials, n,
+                                                       max_slots)
+        assert slots == sorted(set(slots)) and len(ptr) == len(slots) + 1
+        assert ptr[0] == 0 and ptr[-1] == len(nd) == len(tr)
+        got = [(s, t, v) for i, s in enumerate(slots)
+               for t, v in zip(tr[ptr[i]:ptr[i + 1]].tolist(),
+                               nd[ptr[i]:ptr[i + 1]].tolist())]
+        assert got == want[0]
+        assert limit.tolist() == want[1]

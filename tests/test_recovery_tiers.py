@@ -378,18 +378,22 @@ class TestPackedStateInternals:
                               np.full(1, v, dtype=np.int64)),
                              np.full(1, 8, dtype=np.int64), None,
                              checked=False)
-            assert backend.next_slot() == 1
-            backend.resolve_next(1)
+            # The two C calls of one slot of the kernel's wave loop.
+            lib, w, rs = backend._lib, backend._w, backend._rs
+            assert lib.reactive_next_slot(rs, state.c, w.tx_tr,
+                                          w.tx_nd) == 1
+            lib.resolve_slot(w, state.c, rs, 1, 1)
             state.known[:] = 0
             for e in bits:
                 state.known[0, e >> 6] |= np.uint64(1) << np.uint64(e & 63)
             # The scheduler pops the check's retransmission, if any, as
             # slot 2's one pair.
-            k = backend.next_slot()
+            k = lib.reactive_next_slot(rs, state.c, w.tx_tr, w.tx_nd)
             fired = []
             if k:
-                assert backend.slot == 2
-                fb, fv = backend.events(k)[:2]
+                assert rs.slot == 2
+                fb, fv = (backend._scratch[name][:k]
+                          for name in ("tx_tr", "tx_nd"))
                 fired = list(zip(fb.tolist(), fv.tolist()))
             return fired, int(state.retries_used[0, v])
 
