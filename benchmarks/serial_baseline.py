@@ -19,9 +19,8 @@ import numpy as np
 
 from repro.analysis.robustness import (DEFAULT_RECOVERY_POLICIES,
                                        FrontierPoint, RobustnessPoint,
-                                       _failure_dead_masks, _frontier_point,
-                                       _frontier_seeds, _mark_pareto,
-                                       _point, harden_plan)
+                                       _failure_dead_masks, _frontier_points,
+                                       _frontier_seeds, _point, harden_plan)
 from repro.core.registry import protocol_for
 from repro.radio.impairments import CounterBernoulliLoss, trial_seeds
 from repro.sim import RecoveryPolicy, run_reactive
@@ -88,9 +87,9 @@ def frontier(topology, source,
             seeds = _frontier_seeds(seed, p, k, trials)
             dead = (_failure_dead_masks(topology, k, trials, seed, src)
                     if k > 0 else None)
-            points += _mark_pareto([
-                _frontier_point(label, p, k,
-                                *_trials(topology, src, plan, p, seeds,
-                                         dead, policy))
-                for label, plan, policy in strategies])
+            runs = [_trials(topology, src, plan, p, seeds, dead, policy)
+                    for _, plan, policy in strategies]
+            points += _frontier_points(
+                [label for label, _, _ in strategies], p, k,
+                *zip(*runs))
     return points

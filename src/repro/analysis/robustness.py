@@ -401,8 +401,8 @@ def _frontier_cell(topology: Topology, src: int,
     seeds = _frontier_seeds(seed, p, k, trials)
     dead_masks = (_failure_dead_masks(topology, k, trials, seed, src)
                   if k > 0 else None)
-    out = []
-    for label, plan, policy in strategies:
+    reaches, txs, rxs = [], [], []
+    for _, plan, policy in strategies:
         s = run_reactive_batch_sharded(
             topology, src, plan.relay_mask,
             extra_delay=plan.extra_delay,
@@ -411,30 +411,38 @@ def _frontier_cell(topology: Topology, src: int,
             loss=BernoulliBatchLoss(p, seeds) if p > 0 else None,
             trials=trials, summary=True, recovery=policy,
             engine=engine, workers=shards)
-        reaches = (s.live_reachability(dead_masks)
-                   if dead_masks is not None else s.reachability)
-        out.append(_frontier_point(label, p, k, reaches, s.num_tx,
-                                   s.num_rx))
-    return _mark_pareto(out)
+        reaches.append(s.live_reachability(dead_masks)
+                       if dead_masks is not None else s.reachability)
+        txs.append(s.num_tx)
+        rxs.append(s.num_rx)
+    return _frontier_points([label for label, _, _ in strategies], p, k,
+                            reaches, txs, rxs)
 
 
-def _frontier_point(label: str, p: float, k: int, reaches: np.ndarray,
-                    txs: np.ndarray, rxs: np.ndarray) -> FrontierPoint:
-    """One strategy's point from its per-trial reach and tx/rx counts;
-    energy uses the paper's radio model, packet size and spacing."""
-    txs, rxs = np.asarray(txs, dtype=float), np.asarray(rxs, dtype=float)
-    energy = (txs * PAPER_RADIO_MODEL.tx_energy(PAPER_PACKET_BITS,
-                                                PAPER_SPACING_M)
-              + rxs * PAPER_RADIO_MODEL.rx_energy(PAPER_PACKET_BITS))
-    return FrontierPoint(
-        strategy=label, loss_rate=float(p), failures=int(k),
-        trials=len(reaches),
-        mean_reachability=float(np.mean(reaches)),
-        min_reachability=float(np.min(reaches)),
-        std_reach=float(np.std(reaches)),
-        **_percentiles(reaches),
-        mean_tx=float(np.mean(txs)), mean_rx=float(np.mean(rxs)),
-        mean_energy_j=float(np.mean(energy)))
+def _frontier_points(labels: Sequence[str], p: float, k: int,
+                     reaches, txs, rxs) -> List[FrontierPoint]:
+    """One cell's points from each strategy's per-trial reach and tx/rx
+    counts, reduced along the trial axis of ``(strategies, trials)``
+    tables in one pass, Pareto front marked.  Energy uses the paper's
+    radio model, packet size and spacing."""
+    reach = np.asarray(reaches, dtype=float)
+    tx, rx = np.asarray(txs, dtype=float), np.asarray(rxs, dtype=float)
+    energy = (tx * PAPER_RADIO_MODEL.tx_energy(PAPER_PACKET_BITS,
+                                               PAPER_SPACING_M)
+              + rx * PAPER_RADIO_MODEL.rx_energy(PAPER_PACKET_BITS))
+    p5, p50 = np.percentile(reach, [5, 50], axis=1).tolist()
+    columns = zip(
+        labels, reach.mean(axis=1).tolist(), reach.min(axis=1).tolist(),
+        reach.std(axis=1).tolist(), p5, p50, tx.mean(axis=1).tolist(),
+        rx.mean(axis=1).tolist(), energy.mean(axis=1).tolist())
+    return _mark_pareto([
+        FrontierPoint(
+            strategy=label, loss_rate=float(p), failures=int(k),
+            trials=reach.shape[1], mean_reachability=mean,
+            min_reachability=low, std_reach=std, p5_reach=q5, p50_reach=q50,
+            mean_tx=mean_tx, mean_rx=mean_rx, mean_energy_j=mean_energy)
+        for (label, mean, low, std, q5, q50, mean_tx, mean_rx,
+             mean_energy) in columns])
 
 
 def _mark_pareto(cell: List[FrontierPoint]) -> List[FrontierPoint]:

@@ -30,7 +30,7 @@ degenerate cases.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -129,11 +129,6 @@ class _Fixpoint:
         self.repair = repair
         self.dead_mask = (None if dead_mask is None
                           else np.asarray(dead_mask, dtype=bool))
-        # Memoised on the topology and lazily materialised per node
-        # (LazyNeighborSets): the fix planner only inspects the
-        # neighbourhoods of unreached/border/collision nodes, so a large
-        # grid never pays an up-front O(n) set-construction pass.
-        self.nbr_sets = topology.neighbor_sets
         self.forced: Dict[int, Set[int]] = {}
         self.completions: List[Tuple[int, int]] = []
         self.repairs: List[Tuple[int, int]] = []
@@ -169,7 +164,7 @@ class _Fixpoint:
         self.prev_informed = max(self.prev_informed, informed_now)
 
         added = _plan_fixes(
-            self.topology, trace, self.forced, self.nbr_sets, unreached,
+            self.topology, trace, self.forced, unreached,
             self.plan, allow_completion=self.completion,
             allow_repair=self.repair, dead_mask=self.dead_mask)
         if not added:
@@ -227,7 +222,6 @@ def _plan_fixes(
     topology: Topology,
     trace: BroadcastTrace,
     forced: Dict[int, Set[int]],
-    nbr_sets: Sequence[frozenset],
     unreached: np.ndarray,
     plan: RelayPlan,
     *,
@@ -238,45 +232,40 @@ def _plan_fixes(
     """Choose this round's extra transmissions.
 
     Returns ``(node, slot, kind)`` additions, ``kind`` in
-    {"completion", "repair"}.
+    {"completion", "repair"}.  The greedy runs on plain Python data: the
+    per-node arrays are read once as lists and neighbourhoods come from
+    the topology's sorted neighbour table.
     """
-    first_rx = trace.first_rx
+    nbrs = topology.slot_kernel.neighbour_lists()
+    first_rx = trace.first_rx.tolist()
+    relay = plan.relay_mask.tolist()
+    delay = plan.extra_delay.tolist()
+    dead = (dead_mask.tolist() if dead_mask is not None
+            else [False] * len(first_rx))
 
-    # Per-slot transmitter sets of the executed trace plus pending forced.
-    tx_at: Dict[int, Set[int]] = {}
+    # Per-slot transmitter sets: the executed trace plus pending forced,
+    # and this round's additions as they are made.
+    busy: Dict[int, Set[int]] = {}
     for slot, v in trace.tx_events:
-        tx_at.setdefault(slot, set()).add(v)
+        busy.setdefault(slot, set()).add(v)
     for slot, nodes in forced.items():
-        tx_at.setdefault(slot, set()).update(nodes)
+        busy.setdefault(slot, set()).update(nodes)
     ever_tx: Set[int] = set()
-    for nodes in tx_at.values():
+    for nodes in busy.values():
         ever_tx |= nodes
-    horizon = (max(tx_at, default=0)
+    horizon = (max(busy, default=0)
                + len(unreached) + 4)
 
     additions: List[Tuple[int, int, str]] = []
-    added_at: Dict[int, Set[int]] = {}     # this round's additions
-    added_nodes: Set[int] = set()          # flat view of added_at, kept
-    #                                        in sync incrementally (the
-    #                                        per-candidate rebuild was an
-    #                                        O(additions) rescan per probe)
+    added_nodes: Set[int] = set()          # this round's additions
     planned_rx: Dict[int, int] = {}        # unreached node -> fix slot
-
-    def tx_count_near(v: int, slot: int) -> int:
-        """Transmitting neighbours of v at slot (trace+forced+additions)."""
-        cnt = len(nbr_sets[v] & tx_at.get(slot, set()))
-        cnt += len(nbr_sets[v] & added_at.get(slot, set()))
-        return cnt
-
-    def transmits_at(u: int, slot: int) -> bool:
-        return (u in tx_at.get(slot, set())
-                or u in added_at.get(slot, set()))
+    idle: Set[int] = set()
 
     def feasible_slot(u: int, start: int) -> int:
         """Earliest slot >= start where u may transmit harmlessly."""
-        s = max(start, int(first_rx[u]) + 1)
+        s = max(start, first_rx[u] + 1)
         while s <= horizon:
-            if not transmits_at(u, s) and _harmless(u, s):
+            if u not in busy.get(s, idle) and _harmless(u, s):
                 return s
             s += 1
         return -1
@@ -285,46 +274,49 @@ def _plan_fixes(
         """Adding u's tx at s must not destroy an existing or planned
         first reception of any of u's neighbours, nor trigger a relay
         cascade that destroys one a slot later."""
-        for w in nbr_sets[u]:
-            if first_rx[w] == s and not transmits_at(w, s):
+        busy_s = busy.get(s, idle)
+        for w in nbrs[u]:
+            if first_rx[w] == s and w not in busy_s:
                 return False
             if planned_rx.get(w, -1) == s:
                 return False
             # cascade safety: an unreached relay w informed at s will fire
             # at s + 1 + delay; that firing must not collide with an
             # established first reception of w's neighbours.
-            if first_rx[w] < 0 and plan.relay_mask[w]:
-                fire = s + 1 + int(plan.extra_delay[w])
-                for x in nbr_sets[w]:
-                    if first_rx[x] == fire and not transmits_at(x, fire):
+            if first_rx[w] < 0 and relay[w]:
+                fire = s + 1 + delay[w]
+                busy_fire = busy.get(fire, idle)
+                for x in nbrs[w]:
+                    if first_rx[x] == fire and x not in busy_fire:
                         return False
         return True
 
     def coverage(u: int, s: int) -> List[int]:
-        """Unreached, unfixed neighbours of u that would decode (u, s)."""
+        """Unreached, unfixed neighbours of u that would decode (u, s):
+        no neighbour of theirs transmits at s."""
+        busy_s = busy.get(s, idle)
         out = []
-        for w in nbr_sets[u]:
-            if first_rx[w] >= 0 or w in planned_rx:
+        for w in nbrs[u]:
+            if first_rx[w] >= 0 or w in planned_rx or dead[w]:
                 continue
-            if dead_mask is not None and dead_mask[w]:
-                continue
-            if tx_count_near(w, s) == 0:
+            for x in nbrs[w]:
+                if x in busy_s:
+                    break
+            else:
                 out.append(w)
         return out
 
     order = sorted(
-        (int(v) for v in unreached),
-        key=lambda v: (min((int(first_rx[u]) for u in nbr_sets[v]
+        unreached.tolist(),
+        key=lambda v: (min((first_rx[u] for u in nbrs[v]
                             if first_rx[u] >= 0), default=1 << 30), v))
 
     for v in order:
         if v in planned_rx or first_rx[v] >= 0:
             continue
         best: Optional[Tuple[int, int, int, str]] = None  # score,-s,-u,kind
-        for u in sorted(nbr_sets[v]):
-            if first_rx[u] < 0:
-                continue
-            if dead_mask is not None and dead_mask[u]:
+        for u in nbrs[v]:
+            if first_rx[u] < 0 or dead[u]:
                 continue
             is_new_relay = u not in ever_tx and u not in added_nodes
             kind = "completion" if is_new_relay else "repair"
@@ -332,7 +324,7 @@ def _plan_fixes(
                 continue
             if kind == "repair" and not allow_repair:
                 continue
-            s = feasible_slot(u, int(first_rx[u]) + 1)
+            s = feasible_slot(u, first_rx[u] + 1)
             if s < 0:
                 continue
             covered = coverage(u, s)
@@ -347,7 +339,7 @@ def _plan_fixes(
         u, s = -neg_u, -neg_s
         covered = coverage(u, s)
         additions.append((u, s, kind))
-        added_at.setdefault(s, set()).add(u)
+        busy.setdefault(s, set()).add(u)
         added_nodes.add(u)
         for w in covered:
             planned_rx[w] = s

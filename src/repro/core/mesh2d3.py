@@ -34,13 +34,14 @@ Two generalisations are needed for grids larger than the paper's figures
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List
 
-from ..topology import diagonal
+import numpy as np
+
 from ..topology.base import Topology
 from ..topology.mesh2d import Mesh2D3
 from .base import BroadcastProtocol, RelayPlan
-from .regions import RegionPartition, partition
+from .regions import base_nodes
 
 
 def staircase_seeds(m: int, n: int, i: int, j: int) -> List[int]:
@@ -82,107 +83,82 @@ class Mesh2D3Protocol(BroadcastProtocol):
             raise ValueError(f"source {source} not in {topology!r}")
         m, n = topology.m, topology.n
 
-        part: RegionPartition = partition(topology, (i, j))
+        base_a, base_b = base_nodes(topology, (i, j))
         seeds = staircase_seeds(m, n, i, j)
 
         # S1 / S2 constants of every seeded staircase band.  All seeds sit
         # (virtually) on the source row and share vertical parity (period 4
-        # preserves the brick parity), so the value pairs are consistent.
-        b1_values: Set[int] = set()
-        b2_values: Set[int] = set()
-        for x0 in seeds:
-            b1_values.update(diagonal.b1_values(topology, (x0, j)))
-            b2_values.update(diagonal.b2_values(topology, (x0, j)))
-        # The source's own staircases are basic relays (selected in full).
-        src_b1 = set(diagonal.b1_values(topology, (i, j)))
-        src_b2 = set(diagonal.b2_values(topology, (i, j)))
-
+        # preserves the brick parity), so every band pairs its constant
+        # with the same neighbour: B1 = {c, c + e1}, B2 = {c, c - e1}.
+        e1 = 1 if (i + j) % 2 == 0 else -1
+        b1_values = sorted({x0 + j + d for x0 in seeds for d in (0, e1)})
+        b2_values = sorted({x0 - j + d for x0 in seeds for d in (0, -e1)})
         source_left = i <= m / 2
 
+        # u1 / u2: a node's S1 / S2 constant above the lower constant of
+        # the source's own B1 / B2 pair.  The seeds reach past both ends
+        # of the grid, so a node lies on a seeded band iff u % 4 < 2, and
+        # on the source's own staircase iff u is 0 or 1.
+        lo1 = i + j + min(e1, 0)
+        lo2 = i - j - max(e1, 0)
+        x, y = topology._grid_xy()
+        s1 = x + y
+        u1 = s1 - lo1
+        u2 = x - y - lo2
+        on_b1 = u1 % 4 < 2
+        on_b2 = u2 % 4 < 2
+
         # Liveness: a staircase band can only be seeded by the source-row
-        # sweep if it crosses row j inside the grid.  When a point's
-        # natural family (per rules R1-R4) has a dead band there, we fall
-        # back to the other family's live band — the generalisation that
-        # keeps corner-source broadcasts on shortest paths (DESIGN.md §2).
-        def b1_pair_of(v: int) -> Tuple[int, int]:
-            """The B1 pair {c, c-1} whose coverage [c-2, c+1] contains v."""
-            anchor = sorted(diagonal.b1_values(topology, (i, j)))[1]
-            offset = ((v - anchor + 2) % 4) - 2
-            c = v - offset
-            return (c, c - 1)
+        # sweep if it crosses row j inside the grid.  A node's B1 pair is
+        # the one whose coverage [c-2, c+1] (c its upper constant) holds
+        # x+y, its B2 pair the one whose coverage [c-1, c+2] (c its lower
+        # constant) holds x-y; *pair* is that pair's offset from the
+        # source's, and a pair is live when one of its bands meets row j
+        # in-grid.  When a point's natural family (per rules R1-R4) has a
+        # dead band there, we fall back to the other family's live band —
+        # the generalisation that keeps corner-source broadcasts on
+        # shortest paths (DESIGN.md §2).
+        pair1 = (u1 + 1) // 4 * 4
+        pair2 = (u2 + 1) // 4 * 4
+        b1_live = (pair1 >= j - lo1) & (pair1 <= m + j - lo1)
+        b2_live = (pair2 >= -j - lo2) & (pair2 <= m - j - lo2)
+        in_b1 = on_b1 & b1_live
+        in_b2 = on_b2 & b2_live
+        # The source's own staircases are basic relays (selected in full).
+        basic = ((pair1 == 0) & in_b1) | ((pair2 == 0) & in_b2)
 
-        def b2_pair_of(v: int) -> Tuple[int, int]:
-            """The B2 pair {c, c+1} whose coverage [c-1, c+2] contains v."""
-            anchor = sorted(diagonal.b2_values(topology, (i, j)))[0]
-            offset = ((v - anchor + 1) % 4) - 1
-            c = v - offset
-            return (c, c + 1)
-
-        def b1_live(v: int) -> bool:
-            return any(1 <= c - j <= m for c in b1_pair_of(v))
-
-        def b2_live(v: int) -> bool:
-            return any(1 <= c + j <= m for c in b2_pair_of(v))
+        # Rules R1-R4: region 1 takes B1 in the upper-right/lower-left
+        # quadrants and B2 elsewhere; the cones below (region 2) and above
+        # (region 3) the source take one family each, by the source's half.
+        (ia, ja), (ib, jb) = base_a, base_b
+        region2 = (u1 <= ia + ja - lo1) & (u2 >= ia - ja - lo2)
+        region3 = (u1 >= ib + jb - lo1) & (u2 <= ib - jb - lo2)
+        quadrant_b1 = (x - i) * (y - j) >= 0
+        natural_b1 = ((quadrant_b1 & ~(region2 | region3))
+                      | (region3 if source_left else region2))
+        ruled = np.where(natural_b1, in_b1 | (in_b2 & ~b1_live),
+                         in_b2 | (in_b1 & ~b2_live))
 
         plan = RelayPlan.empty(topology.num_nodes)
-        for idx in range(topology.num_nodes):
-            x, y = topology.coord(idx)
-            if y == j:
-                plan.relay_mask[idx] = True  # the source row
-                continue
-            in_b1 = (x + y) in b1_values and b1_live(x + y)
-            in_b2 = (x - y) in b2_values and b2_live(x - y)
-            if not (in_b1 or in_b2):
-                continue
-            if ((x + y) in src_b1 and in_b1) or ((x - y) in src_b2
-                                                 and in_b2):
-                plan.relay_mask[idx] = True  # basic staircases, in full
-                continue
-            region = part.region_of((x, y))
-            if region == 1:
-                upper_right = x >= i and y >= j
-                lower_left = x <= i and y <= j
-                natural_b1 = upper_right or lower_left
-            elif region == 3:
-                natural_b1 = source_left        # rules R3/R4, upward cone
-            else:
-                natural_b1 = not source_left    # region 2, downward cone
-            if natural_b1:
-                if in_b1:                               # rule R1/R3/R4
-                    plan.relay_mask[idx] = True
-                elif in_b2 and not b1_live(x + y):      # liveness fallback
-                    plan.relay_mask[idx] = True
-            else:
-                if in_b2:                               # rule R2/R3/R4
-                    plan.relay_mask[idx] = True
-                elif in_b1 and not b2_live(x - y):      # liveness fallback
-                    plan.relay_mask[idx] = True
+        plan.relay_mask[:] = (y == j) | basic | ruled
 
         # Collision staggering: B1 and B2 arms propagate in lockstep from
         # the source row and collide wherever they cross.  Delaying every
-        # B2 arm by one slot *at its first step off the row* gives the B2
+        # B2 arm by one slot *at its first step off the row* (the arm's
+        # entry node, whose vertical edge goes to the row) gives the B2
         # family a constant one-slot offset (it does not accumulate along
         # the arm, so delay stays near-optimal) and breaks the ties — the
         # same staggering device the paper applies to the 3D-6 z-relays.
-        for idx in range(topology.num_nodes):
-            if not plan.relay_mask[idx]:
-                continue
-            x, y = topology.coord(idx)
-            if abs(y - j) != 1:
-                continue
-            # only the arm's entry node: its vertical edge goes to the row
-            if y + Mesh2D3.vertical_neighbor_offset(x, y) != j:
-                continue
-            if (x - y) in b2_values and (x + y) not in b1_values:
-                plan.extra_delay[idx] = 1
+        entry = y - j == s1 % 2 * 2 - 1
+        plan.extra_delay[plan.relay_mask & entry & on_b2 & ~on_b1] = 1
 
         plan.notes = {
             "source": (i, j),
             "seeds": seeds,
-            "b1_values": sorted(b1_values),
-            "b2_values": sorted(b2_values),
-            "base_a": part.base_a,
-            "base_b": part.base_b,
+            "b1_values": b1_values,
+            "b2_values": b2_values,
+            "base_a": base_a,
+            "base_b": base_b,
             "source_left": source_left,
         }
         return plan

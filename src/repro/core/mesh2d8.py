@@ -25,7 +25,9 @@ protocol therefore builds its relay structure entirely out of diagonals:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
+
+import numpy as np
 
 from ..topology import diagonal
 from ..topology.base import Topology
@@ -96,18 +98,15 @@ class Mesh2D8Protocol(BroadcastProtocol):
         i, j = source
         if not topology.contains((i, j)):
             raise ValueError(f"source {source} not in {topology!r}")
+        m, n = topology.m, topology.n
 
+        # Basic relays: the anti-diagonal through the source.  Relay
+        # diagonals: every fifth S2 diagonal (includes S2(i-j)); the
+        # clipped progression covers every in-grid S2 constant.
+        x, y = topology._grid_xy()
         plan = RelayPlan.empty(topology.num_nodes)
-
-        # Basic relays: the anti-diagonal through the source.
-        for coord in diagonal.s1_set(topology, i + j):
-            plan.relay_mask[topology.index(coord)] = True
-
-        # Relay diagonals: every fifth S2 diagonal (includes S2(i-j)).
+        plan.relay_mask[:] = (x + y == i + j) | ((x - y - (i - j)) % 5 == 0)
         s2_values = relay_s2_values(topology, i, j)
-        for c in s2_values:
-            for coord in diagonal.s2_set(topology, c):
-                plan.relay_mask[topology.index(coord)] = True
 
         # Border continuation of the S1 seed wave.  A continuation node
         # right after a relay-diagonal crossing would fire in the same slot
@@ -115,37 +114,32 @@ class Mesh2D8Protocol(BroadcastProtocol):
         # two would collide one step further along the border; delaying the
         # continuation node one slot breaks the tie.
         border = border_continuation(topology, i, j)
-        s2_set_values = set(s2_values)
-        m, n = topology.m, topology.n
-        for coord in border:
-            idx = topology.index(coord)
+        for bx, by in border:
+            idx = bx - 1 + (by - 1) * m
             plan.relay_mask[idx] = True
-            x, y = coord
-            if y == 1 and x > 1:            # bottom sweep moves right
-                prev = (x - 1, 1)
-            elif y == n and x < m:          # top sweep moves left
-                prev = (x + 1, n)
-            elif x == 1 and y > 1:          # left sweep moves up
-                prev = (1, y - 1)
-            elif x == m and y < n:          # right sweep moves down
-                prev = (m, y + 1)
+            if by == 1 and bx > 1:          # bottom sweep moves right
+                prev_s2 = bx - 2
+            elif by == n and bx < m:        # top sweep moves left
+                prev_s2 = bx + 1 - n
+            elif bx == 1 and by > 1:        # left sweep moves up
+                prev_s2 = 2 - by
+            elif bx == m and by < n:        # right sweep moves down
+                prev_s2 = m - by - 1
             else:
                 continue
-            if (prev[0] - prev[1]) in s2_set_values:
+            if (prev_s2 - (i - j)) % 5 == 0:
                 plan.extra_delay[idx] = 1
 
         # Designated retransmitters around the source.
-        repeats: Dict[int, Tuple[int, ...]] = {}
-        for coord in ((i + 1, j - 1), (i - 1, j + 1)):
-            if topology.contains(coord):
-                repeats[topology.index(coord)] = (1,)
-        plan.repeat_offsets = repeats
+        retransmitters = [c for c in ((i + 1, j - 1), (i - 1, j + 1))
+                          if topology.contains(c)]
+        plan.repeat_offsets = {(cx - 1) + (cy - 1) * m: (1,)
+                               for cx, cy in retransmitters}
         plan.notes = {
             "source": (i, j),
             "s1_value": i + j,
             "s2_values": s2_values,
             "border_continuation": border,
-            "retransmitters": [c for c in ((i + 1, j - 1), (i - 1, j + 1))
-                               if topology.contains(c)],
+            "retransmitters": retransmitters,
         }
         return plan

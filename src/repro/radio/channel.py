@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -152,6 +152,27 @@ class SlotKernel:
                  - np.repeat(indptr[:-1], degrees)] = kernel._indices
             return rows
         return self.derived("padded_rows", build)
+
+    def padded_positions(self) -> np.ndarray:
+        """``(n, max_degree)`` CSR data positions of each node's edges,
+        aligned with :meth:`padded_rows` and padded with 0."""
+        def build(kernel: "SlotKernel") -> np.ndarray:
+            # A node's k-th neighbour sits at CSR position indptr[v] + k.
+            return np.where(
+                kernel.padded_rows() < kernel.num_nodes,
+                kernel._indptr[:-1, None] + np.arange(kernel.max_degree),
+                0)
+        return self.derived("padded_positions", build)
+
+    def neighbour_lists(self) -> List[Tuple[int, ...]]:
+        """Each node's neighbours as a sorted tuple of ints: the table
+        the compiler's fix planner walks in plain Python."""
+        def build(kernel: "SlotKernel") -> List[Tuple[int, ...]]:
+            indptr = kernel._indptr.tolist()
+            indices = kernel._indices.tolist()
+            return [tuple(sorted(indices[indptr[v]:indptr[v + 1]]))
+                    for v in range(kernel.num_nodes)]
+        return self.derived("neighbour_lists", build)
 
     def neighbour_words(self) -> np.ndarray:
         """Lazily built ``(n, ceil(n/64))`` packed neighbour table of

@@ -288,17 +288,12 @@ class BatchRecoveryState:
         self._key_order = np.argsort(keys, kind="stable")
         self._keys_sorted = keys[self._key_order]
         nnz = len(indices)
-        maxdeg = int(degrees.max()) if n else 0
-        # Padded per-node tables: edge positions, neighbour ids (pad = n,
-        # a sentinel larger than any real node), and a validity mask.
-        self._P = np.zeros((n, maxdeg), dtype=np.int64)
-        self._N = np.full((n, maxdeg), n, dtype=np.int64)
-        self._V = np.zeros((n, maxdeg), dtype=bool)
-        for v in range(n):
-            s, e = int(indptr[v]), int(indptr[v + 1])
-            self._P[v, :e - s] = np.arange(s, e)
-            self._N[v, :e - s] = indices[s:e]
-            self._V[v, :e - s] = True
+        # Padded per-node tables, shared with the slot kernel (read
+        # only): edge positions, neighbour ids (pad = n, a sentinel
+        # larger than any real node), and a validity mask.
+        self._P = kernel.padded_positions()
+        self._N = kernel.padded_rows()
+        self._V = self._N < n
         self._relay_ext = np.append(self.relay_like, False)
         self.known = np.zeros((trials, nnz), dtype=bool)
         self.heard_total = np.zeros((trials, n), dtype=np.int64)

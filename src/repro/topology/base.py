@@ -145,18 +145,6 @@ class Topology(abc.ABC):
         return _graph.build_adjacency(self)
 
     @cached_property
-    def neighbor_sets(self) -> Sequence[frozenset]:
-        """Per-node neighbour sets (lazy, cached).
-
-        The schedule compiler's working representation.  Backed by CSR
-        slices and materialised per node on first access
-        (:class:`~repro.topology.graph.LazyNeighborSets`): the compiler's
-        fix planner only inspects border/collision neighbourhoods, so a
-        large grid never pays the O(n) set-construction cost up front.
-        """
-        return _graph.LazyNeighborSets(self.adjacency)
-
-    @cached_property
     def slot_kernel(self):
         """Batched per-slot collision kernel bound to this adjacency.
 

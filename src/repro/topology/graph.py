@@ -96,40 +96,6 @@ def build_adjacency_loop(topology: "Topology") -> sparse.csr_matrix:
     return adj
 
 
-class LazyNeighborSets(Sequence):
-    """CSR-slice-backed per-node neighbour sets, built on first access.
-
-    The schedule compiler only touches the neighbourhoods of unreached /
-    border / collision nodes when planning fixes, so eagerly freezing all
-    n sets up front (the previous ``neighbor_sets`` implementation) paid
-    an O(n) python pass per topology that large grids never amortise.
-    This sequence materialises ``frozenset`` views lazily and memoises
-    them per node; fully-indexed it is element-for-element identical to
-    the eager list.
-    """
-
-    __slots__ = ("_indptr", "_indices", "_cache")
-
-    def __init__(self, adj: sparse.csr_matrix) -> None:
-        self._indptr = adj.indptr
-        self._indices = adj.indices
-        self._cache: list = [None] * (len(adj.indptr) - 1)
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, v):
-        if isinstance(v, slice):
-            return [self[i] for i in range(*v.indices(len(self)))]
-        got = self._cache[v]          # list indexing handles bounds/negatives
-        if got is None:
-            v %= len(self._cache)
-            got = frozenset(
-                self._indices[self._indptr[v]:self._indptr[v + 1]].tolist())
-            self._cache[v] = got
-        return got
-
-
 def bfs_distances(adj: sparse.csr_matrix, source: int) -> np.ndarray:
     """Hop distances from *source* to every node; ``-1`` where unreachable.
 

@@ -66,14 +66,16 @@ def lee_cover_gaps(m: int, n: int, seed: Coord2D) -> Set[Coord2D]:
     exactly the nodes for which the paper adds "additional relay nodes in
     the border" (the gray nodes of Fig. 9).
     """
-    mask = lee_mask(m, n, seed)
+    return set(uncovered_nodes(lee_mask(m, n, seed)))
+
+
+def uncovered_nodes(mask: np.ndarray) -> List[Coord2D]:
+    """Sorted ``(x, y)`` nodes of an ``(n, m)`` grid that no Lee sphere
+    centred on a point of *mask* (row y-1, col x-1) covers."""
     covered = mask.copy()
     covered[1:, :] |= mask[:-1, :]
     covered[:-1, :] |= mask[1:, :]
     covered[:, 1:] |= mask[:, :-1]
     covered[:, :-1] |= mask[:, 1:]
-    gaps = set()
-    ys, xs = np.nonzero(~covered)
-    for y, x in zip(ys, xs):
-        gaps.add((int(x) + 1, int(y) + 1))
-    return gaps
+    xs, ys = np.nonzero(~covered.T)
+    return list(zip((xs + 1).tolist(), (ys + 1).tolist()))

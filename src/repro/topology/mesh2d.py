@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -77,9 +78,16 @@ class _Mesh2DBase(Topology):
     # -- large-grid fast path -------------------------------------------
 
     def _grid_xy(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-node 1-based coordinate arrays ``(x, y)`` in index order."""
+        """Per-node 1-based coordinate arrays ``(x, y)`` in index order
+        (built once per topology, read-only)."""
+        return self._grid
+
+    @cached_property
+    def _grid(self) -> Tuple[np.ndarray, np.ndarray]:
         idx = np.arange(self.num_nodes, dtype=np.int64)
-        return idx % self.m + 1, idx // self.m + 1
+        x, y = idx % self.m + 1, idx // self.m + 1
+        x.flags.writeable = y.flags.writeable = False
+        return x, y
 
     def _stencil_offsets(self, x: np.ndarray, y: np.ndarray) -> List[tuple]:
         """``(dx, dy)`` pairs of the lattice stencil; each component is an

@@ -91,38 +91,24 @@ class TestDiameter:
             assert ecc[v] == expected[v]
 
 
-class TestLazyNeighborSets:
-    def test_equals_eager_sets(self):
+class TestNeighbourLists:
+    """The slot kernel's sorted neighbour table (the fix planner's)."""
+
+    def test_equals_adjacency_rows(self):
         mesh = Mesh2D3(6, 5)
-        lazy = G.LazyNeighborSets(mesh.adjacency)
-        assert len(lazy) == mesh.num_nodes
+        table = mesh.slot_kernel.neighbour_lists()
+        assert len(table) == mesh.num_nodes
         for v in range(mesh.num_nodes):
-            assert lazy[v] == frozenset(mesh.neighbor_indices(v).tolist())
+            assert table[v] == tuple(sorted(
+                mesh.neighbor_indices(v).tolist()))
+            assert all(type(u) is int for u in table[v])
 
-    def test_materialises_on_demand(self):
-        mesh = Mesh2D4(8, 8)
-        lazy = G.LazyNeighborSets(mesh.adjacency)
-        assert lazy._cache.count(None) == 64
-        s = lazy[10]
-        assert isinstance(s, frozenset)
-        assert lazy._cache.count(None) == 63
-        assert lazy[10] is s  # memoised
-
-    def test_sequence_protocol(self):
-        mesh = Mesh2D4(3, 3)
-        lazy = G.LazyNeighborSets(mesh.adjacency)
-        assert lazy[-1] == lazy[8]
-        assert lazy[2:5] == [lazy[2], lazy[3], lazy[4]]
-        assert list(lazy) == [lazy[v] for v in range(9)]
-        assert lazy[0] in lazy  # collections.abc.Sequence __contains__
-        with pytest.raises(IndexError):
-            lazy[9]
-
-    def test_topology_accessor_is_lazy_and_cached(self):
+    def test_table_is_built_once(self):
         mesh = Mesh2D8(4, 4)
-        sets = mesh.neighbor_sets
-        assert isinstance(sets, G.LazyNeighborSets)
-        assert mesh.neighbor_sets is sets
+        kernel = mesh.slot_kernel
+        table = kernel.neighbour_lists()
+        assert kernel.neighbour_lists() is table
+        assert kernel._derived["neighbour_lists"] is table
 
 
 class TestKernels:

@@ -13,9 +13,11 @@ import pytest
 from repro.analysis import harden_plan
 from repro.core import protocol_for
 from repro.radio import CounterBernoulliLoss
-from repro.sim import (RecoveryPolicy, replay, run_reactive,
-                       relay_like_from_schedule, relay_like_mask)
-from repro.topology import Mesh2D4, Mesh2D8
+from repro.sim import (BatchRecoveryState, RecoveryPolicy, replay,
+                       run_reactive, relay_like_from_schedule,
+                       relay_like_mask)
+from repro.topology import (Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6,
+                            RandomDiskTopology)
 
 
 @pytest.fixture
@@ -226,3 +228,31 @@ class TestReplayRecovery:
                      recovery=RecoveryPolicy(max_retries=0, election=False))
         assert rec.rx_events == base.rx_events
         assert (rec.first_rx == base.first_rx).all()
+
+
+class TestBatchRecoveryTables:
+    """The dense tier's padded per-node tables come from the slot
+    kernel's shared padded rows and positions."""
+
+    @pytest.mark.parametrize("topology", [
+        Mesh2D4(12, 8), Mesh2D8(5, 4), Mesh2D3(7, 5), Mesh3D6(3, 4, 2),
+        RandomDiskTopology(40, 6.0, 6.0, 1.6, seed=3)],
+        ids=lambda t: type(t).__name__)
+    def test_tables_equal_per_node_construction(self, topology):
+        n = topology.num_nodes
+        state = BatchRecoveryState(topology, RecoveryPolicy(),
+                                   np.zeros(n, dtype=bool), trials=2)
+        indptr = topology.adjacency.indptr
+        indices = topology.adjacency.indices
+        maxdeg = int(np.diff(indptr).max())
+        P = np.zeros((n, maxdeg), dtype=np.int64)
+        N = np.full((n, maxdeg), n, dtype=np.int64)
+        V = np.zeros((n, maxdeg), dtype=bool)
+        for v in range(n):
+            s, e = int(indptr[v]), int(indptr[v + 1])
+            P[v, :e - s] = np.arange(s, e)
+            N[v, :e - s] = indices[s:e]
+            V[v, :e - s] = True
+        for got, want in ((state._P, P), (state._N, N), (state._V, V)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)

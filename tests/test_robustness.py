@@ -5,10 +5,15 @@ import pytest
 
 from repro.analysis import (failure_degradation, harden_plan,
                             loss_degradation, recovery_frontier)
-from repro.analysis.robustness import RobustnessPoint, _chunk, _fan_out
+from repro.analysis.robustness import (DEFAULT_RECOVERY_POLICIES,
+                                       RobustnessPoint, _chunk,
+                                       _failure_dead_masks, _fan_out,
+                                       _frontier_seeds)
 from repro.core import protocol_for
-from repro.radio import CounterBernoulliLoss, trial_seeds
-from repro.sim import RecoveryPolicy
+from repro.radio import BernoulliBatchLoss, CounterBernoulliLoss, trial_seeds
+from repro.radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
+                                PAPER_SPACING_M)
+from repro.sim import RecoveryPolicy, run_reactive_batch
 from repro.topology import Mesh2D4
 
 
@@ -350,3 +355,42 @@ class TestRecoveryFrontier:
         assert row["strategy"] == "blind-r1"
         assert row["loss_rate"] == 0.1
         assert isinstance(row["pareto"], bool)
+
+    @pytest.mark.parametrize("failures", [0, 3])
+    def test_points_equal_per_strategy_recomputation(self, mesh, failures):
+        """The cell's one-pass ``(strategies, trials)`` reduction equals
+        each strategy's statistics recomputed alone from 1-D arrays."""
+        p, trials, seed = 0.2, 6, 3
+        points = self.frontier(mesh, failure_counts=[failures],
+                               trials=trials, seed=seed)
+        base = protocol_for(mesh).relay_plan(mesh, (6, 4))
+        strategies = ([(harden_plan(base, r), None) for r in range(4)]
+                      + [(base, pol) for pol in DEFAULT_RECOVERY_POLICIES])
+        assert len(points) == len(strategies)
+        src = mesh.index((6, 4))
+        seeds = _frontier_seeds(seed, p, failures, trials)
+        dead = (_failure_dead_masks(mesh, failures, trials, seed, src)
+                if failures else None)
+        e_tx = PAPER_RADIO_MODEL.tx_energy(PAPER_PACKET_BITS,
+                                           PAPER_SPACING_M)
+        e_rx = PAPER_RADIO_MODEL.rx_energy(PAPER_PACKET_BITS)
+        for point, (plan, policy) in zip(points, strategies):
+            s = run_reactive_batch(
+                mesh, src, plan.relay_mask, extra_delay=plan.extra_delay,
+                repeat_offsets=plan.repeat_offsets, dead_masks=dead,
+                loss=BernoulliBatchLoss(p, seeds), trials=trials,
+                summary=True, recovery=policy)
+            reach = (s.live_reachability(dead) if dead is not None
+                     else s.reachability)
+            tx = np.asarray(s.num_tx, dtype=float)
+            rx = np.asarray(s.num_rx, dtype=float)
+            p5, p50 = np.percentile(reach, [5, 50])
+            assert point.trials == trials
+            assert point.mean_reachability == float(np.mean(reach))
+            assert point.min_reachability == float(np.min(reach))
+            assert point.std_reach == float(np.std(reach))
+            assert (point.p5_reach, point.p50_reach) == (p5, p50)
+            assert point.mean_tx == float(np.mean(tx))
+            assert point.mean_rx == float(np.mean(rx))
+            assert point.mean_energy_j == float(
+                np.mean(tx * e_tx + rx * e_rx))

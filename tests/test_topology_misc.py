@@ -111,17 +111,17 @@ class TestRandomDisk:
 
 
 class TestTopologyMemoisation:
-    def test_neighbor_sets_match_adjacency(self):
+    def test_neighbour_lists_match_adjacency(self):
         from repro.topology import Mesh2D4
         mesh = Mesh2D4(5, 4)
-        sets = mesh.neighbor_sets
+        table = mesh.slot_kernel.neighbour_lists()
         adj = mesh.adjacency
         for v in range(mesh.num_nodes):
-            expected = frozenset(
-                int(u) for u in adj.indices[adj.indptr[v]:adj.indptr[v + 1]])
-            assert sets[v] == expected
-        # cached_property: the same object comes back.
-        assert mesh.neighbor_sets is sets
+            expected = tuple(sorted(
+                int(u) for u in adj.indices[adj.indptr[v]:adj.indptr[v + 1]]))
+            assert table[v] == expected
+        # Built once per topology: the same object comes back.
+        assert mesh.slot_kernel.neighbour_lists() is table
 
     def test_slot_kernel_cached(self):
         from repro.topology import Mesh2D4
