@@ -6,14 +6,21 @@ paper's named examples (4,7), (5,10), (7,6), (8,9), plus the border nodes
 the Lee tiling misses (the paper's gray two-slot-delayed border relays).
 """
 
+import numpy as np
 from conftest import emit
 
 from repro.core import protocol_for
 from repro.topology import Mesh3D6
-from repro.topology.lee import lee_cover_gaps, lee_points
+from repro.topology.lee import lee_mask, uncovered_nodes
 from repro.viz import relay_map, summary_block
 
 PAPER_ZRELAY_EXAMPLES = [(4, 7), (5, 10), (7, 6), (8, 9)]
+
+
+def lee_points(m, n, seed):
+    """The R5 lattice points of the ``m x n`` plane, as ``(x, y)``."""
+    ys, xs = np.nonzero(lee_mask(m, n, seed))
+    return set(zip((xs + 1).tolist(), (ys + 1).tolist()))
 
 
 def lattice_map(m, n, seed, gaps):
@@ -33,7 +40,7 @@ def test_figure9_regenerates(benchmark):
     proto = protocol_for(mesh)
     compiled = benchmark(lambda: proto.compile(mesh, (6, 8, 2)))
 
-    gaps = lee_cover_gaps(16, 16, (6, 8))
+    gaps = set(uncovered_nodes(lee_mask(16, 16, (6, 8))))
     text = "\n\n".join([
         summary_block(mesh, compiled),
         lattice_map(16, 16, (6, 8), gaps),
@@ -42,7 +49,7 @@ def test_figure9_regenerates(benchmark):
     emit("figure9_zrelay", text)
 
     assert compiled.reached_all
-    pts = set(lee_points(16, 16, (6, 8)))
+    pts = lee_points(16, 16, (6, 8))
     for xy in PAPER_ZRELAY_EXAMPLES:
         assert xy in pts
     assert (6, 8) in pts  # "let the source be a z-relay node"

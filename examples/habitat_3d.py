@@ -18,7 +18,7 @@ Run:  python examples/habitat_3d.py
 
 from repro import compute_metrics, make_topology, protocol_for
 from repro.analysis import render_table
-from repro.topology.lee import lee_cover_gaps, lee_points
+from repro.topology.lee import lee_count, lee_mask, uncovered_nodes
 from repro.viz import wave_map
 
 
@@ -36,9 +36,9 @@ def main() -> None:
           f"delay {metrics.delay_slots} slots")
 
     # --- dissect the two-part structure --------------------------------
-    zcols = lee_points(8, 8, (4, 4))
-    gaps = lee_cover_gaps(8, 8, (4, 4))
-    print(f"\nz-relay columns per plane (R5 lattice): {len(zcols)}")
+    zcols = lee_count(8, 8, (4, 4))
+    gaps = uncovered_nodes(lee_mask(8, 8, (4, 4)))
+    print(f"\nz-relay columns per plane (R5 lattice): {zcols}")
     print(f"Lee-tiling border gaps per plane        : {len(gaps)}")
     print(f"completion relays the compiler added    : "
           f"{len(compiled.completions)} (the paper's gray border nodes)")

@@ -29,7 +29,7 @@ from .mesh3d6 import Mesh3D6Protocol
 from .registry import PROTOCOL_CLASSES, protocol_for
 from .symmetry import (ClassMemberResult, compile_class, compile_classes,
                        group_sources, sweep_compile)
-from .regions import RegionPartition, base_nodes, partition
+from .regions import base_nodes
 from .validate import ScheduleError, ValidationReport, validate_broadcast
 
 __all__ = [
@@ -59,9 +59,7 @@ __all__ = [
     "Mesh3D6Protocol",
     "PROTOCOL_CLASSES",
     "protocol_for",
-    "RegionPartition",
     "base_nodes",
-    "partition",
     "OPTIMAL_ETR",
     "optimal_etr",
     "optimal_etr_fraction",

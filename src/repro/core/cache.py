@@ -401,7 +401,7 @@ class ScheduleCache:
             self.store.put,
             topology, protocol.name, compiled.source,
             completion=completion, repair=repair,
-            schedule=compiled.schedule,
+            schedule=compiled.trace.tx,
             counts=trace_counts(compiled.trace),
             completions=compiled.completions,
             repairs=compiled.repairs, rounds=compiled.rounds)

@@ -245,9 +245,7 @@ def _plan_fixes(
 
     # Per-slot transmitter sets: the executed trace plus pending forced,
     # and this round's additions as they are made.
-    busy: Dict[int, Set[int]] = {}
-    for slot, v in trace.tx_events:
-        busy.setdefault(slot, set()).add(v)
+    busy = trace.slot_sets()
     for slot, nodes in forced.items():
         busy.setdefault(slot, set()).update(nodes)
     ever_tx: Set[int] = set()

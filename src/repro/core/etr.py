@@ -82,7 +82,7 @@ def trace_etrs(topology: Topology,
     """
     out: List[Tuple[int, int, Fraction]] = []
     first_rx = trace.first_rx
-    for slot, v in trace.tx_events:
+    for slot, v in trace.tx.tolist():
         informed = {int(u) for u in np.nonzero(
             (first_rx >= 0) & (first_rx < slot))[0]}
         out.append((slot, v, transmission_etr(topology, v, informed)))

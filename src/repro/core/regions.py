@@ -20,35 +20,10 @@ two families never fight over the same territory (rules R1-R4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from ..topology.coords import Coord2D
 from ..topology.mesh2d import Mesh2D3
-
-
-@dataclass(frozen=True)
-class RegionPartition:
-    """The base nodes and region predicates for a 2D-3 source."""
-
-    source: Coord2D
-    base_a: Coord2D
-    base_b: Coord2D
-
-    def region_of(self, coord: Coord2D) -> int:
-        """Region number (1, 2 or 3) of *coord*.
-
-        Region 2 is checked first, then region 3, mirroring the paper's
-        "Otherwise, if ... Otherwise region 1" phrasing.
-        """
-        x, y = coord
-        ia, ja = self.base_a
-        ib, jb = self.base_b
-        if x + y <= ia + ja and x - y >= ia - ja:
-            return 2
-        if x + y >= ib + jb and x - y <= ib - jb:
-            return 3
-        return 1
 
 
 def base_nodes(mesh: Mesh2D3, source: Coord2D) -> Tuple[Coord2D, Coord2D]:
@@ -64,11 +39,3 @@ def base_nodes(mesh: Mesh2D3, source: Coord2D) -> Tuple[Coord2D, Coord2D]:
     if down_is_neighbor:
         return ((i, j - 2), (i, j + 1))
     return ((i, j - 1), (i, j + 2))
-
-
-def partition(mesh: Mesh2D3, source: Coord2D) -> RegionPartition:
-    """Build the :class:`RegionPartition` for *source*."""
-    if not mesh.contains(source):
-        raise ValueError(f"source {source} not in {mesh!r}")
-    a, b = base_nodes(mesh, source)
-    return RegionPartition(source=tuple(source), base_a=a, base_b=b)

@@ -104,6 +104,7 @@ def trace_counts(trace) -> Dict[str, object]:
     performs, so metrics rebuilt from these counts are field-for-field
     equal to the direct-compile metrics under any radio model.
     """
+    tx_count = trace.tx_count_per_node()
     return {
         "tx": int(trace.num_tx),
         "rx": int(trace.num_rx),
@@ -111,8 +112,8 @@ def trace_counts(trace) -> Dict[str, object]:
         "collisions": int(trace.num_collisions),
         "delay_slots": int(trace.delay_slots),
         "reachability": float(trace.reachability),
-        "relays": len({v for _, v in trace.tx_events}),
-        "retransmitters": len(trace.retransmitting_nodes()),
+        "relays": int((tx_count > 0).sum()),
+        "retransmitters": int((tx_count > 1).sum()),
     }
 
 
@@ -273,12 +274,17 @@ class ArtifactStore:
     def put(self, topology: Topology, protocol_name: str,
             source_index: int, *, completion: bool = True,
             repair: bool = True,
-            schedule: Optional[BroadcastSchedule] = None,
+            schedule: Optional[np.ndarray] = None,
             counts: Optional[Dict[str, object]] = None,
             completions: Sequence[Tuple[int, int]] = (),
             repairs: Sequence[Tuple[int, int]] = (),
             rounds: int = 0) -> None:
-        """Publish one entry (idempotent; first writer wins)."""
+        """Publish one entry (idempotent; first writer wins).
+
+        *schedule* is the ``(k, 2)`` int64 ``(slot, node)`` rows of the
+        entry's schedule in :meth:`BroadcastSchedule.to_arrays` order:
+        a compiled trace's ``tx`` rows.
+        """
         meta = {
             "source_index": int(source_index),
             "rounds": int(rounds),
@@ -290,10 +296,9 @@ class ArtifactStore:
         }
         payload = b""
         if schedule is not None:
-            slots, nodes = schedule.to_arrays()
-            meta["ntx"] = int(slots.shape[0])
-            payload = (slots.astype("<i8").tobytes()
-                       + nodes.astype("<i8").tobytes())
+            meta["ntx"] = len(schedule)
+            # The slots, then the nodes.
+            payload = schedule.T.astype("<i8").tobytes()
         self._publish(topology.fingerprint, protocol_name, completion,
                       repair, [("entries", entry_key(source_index), meta,
                                 payload)])

@@ -48,10 +48,11 @@ def validate_broadcast(topology: Topology, schedule: BroadcastSchedule,
     trace = replay(topology, schedule, source)
 
     # causality: a transmission in slot s requires first_rx < s.
-    for slot, node in trace.tx_events:
-        if node == source:
-            continue
-        fr = int(trace.first_rx[node])
+    slots, nodes = trace.tx[:, 0], trace.tx[:, 1]
+    first = trace.first_rx[nodes]
+    late = (nodes != source) & ((first < 0) | (first >= slots))
+    for slot, node, fr in zip(slots[late].tolist(), nodes[late].tolist(),
+                              first[late].tolist()):
         if fr < 0:
             issues.append(
                 f"node {topology.coord(node)} transmits in slot {slot} "

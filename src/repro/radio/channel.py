@@ -95,6 +95,9 @@ class SlotKernel:
 
     def __init__(self, adjacency: sparse.csr_matrix) -> None:
         adjacency = adjacency.tocsr()
+        if not adjacency.has_sorted_indices:
+            # Every table below walks rows in ascending node order.
+            adjacency = adjacency.sorted_indices()
         self.num_nodes = int(adjacency.shape[0])
         self._indptr = adjacency.indptr.astype(np.int64)
         self._indices = adjacency.indices.astype(np.int64)
@@ -170,8 +173,8 @@ class SlotKernel:
         def build(kernel: "SlotKernel") -> List[Tuple[int, ...]]:
             indptr = kernel._indptr.tolist()
             indices = kernel._indices.tolist()
-            return [tuple(sorted(indices[indptr[v]:indptr[v + 1]]))
-                    for v in range(kernel.num_nodes)]
+            return [tuple(indices[a:b])
+                    for a, b in zip(indptr, indptr[1:])]
         return self.derived("neighbour_lists", build)
 
     def neighbour_words(self) -> np.ndarray:

@@ -45,15 +45,16 @@ trace-for-trace identical to a serial run with the same per-trial seed;
 the differential suite pins that down.  The serial engine stays as the
 schedule compiler's wave and as that oracle.  Aggregate consumers pass
 ``summary=True`` to get a :class:`~repro.sim.summary.TraceSummary`
-(first_rx / tx / rx counts / collisions only) and skip per-event tuple
-materialisation entirely.
+(first_rx / tx / rx counts / collisions only) and skip the per-event
+logs entirely.
 
 Both produce a full :class:`~repro.sim.trace.BroadcastTrace` under the
 collision model of :mod:`repro.radio.channel`.  Every slot is resolved
 by the vectorised :class:`~repro.radio.channel.SlotKernel`, and events
-accumulate into preallocated, geometrically grown numpy buffers.  The
-unoptimised oracle lives in :mod:`repro.sim.reference`; the differential
-test-suite proves the two produce identical traces.
+accumulate into preallocated, geometrically grown numpy buffers whose
+rows become the trace's columns.  The unoptimised oracle lives in
+:mod:`repro.sim.reference`; the differential test-suite proves the two
+produce identical traces.
 """
 
 from __future__ import annotations
@@ -159,10 +160,9 @@ def _delays(extra_delay: Optional[np.ndarray], shape: Tuple[int, ...],
 class _EventLog:
     """Preallocated, geometrically grown (slot, ...) event buffer.
 
-    Events land in int64 numpy rows during the simulation; the python
-    tuple lists of :class:`BroadcastTrace` are materialised once at the
-    end (``tolist`` converts at C speed), so the hot loop never performs
-    per-event list appends.
+    Events land in int64 numpy rows during the simulation, so the hot
+    loop never performs per-event list appends, and the rows become the
+    columns of the :class:`BroadcastTrace`.
     """
 
     __slots__ = ("_buf", "_len")
@@ -188,11 +188,8 @@ class _EventLog:
         self._len = need
 
     def rows(self) -> np.ndarray:
-        """The logged ``(k, columns)`` rows."""
+        """The logged ``(k, columns)`` rows (a view of the buffer)."""
         return self._buf[:self._len]
-
-    def tuples(self) -> List[tuple]:
-        return list(zip(*self.rows().T.tolist()))
 
 
 def run_reactive(
@@ -391,8 +388,8 @@ def _wave(topology: Topology, source: int,
                       alive_mask=alive_mask, loss=loss, recovery=rec)
     return BroadcastTrace(
         num_nodes=n, source=source, first_rx=first_rx,
-        tx_events=tx_log.tuples(), rx_events=rx_log.tuples(),
-        collision_events=coll_log.tuples(), dropped_forced=dropped_forced)
+        tx=tx_log.rows().copy(), rx=rx_log.rows().copy(),
+        collisions=coll_log.rows().copy(), dropped_forced=dropped_forced)
 
 
 def sorted_unique_pairs(tr: np.ndarray, nd: np.ndarray, num_nodes: int
@@ -464,16 +461,14 @@ def _forced_schedule(forced_rows: Sequence[Union[_Forced,
     cut-off are removed, since the serial engine would neither execute
     nor record them.
     """
-    rows = [_forced_pairs(f, num_nodes) for f in forced_rows]
-    cuts = [bound if max_slots is None else max_slots for *_, bound in rows]
-    # Each row is slot-sorted, so its cut keeps a prefix.
-    kept = [np.searchsorted(slots, cut, side="right")
-            for (slots, *_), cut in zip(rows, cuts)]
-    if len(rows) == 1:
-        (slots, nodes, _), k = rows[0], kept[0]
+    if len(forced_rows) == 1:
+        slots, nodes, bound = _forced_pairs(forced_rows[0], num_nodes)
+        cut = bound if max_slots is None else max_slots
+        limit = np.full(trials, cut, dtype=np.int64)
+        # The row is slot-sorted, so its cut keeps a prefix.
+        k = np.searchsorted(slots, cut, side="right")
         if not k:
-            return (([], [0], _EMPTY, _EMPTY),
-                    np.full(trials, cuts[0], dtype=np.int64))
+            return ([], [0], _EMPTY, _EMPTY), limit
         distinct, ptr = _slot_runs(slots[:k])
         starts = np.array(ptr[:-1], dtype=np.int64)
         counts = np.diff(ptr)
@@ -485,17 +480,53 @@ def _forced_schedule(forced_rows: Sequence[Union[_Forced,
         at = np.repeat(np.repeat(starts, trials) - start, seg)
         at += np.arange(len(at), dtype=np.int64)
         tr = np.repeat(np.arange(len(seg), dtype=np.int64) % trials, seg)
-        return ((distinct, [p * trials for p in ptr], tr, nodes[at]),
-                np.full(trials, cuts[0], dtype=np.int64))
-    # Per-trial rows: one stable sort of all pairs by (slot, trial,
-    # node).
-    slots = np.concatenate([s[:k] for (s, *_), k in zip(rows, kept)])
-    nodes = np.concatenate([v[:k] for (_, v, _), k in zip(rows, kept)])
-    tr = np.repeat(np.arange(len(rows), dtype=np.int64), kept)
-    order = np.lexsort((nodes, tr, slots))
-    slots, tr, nodes = slots[order], tr[order], nodes[order]
-    return ((*_slot_runs(slots), tr, nodes),
-            np.array(cuts, dtype=np.int64))
+        return (distinct, [p * trials for p in ptr], tr, nodes[at]), limit
+    # Per-trial rows, in one pass: every trial's pairs in flat lists,
+    # one bounds check, one cut-off filter and one sort by (slot,
+    # trial, node).  The checks raise what _forced_pairs would raise
+    # for the first faulty trial.
+    rows = [f._slots if isinstance(f, BroadcastSchedule) else (f or {})
+            for f in forced_rows]
+    sl: List[int] = []
+    tr: List[int] = []
+    nd: List[int] = []
+    for b, row in enumerate(rows):
+        for slot, vs in row.items():
+            k = len(nd)
+            nd.extend(vs)
+            sl.extend([slot] * (len(nd) - k))
+            tr.extend([b] * (len(nd) - k))
+    slots = np.array(sl, dtype=np.int64)
+    trial = np.array(tr, dtype=np.int64)
+    nodes = np.array(nd, dtype=np.int64)
+    early = [b for b, row in enumerate(rows) if row and min(row) < 1]
+    # Negative nodes wrap to huge unsigned ones: one compare checks both
+    # ends.
+    wild = np.flatnonzero(nodes.view(np.uint64) >= num_nodes)
+    if early and (not len(wild) or early[0] <= trial[wild[0]]):
+        raise ValueError(f"forced slots are 1-based, got "
+                         f"{min(rows[early[0]])}")
+    if len(wild):
+        raise ValueError(f"node index {nodes[wild[0]]} out of range "
+                         f"[0, {num_nodes})")
+    if max_slots is None:
+        last = np.array([max(row, default=0) for row in rows],
+                        dtype=np.int64)
+        limit = np.maximum(4 * num_nodes + 16, last + 2)
+    else:
+        limit = np.full(trials, max_slots, dtype=np.int64)
+        keep = slots <= max_slots
+        slots, trial, nodes = slots[keep], trial[keep], nodes[keep]
+    order = np.lexsort((nodes, trial, slots))
+    slots, trial, nodes = slots[order], trial[order], nodes[order]
+    if len(nodes) > 1:
+        fresh = np.empty(len(nodes), dtype=bool)
+        fresh[0] = True
+        np.not_equal(nodes[1:], nodes[:-1], out=fresh[1:])
+        fresh[1:] |= trial[1:] != trial[:-1]
+        fresh[1:] |= slots[1:] != slots[:-1]
+        slots, trial, nodes = slots[fresh], trial[fresh], nodes[fresh]
+    return (*_slot_runs(slots), trial, nodes), limit
 
 
 def _resolve_trials(trials: Optional[int],
@@ -693,35 +724,30 @@ class _BatchState:
                         zip(logs, ((0, 2), (0, 2, 3), (0, 2))))
         return [BroadcastTrace(
                     num_nodes=self.n, source=int(self.sources[b]),
-                    first_rx=self.first_rx[b].copy(),
-                    tx_events=tx[b], rx_events=rx[b],
-                    collision_events=coll[b],
-                    dropped_forced=self.dropped_forced[b])
+                    first_rx=self.first_rx[b].copy(), tx=tx[b], rx=rx[b],
+                    collisions=coll[b], dropped_forced=self.dropped_forced[b])
                 for b in range(self.trials)]
 
     def _by_trial(self, rows: np.ndarray, columns: Tuple[int, ...]
-                  ) -> List[List[tuple]]:
-        """Split ``(slot, trial, ...)`` event *rows* into per-trial
-        event lists of *columns*, in one stable pass.
+                  ) -> List[np.ndarray]:
+        """Split ``(slot, trial, ...)`` event *rows* into per-trial rows
+        of *columns*, each its own copy (a cached trace never pins the
+        batch's log).
 
         Rows were appended slot by slot in (trial, node) order, so a
         stable sort on the trial column keeps exactly the serial
         engine's chronological, node-sorted order within each trial.
         """
+        columns = np.array(columns)
         if self.trials == 1:
-            # One trial needs no split: this saves about a tenth of a
-            # small-lattice B=1 trace run.
-            return [list(zip(*rows[:, columns].T.tolist()))]
+            return [rows[:, columns]]
         order = np.argsort(rows[:, 1], kind="stable")
         cuts = np.zeros(self.trials + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[:, 1], minlength=self.trials),
                   out=cuts[1:])
+        picked = rows[order[:, None], columns]
         cuts = cuts.tolist()
-        # (columns, events) in trial order; zipping a trial's column
-        # lists builds its tuples without the per-row lists a 2-D
-        # tolist() makes.
-        cols = rows[order[None, :], np.array(columns)[:, None]]
-        return [list(zip(*cols[:, cuts[b]:cuts[b + 1]].tolist()))
+        return [picked[cuts[b]:cuts[b + 1]].copy()
                 for b in range(self.trials)]
 
 
@@ -915,7 +941,7 @@ def _run_reactive_batch_impl(
     (which must agree).  With ``summary=False`` the result is a list of B
     :class:`~repro.sim.trace.BroadcastTrace`; with ``summary=True`` a
     :class:`~repro.sim.summary.TraceSummary` holding only the aggregate
-    arrays (no per-event tuples are materialised).
+    arrays (no per-event rows are logged).
 
     *engine* selects the slot-resolve tier (see :mod:`repro.sim.
     backend`): ``"batch"`` (dense, default), ``"compiled"``, or

@@ -132,6 +132,7 @@ def compute_metrics(
     )
     if count_collided_rx_energy:
         energy += trace.num_collisions * model.rx_energy(packet_bits)
+    tx_count = trace.tx_count_per_node()
     return BroadcastMetrics(
         topology=topology.name,
         num_nodes=trace.num_nodes,
@@ -143,6 +144,6 @@ def compute_metrics(
         energy_j=energy,
         delay_slots=trace.delay_slots,
         reachability=trace.reachability,
-        relay_count=len({v for _, v in trace.tx_events}),
-        retransmit_count=len(trace.retransmitting_nodes()),
+        relay_count=int((tx_count > 0).sum()),
+        retransmit_count=int((tx_count > 1).sum()),
     )

@@ -18,6 +18,7 @@ different experiments rather than two implementations.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -118,13 +119,24 @@ class ReferenceSimulator:
         return candidates
 
     @staticmethod
-    def _fresh_trace(n: int, source: int, nodes) -> BroadcastTrace:
+    def _fresh_trace(n: int, source: int, nodes) -> SimpleNamespace:
+        """The event lists a run appends to; :meth:`_finish` turns them
+        into its :class:`BroadcastTrace`."""
         nodes[source].mark_source()
-        trace = BroadcastTrace(
+        trace = SimpleNamespace(
             num_nodes=n, source=source,
-            first_rx=np.full(n, -1, dtype=np.int64))
+            first_rx=np.full(n, -1, dtype=np.int64), tx_events=[],
+            rx_events=[], collision_events=[], dropped_forced=[])
         trace.first_rx[source] = 0
         return trace
+
+    @staticmethod
+    def _finish(trace: SimpleNamespace) -> BroadcastTrace:
+        return BroadcastTrace(
+            num_nodes=trace.num_nodes, source=trace.source,
+            first_rx=trace.first_rx, tx=trace.tx_events,
+            rx=trace.rx_events, collisions=trace.collision_events,
+            dropped_forced=trace.dropped_forced)
 
     # ------------------------------------------------------------------
     # Execution modes
@@ -152,7 +164,7 @@ class ReferenceSimulator:
             if not tx_set:
                 continue
             self._run_slot(slot, tx_set, nodes, trace, dead, loss)
-        return trace
+        return self._finish(trace)
 
     def run_reactive(self, source: int, relay_mask, *,
                      extra_delay=None, repeat_offsets=None,
@@ -207,4 +219,4 @@ class ReferenceSimulator:
             for v in decoded:
                 if v not in already and relay[v]:
                     schedule(v, t + 1 + delay[v])
-        return trace
+        return self._finish(trace)

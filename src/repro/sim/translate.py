@@ -37,7 +37,7 @@ All node remapping runs through one vectorized
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -54,15 +54,16 @@ class TranslationError(ValueError):
 
 
 def _mapped_nodes(mapped: np.ndarray, valid: np.ndarray,
-                  nodes: Sequence[int], what: str) -> List[int]:
-    """Remap *nodes* through the shift map, or raise."""
-    out = []
-    for v in nodes:
-        if not valid[v]:
-            raise TranslationError(
-                f"{what} node {v} leaves the grid under the shift")
-        out.append(int(mapped[v]))
-    return out
+                  nodes, what: str) -> np.ndarray:
+    """Remap the node array *nodes* through the shift map, or raise on
+    the first (row-major) node that leaves the grid."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    bad = ~valid[nodes]
+    if bad.any():
+        raise TranslationError(
+            f"{what} node {int(nodes[bad][0])} leaves the grid under the "
+            f"shift")
+    return mapped[nodes]
 
 
 def _check_transmitter_stencils(topology: "Topology", mapped: np.ndarray,
@@ -93,29 +94,27 @@ def translate_trace(topology: "Topology", trace: BroadcastTrace,
         raise TranslationError(
             f"informed node {topology.coord(bad)} leaves the grid under "
             f"the shift {tuple(delta)}")
-    transmitters = sorted({v for _, v in trace.tx_events} | {trace.source})
+    transmitters = sorted(set(trace.tx[:, 1].tolist()) | {trace.source})
     _check_transmitter_stencils(topology, mapped, transmitters, delta)
 
     first_rx = np.full(topology.num_nodes, -1, dtype=np.int64)
     idx = np.nonzero(informed)[0]
     first_rx[mapped[idx]] = trace.first_rx[idx]
 
-    tx = [(s, int(mapped[v])) for s, v in trace.tx_events]
-    rx = [(s, *_mapped_nodes(mapped, valid, (r, snd), "rx"))
-          for s, r, snd in trace.rx_events]
-    coll_nodes = _mapped_nodes(mapped, valid,
-                               [v for _, v in trace.collision_events],
-                               "collision")
-    coll = [(s, w) for (s, _), w in zip(trace.collision_events, coll_nodes)]
-    dropped = [(s, w) for (s, _), w in zip(
-        trace.dropped_forced,
-        _mapped_nodes(mapped, valid,
-                      [v for _, v in trace.dropped_forced],
-                      "dropped-forced"))]
+    tx = trace.tx.copy()
+    tx[:, 1] = mapped[tx[:, 1]]
+    rx = trace.rx.copy()
+    rx[:, 1:] = _mapped_nodes(mapped, valid, rx[:, 1:], "rx")
+    coll = trace.collisions.copy()
+    coll[:, 1] = _mapped_nodes(mapped, valid, coll[:, 1], "collision")
+    dropped = list(zip(
+        [s for s, _ in trace.dropped_forced],
+        _mapped_nodes(mapped, valid, [v for _, v in trace.dropped_forced],
+                      "dropped-forced").tolist()))
     return BroadcastTrace(
         num_nodes=topology.num_nodes, source=int(mapped[trace.source]),
-        first_rx=first_rx, tx_events=tx, rx_events=rx,
-        collision_events=coll, dropped_forced=dropped)
+        first_rx=first_rx, tx=tx, rx=rx, collisions=coll,
+        dropped_forced=dropped)
 
 
 def translate_schedule(topology: "Topology", schedule: BroadcastSchedule,
@@ -126,7 +125,7 @@ def translate_schedule(topology: "Topology", schedule: BroadcastSchedule,
     for slot in schedule.active_slots():
         for w in _mapped_nodes(mapped, valid,
                                sorted(schedule.transmitters(slot)),
-                               "scheduled"):
+                               "scheduled").tolist():
             out.add(slot, w)
     return out
 
@@ -184,7 +183,8 @@ def translate_compiled(topology: "Topology", compiled: "CompiledBroadcast",
     fixes = {}
     for kind, entries in (("completions", compiled.completions),
                           ("repairs", compiled.repairs)):
-        nodes = _mapped_nodes(mapped, valid, [v for v, _ in entries], kind)
+        nodes = _mapped_nodes(mapped, valid, [v for v, _ in entries],
+                              kind).tolist()
         fixes[kind] = [(w, s) for w, (_, s) in zip(nodes, entries)]
     return CompiledBroadcast(
         topology_name=compiled.topology_name,

@@ -14,17 +14,18 @@ Example from the paper: nodes (5,7), (6,6), (7,5) are in ``S1(12)``; nodes
 
 The 2D-3 protocol additionally uses *paired* diagonal sets
 ``B1/B2 = S(c) ∪ S(c±1)`` whose union forms a connected staircase path in
-the brick-wall lattice (see :func:`b1_set` / :func:`b2_set`).
+the brick-wall lattice; its relay plan builds them as masks
+(:mod:`repro.core.mesh2d3`).
 """
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .coords import Coord2D
-from .mesh2d import Mesh2D3, _Mesh2DBase
+from .mesh2d import _Mesh2DBase
 
 
 def s1_value(coord: Coord2D) -> int:
@@ -39,31 +40,10 @@ def s2_value(coord: Coord2D) -> int:
     return x - y
 
 
-def s1_set(mesh: _Mesh2DBase, c: int) -> List[Coord2D]:
-    """All in-grid nodes of ``S1(c)`` (``x + y == c``), sorted by x."""
-    out = []
-    for x in range(max(1, c - mesh.n), min(mesh.m, c - 1) + 1):
-        y = c - x
-        if 1 <= y <= mesh.n:
-            out.append((x, y))
-    return out
-
-
-def s2_set(mesh: _Mesh2DBase, c: int) -> List[Coord2D]:
-    """All in-grid nodes of ``S2(c)`` (``x - y == c``), sorted by x."""
-    out = []
-    for x in range(max(1, c + 1), min(mesh.m, c + mesh.n) + 1):
-        y = x - c
-        if 1 <= y <= mesh.n:
-            out.append((x, y))
-    return out
-
-
 def s1_indices(mesh: _Mesh2DBase, c: int) -> np.ndarray:
     """0-based node indices of ``S1(c)``, ordered by x (vectorised).
 
-    Index-arithmetic equivalent of :func:`s1_set` for large grids: no
-    coordinate tuples are materialised.
+    Index arithmetic: no coordinate tuples are materialised.
     """
     x = np.arange(max(1, c - mesh.n), min(mesh.m, c - 1) + 1, dtype=np.int64)
     y = c - x
@@ -85,52 +65,3 @@ def s1_range(mesh: _Mesh2DBase) -> Tuple[int, int]:
 def s2_range(mesh: _Mesh2DBase) -> Tuple[int, int]:
     """Inclusive range of S2 constants with nonempty in-grid sets."""
     return (1 - mesh.n, mesh.m - 1)
-
-
-# ----------------------------------------------------------------------
-# Paired diagonals for the 2D-3 (brick-wall) protocol
-# ----------------------------------------------------------------------
-
-def b1_values(mesh: Mesh2D3, base: Coord2D) -> Tuple[int, int]:
-    """The two S1 constants of ``B1(base)`` per the paper's rule.
-
-    "If node (i, j+1) is node (i, j)'s neighbour then
-    ``B1(i,j) = S1(i+j) ∪ S1(i+j+1)`` else ``B1(i,j) = S1(i+j) ∪ S1(i+j-1)``."
-    """
-    i, j = base
-    c = i + j
-    if mesh.has_up_neighbor(base):
-        return (c, c + 1)
-    return (c, c - 1)
-
-
-def b2_values(mesh: Mesh2D3, base: Coord2D) -> Tuple[int, int]:
-    """The two S2 constants of ``B2(base)`` per the paper's rule.
-
-    "If node (i, j+1) is node (i, j)'s neighbour then
-    ``B2(i,j) = S2(i-j) ∪ S2(i-j-1)`` else ``B2(i,j) = S2(i-j) ∪ S2(i-j+1)``."
-    """
-    i, j = base
-    c = i - j
-    if mesh.has_up_neighbor(base):
-        return (c, c - 1)
-    return (c, c + 1)
-
-
-def b1_set(mesh: Mesh2D3, base: Coord2D) -> Set[Coord2D]:
-    """Nodes of the ``B1`` staircase (paired anti-diagonals) through *base*.
-
-    In the brick lattice the union of the two adjacent S1 diagonals is a
-    connected zig-zag path running up-left / down-right from *base*.
-    """
-    ca, cb = b1_values(mesh, base)
-    return set(s1_set(mesh, ca)) | set(s1_set(mesh, cb))
-
-
-def b2_set(mesh: Mesh2D3, base: Coord2D) -> Set[Coord2D]:
-    """Nodes of the ``B2`` staircase (paired main diagonals) through *base*.
-
-    A connected zig-zag path running up-right / down-left from *base*.
-    """
-    ca, cb = b2_values(mesh, base)
-    return set(s2_set(mesh, ca)) | set(s2_set(mesh, cb))

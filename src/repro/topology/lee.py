@@ -15,7 +15,7 @@ Membership test: ``(u, v) = a*(2,1) + b*(-1,2)`` has the integer solution
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List
 
 import numpy as np
 
@@ -25,18 +25,6 @@ from .coords import Coord2D
 def is_lee_lattice_point(u: int, v: int) -> bool:
     """True if ``(u, v)`` lies on the R5 lattice rooted at the origin."""
     return (2 * u + v) % 5 == 0
-
-
-def lee_points(m: int, n: int, seed: Coord2D) -> List[Coord2D]:
-    """All R5-lattice points inside the 1-based ``m x n`` grid, for a
-    lattice rooted at *seed*.  Sorted for determinism."""
-    sx, sy = seed
-    out = []
-    for y in range(1, n + 1):
-        for x in range(1, m + 1):
-            if is_lee_lattice_point(x - sx, y - sy):
-                out.append((x, y))
-    return out
 
 
 def lee_mask(m: int, n: int, seed: Coord2D) -> np.ndarray:
@@ -58,20 +46,15 @@ def lee_count(m: int, n: int, seed: Coord2D) -> int:
     return int(lee_mask(m, n, seed).sum())
 
 
-def lee_cover_gaps(m: int, n: int, seed: Coord2D) -> Set[Coord2D]:
-    """Grid nodes NOT covered by any in-grid lattice point's Lee sphere.
-
-    In the unbounded plane the tiling is perfect, so gaps only appear where
-    a covering lattice point falls outside the grid border.  These are
-    exactly the nodes for which the paper adds "additional relay nodes in
-    the border" (the gray nodes of Fig. 9).
-    """
-    return set(uncovered_nodes(lee_mask(m, n, seed)))
-
-
 def uncovered_nodes(mask: np.ndarray) -> List[Coord2D]:
     """Sorted ``(x, y)`` nodes of an ``(n, m)`` grid that no Lee sphere
-    centred on a point of *mask* (row y-1, col x-1) covers."""
+    centred on a point of *mask* (row y-1, col x-1) covers.
+
+    In the unbounded plane the tiling is perfect, so gaps only appear
+    where a covering lattice point falls outside the grid border.  These
+    are exactly the nodes for which the paper adds "additional relay
+    nodes in the border" (the gray nodes of Fig. 9).
+    """
     covered = mask.copy()
     covered[1:, :] |= mask[:-1, :]
     covered[:-1, :] |= mask[1:, :]

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from repro.radio.channel import SlotKernel
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 from repro.topology import graph as G
 
@@ -102,6 +104,29 @@ class TestNeighbourLists:
             assert table[v] == tuple(sorted(
                 mesh.neighbor_indices(v).tolist()))
             assert all(type(u) is int for u in table[v])
+
+    def test_unsorted_csr_is_sorted_once(self):
+        mesh = Mesh2D8(5, 4)
+        want = mesh.adjacency.tocsr()
+        # The same graph with every row's indices reversed.
+        rows = [want.indices[a:b][::-1]
+                for a, b in zip(want.indptr, want.indptr[1:])]
+        unsorted = sparse.csr_matrix(
+            (np.ones(want.nnz, dtype=np.int8), np.concatenate(rows),
+             want.indptr.copy()), shape=want.shape)
+        assert not unsorted.has_sorted_indices
+        kernel = SlotKernel(unsorted)
+        assert not unsorted.has_sorted_indices  # the caller's is untouched
+        assert kernel.indices.tolist() == want.indices.tolist()
+        assert kernel.neighbour_lists() == (
+            mesh.slot_kernel.neighbour_lists())
+        tx = np.array([0, 7, 12], dtype=np.int64)
+        heard, received, collided, senders = kernel.resolve(tx)
+        want = mesh.slot_kernel.resolve(tx)
+        assert np.array_equal(heard, want[0])
+        assert np.array_equal(received, want[1])
+        assert np.array_equal(collided, want[2])
+        assert np.array_equal(senders[received], want[3][received])
 
     def test_table_is_built_once(self):
         mesh = Mesh2D8(4, 4)

@@ -5,7 +5,8 @@ import pytest
 from repro.core import validate_broadcast
 from repro.core.mesh2d3 import Mesh2D3Protocol, staircase_seeds
 from repro.topology import Mesh2D3, Mesh2D4
-from repro.topology.diagonal import b1_values, b2_values
+
+from .plan_oracle import b1_values, b2_values
 
 
 class TestSeeds:

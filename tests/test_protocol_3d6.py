@@ -121,7 +121,7 @@ class TestBroadcast:
                                        compiled_central):
         """The border nodes missed by the Lee tiling (the paper's gray
         border relays in Fig. 9) are covered by completion."""
-        from repro.topology.lee import lee_cover_gaps
+        from .plan_oracle import lee_cover_gaps
         mesh = paper_meshes["3D-6"]
         trace = compiled_central["3D-6"].trace
         gaps = lee_cover_gaps(8, 8, (4, 4))

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.regions import base_nodes, partition
+from repro.core.regions import base_nodes
 from repro.topology import Mesh2D3
+
+from .plan_oracle import partition
 
 
 class TestBaseNodes:

@@ -40,7 +40,7 @@ def _compile(topology, source):
 
 def _put_compiled(store, topology, compiled, source):
     store.put(topology, PROTO, topology.index(source),
-              schedule=compiled.schedule,
+              schedule=compiled.trace.tx,
               counts=trace_counts(compiled.trace),
               completions=compiled.completions,
               repairs=compiled.repairs, rounds=compiled.rounds)
@@ -548,3 +548,29 @@ def test_warm_runs_serial_waves_only_for_fallback_and_direct_members(
     stats = ArtifactStore(tmp_path).warm(SMALL_FLEET)
     assert stats["store_errors"] == 0
     assert set(serial) <= expected
+
+
+def test_warm_runs_on_columns_without_tuple_views(tmp_path, monkeypatch):
+    """Structural guard: from the engines' logs to the store entries,
+    a warm reads the traces' int64 columns, so no trace on the path
+    builds a tx, rx or collision tuple view."""
+    import repro.core.compiler as compiler_module
+    from repro.sim.trace import BroadcastTrace
+
+    built = []
+    for name in ("tx_events", "rx_events", "collision_events"):
+        monkeypatch.setattr(BroadcastTrace, name, property(
+            lambda trace, name=name: built.append(name)))
+    fixes = []
+    plan_fixes = compiler_module._plan_fixes
+
+    def counting(*args, **kwargs):
+        fixes.append(1)
+        return plan_fixes(*args, **kwargs)
+
+    monkeypatch.setattr(compiler_module, "_plan_fixes", counting)
+    stats = ArtifactStore(tmp_path).warm(SMALL_FLEET)
+    assert stats["store_errors"] == 0
+    assert stats["entries"] == sum(np.prod(shape) for _, shape in SMALL_FLEET)
+    assert fixes  # the fix planner's busy map is on the guarded path
+    assert built == []
