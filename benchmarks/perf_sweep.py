@@ -9,7 +9,10 @@ results to ``BENCH_sweep.json`` (repo root by default):
   :class:`~repro.core.cache.ScheduleCache` (pays compilation + persist).
 * ``warm``     — the same sweep again through a *fresh* cache instance on
   the same store directory, so every source is served from the sharded
-  artifact store's precomputed counts (no compile, no replay).
+  artifact store's precomputed counts (no compile, no replay).  One warm
+  sweep lasts tens of milliseconds, so back-to-back warm sweeps are
+  timed for at least ``WARM_MIN_SECONDS`` and the entry reports the time
+  per sweep (``sweeps`` says how many were timed).
 * ``parallel`` — ``workers=N`` process-pool sweep, no cache.
 
 The parallel sweep's metrics are asserted bit-for-bit equal to the serial
@@ -47,6 +50,9 @@ from repro.topology.builder import make_topology
 SCHEMA = "repro-wsn/bench-sweep/v2"
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
+#: Least total time the warm mode's back-to-back sweeps are timed for.
+WARM_MIN_SECONDS = 0.5
+
 
 def _timed_sweep(topology, **kwargs):
     # symmetry=False pins the direct per-source path: this benchmark is
@@ -81,6 +87,7 @@ def run_benchmark(topology_label: str = "2D-4",
         serial_metrics = None
         for label in ("serial", "cold", "warm", "parallel"):
             best = None
+            sweeps = 1
             for rep in range(max(1, repeats)):
                 if label == "serial":
                     result, secs = _timed_sweep(topology, protocol=protocol)
@@ -96,11 +103,18 @@ def run_benchmark(topology_label: str = "2D-4",
                         sweep_sources(topology, protocol=protocol,
                                       cache=ScheduleCache(warm_dir),
                                       symmetry=False)
-                    # Fresh instance: empty memory tier, every source is a
-                    # store hit served from persisted counts (no replay).
-                    result, secs = _timed_sweep(
-                        topology, protocol=protocol,
-                        cache=ScheduleCache(warm_dir))
+                    # Fresh instance per sweep: empty memory tier, every
+                    # source a store hit served from persisted counts (no
+                    # replay).
+                    runs, total = 0, 0.0
+                    while total < WARM_MIN_SECONDS:
+                        result, secs = _timed_sweep(
+                            topology, protocol=protocol,
+                            cache=ScheduleCache(warm_dir))
+                        runs, total = runs + 1, total + secs
+                    secs = total / runs
+                    if best is None or secs < best[1]:
+                        sweeps = runs
                 else:
                     result, secs = _timed_sweep(
                         topology, protocol=protocol, workers=workers)
@@ -116,6 +130,8 @@ def run_benchmark(topology_label: str = "2D-4",
                 "seconds": round(secs, 4),
                 "sources_per_second": round(num_sources / secs, 1),
             }
+            if label == "warm":
+                entries[label]["sweeps"] = sweeps
     finally:
         if own_tmp:
             tmp.cleanup()

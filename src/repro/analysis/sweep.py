@@ -255,13 +255,10 @@ def _sweep_symmetry(
                 if progress is not None:
                     progress(done, total)
     else:
-        for (_, positions, _), members in zip(class_items, compile_classes(
-                topology, protocol,
-                [(key, coords) for key, _, coords in class_items],
-                cache=cache)):
-            for pos, member in zip(positions, members):
-                out[pos] = member.metrics(topology, model, packet_bits)
-            done += len(positions)
+        for pos, metrics in _class_metrics(topology, protocol, class_items,
+                                           model, packet_bits, cache):
+            out[pos] = metrics
+            done += 1
             if progress is not None:
                 progress(done, total)
     for pos in direct_pos:
@@ -300,13 +297,18 @@ def _symmetry_chunk(job) -> List:
     """
     topology, protocol, items, model, packet_bits, cache_path = job
     cache = None if cache_path is None else ScheduleCache(cache_path)
-    out = []
-    for (_, positions, _), members in zip(items, compile_classes(
+    return list(_class_metrics(topology, protocol, items, model,
+                               packet_bits, cache))
+
+
+def _class_metrics(topology, protocol, items, model, packet_bits, cache):
+    """``(position, metrics)`` of every member of *items*' classes, in
+    the order :func:`~repro.core.symmetry.compile_classes` finishes
+    them."""
+    for c, i, member in compile_classes(
             topology, protocol, [(key, coords) for key, _, coords in items],
-            cache=cache)):
-        for pos, member in zip(positions, members):
-            out.append((pos, member.metrics(topology, model, packet_bits)))
-    return out
+            cache=cache):
+        yield items[c][1][i], member.metrics(topology, model, packet_bits)
 
 
 def _chunk(items: List, workers: int) -> List[List]:

@@ -13,7 +13,7 @@ Public surface:
 
 from .alltoall import AllToAllResult, all_to_all
 from .base import BroadcastProtocol, CompiledBroadcast, RelayPlan
-from .cache import ScheduleCache, class_profile_key, schedule_cache_key
+from .cache import ScheduleCache, schedule_cache_key
 from .compiler import (CompilationError, compile_broadcast,
                        compile_call_count)
 from .store import (STORE_FORMAT_VERSION, ArtifactStore, StoredEntry,
@@ -28,7 +28,7 @@ from .mesh2d8 import Mesh2D8Protocol
 from .mesh3d6 import Mesh3D6Protocol
 from .registry import PROTOCOL_CLASSES, protocol_for
 from .symmetry import (ClassMemberResult, compile_class, compile_classes,
-                       group_sources, sweep_compile)
+                       group_sources)
 from .regions import base_nodes
 from .validate import ScheduleError, ValidationReport, validate_broadcast
 
@@ -43,7 +43,6 @@ __all__ = [
     "compile_call_count",
     "ScheduleCache",
     "schedule_cache_key",
-    "class_profile_key",
     "ArtifactStore",
     "StoredEntry",
     "STORE_FORMAT_VERSION",
@@ -52,7 +51,6 @@ __all__ = [
     "compile_class",
     "compile_classes",
     "group_sources",
-    "sweep_compile",
     "Mesh2D3Protocol",
     "Mesh2D4Protocol",
     "Mesh2D8Protocol",

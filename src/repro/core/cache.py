@@ -46,14 +46,11 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
                             FirstOrderRadioModel)
-from ..sim.engine import replay
 from ..sim.metrics import BroadcastMetrics, compute_metrics
 from ..topology.base import Topology
 from .base import BroadcastProtocol, CompiledBroadcast
-from .store import ArtifactStore, class_profile_hash, trace_counts
-
-#: Kept for backward compatibility: the sharded store's format version.
-from .store import STORE_FORMAT_VERSION as DISK_FORMAT_VERSION  # noqa: F401
+from .store import (ArtifactStore, class_profile_hash, compiled_fields,
+                    member_fields)
 
 
 class WarmHit(NamedTuple):
@@ -74,16 +71,6 @@ def schedule_cache_key(topology: Topology, protocol_name: str,
     h.update(f"|{protocol_name}|{source_index}"
              f"|c{int(completion)}|r{int(repair)}".encode("ascii"))
     return h.hexdigest()
-
-
-def class_profile_key(topology: Topology, protocol_name: str,
-                      class_key: Tuple, *,
-                      completion: bool = True,
-                      repair: bool = True) -> str:
-    """Deterministic cache key for one source-equivalence-class profile."""
-    return class_profile_hash(topology.fingerprint, protocol_name,
-                              class_key, completion=completion,
-                              repair=repair)
 
 
 class ScheduleCache:
@@ -305,27 +292,19 @@ class ScheduleCache:
         """
         if self.store is None or member.admitted:
             return
-        from .store import summary_counts
         with self._lock:
-            if member.compiled is not None:
-                self._publish_compiled(protocol, topology, member.compiled,
-                                       completion, repair)
-            elif member.first_rx is not None:
-                self._store_call(
-                    self.store.put,
-                    topology, protocol.name, member.source_index,
-                    completion=completion, repair=repair,
-                    counts=summary_counts(member.first_rx, member.tx_count,
-                                          member.rx_count,
-                                          member.collisions))
+            self._store_call(self.store.put, topology, protocol.name,
+                             member.source_index, completion=completion,
+                             repair=repair, **member_fields(member))
 
     def class_profile(self, topology: Topology, protocol_name: str,
                       class_key: Tuple, *,
                       completion: bool = True,
                       repair: bool = True) -> Optional[dict]:
         """Cached compile profile of one source class, or ``None``."""
-        key = class_profile_key(topology, protocol_name, class_key,
-                                completion=completion, repair=repair)
+        key = class_profile_hash(topology.fingerprint, protocol_name,
+                                 class_key, completion=completion,
+                                 repair=repair)
         with self._lock:
             profile = self._class_mem.get(key)
             if profile is not None:
@@ -344,8 +323,9 @@ class ScheduleCache:
                             completion: bool = True,
                             repair: bool = True) -> None:
         """Record the compile profile of one source class."""
-        key = class_profile_key(topology, protocol_name, class_key,
-                                completion=completion, repair=repair)
+        key = class_profile_hash(topology.fingerprint, protocol_name,
+                                 class_key, completion=completion,
+                                 repair=repair)
         with self._lock:
             self._class_mem[key] = dict(profile)
             if self.store is not None:
@@ -397,14 +377,9 @@ class ScheduleCache:
     def _publish_compiled(self, protocol: BroadcastProtocol,
                           topology: Topology, compiled: CompiledBroadcast,
                           completion: bool, repair: bool) -> None:
-        self._store_call(
-            self.store.put,
-            topology, protocol.name, compiled.source,
-            completion=completion, repair=repair,
-            schedule=compiled.trace.tx,
-            counts=trace_counts(compiled.trace),
-            completions=compiled.completions,
-            repairs=compiled.repairs, rounds=compiled.rounds)
+        self._store_call(self.store.put, topology, protocol.name,
+                         compiled.source, completion=completion,
+                         repair=repair, **compiled_fields(compiled))
 
     def _remember(self, key: str, compiled: CompiledBroadcast) -> None:
         self._mem[key] = compiled
@@ -421,21 +396,4 @@ class ScheduleCache:
                                completion=completion, repair=repair)
         if entry is None or not entry.has_schedule:
             return None
-        schedule = entry.schedule()
-        # Replaying the stored schedule reproduces the authoritative
-        # trace: identical transmitter sets per slot under the
-        # deterministic collision model yield identical events and first
-        # receptions.  This is also the verification path for the stored
-        # counts (differentially tested in tests/test_store.py).
-        trace = replay(topology, schedule, source_index)
-        plan = protocol.relay_plan(topology, source)
-        return CompiledBroadcast(
-            topology_name=topology.name,
-            source=source_index,
-            schedule=schedule,
-            trace=trace,
-            plan=plan,
-            completions=list(entry.completions),
-            repairs=list(entry.repairs),
-            rounds=entry.rounds,
-        )
+        return entry.compiled(topology, protocol)

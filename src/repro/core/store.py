@@ -46,7 +46,6 @@ never mis-parsed.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import mmap
@@ -63,9 +62,12 @@ import numpy as np
 from .. import faults
 from ..radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
                             FirstOrderRadioModel)
-from ..sim.metrics import BroadcastMetrics
+from ..sim.engine import replay
+from ..sim.metrics import BroadcastMetrics, counts_metrics, trace_counts
 from ..sim.schedule import BroadcastSchedule
+from ..sim.summary import TraceSummary
 from ..topology.base import Topology
+from .base import BroadcastProtocol, CompiledBroadcast
 
 try:  # POSIX file locks; the store degrades to lockless appends without.
     import fcntl
@@ -97,45 +99,71 @@ def shard_id(fingerprint: str, protocol_name: str, *,
     return f"{fingerprint[:16]}-{proto}-c{int(completion)}r{int(repair)}"
 
 
-def trace_counts(trace) -> Dict[str, object]:
-    """Model-independent broadcast counts of a compiled trace.
+def summary_counts(summary: TraceSummary) -> List[Dict[str, object]]:
+    """Counts of every row of a batched-summary run (class members, no
+    trace), reduced across the whole batch at once.
 
-    Exactly the reductions :func:`repro.sim.metrics.compute_metrics`
-    performs, so metrics rebuilt from these counts are field-for-field
-    equal to the direct-compile metrics under any radio model.
+    The same reductions as :func:`~repro.sim.metrics.trace_counts`, over
+    per-node count rows instead of an event trace.
     """
-    tx_count = trace.tx_count_per_node()
-    return {
-        "tx": int(trace.num_tx),
-        "rx": int(trace.num_rx),
-        "duplicates": int(trace.num_duplicate_rx),
-        "collisions": int(trace.num_collisions),
-        "delay_slots": int(trace.delay_slots),
-        "reachability": float(trace.reachability),
-        "relays": int((tx_count > 0).sum()),
-        "retransmitters": int((tx_count > 1).sum()),
-    }
+    first_rx, tx_count = summary.first_rx, summary.tx_count
+    n, reached = first_rx.shape[1], first_rx >= 0
+    rows = zip(*(column.tolist() for column in (
+        tx_count.sum(axis=1), summary.rx_count.sum(axis=1),
+        (first_rx > 0).sum(axis=1), summary.collisions,
+        np.where(reached.all(axis=1), first_rx.max(axis=1), -1),
+        reached.sum(axis=1), (tx_count > 0).sum(axis=1),
+        (tx_count > 1).sum(axis=1))))
+    return [{"tx": tx, "rx": rx, "duplicates": rx - first,
+             "collisions": collisions, "delay_slots": delay,
+             "reachability": float(informed) / n, "relays": relays,
+             "retransmitters": again}
+            for tx, rx, first, collisions, delay, informed, relays, again
+            in rows]
 
 
-def summary_counts(first_rx, tx_count, rx_count,
-                   collisions: int) -> Dict[str, object]:
-    """Counts from a batched-summary row (one class member, no trace).
+def entry_item(source_index: int, *,
+               schedule: Optional[np.ndarray] = None,
+               counts: Optional[Dict[str, object]] = None,
+               completions: Sequence[Tuple[int, int]] = (),
+               repairs: Sequence[Tuple[int, int]] = (),
+               rounds: int = 0) -> Tuple[str, str, dict, bytes]:
+    """One entry's ``(section, key, meta, payload)`` commit item.
 
-    Mirrors :func:`repro.sim.metrics.compute_metrics_from_counts`.
+    *schedule* is the ``(k, 2)`` int64 ``(slot, node)`` rows of the
+    entry's schedule in :meth:`BroadcastSchedule.to_arrays` order: a
+    compiled trace's ``tx`` rows.  Without it the entry is metrics-only.
     """
-    tx = int(tx_count.sum())
-    rx = int(rx_count.sum())
-    all_reached = bool((first_rx >= 0).all())
-    return {
-        "tx": tx,
-        "rx": rx,
-        "duplicates": rx - int((first_rx > 0).sum()),
-        "collisions": int(collisions),
-        "delay_slots": int(first_rx.max()) if all_reached else -1,
-        "reachability": float((first_rx >= 0).sum()) / first_rx.shape[0],
-        "relays": int((tx_count > 0).sum()),
-        "retransmitters": int((tx_count > 1).sum()),
+    meta = {
+        "source_index": int(source_index),
+        "rounds": int(rounds),
+        "completions": [list(map(int, e)) for e in completions],
+        "repairs": [list(map(int, e)) for e in repairs],
+        "counts": counts,
+        "offset": None,
+        "ntx": 0,
     }
+    payload = b""
+    if schedule is not None:
+        meta["ntx"] = len(schedule)
+        # The slots, then the nodes.
+        payload = schedule.T.astype("<i8").tobytes()
+    return ("entries", entry_key(source_index), meta, payload)
+
+
+def compiled_fields(compiled: CompiledBroadcast) -> Dict[str, object]:
+    """:func:`entry_item`'s fields of one compilation's full entry."""
+    return {"schedule": compiled.trace.tx,
+            "counts": trace_counts(compiled.trace),
+            "completions": compiled.completions,
+            "repairs": compiled.repairs, "rounds": compiled.rounds}
+
+
+def member_fields(member) -> Dict[str, object]:
+    """:func:`entry_item`'s fields of one symmetry-class member: the full
+    entry of a compiled member, the counts of a summary-mode one."""
+    return ({"counts": member.counts} if member.compiled is None
+            else compiled_fields(member.compiled))
 
 
 @dataclass
@@ -184,23 +212,31 @@ class StoredEntry:
         """
         if self.counts is None:
             return None
-        c = self.counts
-        energy = model.broadcast_energy(
-            num_tx=int(c["tx"]), num_rx=int(c["rx"]), bits=packet_bits,
-            distance_m=topology.tx_range())
-        return BroadcastMetrics(
-            topology=topology.name,
-            num_nodes=topology.num_nodes,
-            source=tuple(topology.coord(self.source_index)),
-            tx=int(c["tx"]),
-            rx=int(c["rx"]),
-            duplicates=int(c["duplicates"]),
-            collisions=int(c["collisions"]),
-            energy_j=energy,
-            delay_slots=int(c["delay_slots"]),
-            reachability=float(c["reachability"]),
-            relay_count=int(c["relays"]),
-            retransmit_count=int(c["retransmitters"]),
+        return counts_metrics(topology, self.source_index, self.counts,
+                              model, packet_bits)
+
+    def compiled(self, topology: Topology,
+                 protocol: BroadcastProtocol) -> CompiledBroadcast:
+        """The full compilation, its trace replayed from the stored
+        schedule (requires ``has_schedule``).
+
+        Identical transmitter sets per slot under the deterministic
+        collision model yield identical events and first receptions, so
+        the replay is the authoritative trace; it is also the
+        verification path for the stored counts (differentially tested
+        in tests/test_store.py).
+        """
+        schedule = self.schedule()
+        return CompiledBroadcast(
+            topology_name=topology.name,
+            source=self.source_index,
+            schedule=schedule,
+            trace=replay(topology, schedule, self.source_index),
+            plan=protocol.relay_plan(topology,
+                                     topology.coord(self.source_index)),
+            completions=list(self.completions),
+            repairs=list(self.repairs),
+            rounds=self.rounds,
         )
 
 
@@ -236,7 +272,6 @@ class ArtifactStore:
                 f"artifact store path {self.path} exists and is not a "
                 f"directory")
         self._readers: Dict[str, _ShardReader] = {}
-        self._pending: Optional[Dict[tuple, list]] = None  # warm staging
 
     # -- entries ----------------------------------------------------------
 
@@ -244,64 +279,24 @@ class ArtifactStore:
             source_index: int, *, completion: bool = True,
             repair: bool = True) -> Optional[StoredEntry]:
         """Look up one entry; ``None`` on any kind of miss."""
-        sid = shard_id(topology.fingerprint, protocol_name,
-                       completion=completion, repair=repair)
-        reader = self._reader(sid)
+        reader = self._snapshot(topology, protocol_name, completion, repair)
         if reader is None:
-            return None
-        if reader.index.get("fingerprint") != topology.fingerprint:
             return None
         meta = reader.index["entries"].get(entry_key(source_index))
         if meta is None:
             return None
-        slots = nodes = None
-        ntx = int(meta.get("ntx", 0))
-        if meta.get("offset") is not None:
-            offset = int(meta["offset"])
-            pairs = reader.data(offset, 2 * ntx)
-            if pairs is None:  # index ahead of data file: treat as miss
-                return None
-            slots, nodes = pairs[:ntx], pairs[ntx:]
-        return StoredEntry(
-            source_index=int(meta["source_index"]),
-            completion=completion, repair=repair,
-            rounds=int(meta.get("rounds", 0)),
-            completions=[_pair(e) for e in meta.get("completions", [])],
-            repairs=[_pair(e) for e in meta.get("repairs", [])],
-            counts=meta.get("counts"),
-            slots=slots, nodes=nodes)
+        return _stored(reader, meta, completion, repair)
 
     def put(self, topology: Topology, protocol_name: str,
             source_index: int, *, completion: bool = True,
-            repair: bool = True,
-            schedule: Optional[np.ndarray] = None,
-            counts: Optional[Dict[str, object]] = None,
-            completions: Sequence[Tuple[int, int]] = (),
-            repairs: Sequence[Tuple[int, int]] = (),
-            rounds: int = 0) -> None:
+            repair: bool = True, **fields) -> None:
         """Publish one entry (idempotent; first writer wins).
 
-        *schedule* is the ``(k, 2)`` int64 ``(slot, node)`` rows of the
-        entry's schedule in :meth:`BroadcastSchedule.to_arrays` order:
-        a compiled trace's ``tx`` rows.
+        *fields* are :func:`entry_item`'s: ``schedule``, ``counts``,
+        ``completions``, ``repairs``, ``rounds``.
         """
-        meta = {
-            "source_index": int(source_index),
-            "rounds": int(rounds),
-            "completions": [list(map(int, e)) for e in completions],
-            "repairs": [list(map(int, e)) for e in repairs],
-            "counts": counts,
-            "offset": None,
-            "ntx": 0,
-        }
-        payload = b""
-        if schedule is not None:
-            meta["ntx"] = len(schedule)
-            # The slots, then the nodes.
-            payload = schedule.T.astype("<i8").tobytes()
         self._publish(topology.fingerprint, protocol_name, completion,
-                      repair, [("entries", entry_key(source_index), meta,
-                                payload)])
+                      repair, [entry_item(source_index, **fields)])
 
     # -- class profiles ---------------------------------------------------
 
@@ -309,12 +304,8 @@ class ArtifactStore:
                       profile_key: str, *, completion: bool = True,
                       repair: bool = True) -> Optional[dict]:
         """Stored compile profile of one source class, or ``None``."""
-        sid = shard_id(topology.fingerprint, protocol_name,
-                       completion=completion, repair=repair)
-        reader = self._reader(sid)
+        reader = self._snapshot(topology, protocol_name, completion, repair)
         if reader is None:
-            return None
-        if reader.index.get("fingerprint") != topology.fingerprint:
             return None
         return reader.index.get("profiles", {}).get(profile_key)
 
@@ -334,27 +325,28 @@ class ArtifactStore:
         *shapes* is an iterable of ``(topology label, shape)`` pairs —
         the grid fleet a service deployment expects to be queried about.
         For every shape each protocol's sources are grouped into symmetry
-        classes (:func:`repro.core.symmetry.group_sources`); the shape's
-        class representatives compile together in one batched fixpoint
-        (:func:`repro.core.symmetry.compile_classes`), each persisting
-        its full schedule + counts + class profile, and every member is
-        materialised through the batched class engine, so *all* sources
-        of the fleet answer metrics queries warm.  Each entry is put
-        once; a representative whose full schedule is already stored is
-        served from the store, not recompiled.
+        classes (:func:`repro.core.symmetry.group_sources`) and the shape
+        runs through :func:`repro.core.symmetry.compile_classes` in one
+        pass: the class representatives compile together in one batched
+        fixpoint, and the members of all classes share one batched wave
+        per chunk, so *all* sources of the fleet answer metrics queries
+        warm.
 
-        A shape's writes are staged on a private view of the store and
-        group-committed once per shard when the shape ends; other
-        processes see them from that commit on.
+        The shape's shard is read once, up front: a class whose profile
+        is stored needs no representative, and a representative whose
+        full schedule is stored is served from it (replayed), not
+        recompiled.  Every other result becomes one index item as it
+        arrives, and the shape's items commit in one group publish per
+        shard when the shape ends, also when it ends by an exception;
+        other processes see them from that commit on.
 
         *protocols* defaults to the paper protocol of each topology.
         Returns counters: shapes / classes / compiles / entries written /
-        store_errors (raising store calls and commits, skipped).
+        store_errors (raising store reads and commits, skipped).
         """
         from ..topology.builder import make_topology
-        from .cache import ScheduleCache
         from .registry import protocol_for
-        from .symmetry import compile_classes, group_sources
+        from .symmetry import compile_classes, group_sources, profile_of
 
         stats = {"shapes": 0, "classes": 0, "compiles": 0, "entries": 0,
                  "store_errors": 0}
@@ -366,29 +358,70 @@ class ArtifactStore:
                 sources = [topology.coord(i)
                            for i in range(topology.num_nodes)]
                 groups, direct = group_sources(topology, protocol, sources)
-                staging = copy.copy(self)
-                staging._pending = {}
-                cache = ScheduleCache(store=staging)
                 classes = [(class_key, [sources[p] for p in positions])
                            for class_key, positions in groups.items()]
+                keys = [class_profile_hash(topology.fingerprint,
+                                           protocol.name, class_key)
+                        for class_key, _ in classes]
+                items: List[Tuple[str, str, dict, bytes]] = []
                 try:
-                    for members in compile_classes(topology, protocol,
-                                                   classes, cache=cache):
-                        stats["classes"] += 1
-                        for member in members:
-                            cache.admit_member(protocol, topology, member)
-                            stats["entries"] += 1
+                    stored = self._stored_classes(topology, protocol,
+                                                  classes, keys, stats)
+                    for c, _, member in compile_classes(
+                            topology, protocol, classes, stored=stored):
+                        stats["entries"] += 1
+                        if member.via == "representative":
+                            items.append(("profiles", keys[c],
+                                          profile_of(member.compiled), b""))
+                        if member.admitted:  # a stored representative
+                            continue
+                        if member.via in ("representative", "fallback"):
+                            stats["compiles"] += 1
+                        items.append(entry_item(member.source_index,
+                                                **member_fields(member)))
                     for pos in direct:
-                        protocol.compile(topology, sources[pos], cache=cache)
+                        compiled = protocol.compile(topology, sources[pos])
+                        items.append(entry_item(compiled.source,
+                                                **compiled_fields(compiled)))
+                        stats["compiles"] += 1
                         stats["entries"] += 1
                 finally:
-                    # Entries finished before an exception still land.
-                    for shard, items in staging._pending.items():
-                        cache._store_call(self._publish, *shard, items)
-                    stats["store_errors"] += cache.store_errors
-                stats["compiles"] += cache.misses
+                    if items:
+                        try:
+                            self._publish(topology.fingerprint,
+                                          protocol.name, True, True, items)
+                        except Exception:
+                            stats["store_errors"] += 1
+                stats["classes"] += len(classes)
             stats["shapes"] += 1
         return stats
+
+    def _stored_classes(self, topology: Topology,
+                        protocol: BroadcastProtocol, classes: Sequence,
+                        keys: Sequence[str], stats: Dict[str, int]):
+        """Per class, its stored profile and its representative's stored
+        compilation (replayed), read from one snapshot of the shard;
+        ``None`` without a readable shard.  A raising read counts one
+        ``store_errors`` and reads as an empty shard."""
+        try:
+            reader = self._snapshot(topology, protocol.name, True, True)
+            if reader is None:
+                return None
+            entries = reader.index["entries"]
+            profiles = reader.index.get("profiles", {})
+            stored = []
+            for key, (_, coords) in zip(keys, classes):
+                profile, rep = profiles.get(key), None
+                meta = entries.get(entry_key(topology.index(coords[0])))
+                entry = (None if profile is not None or meta is None
+                         else _stored(reader, meta, True, True))
+                if entry is not None and entry.has_schedule:
+                    rep = entry.compiled(topology, protocol)
+                stored.append((profile, rep))
+            return stored
+        except Exception:
+            stats["store_errors"] += 1
+            return None
 
     # -- maintenance ------------------------------------------------------
 
@@ -476,34 +509,12 @@ class ArtifactStore:
                 self._write_index(sid, index)
                 # Phase 2: swap in the compacted data file atomically.
                 blob = b"".join(chunks)
-                fd, tmp = tempfile.mkstemp(dir=str(self.path),
-                                           prefix=f".{sid[:16]}-",
-                                           suffix=".bin.tmp")
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        fh.write(blob)
-                    os.replace(tmp, data_path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-                # Phase 3: publish the compacted offsets and refresh the
-                # in-process snapshot (same idiom as _publish).
-                index["entries"] = entries
-                self._write_index(sid, index)
+                self._replace(sid, data_path, blob, ".bin.tmp")
+                # Phase 3: publish the compacted offsets (a new dict: the
+                # phase-1 snapshot must keep its demoted entries).
+                self._write_index(sid, {**index, "entries": entries})
                 stats["entries"] += len(chunks)
                 stats["bytes_after"] += len(blob)
-                try:
-                    st = self._index_path(sid).stat()
-                    reader = _ShardReader(
-                        index=index,
-                        stamp=(st.st_mtime_ns, st.st_size, st.st_ino))
-                    self._map_data(sid, reader)
-                    self._readers[sid] = reader
-                except OSError:  # pragma: no cover - stat raced cleanup
-                    self._readers.pop(sid, None)
         stats["reclaimed"] = stats["bytes_before"] - stats["bytes_after"]
         return stats
 
@@ -514,6 +525,17 @@ class ArtifactStore:
 
     def _data_path(self, sid: str) -> Path:
         return self.path / f"{sid}.bin"
+
+    def _snapshot(self, topology: Topology, protocol_name: str,
+                  completion: bool, repair: bool) -> Optional[_ShardReader]:
+        """The current snapshot of one topology's shard, ``None`` when
+        the shard is missing, unreadable or another topology's."""
+        reader = self._reader(shard_id(topology.fingerprint, protocol_name,
+                                       completion=completion, repair=repair))
+        if reader is None \
+                or reader.index.get("fingerprint") != topology.fingerprint:
+            return None
+        return reader
 
     def _reader(self, sid: str) -> Optional[_ShardReader]:
         """Load (or revalidate) the cached snapshot of one shard."""
@@ -535,7 +557,13 @@ class ArtifactStore:
         if index is None:
             self._readers.pop(sid, None)
             return None
-        reader = _ShardReader(index=index, stamp=stamp)
+        return self._adopt(sid, index, st)
+
+    def _adopt(self, sid: str, index: dict,
+               st: os.stat_result) -> _ShardReader:
+        """Cache *index* as the snapshot of the index file stat'ed *st*."""
+        reader = _ShardReader(index=index,
+                              stamp=(st.st_mtime_ns, st.st_size, st.st_ino))
         self._map_data(sid, reader)
         self._readers[sid] = reader
         return reader
@@ -589,12 +617,7 @@ class ArtifactStore:
                  completion: bool, repair: bool,
                  items: Sequence[Tuple[str, str, dict, bytes]]) -> None:
         """Commit ordered ``(section, key, meta, payload)`` items to one
-        shard: one lock, one append, one index publish (a :meth:`warm`
-        staging view queues them instead)."""
-        if self._pending is not None:
-            shard = (fingerprint, protocol_name, completion, repair)
-            self._pending.setdefault(shard, []).extend(items)
-            return
+        shard: one lock, one append, one index publish."""
         sid = shard_id(fingerprint, protocol_name,
                        completion=completion, repair=repair)
         data_path = self._data_path(sid)
@@ -655,17 +678,6 @@ class ArtifactStore:
                                                    f"torn write to {sid}")
                     fh.write(blob)
             self._write_index(sid, index)
-            # Refresh the in-process snapshot in place: re-parsing the
-            # index we just wrote would make a cold sweep quadratic.
-            try:
-                st = self._index_path(sid).stat()
-                reader = _ShardReader(
-                    index=index,
-                    stamp=(st.st_mtime_ns, st.st_size, st.st_ino))
-                self._map_data(sid, reader)
-                self._readers[sid] = reader
-            except OSError:  # pragma: no cover - stat raced a cleanup
-                self._readers.pop(sid, None)
 
     def _current_index(self, sid: str) -> Optional[dict]:
         """Writer-side index load, reusing the cached parse when the
@@ -680,15 +692,12 @@ class ArtifactStore:
             return reader.index
         return self._load_index(self._index_path(sid))
 
-    def _write_index(self, sid: str, index: dict) -> None:
-        target = self._index_path(sid)
+    def _replace(self, sid: str, target: Path, blob: bytes,
+                 suffix: str) -> None:
+        """Write *blob* to *target* atomically: tempfile + os.replace."""
         fd, tmp = tempfile.mkstemp(dir=str(self.path),
-                                   prefix=f".{sid[:16]}-", suffix=".tmp")
+                                   prefix=f".{sid[:16]}-", suffix=suffix)
         try:
-            # One serialize + one write: json.dump's streaming iterencode
-            # writes the file in thousands of tiny chunks, which dominates
-            # a cold sweep's publish cost.
-            blob = json.dumps(index, separators=(",", ":")).encode("utf-8")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)
             os.replace(tmp, target)
@@ -698,6 +707,42 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
+
+    def _write_index(self, sid: str, index: dict) -> None:
+        """Publish *index* atomically and refresh the in-process snapshot
+        in place: re-parsing the index just written would make a cold
+        sweep quadratic."""
+        target = self._index_path(sid)
+        # One serialize + one write: json.dump's streaming iterencode
+        # writes the file in thousands of tiny chunks, which dominates a
+        # cold sweep's publish cost.
+        self._replace(sid, target, json.dumps(
+            index, separators=(",", ":")).encode("utf-8"), ".tmp")
+        try:
+            self._adopt(sid, index, target.stat())
+        except OSError:  # pragma: no cover - stat raced a cleanup
+            self._readers.pop(sid, None)
+
+
+def _stored(reader: _ShardReader, meta: dict, completion: bool,
+            repair: bool) -> Optional[StoredEntry]:
+    """One index entry of a shard snapshot, its schedule a view into the
+    snapshot's data map; ``None`` when the bytes are not there."""
+    slots = nodes = None
+    ntx = int(meta.get("ntx", 0))
+    if meta.get("offset") is not None:
+        pairs = reader.data(int(meta["offset"]), 2 * ntx)
+        if pairs is None:  # index ahead of data file: treat as miss
+            return None
+        slots, nodes = pairs[:ntx], pairs[ntx:]
+    return StoredEntry(
+        source_index=int(meta["source_index"]),
+        completion=completion, repair=repair,
+        rounds=int(meta.get("rounds", 0)),
+        completions=[_pair(e) for e in meta.get("completions", [])],
+        repairs=[_pair(e) for e in meta.get("repairs", [])],
+        counts=meta.get("counts"),
+        slots=slots, nodes=nodes)
 
 
 def _pair(entry) -> Tuple[int, int]:

@@ -3,8 +3,7 @@
 from .backend import ENGINES, make_backend, resolve_engine
 from .engine import (replay, replay_batch, run_reactive,
                      run_reactive_batch, run_reactive_multi)
-from .metrics import (BroadcastMetrics, compute_metrics,
-                      compute_metrics_from_counts)
+from .metrics import BroadcastMetrics, compute_metrics
 from .native import native_available, native_reason
 from .recovery import (BatchRecoveryState, RecoveryPolicy, RecoveryState,
                        relay_like_from_schedule, relay_like_mask)
@@ -27,7 +26,6 @@ __all__ = [
     "ReferenceSimulator",
     "TraceSummary",
     "compute_metrics",
-    "compute_metrics_from_counts",
     "make_backend",
     "merge_summaries",
     "native_available",

@@ -15,7 +15,8 @@ paper tabulates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Dict
 
 from ..radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
                             FirstOrderRadioModel)
@@ -62,49 +63,44 @@ class BroadcastMetrics:
         }
 
 
-def compute_metrics_from_counts(
-    topology: Topology,
-    source_index: int,
-    first_rx,
-    tx_count,
-    rx_count,
-    collisions: int,
-    model: FirstOrderRadioModel = PAPER_RADIO_MODEL,
-    packet_bits: int = PAPER_PACKET_BITS,
-) -> BroadcastMetrics:
-    """:class:`BroadcastMetrics` from per-node count arrays.
+def trace_counts(trace: BroadcastTrace) -> Dict[str, object]:
+    """Model-independent broadcast counts of a trace: every quantity of
+    :class:`BroadcastMetrics` but the energy, which any radio model and
+    packet size rebuild from them (:func:`counts_metrics`)."""
+    tx_count = trace.tx_count_per_node()
+    return {
+        "tx": int(trace.num_tx),
+        "rx": int(trace.num_rx),
+        "duplicates": int(trace.num_duplicate_rx),
+        "collisions": int(trace.num_collisions),
+        "delay_slots": int(trace.delay_slots),
+        "reachability": float(trace.reachability),
+        "relays": int((tx_count > 0).sum()),
+        "retransmitters": int((tx_count > 1).sum()),
+    }
 
-    Mirrors :func:`compute_metrics` field for field, but consumes the
-    aggregate arrays of a batched summary run (one row of a
-    :class:`~repro.sim.summary.TraceSummary`) instead of a materialised
-    event-tuple trace: every metric the paper tabulates is a reduction
-    over per-node counts, so the symmetry-reduced sweep never has to pay
-    per-event tuple materialisation for class members.  For the same
-    broadcast the two constructors produce equal metrics (the trace
-    properties ``num_tx``/``num_rx``/``delay_slots``/... are the same
-    reductions).
-    """
-    num_tx = int(tx_count.sum())
-    num_rx = int(rx_count.sum())
-    num_first_rx = int((first_rx > 0).sum())
-    all_reached = bool((first_rx >= 0).all())
-    energy = model.broadcast_energy(
-        num_tx=num_tx, num_rx=num_rx, bits=packet_bits,
-        distance_m=topology.tx_range())
+
+def counts_metrics(topology: Topology, source_index: int,
+                   counts: Dict[str, object],
+                   model: FirstOrderRadioModel = PAPER_RADIO_MODEL,
+                   packet_bits: int = PAPER_PACKET_BITS
+                   ) -> BroadcastMetrics:
+    """:class:`BroadcastMetrics` of one broadcast from its counts (a
+    trace's :func:`trace_counts`, a stored entry's or a batched summary
+    row's)."""
+    c = counts
+    tx, rx = int(c["tx"]), int(c["rx"])
     return BroadcastMetrics(
-        topology=topology.name,
-        num_nodes=topology.num_nodes,
-        source=tuple(topology.coord(source_index)),
-        tx=num_tx,
-        rx=num_rx,
-        duplicates=num_rx - num_first_rx,
-        collisions=int(collisions),
-        energy_j=energy,
-        delay_slots=int(first_rx.max()) if all_reached else -1,
-        reachability=float((first_rx >= 0).sum()) / topology.num_nodes,
-        relay_count=int((tx_count > 0).sum()),
-        retransmit_count=int((tx_count > 1).sum()),
-    )
+        topology=topology.name, num_nodes=topology.num_nodes,
+        source=tuple(topology.coord(source_index)), tx=tx, rx=rx,
+        duplicates=int(c["duplicates"]), collisions=int(c["collisions"]),
+        energy_j=model.broadcast_energy(num_tx=tx, num_rx=rx,
+                                        bits=packet_bits,
+                                        distance_m=topology.tx_range()),
+        delay_slots=int(c["delay_slots"]),
+        reachability=float(c["reachability"]),
+        relay_count=int(c["relays"]),
+        retransmit_count=int(c["retransmitters"]))
 
 
 def compute_metrics(
@@ -124,26 +120,9 @@ def compute_metrics(
         packet was garbled).  The paper does not charge this cost; the flag
         exists for the energy-accounting ablation.
     """
-    energy = model.broadcast_energy(
-        num_tx=trace.num_tx,
-        num_rx=trace.num_rx,
-        bits=packet_bits,
-        distance_m=topology.tx_range(),
-    )
+    metrics = counts_metrics(topology, trace.source, trace_counts(trace),
+                             model, packet_bits)
     if count_collided_rx_energy:
-        energy += trace.num_collisions * model.rx_energy(packet_bits)
-    tx_count = trace.tx_count_per_node()
-    return BroadcastMetrics(
-        topology=topology.name,
-        num_nodes=trace.num_nodes,
-        source=tuple(topology.coord(trace.source)),
-        tx=trace.num_tx,
-        rx=trace.num_rx,
-        duplicates=trace.num_duplicate_rx,
-        collisions=trace.num_collisions,
-        energy_j=energy,
-        delay_slots=trace.delay_slots,
-        reachability=trace.reachability,
-        relay_count=int((tx_count > 0).sum()),
-        retransmit_count=int((tx_count > 1).sum()),
-    )
+        metrics = replace(metrics, energy_j=metrics.energy_j
+                          + trace.num_collisions * model.rx_energy(packet_bits))
+    return metrics

@@ -7,7 +7,7 @@ Public surface:
   the four regular lattices of the paper (Figs. 1-4).
 * :class:`RandomDiskTopology` — random-deployment baseline.
 * :func:`make_topology` / :func:`paper_topologies` — factory helpers.
-* :mod:`repro.topology.diagonal` — S1/S2 diagonal sets and B1/B2 staircases.
+* :mod:`repro.topology.diagonal` — the S1/S2 diagonal sets (Section 3).
 * :mod:`repro.topology.lee` — the R5 z-relay lattice.
 """
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from repro.core.base import RelayPlan
 from repro.core.mesh2d3 import staircase_seeds
 from repro.core.mesh2d4 import relay_columns, retransmitter_columns
@@ -28,6 +30,40 @@ from repro.topology.mesh2d import Mesh2D3, Mesh2D8, _Mesh2DBase
 from repro.topology.mesh3d import Mesh3D6
 
 # -- the paper's vocabulary --------------------------------------------
+
+
+def s1_value(coord: Coord2D) -> int:
+    """The S1 diagonal constant ``x + y`` of *coord*."""
+    x, y = coord
+    return x + y
+
+
+def s2_value(coord: Coord2D) -> int:
+    """The S2 diagonal constant ``x - y`` of *coord*."""
+    x, y = coord
+    return x - y
+
+
+def s1_indices(mesh: _Mesh2DBase, c: int) -> np.ndarray:
+    """0-based node indices of ``S1(c)``, ordered by x (vectorised).
+
+    Index arithmetic: no coordinate tuples are materialised.
+    """
+    x = np.arange(max(1, c - mesh.n), min(mesh.m, c - 1) + 1, dtype=np.int64)
+    y = c - x
+    return x - 1 + (y - 1) * mesh.m
+
+
+def s2_indices(mesh: _Mesh2DBase, c: int) -> np.ndarray:
+    """0-based node indices of ``S2(c)``, ordered by x (vectorised)."""
+    x = np.arange(max(1, c + 1), min(mesh.m, c + mesh.n) + 1, dtype=np.int64)
+    y = x - c
+    return x - 1 + (y - 1) * mesh.m
+
+
+def s1_range(mesh: _Mesh2DBase) -> Tuple[int, int]:
+    """Inclusive range of S1 constants with nonempty in-grid sets."""
+    return (2, mesh.m + mesh.n)
 
 
 def s1_set(mesh: _Mesh2DBase, c: int) -> List[Coord2D]:

@@ -15,7 +15,7 @@ class TestSValues:
         s1_12 = P.s1_set(mesh, 12)
         for node in [(5, 7), (6, 6), (7, 5)]:
             assert node in s1_12
-            assert D.s1_value(node) == 12
+            assert P.s1_value(node) == 12
 
     def test_paper_s2_example(self):
         """Paper: nodes (5,3), (6,4), (7,5) are in S2(2)."""
@@ -23,7 +23,7 @@ class TestSValues:
         s2_2 = P.s2_set(mesh, 2)
         for node in [(5, 3), (6, 4), (7, 5)]:
             assert node in s2_2
-            assert D.s2_value(node) == 2
+            assert P.s2_value(node) == 2
 
     def test_s1_runs_antidiagonally(self):
         mesh = Mesh2D8(10, 10)
@@ -52,7 +52,7 @@ class TestSValues:
 
     def test_ranges(self):
         mesh = Mesh2D8(6, 4)
-        lo, hi = D.s1_range(mesh)
+        lo, hi = P.s1_range(mesh)
         assert (lo, hi) == (2, 10)
         lo, hi = D.s2_range(mesh)
         assert (lo, hi) == (-3, 5)
@@ -76,10 +76,10 @@ class TestVectorizedIndices:
                                        (2, 2)])
     def test_s1_matches_coordinate_set(self, shape):
         mesh = Mesh2D8(*shape)
-        lo, hi = D.s1_range(mesh)
+        lo, hi = P.s1_range(mesh)
         for c in range(lo - 2, hi + 3):  # incl. out-of-range constants
             want = [mesh.index(cd) for cd in P.s1_set(mesh, c)]
-            assert D.s1_indices(mesh, c).tolist() == want, c
+            assert P.s1_indices(mesh, c).tolist() == want, c
 
     @pytest.mark.parametrize("shape", [(8, 8), (7, 5), (1, 6), (6, 1),
                                        (2, 2)])
@@ -88,7 +88,7 @@ class TestVectorizedIndices:
         lo, hi = D.s2_range(mesh)
         for c in range(lo - 2, hi + 3):
             want = [mesh.index(cd) for cd in P.s2_set(mesh, c)]
-            assert D.s2_indices(mesh, c).tolist() == want, c
+            assert P.s2_indices(mesh, c).tolist() == want, c
 
 
 class TestStaircases:

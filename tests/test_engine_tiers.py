@@ -770,3 +770,25 @@ print("fallback-ok")
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert "fallback-ok" in out.stdout
+
+
+def test_kernel_source_compiles_warning_free(tmp_path):
+    """The C kernel passes strict C99 with every gcc warning an error.
+
+    Only the suite holds the kernel to this: a user's build compiles the
+    same source with its own flags, so a new warning fails here and never
+    demotes the compiled tier.
+    """
+    import shutil
+
+    from repro.sim import native
+
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc is not installed")
+    source = tmp_path / "kernel.c"
+    source.write_text(native._SOURCE)
+    out = subprocess.run([gcc, "-std=c99", "-Wall", "-Wextra", "-Werror",
+                          "-fsyntax-only", str(source)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -5,9 +5,9 @@ up to 4x4x4 compiles from every source.  Each schedule replays on the
 pure-Python reference simulator: its transmissions must be the compiled
 trace's, and it must reach exactly the source's connected component —
 every node, except on the disconnected 2D-3 single-column meshes.  The
-symmetry-class path (:func:`repro.core.symmetry.sweep_compile`, the one
-``ArtifactStore.warm`` runs) must give every member what a direct compile
-gives.
+symmetry-class path (:func:`repro.core.symmetry.compile_classes`, the
+one ``ArtifactStore.warm`` runs) must give every member what a direct
+compile gives.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from repro import make_topology, protocol_for
-from repro.core.symmetry import sweep_compile
+from repro.core.store import trace_counts
 from repro.sim.reference import ReferenceSimulator
+
+from .class_sweep import sweep_compile
 
 SHAPES = {
     "2D-3": list(itertools.product(range(1, 9), repeat=2)),
@@ -35,10 +37,7 @@ def _check_member(member, direct) -> None:
     trace = direct.trace
     assert member.source_index == direct.source
     if member.compiled is None:  # a zero-fix member's counts
-        assert np.array_equal(member.first_rx, trace.first_rx)
-        assert np.array_equal(member.tx_count, trace.tx_count_per_node())
-        assert np.array_equal(member.rx_count, trace.rx_count_per_node())
-        assert member.collisions == trace.num_collisions
+        assert member.counts == trace_counts(trace)
         return
     got = member.compiled
     assert got.schedule == direct.schedule

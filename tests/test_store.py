@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import ScheduleCache
 from repro.core.compiler import compile_call_count
@@ -489,19 +491,23 @@ def test_warm_keeps_first_writer_and_upgrades_metrics_only(tmp_path):
 
 
 def test_warm_puts_each_entry_once(tmp_path, monkeypatch):
-    """A representative or fallback compiled through the cache is
-    published by the cache alone, not again as a class member."""
-    puts = []
-    put = ArtifactStore.put
+    """A representative or fallback compiled through the warm's shard is
+    committed once, not again as a class member: one committed entry
+    item per entry."""
+    items = []
+    publish = ArtifactStore._publish
 
-    def counting(self, topology, protocol_name, source_index, **kwargs):
-        puts.append((topology.fingerprint, source_index))
-        return put(self, topology, protocol_name, source_index, **kwargs)
+    def counting(self, fingerprint, protocol_name, completion, repair,
+                 batch):
+        items.extend((fingerprint, key) for section, key, _, _ in batch
+                     if section == "entries")
+        return publish(self, fingerprint, protocol_name, completion,
+                       repair, batch)
 
-    monkeypatch.setattr(ArtifactStore, "put", counting)
+    monkeypatch.setattr(ArtifactStore, "_publish", counting)
     stats = ArtifactStore(tmp_path).warm(SMALL_FLEET)
     assert stats["store_errors"] == 0
-    assert len(puts) == stats["entries"] == len(set(puts))
+    assert len(items) == stats["entries"] == len(set(items))
 
 
 def test_warm_compiles_each_representative_once(tmp_path):
@@ -524,7 +530,7 @@ def test_warm_runs_serial_waves_only_for_fallback_and_direct_members(
     path hands to a direct compile."""
     import repro.core.compiler as compiler_module
     import repro.sim.engine as engine_module
-    from repro.core.symmetry import sweep_compile
+    from .class_sweep import sweep_compile
 
     expected = set()
     for label, shape in SMALL_FLEET:
@@ -574,3 +580,152 @@ def test_warm_runs_on_columns_without_tuple_views(tmp_path, monkeypatch):
     assert stats["entries"] == sum(np.prod(shape) for _, shape in SMALL_FLEET)
     assert fixes  # the fix planner's busy map is on the guarded path
     assert built == []
+
+
+# -- one-pass warm ----------------------------------------------------------
+
+def _digest(root):
+    """Digest of every shard under *root*: each entry's metadata
+    (offsets dropped: they depend on write order), its schedule bytes
+    and the shard's class profiles."""
+    import hashlib
+    digest = {}
+    for index_path in sorted(Path(root).glob("*.json")):
+        shard = json.loads(index_path.read_text())
+        data = index_path.with_suffix(".bin").read_bytes() \
+            if index_path.with_suffix(".bin").exists() else b""
+        entries = {}
+        for key, meta in shard["entries"].items():
+            off = meta["offset"]
+            raw = b"" if off is None else data[off:off + 16 * meta["ntx"]]
+            entries[key] = [{k: v for k, v in meta.items() if k != "offset"},
+                            hashlib.sha256(raw).hexdigest()]
+        digest[index_path.stem] = [entries, shard["profiles"]]
+    return hashlib.sha256(
+        json.dumps(digest, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def fresh_small_fleet(tmp_path_factory):
+    """A fresh warm of SMALL_FLEET: its store, stats and digest, plus
+    every class as ``(topology, class_key, source indices)``, the
+    representative first."""
+    root = tmp_path_factory.mktemp("fresh")
+    stats = ArtifactStore(root).warm(SMALL_FLEET)
+    classes = []
+    for label, shape in SMALL_FLEET:
+        topology = make_topology(label, shape=shape)
+        sources = list(topology.iter_coords())
+        groups, direct = group_sources(topology, protocol_for(topology),
+                                       sources)
+        assert not direct
+        classes += [(topology, key, [topology.index(sources[p])
+                                     for p in positions])
+                    for key, positions in groups.items()]
+    return ArtifactStore(root), stats, _digest(root), classes
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_warm_over_a_partly_filled_store_equals_a_fresh_warm(
+        fresh_small_fleet, data):
+    """A store holding a random subset of the fresh warm's class
+    profiles, full representative entries and metrics-only entries
+    warms to the fresh warm's exact contents, compiling only the
+    classes with neither a stored profile nor a stored representative."""
+    import tempfile
+
+    from repro.core.store import class_profile_hash
+
+    fresh, fresh_stats, fresh_digest, classes = fresh_small_fleet
+    members = [(c, s) for c, (_, _, sources) in enumerate(classes)
+               for s in sources]
+    indices = st.integers(0, len(classes) - 1)
+    profiled = data.draw(st.sets(indices), label="profiled classes")
+    full = data.draw(st.sets(indices), label="stored representatives")
+    counted = data.draw(st.sets(st.integers(0, len(members) - 1)),
+                        label="metrics-only entries")
+
+    def profile_key(topology, class_key):
+        return class_profile_hash(topology.fingerprint,
+                                  protocol_for(topology).name, class_key)
+
+    for c in profiled:
+        topology, class_key, _ = classes[c]
+        # A stored zero-fix profile without its representative's
+        # schedule makes the representative a counts-only member, which
+        # a fresh warm never writes: store the schedule with it.
+        if fresh.class_profile(topology, protocol_for(topology).name,
+                               profile_key(topology, class_key))["zero_fix"]:
+            full.add(c)
+    with tempfile.TemporaryDirectory() as root:
+        store = ArtifactStore(root)
+        for c in sorted(full):
+            topology, _, sources = classes[c]
+            name = protocol_for(topology).name
+            entry = fresh.get(topology, name, sources[0])
+            store.put(topology, name, sources[0],
+                      schedule=np.column_stack([entry.slots, entry.nodes]),
+                      counts=entry.counts, completions=entry.completions,
+                      repairs=entry.repairs, rounds=entry.rounds)
+        for c in sorted(profiled):
+            topology, class_key, _ = classes[c]
+            name = protocol_for(topology).name
+            key = profile_key(topology, class_key)
+            store.store_class_profile(topology, name, key,
+                                      fresh.class_profile(topology, name, key))
+        for m in sorted(counted):
+            c, source = members[m]
+            topology = classes[c][0]
+            name = protocol_for(topology).name
+            store.put(topology, name, source,
+                      counts=fresh.get(topology, name, source).counts)
+
+        calls0 = compile_call_count()
+        stats = store.warm(SMALL_FLEET)
+        compiles = compile_call_count() - calls0
+        assert _digest(root) == fresh_digest
+    assert stats["store_errors"] == 0
+    assert (stats["classes"], stats["entries"]) == (
+        fresh_stats["classes"], fresh_stats["entries"])
+    expected = sum(1 for c in range(len(classes))
+                   if c not in profiled and c not in full)
+    assert stats["compiles"] == compiles == expected
+
+
+def test_warm_holds_one_chunk_of_member_rows_at_a_time(tmp_path,
+                                                       monkeypatch):
+    """Shapes whose representatives and members span many chunks: at
+    every batched wave, the per-node rows still alive from earlier waves
+    are at most one chunk's, plus the result being committed."""
+    import weakref
+
+    import repro.core.symmetry as symmetry
+
+    alive = []  # (weak reference, rows) of every wave's output
+    peaks = []
+    summaries = []
+    run = symmetry.run_reactive_multi
+
+    def tracking(*args, **kwargs):
+        peaks.append(sum(rows for ref, rows in alive if ref() is not None))
+        out = run(*args, **kwargs)
+        if kwargs.get("summary"):
+            summaries.append(out.trials)
+            alive.append((weakref.ref(out), out.trials))
+        else:
+            alive.extend((weakref.ref(trace), 1) for trace in out)
+        return out
+
+    monkeypatch.setattr(symmetry, "run_reactive_multi", tracking)
+    chunk = 4
+    for label, shape in (("2D-4", (12, 12)), ("2D-8", (10, 10))):
+        topology = make_topology(label, shape=shape)
+        monkeypatch.setattr(symmetry, "MAX_BATCH_CELLS",
+                            chunk * topology.num_nodes)
+        del alive[:], peaks[:]
+        stats = ArtifactStore(tmp_path / label).warm([(label, shape)])
+        assert stats["entries"] == topology.num_nodes
+        assert len(peaks) > topology.num_nodes // chunk // 2, label
+        assert max(peaks) <= chunk + 1, label
+    assert len(summaries) > 1 and max(summaries) == chunk

@@ -32,12 +32,14 @@ from repro.core.base import RelayPlan
 from repro.core.compiler import compile_call_count
 from repro.core.symmetry import (ClassMemberResult,
                                  _compile_fixpoint_batch, compile_class,
-                                 group_sources, sweep_compile)
+                                 compile_classes, group_sources)
 from repro.sim import (TranslationError, compute_metrics,
                        native_available, run_reactive, run_reactive_multi,
                        translate_compiled)
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 from repro.topology.base import Topology
+
+from .class_sweep import sweep_compile
 
 
 def assert_traces_equal(a, b):
@@ -195,6 +197,41 @@ class TestSymmetryExactness:
                                         [plans[i] for i in batch],
                                         max_rounds=1)
             assert str(batched.value) == str(serial.value)
+
+    @pytest.mark.parametrize("chunk", [None, 3], ids=["default", "chunk3"])
+    @pytest.mark.parametrize(
+        "topo", [Mesh2D4(9, 7), Mesh2D8(8, 8), Mesh2D3(10, 8),
+                 Mesh3D6(4, 4, 4)], ids=lambda t: f"{t.name}-{t.shape}")
+    def test_compile_classes_equals_compile_class_per_class(
+            self, topo, chunk, monkeypatch):
+        """One pass over a shape (representatives batched, members of
+        all classes batched) gives each member exactly what the
+        single-class entry point gives it; with three members per chunk
+        the chunks cut across classes."""
+        import repro.core.symmetry as symmetry
+        if chunk is not None:
+            monkeypatch.setattr(symmetry, "MAX_BATCH_CELLS",
+                                chunk * topo.num_nodes)
+        proto = protocol_for(topo)
+        groups, _ = group_sources(topo, proto, list(topo.iter_coords()))
+        classes = [(key, [topo.coord(p) for p in positions])
+                   for key, positions in groups.items()]
+        got = {}
+        for c, i, res in compile_classes(topo, proto, classes):
+            assert (c, i) not in got
+            got[c, i] = res
+        assert len(got) == topo.num_nodes
+        vias = set()
+        for c, (key, coords) in enumerate(classes):
+            for i, want in enumerate(compile_class(topo, proto, key, coords)):
+                res = got[c, i]
+                vias.add(res.via)
+                assert (res.source_index, res.via, res.counts) == (
+                    want.source_index, want.via, want.counts)
+                assert (res.compiled is None) == (want.compiled is None)
+                if want.compiled is not None:
+                    assert_compiled_equal(res.compiled, want.compiled)
+        assert "representative" in vias and len(vias) > 1
 
     def test_class_keys_group_only_identical_problems(self):
         # Grouping sanity: members of one class share residue and clamped
