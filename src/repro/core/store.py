@@ -83,6 +83,10 @@ STORE_FORMAT_VERSION = 2
 COUNT_FIELDS = ("tx", "rx", "duplicates", "collisions", "delay_slots",
                 "reachability", "relays", "retransmitters")
 
+#: Index/bin pairings a reader tries before a moving shard reads as a
+#: miss (see :meth:`ArtifactStore._reader`).
+_READ_ATTEMPTS = 3
+
 _SAFE = re.compile(r"[^A-Za-z0-9_.-]")
 
 
@@ -538,32 +542,48 @@ class ArtifactStore:
         return reader
 
     def _reader(self, sid: str) -> Optional[_ShardReader]:
-        """Load (or revalidate) the cached snapshot of one shard."""
+        """Load (or revalidate) the cached snapshot of one shard.
+
+        The index is parsed before the bin is mapped, so a ``gc`` landing
+        in between would pair pre-gc offsets with compacted bytes.  Every
+        ``gc`` publishes the index before it swaps the bin, so the
+        index's stamp is re-read after the map: a moved stamp re-reads
+        the pair, and a shard that keeps moving reads as a miss.
+        """
         index_path = self._index_path(sid)
-        try:
-            st = index_path.stat()
-        except OSError:
-            self._readers.pop(sid, None)
-            return None
-        # st_ino is the load-bearing part of the stamp: every index
-        # publish goes through tempfile + os.replace, so it lands on a
-        # fresh inode even when coarse mtime granularity and an equal
-        # byte size make (mtime, size) collide across rapid publishes.
-        stamp = (st.st_mtime_ns, st.st_size, st.st_ino)
-        reader = self._readers.get(sid)
-        if reader is not None and reader.stamp == stamp:
+        for _ in range(_READ_ATTEMPTS):
+            try:
+                st = index_path.stat()
+            except OSError:
+                break
+            # st_ino is the load-bearing part of the stamp: every index
+            # publish goes through tempfile + os.replace, so it lands on
+            # a fresh inode even when coarse mtime granularity and an
+            # equal byte size make (mtime, size) collide across rapid
+            # publishes.
+            stamp = _stamp(st)
+            reader = self._readers.get(sid)
+            if reader is not None and reader.stamp == stamp:
+                return reader
+            index = self._load_index(index_path)
+            if index is None:
+                break
+            reader = _ShardReader(index=index, stamp=stamp)
+            self._map_data(sid, reader)
+            try:
+                if _stamp(index_path.stat()) != stamp:
+                    continue
+            except OSError:
+                break
+            self._readers[sid] = reader
             return reader
-        index = self._load_index(index_path)
-        if index is None:
-            self._readers.pop(sid, None)
-            return None
-        return self._adopt(sid, index, st)
+        self._readers.pop(sid, None)
+        return None
 
     def _adopt(self, sid: str, index: dict,
                st: os.stat_result) -> _ShardReader:
         """Cache *index* as the snapshot of the index file stat'ed *st*."""
-        reader = _ShardReader(index=index,
-                              stamp=(st.st_mtime_ns, st.st_size, st.st_ino))
+        reader = _ShardReader(index=index, stamp=_stamp(st))
         self._map_data(sid, reader)
         self._readers[sid] = reader
         return reader
@@ -687,8 +707,7 @@ class ArtifactStore:
         except OSError:
             return None
         reader = self._readers.get(sid)
-        if reader is not None and reader.stamp == (
-                st.st_mtime_ns, st.st_size, st.st_ino):
+        if reader is not None and reader.stamp == _stamp(st):
             return reader.index
         return self._load_index(self._index_path(sid))
 
@@ -722,6 +741,11 @@ class ArtifactStore:
             self._adopt(sid, index, target.stat())
         except OSError:  # pragma: no cover - stat raced a cleanup
             self._readers.pop(sid, None)
+
+
+def _stamp(st: os.stat_result) -> Tuple[int, int, int]:
+    """An index file's identity: a publish always moves it."""
+    return (st.st_mtime_ns, st.st_size, st.st_ino)
 
 
 def _stored(reader: _ShardReader, meta: dict, completion: bool,

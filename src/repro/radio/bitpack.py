@@ -13,8 +13,9 @@ intersection, difference) runs one word op per 64 nodes.
 This module holds the layout the C kernel reads: :func:`num_words`,
 :func:`pack_bool_matrix` (alive masks) and :func:`neighbour_words`, the
 ``(n, W)`` neighbour-word table its carry-save slot resolve
-accumulates.  The recovery tier (:mod:`repro.sim.recovery_packed`)
-reuses the same layout over CSR edge positions.
+accumulates.  The recovery tier
+(:class:`repro.sim.backend.NativeRecoveryState`) reuses the same layout
+over CSR edge positions.
 
 Packing assumes a little-endian host (bit ``i`` of the uint64 view is
 bit ``i % 8`` of byte ``i // 8``); :func:`packing_supported` gates the

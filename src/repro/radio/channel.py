@@ -201,30 +201,6 @@ class SlotKernel:
                 order[np.searchsorted(keys[order], indices * n + rows)])
         return self.derived("rev_edge", build)
 
-    def resolve(self, tx_nodes: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve one slot given the array of transmitting node indices.
-
-        Returns ``(heard, received, collided, senders)``, all fresh
-        arrays.  ``senders[v]`` is the delivering neighbour wherever
-        ``received[v]`` is True and garbage elsewhere.
-        """
-        tx_nodes = np.asarray(tx_nodes, dtype=np.int64)
-        n = self.num_nodes
-        nbrs = self.padded_rows()[tx_nodes].ravel()
-        heard = np.bincount(nbrs, minlength=n + 1)[:n]
-        # Exactly one writer reaches any node with heard == 1, so the
-        # scatter leaves the unique sender there; collided or silent
-        # entries hold garbage and are never read.
-        senders = np.empty(n + 1, dtype=np.int64)
-        senders[nbrs] = tx_nodes.repeat(self.max_degree)
-        received = heard == 1
-        collided = heard >= 2
-        # Half-duplex: transmitters hear nothing.
-        received[tx_nodes] = False
-        collided[tx_nodes] = False
-        return heard, received, collided, senders[:n]
-
     def _batch_buffers(self, trials: int):
         """This thread's per-batch scratch, keyed on the full ``(trials,
         n)`` shape.  Rows are ``n + 1`` wide: column ``n`` takes the
@@ -257,9 +233,9 @@ class SlotKernel:
         """Resolve one slot for *trials* independent trials at once.
 
         ``(tx_trials[i], tx_nodes[i])`` are the (trial, node) transmission
-        pairs of the slot across the whole batch.  The physics is the same
-        as :meth:`resolve` applied per trial, but all trials share a
-        single padded-row gather; a neighbour hit of trial *b* lands in
+        pairs of the slot across the whole batch.  The physics is
+        :func:`resolve_slot` + :func:`unique_transmitter` applied per
+        trial, but all trials share a single padded-row gather; a neighbour hit of trial *b* lands in
         flat cell ``b * (n + 1) + neighbour``, so every trial's airspace
         stays independent.  Counting is sparse — unique hit cells with
         multiplicities — and lands in a reused narrow accumulator that is

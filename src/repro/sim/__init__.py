@@ -1,13 +1,13 @@
 """Slot-synchronous broadcast simulator."""
 
-from .backend import ENGINES, make_backend, resolve_engine
+from .backend import (ENGINES, NativeRecoveryState, make_backend,
+                      resolve_engine)
 from .engine import (replay, replay_batch, run_reactive,
                      run_reactive_batch, run_reactive_multi)
 from .metrics import BroadcastMetrics, compute_metrics
 from .native import native_available, native_reason
-from .recovery import (BatchRecoveryState, RecoveryPolicy, RecoveryState,
+from .recovery import (BatchRecoveryState, RecoveryPolicy,
                        relay_like_from_schedule, relay_like_mask)
-from .recovery_packed import NativeRecoveryState
 from .shard import (replay_batch_sharded, run_reactive_batch_sharded,
                     shard_ranges)
 from .translate import (TranslationError, translate_compiled,
@@ -40,7 +40,6 @@ __all__ = [
     "run_reactive_multi",
     "shard_ranges",
     "RecoveryPolicy",
-    "RecoveryState",
     "BatchRecoveryState",
     "NativeRecoveryState",
     "relay_like_mask",

@@ -24,8 +24,9 @@ pairs in; the received pairs with senders, the collision pairs in trace
 mode and the new pairs out, all in (trial, node) order) and the trace
 logs.
 
-The closed-loop recovery machine (:mod:`repro.sim.recovery_packed`)
-runs in the kernel too, over one ``recovery_t`` struct that points at
+The closed-loop recovery machine
+(:class:`repro.sim.backend.NativeRecoveryState`) runs in the kernel
+too, over one ``recovery_t`` struct that points at
 the state arrays the Python object owns and carries the policy scalars
 and the running ``horizon``.  ``resolve_slot`` takes it (``NULL``
 without recovery) and also does the post-slot accounting: guardian
@@ -234,8 +235,8 @@ static inline void accum_words(uint64_t *o, uint64_t *t2,
 }
 
 /* ---------------------------------------------------------------------
- * Closed-loop recovery state (repro.sim.recovery_packed owns every
- * buffer; this struct only points at them).
+ * Closed-loop recovery state (repro.sim.backend.NativeRecoveryState
+ * owns every buffer; this struct only points at them).
  *
  * Per (trial b, node v) pair, id = b * n + v: the heard counter, the
  * has-transmitted flag, the guardian check (chk_base, retries_used)

@@ -31,8 +31,8 @@ w is covered* (the overhear).  Collisions deliver neither — a collided
 slot yields no decode, no ACK, and no attribution, so collisions
 genuinely blind the recovery layer, as they would a real radio.
 
-Recovery state machine (identical in both engines)
---------------------------------------------------
+Recovery state machine
+----------------------
 Every node starts a **guardian episode** at its first transmission: a
 coverage check is scheduled ``timeout`` slots later.  At a check the
 guardian looks at its *uncovered set* — neighbours from which it holds
@@ -59,19 +59,20 @@ the elected slot ``w`` fires only if ``u*`` has *still* not been
 overheard and the suppression counter permits; its transmission then
 starts an ordinary guardian episode covering ``u*``'s neighbourhood.
 
-All decisions are functions of per-slot simulation state, so the serial
-engine (:class:`RecoveryState`, python sets and scalars) and the batched
-Monte-Carlo engine (:class:`BatchRecoveryState`, ``(B, n)`` /
-``(B, nnz)`` arrays over the CSR adjacency) implement the same machine
-two independent ways; the differential suite proves trial *b* of a
-batched run is trace-for-trace identical to the serial run with trial
-*b*'s channel.
+All decisions are functions of per-slot simulation state.  The
+engine's one slot loop runs the machine as :class:`BatchRecoveryState`
+(``(B, n)`` / ``(B, nnz)`` arrays over the CSR adjacency) on the dense
+tier and as :class:`~repro.sim.backend.NativeRecoveryState` (word
+bitsets and a due calendar, inside the kernel) on the compiled tier.
+The independent oracle is :class:`~repro.sim.reference.ReferenceRecovery`
+(per-node python sets and scalars); the differential suites hold every
+tier, trial by trial, to its traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -153,116 +154,6 @@ def relay_like_from_schedule(num_nodes: int, schedule) -> np.ndarray:
     return mask
 
 
-class RecoveryState:
-    """One-trial recovery state machine (the serial engine's hook).
-
-    Deliberately implemented with per-node python sets and scalar
-    bookkeeping — structurally different from
-    :class:`BatchRecoveryState` so the differential suite compares two
-    genuinely independent implementations.
-    """
-
-    def __init__(self, topology: Topology, policy: RecoveryPolicy,
-                 relay_like: np.ndarray) -> None:
-        n = topology.num_nodes
-        self.policy = policy
-        self.n = n
-        self.relay_like = [bool(b) for b in relay_like]
-        self._nbrs: List[List[int]] = [
-            sorted(int(u) for u in topology.neighbor_indices(v))
-            for v in range(n)]
-        # v -> set of neighbours v knows to hold the message
-        self.known: List[Set[int]] = [set() for _ in range(n)]
-        self.heard_total = [0] * n
-        self.has_tx = [False] * n
-        self.chk_slot = [0] * n       # 0 = no pending check
-        self.chk_base = [0] * n
-        self.retries_used = [0] * n
-        self.elec_slot = [0] * n      # 0 = no pending election
-        self.elec_base = [0] * n
-        self.elec_target = [-1] * n
-        self.horizon = 0
-
-    # ------------------------------------------------------------------
-
-    def pre_slot(self, t: int) -> Set[int]:
-        """Process checks/elections due at *t*; return the retransmitters."""
-        pol = self.policy
-        out: Set[int] = set()
-        for v in range(self.n):
-            if self.chk_slot[v] == t:
-                if len(self.known[v]) >= len(self._nbrs[v]):
-                    self.chk_slot[v] = 0          # fully covered: done
-                    continue
-                heard = self.heard_total[v]
-                suppressed = (pol.suppression_k > 0 and
-                              heard - self.chk_base[v] >= pol.suppression_k)
-                if not suppressed:
-                    out.add(v)
-                self.retries_used[v] += 1
-                if self.retries_used[v] < pol.max_retries:
-                    nxt = t + pol.timeout * pol.backoff ** self.retries_used[v]
-                    self.chk_slot[v] = nxt
-                    if nxt > self.horizon:
-                        self.horizon = nxt
-                else:
-                    self.chk_slot[v] = 0
-                self.chk_base[v] = heard
-        for w in range(self.n):
-            if self.elec_slot[w] == t:
-                self.elec_slot[w] = 0             # one-shot
-                if self.elec_target[w] in self.known[w]:
-                    continue                      # target overheard after all
-                if (pol.suppression_k > 0 and
-                        self.heard_total[w] - self.elec_base[w]
-                        >= pol.suppression_k):
-                    continue                      # repairs already overheard
-                out.add(w)
-        return out
-
-    def post_slot(self, t: int, tx_nodes: np.ndarray,
-                  received: np.ndarray, senders: np.ndarray,
-                  new_nodes: np.ndarray) -> None:
-        """Account one resolved slot: ACKs/overhears, episode starts,
-        election scheduling for the newly informed."""
-        pol = self.policy
-        rx_nodes = received.nonzero()[0]
-        for r in rx_nodes:
-            self.heard_total[r] += 1
-        for r in rx_nodes:
-            w = int(senders[r])
-            self.known[w].add(int(r))             # link-layer ACK
-            self.known[int(r)].add(w)             # implicit ACK (overhear)
-        for v in tx_nodes:
-            v = int(v)
-            if not self.has_tx[v]:
-                self.has_tx[v] = True
-                if pol.max_retries > 0:
-                    self.chk_slot[v] = t + pol.timeout
-                    self.chk_base[v] = self.heard_total[v]
-                    self.retries_used[v] = 0
-                    if self.chk_slot[v] > self.horizon:
-                        self.horizon = self.chk_slot[v]
-        if pol.election:
-            for w in new_nodes:
-                w = int(w)
-                if self.relay_like[w]:
-                    continue
-                target = -1
-                for u in self._nbrs[w]:
-                    if self.relay_like[u] and u not in self.known[w]:
-                        target = u
-                        break
-                if target < 0:
-                    continue
-                rank = sum(1 for x in self._nbrs[target] if x < w)
-                self.elec_slot[w] = t + pol.election_delay + rank
-                self.elec_base[w] = self.heard_total[w]
-                self.elec_target[w] = target
-                if self.elec_slot[w] > self.horizon:
-                    self.horizon = self.elec_slot[w]
-
-
 class BatchRecoveryState:
     """B-trial recovery state machine (the batched engine's hook).
 
@@ -270,7 +161,8 @@ class BatchRecoveryState:
     knowledge in a ``(B, nnz)`` boolean over the CSR adjacency, with
     decode pairs mapped to edge positions by a binary search over the
     sorted ``row * n + col`` edge keys.  Row *b* evolves exactly like a
-    :class:`RecoveryState` driven by trial *b*'s channel.
+    :class:`~repro.sim.reference.ReferenceRecovery` driven by trial
+    *b*'s channel.
     """
 
     def __init__(self, topology: Topology, policy: RecoveryPolicy,
@@ -359,7 +251,8 @@ class BatchRecoveryState:
                   rt: np.ndarray, rn: np.ndarray, sv: np.ndarray,
                   nt: np.ndarray, nn: np.ndarray) -> None:
         """Account one resolved batch slot (mirrors
-        :meth:`RecoveryState.post_slot` trial-by-trial).
+        :meth:`~repro.sim.reference.ReferenceRecovery.post_slot`
+        trial-by-trial).
 
         The slot outcome arrives sparse — received pairs ``(rt, rn)``
         with their delivering senders *sv* — so the update cost scales

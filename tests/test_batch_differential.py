@@ -1,13 +1,18 @@
-"""Differential testing: batched trial engine vs the serial engine.
+"""Batching invariance: a B-trial batch vs its B=1 runs.
 
-The batch engine's contract is exact serial equivalence: trial *b* of
-``run_reactive_batch`` / ``replay_batch`` must be trace-for-trace
-identical to a one-trial ``run_reactive`` / ``replay`` run with that
-trial's dead mask and loss process.  This suite enforces the contract
-with hypothesis-generated scenarios on all four paper topologies —
-per-trial dead masks, every loss kind (counter-based Bernoulli/burst,
-legacy PCG64 adapters), repeats, extra delays, forced transmissions —
-plus hardened paper plans and summary/full-trace consistency.
+Trial *b* of ``run_reactive_batch`` / ``replay_batch`` must be
+trace-for-trace identical to a one-trial ``run_reactive`` / ``replay``
+run with that trial's dead mask and loss process.  The one-trial entry
+points are themselves B=1 calls into the same slot loop, so this suite
+checks that batching changes no trial's answer — not the loop's
+semantics, which the reference differentials
+(``tests/test_reference_differential.py``,
+``tests/test_recovery_differential.py``) hold against the pure-python
+oracle.  It runs hypothesis-generated scenarios on all four paper
+topologies — per-trial dead masks, every loss kind (counter-based
+Bernoulli/burst, legacy PCG64 adapters), repeats, extra delays, forced
+transmissions — plus hardened paper plans and summary/full-trace
+consistency.
 """
 
 import numpy as np
@@ -33,15 +38,15 @@ MESHES = [
 ]
 
 
-def assert_trial_equal(batch_trace, serial_trace):
-    assert batch_trace.tx_events == serial_trace.tx_events
-    assert batch_trace.rx_events == serial_trace.rx_events
-    assert batch_trace.collision_events == serial_trace.collision_events
-    assert (batch_trace.first_rx == serial_trace.first_rx).all()
-    assert batch_trace.dropped_forced == serial_trace.dropped_forced
+def assert_trial_equal(batch_trace, single_trace):
+    assert batch_trace.tx_events == single_trace.tx_events
+    assert batch_trace.rx_events == single_trace.rx_events
+    assert batch_trace.collision_events == single_trace.collision_events
+    assert (batch_trace.first_rx == single_trace.first_rx).all()
+    assert batch_trace.dropped_forced == single_trace.dropped_forced
 
 
-def serial_kwargs(b, dead_masks, loss):
+def trial_kwargs(b, dead_masks, loss):
     return dict(
         dead_mask=None if dead_masks is None else dead_masks[b],
         loss=None if loss is None else loss.trial_loss(b))
@@ -127,7 +132,7 @@ class TestReactiveBatchDifferential:
                                  extra_delay=kw["extra_delay"],
                                  repeat_offsets=kw["repeat_offsets"],
                                  forced_tx=kw["forced_tx"],
-                                 **serial_kwargs(b, dead_masks, loss)))
+                                 **trial_kwargs(b, dead_masks, loss)))
 
         check()
 
@@ -201,16 +206,16 @@ class TestReplayBatchDifferential:
                 loss = BernoulliBatchLoss(
                     0.2, trial_seeds(data.draw(st.integers(0, 3)),
                                      0.2, trials))
-            serial = [replay(mesh, sched, src,
-                             **serial_kwargs(b, dead_masks, loss))
+            single = [replay(mesh, sched, src,
+                             **trial_kwargs(b, dead_masks, loss))
                       for b in range(trials)]
             # Both tiers, on schedules that need not be causal.
             for engine in ("batch", "compiled"):
                 traces = replay_batch(mesh, sched, src,
                                       dead_masks=dead_masks, loss=loss,
                                       trials=trials, engine=engine)
-                for batch_trace, serial_trace in zip(traces, serial):
-                    assert_trial_equal(batch_trace, serial_trace)
+                for batch_trace, single_trace in zip(traces, single):
+                    assert_trial_equal(batch_trace, single_trace)
 
         check()
 
@@ -257,12 +262,12 @@ class TestReplayBatchDifferential:
                     want = replay_batch(mesh, cut, src, engine=engine,
                                         **kw)
                     for b, trace in enumerate(got):
-                        serial = replay(mesh, sched, src, max_slots=k,
+                        single = replay(mesh, sched, src, max_slots=k,
                                         recovery=kw.get("recovery"),
-                                        **serial_kwargs(
+                                        **trial_kwargs(
                                             b, kw.get("dead_masks"),
                                             kw.get("loss")))
-                        assert_trial_equal(trace, serial)
+                        assert_trial_equal(trace, single)
                         assert trace.tx_events == [
                             e for e in full[b].tx_events if e[0] <= k]
                         assert trace.rx_events == [
@@ -275,10 +280,10 @@ class TestReplayBatchDifferential:
         mesh = Mesh2D4(8, 6)
         compiled = protocol_for("2D-4").compile(mesh, (4, 3))
         src = mesh.index((4, 3))
-        serial = replay(mesh, compiled.schedule, src)
+        single = replay(mesh, compiled.schedule, src)
         for batch_trace in replay_batch(mesh, compiled.schedule, src,
                                         trials=3):
-            assert_trial_equal(batch_trace, serial)
+            assert_trial_equal(batch_trace, single)
 
 
 class TestSummaryConsistency:

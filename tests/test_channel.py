@@ -6,6 +6,8 @@ import pytest
 from repro.radio import Packet, resolve_slot, unique_transmitter
 from repro.topology import Mesh2D4
 
+from .slot_oracle import resolve
+
 
 @pytest.fixture
 def mesh():
@@ -122,7 +124,7 @@ class TestSlotKernel:
         tx_nodes = np.array(sorted(tx_indices), dtype=np.int64)
         mask = np.zeros(topo.num_nodes, dtype=bool)
         mask[tx_nodes] = True
-        heard, received, collided, senders = kernel.resolve(tx_nodes)
+        heard, received, collided, senders = resolve(kernel, tx_nodes)
         ref = resolve_slot(topo.adjacency, mask)
         assert (heard == ref.heard).all()
         assert (received == ref.received).all()
@@ -155,10 +157,10 @@ class TestSlotKernel:
         kernel = SlotKernel(mesh.adjacency)
         a = np.array([mesh.index((3, 3))], dtype=np.int64)
         b = np.array([mesh.index((1, 1))], dtype=np.int64)
-        _, recv_a, _, senders_a = kernel.resolve(a)
+        _, recv_a, _, senders_a = resolve(kernel, a)
         senders_a_snapshot = senders_a[recv_a].copy()
-        kernel.resolve(b)
-        _, recv_a2, _, senders_a2 = kernel.resolve(a)
+        resolve(kernel, b)
+        _, recv_a2, _, senders_a2 = resolve(kernel, a)
         assert (senders_a2[recv_a2] == senders_a_snapshot).all()
 
     def test_neighbour_table_published_filled(self, mesh, monkeypatch):
@@ -174,7 +176,7 @@ class TestSlotKernel:
             return repeat(*args, **kwargs)
 
         monkeypatch.setattr(np, "repeat", building)
-        kernel.resolve(np.array([mesh.index((3, 3))], dtype=np.int64))
+        resolve(kernel, np.array([mesh.index((3, 3))], dtype=np.int64))
         assert "padded_rows" in kernel._derived
 
     def test_batch_scratch_keyed_on_trials_and_nodes(self):
@@ -197,13 +199,13 @@ class TestSlotKernel:
                 tr = np.sort(rng.integers(0, trials, size=k)
                              ).astype(np.int64)
                 out = kernel.resolve_batch(nd, tr, trials)
-                # resolve() below reuses kernel scratch: snapshot first.
+                # The next resolve_batch reuses this scratch: snapshot.
                 heard, received, collided, senders = (x.copy() for x in out)
                 assert heard.shape == (trials, topo.num_nodes)
                 # Per-trial reference via the unbatched resolver.
                 for b in range(trials):
-                    ref_h, ref_r, ref_c, ref_s = kernel.resolve(
-                        np.unique(nd[tr == b]))
+                    ref_h, ref_r, ref_c, ref_s = resolve(
+                        kernel, np.unique(nd[tr == b]))
                     assert (heard[b] == ref_h).all()
                     assert (received[b] == ref_r).all()
                     assert (collided[b] == ref_c).all()

@@ -1,14 +1,16 @@
-"""Differential testing: batched recovery vs the serial recovery state.
+"""Differential testing: the engine's recovery layer vs the reference.
 
-The batch engine's contract extends to the recovery layer: with the same
-:class:`RecoveryPolicy`, trial *b* of ``run_reactive_batch`` /
-``replay_batch`` must stay trace-for-trace identical to a one-trial
-``run_reactive`` / ``replay`` run with that trial's dead mask and loss
-process.  The serial :class:`RecoveryState` is implemented with python
-sets and per-node scalars while :class:`BatchRecoveryState` is a flat
-CSR-indexed vectorisation — hypothesis-generated scenarios on all four
-paper topologies (loss + dead-node masks + random policies) enforce
-that the two implementations agree exactly.
+With the same :class:`RecoveryPolicy`, trial *b* of ``run_reactive_batch``
+/ ``replay_batch`` — on every slot-resolve tier — and the one-trial
+``run_reactive`` / ``replay`` must stay trace-for-trace identical to
+:class:`~repro.sim.reference.ReferenceSimulator` run with that trial's
+dead mask and loss process.  The reference's recovery state
+(:class:`~repro.sim.reference.ReferenceRecovery`) is per-node python
+sets and scalars, independent of the dense tier's ``(B, nnz)`` arrays
+and the kernel's word bitsets and due calendar.  Hypothesis-generated
+scenarios on all four paper topologies (loss + dead-node masks + random
+policies, elections included, + slot cut-offs) enforce that the
+implementations agree exactly.
 """
 
 import numpy as np
@@ -19,8 +21,8 @@ from hypothesis import strategies as st
 from repro.core import protocol_for
 from repro.radio.impairments import (BernoulliBatchLoss, BurstBatchLoss,
                                      trial_seeds)
-from repro.sim import (RecoveryPolicy, replay, replay_batch, run_reactive,
-                       run_reactive_batch)
+from repro.sim import (RecoveryPolicy, ReferenceSimulator, replay,
+                       replay_batch, run_reactive, run_reactive_batch)
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 
 MESHES = [
@@ -30,20 +32,25 @@ MESHES = [
     (Mesh3D6, (3, 3, 3)),
 ]
 
+#: Engine tiers held to the reference ("compiled" degrades to the dense
+#: tier where the native build is missing).
+TIERS = ("batch", "compiled")
 
-def assert_trial_equal(batch_trace, serial_trace):
-    assert batch_trace.tx_events == serial_trace.tx_events
-    assert batch_trace.rx_events == serial_trace.rx_events
-    assert batch_trace.collision_events == serial_trace.collision_events
-    assert (batch_trace.first_rx == serial_trace.first_rx).all()
+
+def assert_trial_equal(trace, reference):
+    assert trace.tx_events == reference.tx_events
+    assert trace.rx_events == reference.rx_events
+    assert trace.collision_events == reference.collision_events
+    assert (trace.first_rx == reference.first_rx).all()
+    assert trace.dropped_forced == reference.dropped_forced
 
 
 @st.composite
 def recovery_policy(draw):
     return RecoveryPolicy(
         timeout=draw(st.integers(1, 3)),
-        max_retries=draw(st.integers(0, 3)),
-        backoff=draw(st.integers(1, 2)),
+        max_retries=draw(st.integers(0, 5)),
+        backoff=draw(st.integers(1, 3)),
         suppression_k=draw(st.integers(0, 3)),
         election=draw(st.booleans()))
 
@@ -71,14 +78,56 @@ def channel(draw, num_nodes, trials, source):
     return dead_masks, loss
 
 
-def serial_kwargs(b, dead_masks, loss):
+def trial_kwargs(b, dead_masks, loss):
     return dict(
         dead_mask=None if dead_masks is None else dead_masks[b],
         loss=None if loss is None else loss.trial_loss(b))
 
 
+def check_reactive(mesh, source, relay_mask, plan_kwargs, policy, trials,
+                   dead_masks, loss, max_slots):
+    """Every tier's batch and the one-trial run == the reference."""
+    ref = ReferenceSimulator(mesh)
+    kwargs = dict(plan_kwargs, recovery=policy, max_slots=max_slots)
+    want = [ref.run_reactive(source, relay_mask, **kwargs,
+                             **trial_kwargs(b, dead_masks, loss))
+            for b in range(trials)]
+    for tier in TIERS:
+        traces = run_reactive_batch(mesh, source, relay_mask,
+                                    dead_masks=dead_masks, loss=loss,
+                                    trials=trials, engine=tier, **kwargs)
+        for trace, reference in zip(traces, want):
+            assert_trial_equal(trace, reference)
+    assert_trial_equal(
+        run_reactive(mesh, source, relay_mask, **kwargs,
+                     **trial_kwargs(0, dead_masks, loss)), want[0])
+
+
+def check_replay(mesh, schedule, source, policy, trials, dead_masks, loss,
+                 max_slots):
+    """Every tier's batch and the one-trial replay == the reference."""
+    ref = ReferenceSimulator(mesh)
+    kwargs = dict(recovery=policy, max_slots=max_slots)
+    want = [ref.replay(schedule, source, **kwargs,
+                       **trial_kwargs(b, dead_masks, loss))
+            for b in range(trials)]
+    for tier in TIERS:
+        traces = replay_batch(mesh, schedule, source, dead_masks=dead_masks,
+                              loss=loss, trials=trials, engine=tier,
+                              **kwargs)
+        for trace, reference in zip(traces, want):
+            assert_trial_equal(trace, reference)
+    assert_trial_equal(
+        replay(mesh, schedule, source, **kwargs,
+               **trial_kwargs(0, dead_masks, loss)), want[0])
+
+
+#: A slot cut-off or the default bound.
+CUTOFFS = st.sampled_from([None, None, 6, 15, 30])
+
+
 class TestReactiveRecoveryDifferential:
-    """run_reactive_batch + recovery == run_reactive + recovery, per trial."""
+    """run_reactive(_batch) + recovery == the reference, per trial."""
 
     @pytest.mark.parametrize("cls,shape", MESHES)
     def test_paper_plans(self, cls, shape):
@@ -90,58 +139,42 @@ class TestReactiveRecoveryDifferential:
         @given(data=st.data())
         @settings(max_examples=20, deadline=None)
         def check(data):
-            policy = data.draw(recovery_policy())
-            trials = data.draw(st.integers(1, 3))
-            dead_masks, loss = data.draw(
-                channel(mesh.num_nodes, trials, src_idx))
-            traces = run_reactive_batch(
+            trials = data.draw(st.integers(1, 4))
+            check_reactive(
                 mesh, src_idx, plan.relay_mask,
-                extra_delay=plan.extra_delay,
-                repeat_offsets=plan.repeat_offsets,
-                dead_masks=dead_masks, loss=loss, trials=trials,
-                recovery=policy)
-            for b, batch_trace in enumerate(traces):
-                assert_trial_equal(
-                    batch_trace,
-                    run_reactive(mesh, src_idx, plan.relay_mask,
-                                 extra_delay=plan.extra_delay,
-                                 repeat_offsets=plan.repeat_offsets,
-                                 recovery=policy,
-                                 **serial_kwargs(b, dead_masks, loss)))
+                dict(extra_delay=plan.extra_delay,
+                     repeat_offsets=plan.repeat_offsets),
+                data.draw(recovery_policy()), trials,
+                *data.draw(channel(mesh.num_nodes, trials, src_idx)),
+                data.draw(CUTOFFS))
 
         check()
 
     @pytest.mark.parametrize("cls,shape", MESHES)
     def test_random_relay_masks(self, cls, shape):
         """Recovery on arbitrary relay sets, not just the paper plans —
-        exercises guardians with partially-covered neighbourhoods."""
+        exercises guardians with partially-covered neighbourhoods and
+        elections with non-plan relay-like sets."""
         mesh = cls(*shape)
 
         @given(data=st.data())
         @settings(max_examples=15, deadline=None)
         def check(data):
-            policy = data.draw(recovery_policy())
             source = data.draw(st.integers(0, mesh.num_nodes - 1))
             relay_mask = np.array(
                 [data.draw(st.booleans()) for _ in range(mesh.num_nodes)],
                 dtype=bool)
             trials = data.draw(st.integers(1, 3))
-            dead_masks, loss = data.draw(
-                channel(mesh.num_nodes, trials, source))
-            traces = run_reactive_batch(mesh, source, relay_mask,
-                                        dead_masks=dead_masks, loss=loss,
-                                        trials=trials, recovery=policy)
-            for b, batch_trace in enumerate(traces):
-                assert_trial_equal(
-                    batch_trace,
-                    run_reactive(mesh, source, relay_mask, recovery=policy,
-                                 **serial_kwargs(b, dead_masks, loss)))
+            check_reactive(
+                mesh, source, relay_mask, {}, data.draw(recovery_policy()),
+                trials, *data.draw(channel(mesh.num_nodes, trials, source)),
+                data.draw(CUTOFFS))
 
         check()
 
 
 class TestReplayRecoveryDifferential:
-    """replay_batch + recovery == replay + recovery, per trial."""
+    """replay(_batch) + recovery == the reference, per trial."""
 
     @pytest.mark.parametrize("cls,shape", MESHES)
     def test_compiled_schedules(self, cls, shape):
@@ -153,19 +186,12 @@ class TestReplayRecoveryDifferential:
         @given(data=st.data())
         @settings(max_examples=15, deadline=None)
         def check(data):
-            policy = data.draw(recovery_policy())
             trials = data.draw(st.integers(1, 3))
-            dead_masks, loss = data.draw(
-                channel(mesh.num_nodes, trials, src_idx))
-            traces = replay_batch(mesh, compiled.schedule, src_idx,
-                                  dead_masks=dead_masks, loss=loss,
-                                  trials=trials, recovery=policy)
-            for b, batch_trace in enumerate(traces):
-                assert_trial_equal(
-                    batch_trace,
-                    replay(mesh, compiled.schedule, src_idx,
-                           recovery=policy,
-                           **serial_kwargs(b, dead_masks, loss)))
+            check_replay(
+                mesh, compiled.schedule, src_idx,
+                data.draw(recovery_policy()), trials,
+                *data.draw(channel(mesh.num_nodes, trials, src_idx)),
+                data.draw(CUTOFFS))
 
         check()
 
@@ -173,8 +199,5 @@ class TestReplayRecoveryDifferential:
         mesh = Mesh2D4(8, 6)
         compiled = protocol_for("2D-4").compile(mesh, (4, 3))
         src = mesh.index((4, 3))
-        policy = RecoveryPolicy()
-        serial = replay(mesh, compiled.schedule, src, recovery=policy)
-        for batch_trace in replay_batch(mesh, compiled.schedule, src,
-                                        trials=3, recovery=policy):
-            assert_trial_equal(batch_trace, serial)
+        check_replay(mesh, compiled.schedule, src, RecoveryPolicy(), 3,
+                     None, None, None)

@@ -4,7 +4,7 @@ oracle.
 The slot-resolve tiers are bit-identical to the dense batch kernel;
 this suite extends the contract to the recovery layer.  With a
 :class:`RecoveryPolicy` active, ``engine="compiled"`` runs
-:class:`~repro.sim.recovery_packed.NativeRecoveryState` (word-packed
+:class:`~repro.sim.backend.NativeRecoveryState` (word-packed
 known-edge bitset, a C due calendar, the whole machine in the kernel)
 — it must stay trace-for-trace identical to the
 :class:`~repro.sim.recovery.BatchRecoveryState` oracle on
@@ -12,7 +12,7 @@ hypothesis-generated scenarios over all four paper topologies, random
 policies (elections included — meaningful on 2D-8, whose triangles make
 repair possible), loss processes, dead-node masks, and every shard
 count, plus directed calendar edge cases (schedules past the slot
-bound, elections without retries).
+bound, elections without retries) held to the pure-python reference.
 """
 
 import numpy as np
@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 from repro.core import protocol_for
 from repro.radio.impairments import (BernoulliBatchLoss, BurstBatchLoss,
                                      trial_seeds)
-from repro.sim import (NativeRecoveryState, RecoveryPolicy, native_available,
-                       replay_batch, replay_batch_sharded,
-                       run_reactive_batch, run_reactive_batch_sharded)
+from repro.sim import (NativeRecoveryState, RecoveryPolicy,
+                       ReferenceSimulator, native_available, replay_batch,
+                       replay_batch_sharded, run_reactive_batch,
+                       run_reactive_batch_sharded)
 from repro.sim.backend import NativeBackend
 from repro.sim.native import native_kernel
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
@@ -215,9 +216,19 @@ class TestReplayRecoveryTiers:
         check()
 
 
+def reference_trials(mesh, trials, run, dead_masks=None, loss=None):
+    """The reference's traces of *trials* trials: ``run(simulator,
+    dead_mask=..., loss=...)`` per trial."""
+    ref = ReferenceSimulator(mesh)
+    return [run(ref,
+                dead_mask=None if dead_masks is None else dead_masks[b],
+                loss=None if loss is None else loss.trial_loss(b))
+            for b in range(trials)]
+
+
 class TestCalendarEdgeCases:
     """Directed cases of the compiled tier's due calendar, held to the
-    batch oracle at trace level."""
+    pure-python reference at trace level (the dense tier too)."""
 
     def test_schedules_past_the_slot_bound(self):
         """Backoff 3 over 6 retries reaches 3 * 3**5 = 729 slots ahead,
@@ -236,15 +247,20 @@ class TestCalendarEdgeCases:
                                    engine="batch", **kwargs)
         assert max(t for tr in uncut for t, _ in tr.tx_events) > max_slots
         kwargs["max_slots"] = max_slots
-        oracle = run_reactive_batch(mesh, src, plan.relay_mask,
-                                    engine="batch", **kwargs)
-        for tier in TIERS:
+        oracle = reference_trials(
+            mesh, trials, lambda ref, **kw: ref.run_reactive(
+                src, plan.relay_mask, recovery=policy,
+                max_slots=max_slots, **kw), loss=loss)
+        replay_oracle = reference_trials(
+            mesh, trials, lambda ref, **kw: ref.replay(
+                compiled.schedule, src, recovery=policy,
+                max_slots=max_slots, **kw), loss=loss)
+        for tier in TIERS + ["batch"]:
             assert_traces_equal(
                 oracle, run_reactive_batch(mesh, src, plan.relay_mask,
                                            engine=tier, **kwargs), tier)
             assert_traces_equal(
-                replay_batch(mesh, compiled.schedule, src,
-                             engine="batch", **kwargs),
+                replay_oracle,
                 replay_batch(mesh, compiled.schedule, src, engine=tier,
                              **kwargs), f"{tier} replay")
 
@@ -262,12 +278,13 @@ class TestCalendarEdgeCases:
                                 suppression_k=1, election=True)
         kwargs = dict(dead_masks=dead_masks, trials=trials)
         plain = run_reactive_batch(mesh, src, plan.relay_mask, **kwargs)
-        oracle = run_reactive_batch(mesh, src, plan.relay_mask,
-                                    engine="batch", recovery=policy,
-                                    **kwargs)
+        oracle = reference_trials(
+            mesh, trials, lambda ref, **kw: ref.run_reactive(
+                src, plan.relay_mask, recovery=policy, **kw),
+            dead_masks=dead_masks)
         assert (sum(len(tr.tx_events) for tr in oracle)
                 > sum(len(tr.tx_events) for tr in plain))
-        for tier in TIERS:
+        for tier in TIERS + ["batch"]:
             assert_traces_equal(
                 oracle, run_reactive_batch(mesh, src, plan.relay_mask,
                                            engine=tier, recovery=policy,

@@ -1,9 +1,10 @@
 """Differential testing: vectorised engine vs pure-python reference.
 
-The reference simulator re-implements replay with per-node state machines
-and no numpy in the decision logic; both implementations must produce
-byte-identical traces on identical schedules — including randomly
-generated (hypothesis) schedules full of collisions.
+The reference simulator re-implements replay, the reactive wave and the
+recovery layer with per-node state and no numpy in the decision logic;
+both implementations must produce byte-identical traces on identical
+inputs — including randomly generated (hypothesis) schedules full of
+collisions.
 """
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (BroadcastSchedule, ReferenceSimulator, replay,
-                       run_reactive)
+from repro.sim import (BroadcastSchedule, RecoveryPolicy, ReferenceSimulator,
+                       replay, run_reactive)
 from repro.topology import Mesh2D3, Mesh2D4, Mesh2D8, Mesh3D6
 from repro.core import protocol_for
 
@@ -241,3 +242,67 @@ class TestFaultyReplayDifferential:
             replay(mesh, sched, src, dead_mask=dead, loss=loss),
             ReferenceSimulator(mesh).replay(
                 sched, src, dead_mask=dead, loss=loss))
+
+
+@st.composite
+def recovery_policy(draw):
+    return RecoveryPolicy(
+        timeout=draw(st.integers(1, 3)),
+        max_retries=draw(st.integers(0, 4)),
+        backoff=draw(st.integers(1, 3)),
+        suppression_k=draw(st.integers(0, 3)),
+        election=draw(st.booleans()))
+
+
+class TestRecoveryReferenceDifferential:
+    """The recovery layer on top of arbitrary waves and schedules: the
+    one-trial entry points vs the reference's per-node recovery state.
+    (``tests/test_recovery_differential.py`` covers the paper plans and
+    every tier's batches.)"""
+
+    @pytest.mark.parametrize("cls,shape", [
+        (Mesh2D4, (5, 4)),
+        (Mesh2D8, (4, 4)),
+        (Mesh2D3, (5, 4)),
+        (Mesh3D6, (3, 3, 3)),
+    ])
+    def test_random_waves(self, cls, shape):
+        """Delays, repeats and forced transmissions under recovery."""
+        mesh = cls(*shape)
+        ref = ReferenceSimulator(mesh)
+
+        @given(data=st.data())
+        @settings(max_examples=15, deadline=None)
+        def check(data):
+            kw = data.draw(reactive_scenario(mesh.num_nodes))
+            kw["recovery"] = data.draw(recovery_policy())
+            source = kw.pop("source")
+            assert_reactive_equal(
+                run_reactive(mesh, source, **kw),
+                ref.run_reactive(source, **kw))
+
+        check()
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_random_schedules(self, data):
+        """Recovery past arbitrary (non-causal, colliding) schedules,
+        faulty or pristine, with and without a slot cut-off."""
+        from repro.radio.impairments import BernoulliLoss
+        mesh = Mesh2D8(4, 4)
+        sched = data.draw(random_schedule(mesh.num_nodes))
+        src = data.draw(st.integers(0, mesh.num_nodes - 1))
+        dead = None
+        if data.draw(st.booleans()):
+            dead = np.zeros(mesh.num_nodes, dtype=bool)
+            for v in data.draw(st.lists(
+                    st.integers(0, mesh.num_nodes - 1), max_size=3,
+                    unique=True)):
+                dead[v] = True
+        loss = (BernoulliLoss(0.2, seed=data.draw(st.integers(0, 3)))
+                if data.draw(st.booleans()) else None)
+        kw = dict(dead_mask=dead, loss=loss,
+                  recovery=data.draw(recovery_policy()),
+                  max_slots=data.draw(st.sampled_from([None, 8, 20])))
+        assert_traces_equal(replay(mesh, sched, src, **kw),
+                            ReferenceSimulator(mesh).replay(sched, src, **kw))

@@ -420,6 +420,47 @@ def test_concurrent_reader_survives_gc(tmp_path):
         assert entry is not None and entry.has_schedule
 
 
+def test_gc_between_index_parse_and_bin_map_is_a_clean_miss_or_hit(
+        tmp_path, monkeypatch):
+    """A ``gc`` that lands after a reader parsed the index but before it
+    mapped the bin must not pair the pre-gc offsets with the compacted
+    bytes.  ``gc`` writes records in sorted-key order, which differs
+    from put order here, so a stale pairing would return another
+    source's schedule; the reader must give the right one or miss."""
+    topology = _mesh(6, 4)
+    sources = [(1, 1), (3, 2), (6, 4)]
+    compiled = {s: _compile(topology, s) for s in sources}
+    writer = ArtifactStore(tmp_path)
+    for source in sources:
+        _put_compiled(writer, topology, compiled[source], source)
+    keys = [entry_key(topology.index(s)) for s in sources]
+    assert sorted(keys) != keys  # gc moves records
+
+    reader = ArtifactStore(tmp_path)
+    original = ArtifactStore._map_data
+    injected = []
+
+    def map_after_gc(self, sid, snapshot):
+        if self is reader and not injected:
+            injected.append(ArtifactStore(tmp_path).gc())
+        return original(self, sid, snapshot)
+
+    monkeypatch.setattr(ArtifactStore, "_map_data", map_after_gc)
+    for source in reversed(sources):
+        entry = reader.get(topology, PROTO, topology.index(source))
+        assert injected
+        if entry is None:
+            continue
+        want_slots, want_nodes = compiled[source].schedule.to_arrays()
+        got_slots, got_nodes = entry.schedule().to_arrays()
+        assert np.array_equal(got_slots, want_slots)
+        assert np.array_equal(got_nodes, want_nodes)
+    # Past the window, the reader serves every entry again.
+    for source in sources:
+        entry = reader.get(topology, PROTO, topology.index(source))
+        assert entry is not None and entry.has_schedule
+
+
 # -- warm group commit ----------------------------------------------------
 
 def test_warm_publishes_each_shard_index_once(tmp_path, monkeypatch):
