@@ -16,9 +16,9 @@ workloads and writes ``BENCH_kernel.json`` (repo root by default):
 * ``recovery_grid`` — the same lattice with the closed-loop recovery
   layer enabled, on the protocol's compiled relay plan (the workload
   the analysis sweeps run).  The recovery update is tiered alongside
-  the slot resolve (:mod:`repro.sim.recovery_packed`: word-packed
-  known-edge bitsets and a due calendar, the whole machine in the C
-  kernel on ``compiled``), so this cell carries its own enforced floor —
+  the slot resolve (:class:`repro.sim.backend.NativeRecoveryState`:
+  word-packed known-edge bitsets and a due calendar, the whole machine
+  in the C kernel on ``compiled``), so this cell carries its own enforced floor —
   ``compiled`` >= 5x vs batch — asserted here before the artefact is
   written.
 * ``replay_grid`` — B=32 faulty schedule replays (2 % dead nodes per
@@ -28,11 +28,16 @@ workloads and writes ``BENCH_kernel.json`` (repo root by default):
   above; this cell times that path.  No floor.
 * ``b1_trace`` — one-trial trace-mode waves (the schedule compiler's
   call) from the centre of 2D-4 48x32, 2D-8 12x12 and 3D-6 5x5x5 on the
-  protocol's relay plan: the ``compiled`` tier at B=1 against the
-  serial engine, traces asserted equal before timing.  Each shape
-  records the ratio compiled / serial and whether it meets the 10 %
-  gate for routing the serial entry points through B=1
-  (:data:`B1_GATE`); the gate is reported, not enforced.
+  protocol's relay plan: the ``compiled`` tier at B=1 against
+  ``serial``, the one-trial entry point ``run_reactive``, traces
+  asserted equal before timing.  Each shape records the ratio
+  compiled / serial and whether it meets the 10 % gate for routing the
+  one-trial entry points through B=1 (:data:`B1_GATE`); the gate is
+  reported, not enforced.  The committed v7 figures timed ``serial``
+  on the serial slot loop; that gate was met, the loop deleted, and
+  ``run_reactive`` is now itself a B=1 call on ``engine="auto"``, so a
+  rerun times the compiled wave against itself plus the one-trial
+  call's set-up.
 
 v7 adds ``b1_trace``.  v6 added ``replay_grid``.  v5 dropped the
 ``compiled-mt`` entries and the multi-thread floors with the kernel's

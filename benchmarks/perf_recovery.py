@@ -5,9 +5,10 @@ the reference case of the recovery extension (2D-4 16x16, Bernoulli
 ``p=0.2``) with both trial engines and writes ``BENCH_recovery.json``
 (repo root by default):
 
-* ``serial``  — per-trial loop through the one-trial reactive engine
-  with a :class:`RecoveryState` side-car, over the same per-trial seeds
-  (:mod:`serial_baseline`).
+* ``serial``  — per-trial loop through the one-trial entry point
+  ``run_reactive`` with the recovery policy, over the same per-trial
+  seeds (:mod:`serial_baseline`, which says what ``serial`` times now
+  and what the committed figures timed).
 * ``batched`` — ``engine="batch"``: all trials advance together through
   ``run_reactive_batch`` with the vectorised ``BatchRecoveryState``.
 

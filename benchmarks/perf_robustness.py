@@ -4,8 +4,8 @@ Times one loss-degradation curve (Monte-Carlo over Bernoulli channels)
 three ways and writes the results to ``BENCH_robustness.json`` (repo root
 by default):
 
-* ``serial``   — the per-trial loop through the one-trial reactive
-  engine over the same per-trial seeds (:mod:`serial_baseline`), the
+* ``serial``   — the per-trial loop through the one-trial entry point
+  over the same per-trial seeds (:mod:`serial_baseline`), the
   pre-batching execution model.
 * ``batched``  — ``engine="batch"``: all trials of each loss rate advance
   together through :func:`~repro.sim.engine.run_reactive_batch` in

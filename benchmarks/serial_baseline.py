@@ -2,13 +2,20 @@
 
 The analysis layer runs every Monte-Carlo point through the batched
 engine.  The benchmark scripts time it against the points computed here
-trial by trial through the one-trial engine
+trial by trial through the one-trial entry point
 (:func:`~repro.sim.engine.run_reactive`), each trial's
 :class:`~repro.radio.impairments.CounterBernoulliLoss` seeded from the
 same :func:`~repro.radio.impairments.trial_seeds` stream the batched
 sweep draws from.  Trial *b* of a batch is bit-identical to one-trial
 run *b*, so the scripts assert the two curves equal before they publish
 a speedup.
+
+``serial`` in the scripts' artefacts means this loop.  ``run_reactive``
+is now a B=1 call into the batched slot loop on ``engine="auto"``, and
+a one-trial loss runs as a ``PerTrialBatchLoss`` on the dense tier; the
+committed ``serial`` figures were recorded against the serial slot loop
+that this repo has since deleted, so they time a different program
+than a rerun would.
 """
 
 from __future__ import annotations
