@@ -73,7 +73,7 @@ class SweepCache:
                 labels: Sequence[str] = TOPOLOGY_ORDER,
                 workers: Optional[int] = None,
                 cache: Optional[ScheduleCache] = None,
-                symmetry: Optional[bool] = None) -> "SweepCache":
+                symmetry: bool = True) -> "SweepCache":
         """Sweep all four paper topologies (stride > 1 subsamples sources
         for quick runs; all grid corners are always included).
 

@@ -19,7 +19,7 @@ burden; a fixed source exhausts its own row/column relays first.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
@@ -32,7 +32,9 @@ from ..radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
                             FirstOrderRadioModel)
 from ..radio.impairments import BernoulliBatchLoss, trial_seeds
 from ..sim.engine import replay_batch
+from ..sim.shard import each, fan_out
 from ..topology.base import Topology
+from .sweep import effective_workers
 
 
 @dataclass(frozen=True)
@@ -102,18 +104,6 @@ def per_node_round_energy(topology: Topology, source,
     return tx_counts * e_tx + rx_counts * e_rx
 
 
-def _round_energy_job(job) -> np.ndarray:
-    """Worker-process entry point: cost vector of one distinct source."""
-    (topology, src, protocol, model, packet_bits, cache_path,
-     loss_rate, loss_trials, seed, engine) = job
-    cache = None if cache_path is None else ScheduleCache(cache_path)
-    return per_node_round_energy(topology, src, protocol, model,
-                                 packet_bits, cache=cache,
-                                 loss_rate=loss_rate,
-                                 loss_trials=loss_trials, seed=seed,
-                                 engine=engine)
-
-
 def simulate_lifetime(
     topology: Topology,
     sources: Iterable,
@@ -145,28 +135,14 @@ def simulate_lifetime(
     source_list: List = list(sources)
     if not source_list:
         raise ValueError("need at least one source")
-    distinct: List = []
-    seen = set()
-    for src in source_list:
-        key = tuple(src)
-        if key not in seen:
-            seen.add(key)
-            distinct.append(src)
-    costs = {}
-    if workers is not None and workers > 1 and len(distinct) > 1:
-        cache_path = None if cache is None else str(cache.path)
-        jobs = [(topology, src, protocol, model, packet_bits, cache_path,
-                 loss_rate, loss_trials, seed, engine) for src in distinct]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for src, cost in zip(distinct, pool.map(_round_energy_job,
-                                                    jobs)):
-                costs[tuple(src)] = cost
-    else:
-        for src in distinct:
-            costs[tuple(src)] = per_node_round_energy(
-                topology, src, protocol, model, packet_bits, cache=cache,
-                loss_rate=loss_rate, loss_trials=loss_trials, seed=seed,
-                engine=engine)
+    distinct = list(dict.fromkeys(tuple(src) for src in source_list))
+    round_energy = functools.partial(
+        per_node_round_energy, topology, protocol=protocol, model=model,
+        packet_bits=packet_bits, cache=cache, loss_rate=loss_rate,
+        loss_trials=loss_trials, seed=seed, engine=engine)
+    costs = dict(zip(distinct, fan_out(
+        each(round_energy), distinct,
+        effective_workers(workers, len(distinct)))))
 
     residual = np.full(topology.num_nodes, battery_j, dtype=np.float64)
     spent = np.zeros(topology.num_nodes, dtype=np.float64)

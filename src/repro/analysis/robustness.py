@@ -33,7 +33,7 @@ failure counts out instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
@@ -49,7 +49,8 @@ from ..radio.impairments import (BernoulliBatchLoss, random_dead_mask,
                                  trial_seeds)
 from ..sim.backend import check_engine
 from ..sim.recovery import RecoveryPolicy
-from ..sim.shard import replay_batch_sharded, run_reactive_batch_sharded
+from ..sim.shard import (each, fan_out, replay_batch_sharded,
+                         run_reactive_batch_sharded)
 from ..topology.base import Topology
 from .sweep import effective_workers
 
@@ -124,37 +125,6 @@ def _percentiles(reaches: np.ndarray) -> dict:
     """The 5th and 50th reachability percentiles, in one pass."""
     p5, p50 = np.percentile(reaches, [5, 50]).tolist()
     return dict(p5_reach=p5, p50_reach=p50)
-
-
-def _chunk(items: List, workers: int) -> List[List]:
-    """Contiguous non-empty chunks, ~2 per worker, preserving order."""
-    if not items:
-        return []
-    size = max(1, -(-len(items) // (workers * 2)))
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _fan_out(points_fn, parameters: Sequence, workers: Optional[int],
-             job_builder, worker_fn) -> List:
-    """Run *points_fn* over *parameters*, optionally across processes
-    (the per-trial recompile branch, whose trials cannot batch).
-
-    Results are reassembled in submission order, so the parallel curve is
-    identical to the serial one regardless of worker count.  The pool is
-    sized to the actual chunk count: asking for more workers than there
-    are sweep points no longer spawns idle processes.
-    """
-    params = list(parameters)
-    if workers is not None and workers > 1 and len(params) > 1:
-        chunks = _chunk(params, workers)
-        points: List = []
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks))) as pool:
-            for chunk_points in pool.map(
-                    worker_fn, [job_builder(chunk) for chunk in chunks]):
-                points.extend(chunk_points)
-        return points
-    return [points_fn(p) for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +226,6 @@ def _recompile_point(topology: Topology, src: int, plan: RelayPlan,
     return _point(k, reaches, txs)
 
 
-def _recompile_chunk(job) -> List[RobustnessPoint]:
-    """Worker-process entry point for parallel recompile sweeps."""
-    topology, src, plan, counts, trials, seed = job
-    return [_recompile_point(topology, src, plan, k, trials, seed)
-            for k in counts]
-
-
 def failure_degradation(
     topology: Topology,
     source,
@@ -299,11 +262,11 @@ def failure_degradation(
     src = topology.index(source)
     if recompile:
         plan = protocol.relay_plan(topology, source)
-        return _fan_out(
-            lambda k: _recompile_point(topology, src, plan, k, trials, seed),
-            failure_counts, workers,
-            lambda chunk: (topology, src, plan, chunk, trials, seed),
-            _recompile_chunk)
+        counts = list(failure_counts)
+        return fan_out(
+            each(functools.partial(_recompile_point, topology, src, plan,
+                                   trials=trials, seed=seed)),
+            counts, effective_workers(workers, len(counts)))
     schedule = protocol.compile(topology, source, cache=cache).schedule
     shards = effective_workers(workers, trials)
     points = []

@@ -11,6 +11,7 @@ for 3D-6.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -20,6 +21,7 @@ from ..core.registry import protocol_for
 from ..radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
                             FirstOrderRadioModel)
 from ..sim.metrics import compute_metrics
+from ..sim.shard import each, fan_out
 from ..topology.builder import make_topology
 from .sweep import effective_workers
 
@@ -129,22 +131,16 @@ def scaling_curve(
     """
     if sizes is None:
         sizes = DEFAULT_SIZES_3D if label == "3D-6" else DEFAULT_SIZES_2D
-    jobs = [(label, target, protocol, model, packet_bits)
-            for target in sizes]
-    workers = effective_workers(workers)
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_scaling_point, jobs))
-    return [_scaling_point(job) for job in jobs]
+    sizes = list(sizes)
+    return fan_out(
+        each(functools.partial(_scaling_point, label, protocol, model,
+                               packet_bits)),
+        sizes, effective_workers(workers, len(sizes)))
 
 
-def _scaling_point(job) -> ScalingPoint:
-    """Measure one (topology label, target size) point.
-
-    Module-level so parallel ``scaling_curve`` can pickle it.
-    """
-    label, target, protocol, model, packet_bits = job
+def _scaling_point(label, protocol, model, packet_bits,
+                   target) -> ScalingPoint:
+    """Measure one (topology label, target size) point."""
     shape = shape_for(label, target)
     topo = make_topology(label, shape=shape)
     proto = protocol if protocol is not None else protocol_for(label)

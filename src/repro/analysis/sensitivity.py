@@ -13,13 +13,14 @@ off two hand-picked rows.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .sweep import SweepResult
+from ..sim.shard import each, fan_out
+from .sweep import SweepResult, effective_workers, strided_sources
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def sensitivity_table(sweeps: Dict[str, SweepResult],
 def sensitivity_sweeps(stride: int = 1,
                        workers: "int | None" = None,
                        cache=None,
-                       symmetry: "bool | None" = None
+                       symmetry: bool = True
                        ) -> Dict[str, SweepResult]:
     """Source sweeps of all four paper topologies, ready for
     :func:`sensitivity_table`.
@@ -114,22 +115,19 @@ def sensitivity_sweeps(stride: int = 1,
 # Robustness sensitivity: does loss resilience depend on the source?
 # ---------------------------------------------------------------------------
 
-def _loss_reach_chunk(job) -> List[float]:
-    """Worker-process entry point: mean lossy reachability per source."""
-    topology, protocol, chunk, loss_rate, trials, seed = job
+def _loss_reach(topology, protocol, loss_rate, trials, seed,
+                src) -> float:
+    """Mean lossy reachability of one source's reactive wave."""
     from ..radio.impairments import BernoulliBatchLoss, trial_seeds
     from ..sim.engine import run_reactive_batch
-    out = []
-    for src in chunk:
-        plan = protocol.relay_plan(topology, src)
-        seeds = trial_seeds(seed, loss_rate, trials)
-        s = run_reactive_batch(
-            topology, topology.index(src), plan.relay_mask,
-            extra_delay=plan.extra_delay,
-            repeat_offsets=plan.repeat_offsets,
-            loss=BernoulliBatchLoss(loss_rate, seeds), summary=True)
-        out.append(float(s.reachability.mean()))
-    return out
+    plan = protocol.relay_plan(topology, src)
+    seeds = trial_seeds(seed, loss_rate, trials)
+    s = run_reactive_batch(
+        topology, topology.index(src), plan.relay_mask,
+        extra_delay=plan.extra_delay,
+        repeat_offsets=plan.repeat_offsets,
+        loss=BernoulliBatchLoss(loss_rate, seeds), summary=True)
+    return float(s.reachability.mean())
 
 
 def loss_sensitivity(topology,
@@ -149,7 +147,6 @@ def loss_sensitivity(topology,
     summarises how much the mean reachability moves with the source.
     """
     from ..core.registry import protocol_for
-    from .sweep import strided_sources
     if protocol is None:
         protocol = protocol_for(topology)
     if sources is None:
@@ -157,19 +154,10 @@ def loss_sensitivity(topology,
     sources = list(sources)
     if not sources:
         raise ValueError("empty source set")
-    if workers is not None and workers > 1 and len(sources) > 1:
-        size = max(1, -(-len(sources) // (workers * 4)))
-        chunks = [sources[i:i + size]
-                  for i in range(0, len(sources), size)]
-        jobs = [(topology, protocol, chunk, loss_rate, trials, seed)
-                for chunk in chunks]
-        values: List[float] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_vals in pool.map(_loss_reach_chunk, jobs):
-                values.extend(chunk_vals)
-    else:
-        values = _loss_reach_chunk(
-            (topology, protocol, sources, loss_rate, trials, seed))
+    values = fan_out(
+        each(functools.partial(_loss_reach, topology, protocol, loss_rate,
+                               trials, seed)),
+        sources, effective_workers(workers, len(sources)))
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     return SensitivityReport(

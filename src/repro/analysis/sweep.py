@@ -10,11 +10,11 @@ source position by default — and take the extremes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from ..core.symmetry import compile_classes, group_sources
 from ..radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
                             FirstOrderRadioModel)
 from ..sim.metrics import BroadcastMetrics, compute_metrics
+from ..sim.shard import each, fan_out
 from ..topology.base import Topology
 
 
@@ -117,10 +118,9 @@ def sweep_sources(
     sources: Optional[Sequence] = None,
     model: FirstOrderRadioModel = PAPER_RADIO_MODEL,
     packet_bits: int = PAPER_PACKET_BITS,
-    progress: Optional[Callable[[int, int], None]] = None,
     workers: Optional[int] = None,
     cache: Optional[ScheduleCache] = None,
-    symmetry: Optional[bool] = None,
+    symmetry: bool = True,
 ) -> SweepResult:
     """Compile and simulate a broadcast from each source position.
 
@@ -130,77 +130,64 @@ def sweep_sources(
         Defaults to the paper protocol matching the topology.
     sources:
         1-based source coordinates; defaults to *every* node.
-    progress:
-        Optional ``(done, total)`` callback for long sweeps.  In parallel
-        mode it fires once per completed chunk (with cumulative counts)
-        rather than per source; in symmetry mode once per completed
-        equivalence class.
     workers:
-        ``None`` or ``<= 1`` runs serially in-process.  ``>= 2`` fans the
-        sources out over that many worker processes in contiguous chunks —
-        unless the host has a single CPU, in which case the request
-        degrades to serial (see :func:`effective_workers`).
-        Compilation is deterministic per source, and results are
-        reassembled in submission order, so the metrics list — and every
-        statistic derived from it — is bit-for-bit identical to the serial
-        sweep regardless of worker count or scheduling.
+        ``None`` or ``<= 1`` runs in-process.  ``>= 2`` fans the sources
+        out over that many worker processes in contiguous chunks
+        (:func:`~repro.sim.shard.fan_out`) — unless the host has a
+        single CPU, in which case the request degrades to in-process
+        (see :func:`effective_workers`).  Compilation is deterministic
+        per source, and results are reassembled by source position, so
+        the metrics list — and every statistic derived from it — is
+        bit-for-bit identical at every worker count.
     cache:
-        Optional :class:`~repro.core.cache.ScheduleCache`.  Serial sweeps
-        use both tiers; parallel workers share only the *disk* tier (the
-        in-memory tier is per-process), so pass a cache with ``path=`` for
-        cross-run reuse.  The parent's in-memory tier is not populated by
-        parallel workers.
+        Optional :class:`~repro.core.cache.ScheduleCache`.  In-process
+        sweeps use both tiers; worker processes share only the *disk*
+        tier (the cache pickles as its store path), so pass a cache with
+        ``path=`` for cross-run reuse.  The parent's in-memory tier is
+        not populated by worker processes.
     symmetry:
-        ``None`` (default) auto-enables the symmetry-reduced fast path
-        (:mod:`repro.core.symmetry`) whenever the protocol can group the
-        sources into translation-equivalence classes; ``True`` forces it
-        (still falling back per-source for non-groupable sources and to
-        the direct sweep when nothing groups — irregular topologies,
-        baseline protocols); ``False`` compiles every source directly.
-        Both paths produce identical metrics in identical order — the
-        fast path compiles one representative per class and derives the
-        members with the batched engine, which is trace-for-trace equal
-        to per-source compilation.
+        ``True`` (default) takes the symmetry-reduced fast path
+        (:mod:`repro.core.symmetry`) for every source the protocol can
+        group into a translation-equivalence class, and compiles the
+        rest directly (irregular topologies, baseline protocols);
+        ``False`` compiles every source directly.  Both paths produce
+        identical metrics in identical order — the fast path compiles
+        one representative per class and derives the members with the
+        batched engine, which is trace-for-trace equal to per-source
+        compilation.  In-process, every class of the sweep runs through
+        one :func:`~repro.core.symmetry.compile_classes` call; in
+        parallel, each chunk of whole classes (balanced by member
+        count) does, because splitting a class would forfeit its shared
+        fixpoint.
     """
     if protocol is None:
         protocol = protocol_for(topology)
     if sources is None:
         sources = [topology.coord(i) for i in range(topology.num_nodes)]
-    result = SweepResult(topology=topology.name)
-    total = len(sources)
-    workers = effective_workers(workers)
-    if symmetry is not False:
-        groups, direct_pos = group_sources(topology, protocol, sources)
-        if groups:
-            result.metrics.extend(_sweep_symmetry(
-                topology, protocol, list(sources), groups, direct_pos,
-                model, packet_bits, progress, workers, cache))
-            return result
-    if workers > 1 and total > 1:
-        chunks = _chunk(list(sources), workers)
-        cache_path = None if cache is None else cache.path
-        jobs = [(topology, protocol, chunk, model, packet_bits,
-                 None if cache_path is None else str(cache_path))
-                for chunk in chunks]
-        done = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # executor.map preserves job order -> deterministic output.
-            for chunk, chunk_metrics in zip(
-                    chunks, pool.map(_sweep_chunk, jobs)):
-                result.metrics.extend(chunk_metrics)
-                done += len(chunk)
-                if progress is not None:
-                    progress(done, total)
-        return result
-    for done, src in enumerate(sources, start=1):
-        result.metrics.append(_source_metrics(
-            topology, protocol, src, model, packet_bits, cache))
-        if progress is not None:
-            progress(done, total)
-    return result
+    sources = list(sources)
+    workers = effective_workers(workers, len(sources))
+    if symmetry:
+        groups, direct = group_sources(topology, protocol, sources)
+    else:
+        groups, direct = {}, list(range(len(sources)))
+    metrics: List[Optional[BroadcastMetrics]] = [None] * len(sources)
+    classes = [(key, [sources[p] for p in positions])
+               for key, positions in groups.items()]
+    for positions, members in zip(groups.values(), fan_out(
+            functools.partial(_class_metrics, topology, protocol, model,
+                              packet_bits, cache),
+            classes, workers, [len(p) for p in groups.values()])):
+        for pos, member in zip(positions, members):
+            metrics[pos] = member
+    for pos, member in zip(direct, fan_out(
+            each(functools.partial(_source_metrics, topology, protocol,
+                                   model, packet_bits, cache)),
+            [sources[p] for p in direct], workers)):
+        metrics[pos] = member
+    return SweepResult(topology=topology.name, metrics=metrics)
 
 
-def _source_metrics(topology, protocol, src, model, packet_bits, cache):
+def _source_metrics(topology, protocol, model, packet_bits, cache, src):
     """Metrics of one source: warm store counts when available (no
     replay, no fixpoint — the sharded store persists them with each
     entry), compile otherwise."""
@@ -213,121 +200,15 @@ def _source_metrics(topology, protocol, src, model, packet_bits, cache):
     return compute_metrics(compiled.trace, topology, model, packet_bits)
 
 
-def _sweep_symmetry(
-    topology: Topology,
-    protocol: BroadcastProtocol,
-    sources: List,
-    groups,
-    direct_pos: List[int],
-    model: FirstOrderRadioModel,
-    packet_bits: int,
-    progress: Optional[Callable[[int, int], None]],
-    workers: int,
-    cache: Optional[ScheduleCache],
-) -> List[BroadcastMetrics]:
-    """Symmetry-reduced sweep body: one compile per equivalence class,
-    the representatives batched
-    (:func:`~repro.core.symmetry.compile_classes`).
-
-    Parallel mode distributes whole classes over the workers (a class is
-    the batching unit — splitting one would forfeit its shared fixpoint),
-    chunked contiguously by member count so the per-chunk work is
-    balanced.  Results are scattered back by source position, so the
-    returned metrics list is ordered exactly like the direct sweep's.
-    """
-    total = len(sources)
-    out: List[Optional[BroadcastMetrics]] = [None] * total
-    done = 0
-    class_items = [(key, positions, [sources[p] for p in positions])
-                   for key, positions in groups.items()]
-    if workers > 1 and len(class_items) > 1:
-        chunks = _chunk_classes(class_items, workers)
-        cache_path = None if cache is None else cache.path
-        jobs = [(topology, protocol, chunk, model, packet_bits,
-                 None if cache_path is None else str(cache_path))
-                for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk, placed in zip(chunks, pool.map(
-                    _symmetry_chunk, jobs)):
-                for pos, metrics in placed:
-                    out[pos] = metrics
-                done += sum(len(positions) for _, positions, _ in chunk)
-                if progress is not None:
-                    progress(done, total)
-    else:
-        for pos, metrics in _class_metrics(topology, protocol, class_items,
-                                           model, packet_bits, cache):
-            out[pos] = metrics
-            done += 1
-            if progress is not None:
-                progress(done, total)
-    for pos in direct_pos:
-        compiled = protocol.compile(topology, sources[pos], cache=cache)
-        out[pos] = compute_metrics(
-            compiled.trace, topology, model, packet_bits)
-        done += 1
-        if progress is not None:
-            progress(done, total)
-    return out
-
-
-def _chunk_classes(items: List, workers: int) -> List[List]:
-    """Contiguous class chunks balanced by total member count."""
-    total = sum(len(positions) for _, positions, _ in items)
-    target = max(1, -(-total // (workers * 4)))
-    chunks: List[List] = []
-    current: List = []
-    weight = 0
-    for item in items:
-        current.append(item)
-        weight += len(item[1])
-        if weight >= target:
-            chunks.append(current)
-            current, weight = [], 0
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def _symmetry_chunk(job) -> List:
-    """Worker-process entry point: compile one chunk of source classes.
-
-    Module-level (not a closure) so it pickles under every start method.
-    Returns ``(position, metrics)`` pairs for the parent to scatter.
-    """
-    topology, protocol, items, model, packet_bits, cache_path = job
-    cache = None if cache_path is None else ScheduleCache(cache_path)
-    return list(_class_metrics(topology, protocol, items, model,
-                               packet_bits, cache))
-
-
-def _class_metrics(topology, protocol, items, model, packet_bits, cache):
-    """``(position, metrics)`` of every member of *items*' classes, in
-    the order :func:`~repro.core.symmetry.compile_classes` finishes
-    them."""
-    for c, i, member in compile_classes(
-            topology, protocol, [(key, coords) for key, _, coords in items],
-            cache=cache):
-        yield items[c][1][i], member.metrics(topology, model, packet_bits)
-
-
-def _chunk(items: List, workers: int) -> List[List]:
-    """Contiguous chunks, ~4 per worker, preserving order."""
-    size = max(1, -(-len(items) // (workers * 4)))
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _sweep_chunk(job) -> List[BroadcastMetrics]:
-    """Worker-process entry point: compile one chunk of sources.
-
-    Module-level (not a closure) so it pickles under every start method.
-    """
-    topology, protocol, chunk, model, packet_bits, cache_path = job
-    cache = None if cache_path is None else ScheduleCache(cache_path)
-    out = []
-    for src in chunk:
-        out.append(_source_metrics(
-            topology, protocol, src, model, packet_bits, cache))
+def _class_metrics(topology, protocol, model, packet_bits, cache,
+                   classes) -> List[List[BroadcastMetrics]]:
+    """Every member's metrics of *classes* (``(class_key, coords)``
+    pairs), per class in member order, from one
+    :func:`~repro.core.symmetry.compile_classes` pass."""
+    out = [[None] * len(coords) for _, coords in classes]
+    for c, i, member in compile_classes(topology, protocol, classes,
+                                        cache=cache):
+        out[c][i] = member.metrics(topology, model, packet_bits)
     return out
 
 

@@ -384,7 +384,7 @@ def _remote_query(args, query) -> int:
 
 
 def cmd_query(args) -> int:
-    from .service import Query, QueryEngine, SyncRuntime
+    from .service import Query, QueryEngine
     query = Query(
         topology=args.label,
         source=tuple(args.source),
@@ -398,8 +398,7 @@ def cmd_query(args) -> int:
     if args.max_entries is not None:
         kwargs["max_entries"] = args.max_entries or None
     engine = QueryEngine(args.store, **kwargs)
-    runtime = SyncRuntime(engine)
-    result = runtime.query(query)
+    result = engine.query(query)
     row = result.metrics.as_row()
     pairs = [("via", result.via)]
     pairs += [(key, value) for key, value in row.items()]
@@ -541,12 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", metavar="DIR", default=None,
                    help="schedule-cache directory shared across runs")
     p.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="force (--symmetry) or disable (--no-symmetry) "
-                        "the symmetry-reduced sweep; default auto-enables "
-                        "it whenever the protocol can group sources into "
-                        "translation classes (identical results either "
-                        "way)")
+                   default=True,
+                   help="symmetry-reduced sweep for every source the "
+                        "protocol can group into translation classes "
+                        "(default on; identical results either way)")
     _add_cache_stat_flags(p)
     p.set_defaults(func=cmd_table)
 
@@ -658,12 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", metavar="DIR", default=None,
                    help="schedule-cache directory shared across runs")
     p.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="force (--symmetry) or disable (--no-symmetry) "
-                        "the symmetry-reduced sweep; default auto-enables "
-                        "it whenever the protocol can group sources into "
-                        "translation classes (identical results either "
-                        "way)")
+                   default=True,
+                   help="symmetry-reduced sweep for every source the "
+                        "protocol can group into translation classes "
+                        "(default on; identical results either way)")
     _add_cache_stat_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -38,6 +38,7 @@ updates), and later runs — the "warm" path of ``benchmarks/perf_sweep.py``
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
@@ -145,6 +146,15 @@ class ScheduleCache:
     def path(self):
         """Store directory (``None`` for a memory-only cache)."""
         return None if self.store is None else self.store.path
+
+    def __reduce__(self):
+        """Pickle as the store path and ``max_entries``: a worker process
+        reopens the shared disk tier with an empty memory tier and zero
+        counters (the lock and the open store maps do not cross a process
+        boundary)."""
+        return (functools.partial(ScheduleCache,
+                                  max_entries=self.max_entries),
+                (self.path,))
 
     # -- public API -------------------------------------------------------
 

@@ -12,10 +12,10 @@ policy) -> schedule/metrics`` queries at high request rates:
   source-equivalence class triggers exactly one representative compile
   and derives the members through the batched class engine;
 * :mod:`~repro.service.runtime` — the runtime split (after doeff's
-  ``AsyncRuntime`` / ``SyncRuntime`` / ``SimulationRuntime``): the same
-  engine serves an asyncio front end (``repro-wsn serve``), the sync CLI
-  (``repro-wsn query``), and deterministic in-process tests with a
-  virtual clock;
+  ``AsyncRuntime`` / ``SimulationRuntime``): the same engine serves an
+  asyncio front end (``repro-wsn serve``) and deterministic in-process
+  tests with a virtual clock; the ``repro-wsn query`` CLI calls the
+  engine directly;
 * :mod:`~repro.service.wire` / :mod:`~repro.service.server` — the
   newline-delimited-JSON protocol and the asyncio TCP server;
 * :mod:`~repro.service.client` — the retrying client: reconnect/resend
@@ -32,7 +32,7 @@ demotion, graceful shutdown — is exercised by the seeded chaos suite
 from .client import RetriesExhausted, RetryPolicy, ServiceClient
 from .engine import (DEFAULT_MAX_ENTRIES, DeadlineExceeded, Overloaded,
                      Query, QueryEngine, QueryResult)
-from .runtime import AsyncRuntime, Runtime, SimulationRuntime, SyncRuntime
+from .runtime import AsyncRuntime, Runtime, SimulationRuntime
 from .server import BackgroundServer, run_server, serve
 from .wire import (query_from_dict, query_to_dict, request_from_dict,
                    result_to_dict)
@@ -48,7 +48,6 @@ __all__ = [
     "RetryPolicy",
     "Runtime",
     "AsyncRuntime",
-    "SyncRuntime",
     "SimulationRuntime",
     "ServiceClient",
     "BackgroundServer",

@@ -1,21 +1,22 @@
-"""Runtime variants: the same query engine under three execution models.
+"""Runtime variants: the same query engine under two execution models.
 
-Following the ``AsyncRuntime`` / ``SyncRuntime`` / ``SimulationRuntime``
-split of the doeff CESK runtime (SNIPPETS.md snippet 3), the protocol /
-store / engine code never touches a clock or an event loop itself — a
-*runtime* decides how queries execute and what "time" means:
+Following the ``AsyncRuntime`` / ``SimulationRuntime`` split of the
+doeff CESK runtime (SNIPPETS.md snippet 3), the protocol / store /
+engine code never touches a clock or an event loop itself — a *runtime*
+decides how queries execute and what "time" means:
 
-=====================  ==========================  =======================
-Runtime                execution model             use case
-=====================  ==========================  =======================
-:class:`AsyncRuntime`  asyncio, micro-batching     ``repro-wsn serve``
-:class:`SyncRuntime`   direct calls, wall clock    ``repro-wsn query`` CLI
-:class:`SimulationRuntime`  virtual clock, instant  deterministic tests
-=====================  ==========================  =======================
+==========================  ========================  ====================
+Runtime                     execution model           use case
+==========================  ========================  ====================
+:class:`AsyncRuntime`       asyncio, micro-batching   ``repro-wsn serve``
+:class:`SimulationRuntime`  virtual clock, instant    deterministic tests
+==========================  ========================  ====================
 
-All three expose the same surface — ``query`` / ``query_batch`` /
-``now`` — so service code (and its tests) is runtime-agnostic; only
-:class:`AsyncRuntime`'s methods are coroutines.
+Both expose the same surface — ``query`` / ``query_batch`` / ``now`` —
+so service code (and its tests) is runtime-agnostic; only
+:class:`AsyncRuntime`'s methods are coroutines.  The ``repro-wsn query``
+CLI needs no runtime: it calls
+:meth:`~repro.service.engine.QueryEngine.query` directly.
 
 The async runtime answers a warm hit at arrival, on the event loop:
 :meth:`~repro.service.engine.QueryEngine.warm_answer` is a lookup (the
@@ -69,7 +70,7 @@ OVERFLOW_POLICIES = ("reject", "shed-oldest")
 
 
 class Runtime(abc.ABC):
-    """Common surface of the three runtimes."""
+    """Common surface of the runtimes."""
 
     name: str = "runtime"
 
@@ -82,25 +83,6 @@ class Runtime(abc.ABC):
 
     def stats(self):
         return self.engine.stats()
-
-
-class SyncRuntime(Runtime):
-    """Direct synchronous execution on the caller's thread.
-
-    The CLI runtime: no event loop, no virtual clock — a query is a
-    function call.
-    """
-
-    name = "sync"
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def query(self, query: Query) -> QueryResult:
-        return self.engine.query(query)
-
-    def query_batch(self, queries: Sequence[Query]) -> List[QueryResult]:
-        return self.engine.query_batch(queries)
 
 
 class SimulationRuntime(Runtime):

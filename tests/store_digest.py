@@ -40,9 +40,9 @@ def store_digest(root: Path) -> Tuple[str, int, int]:
     return hashlib.sha256(text).hexdigest(), entries_total, profiles_total
 
 
-def fill_fleet():
-    """The ``fill`` benchmark workload's fleet, read from
-    ``bench/worker.py`` (the benchmark's own definition)."""
+def bench_worker():
+    """``bench/worker.py``, the benchmark workloads' own definitions,
+    loaded without putting ``bench/`` on the import path for good."""
     bench = ROOT / "bench"
     spec = importlib.util.spec_from_file_location(
         "_bench_worker", bench / "worker.py")
@@ -53,4 +53,9 @@ def fill_fleet():
         spec.loader.exec_module(module)
     finally:
         sys.path.remove(str(bench))
-    return module.FILL_FLEET
+    return module
+
+
+def fill_fleet():
+    """The ``fill`` benchmark workload's fleet."""
+    return bench_worker().FILL_FLEET

@@ -40,13 +40,6 @@ class TestSweep:
                               sources=[(2, 2)])
         assert sweep.metrics[0].tx >= mesh.num_nodes - 2
 
-    def test_progress_callback(self):
-        mesh = Mesh2D4(4, 3)
-        calls = []
-        sweep_sources(mesh, sources=[(1, 1), (2, 2)],
-                      progress=lambda d, t: calls.append((d, t)))
-        assert calls == [(1, 2), (2, 2)]
-
     def test_mean_aggregates(self):
         mesh = Mesh2D4(5, 4)
         sweep = sweep_sources(mesh, sources=[(1, 1), (3, 2), (5, 4)])
@@ -157,15 +150,6 @@ class TestParallelSweep:
         mesh = Mesh2D4(4, 4)
         assert (sweep_sources(mesh, workers=1).metrics
                 == sweep_sources(mesh).metrics)
-
-    def test_progress_reports_total(self):
-        from repro.analysis import sweep_sources
-        mesh = Mesh2D4(4, 4)
-        calls = []
-        sweep_sources(mesh, workers=2,
-                      progress=lambda done, total: calls.append((done, total)))
-        assert calls[-1] == (16, 16)
-        assert [d for d, _ in calls] == sorted(d for d, _ in calls)
 
 
 class TestScheduleCacheSweep:

@@ -20,6 +20,12 @@ Two findings are asserted per topology:
   A relay left uninformed behind the hole is silent too, so its
   neighbours elect substitutes for it, and those inform it directly.
 
+Elections can also *lower* reach: on 3D-6 a substitute's transmissions
+count toward a live relay's suppression counter and suppress the retry
+that would have informed a node its first receptions collided at.  The
+full enumeration finds 6 such cases, all on 3D-6;
+``test_elections_can_lower_reach`` pins one of them on every tier.
+
 The full run is marked ``exhaustive`` and left out of the default run
 (``-m exhaustive`` opts in); the default run checks every
 ``STRIDE``-th dead relay of every shape.
@@ -135,3 +141,35 @@ def test_every_dead_relay_strided(label, monkeypatch):
 @pytest.mark.parametrize("label", sorted(SHAPES))
 def test_every_dead_relay(label, monkeypatch):
     _assert_findings(label, _check_label(label, 1, monkeypatch))
+
+
+def test_elections_can_lower_reach():
+    """3D-6 3x4x3, centre source (2, 2, 2), dead relay (1, 2, 2).
+
+    Without elections the guardian retries of relays (2, 2, 1) and
+    (2, 2, 3) at slot 16 inform (2, 1, 1) and (2, 1, 3), whose two
+    earlier receptions collided.  With elections, (1, 2, 1) and
+    (1, 2, 3) elect themselves substitutes for the dead relay at slots
+    10 and 14; the two relays overhear them, reach their suppression
+    count before slot 16 and skip the retry, so the two nodes stay
+    uninformed: 33 of 35 live nodes against all 35.
+    """
+    topology = make_topology("3D-6", shape=(3, 4, 3))
+    centre = (2, 2, 2)
+    source = topology.index(centre)
+    schedule = protocol_for(topology).compile(topology, centre).schedule
+    dead_mask = np.zeros(topology.num_nodes, dtype=bool)
+    dead_mask[topology.index((1, 2, 2))] = True
+    reference = ReferenceSimulator(topology)
+    reach = {}
+    for policy in (ELECT, NO_ELECT):
+        want = reference.replay(schedule, source, dead_mask,
+                                recovery=policy)
+        for engine in ("batch", "compiled"):
+            [got] = replay_batch(topology, schedule, source,
+                                 dead_masks=dead_mask[None],
+                                 recovery=policy, engine=engine)
+            assert np.array_equal(got.first_rx, want.first_rx), (
+                policy, engine)
+        reach[policy.election] = int((want.first_rx >= 0).sum())
+    assert reach == {True: 33, False: 35}

@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro import faults
+from repro.analysis import simulate_lifetime, sweep_sources
 from repro.core.cache import ScheduleCache
 from repro.core.registry import protocol_for
 from repro.core.store import ArtifactStore, shard_id
@@ -283,6 +284,37 @@ class TestShardWorkerMurder:
                 run_reactive_batch_sharded(mesh, 0, relay_all(mesh),
                                            workers=2,
                                            **self._kwargs(mesh, trials=4))
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """Let ``effective_workers`` grant two workers on any host."""
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+    def test_killed_sweep_chunk_is_retried_identically(self, two_cpus):
+        mesh = Mesh2D4(8, 6)
+        want = sweep_sources(mesh).metrics
+        plan = FaultPlan([FaultSpec(faults.SHARD_KILL,
+                                    keys=frozenset({(1, 0)}))])
+        with plan.arm():
+            got = sweep_sources(mesh, workers=2).metrics
+        assert plan.fired(faults.SHARD_KILL) == 1
+        assert got == want
+
+    def test_killed_lifetime_chunk_is_retried_identically(self, two_cpus):
+        mesh = Mesh2D4(*SHAPE)
+        sources = [(1, 1), (3, 2), (5, 4), (2, 3)]
+        want = simulate_lifetime(mesh, sources, battery_j=0.01)
+        plan = FaultPlan([FaultSpec(faults.SHARD_KILL,
+                                    keys=frozenset({(0, 0)}))])
+        with plan.arm():
+            got = simulate_lifetime(mesh, sources, battery_j=0.01,
+                                    workers=2)
+        assert plan.fired(faults.SHARD_KILL) == 1
+        assert got.rounds_completed == want.rounds_completed
+        assert got.first_death_node == want.first_death_node
+        assert np.array_equal(got.residual_energy_j, want.residual_energy_j)
+        assert np.array_equal(got.energy_spent_j, want.energy_spent_j)
 
 
 # ---------------------------------------------------------------------------

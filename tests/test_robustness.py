@@ -1,19 +1,21 @@
 """Tests for the robustness analysis (loss/failure degradation curves)."""
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 from repro.analysis import (failure_degradation, harden_plan,
                             loss_degradation, recovery_frontier)
 from repro.analysis.robustness import (DEFAULT_RECOVERY_POLICIES,
-                                       RobustnessPoint, _chunk,
-                                       _failure_dead_masks, _fan_out,
+                                       RobustnessPoint, _failure_dead_masks,
                                        _frontier_seeds)
 from repro.core import protocol_for
 from repro.radio import BernoulliBatchLoss, CounterBernoulliLoss, trial_seeds
 from repro.radio.energy import (PAPER_PACKET_BITS, PAPER_RADIO_MODEL,
                                 PAPER_SPACING_M)
 from repro.sim import RecoveryPolicy, run_reactive_batch
+from repro.sim.shard import _chunks, fan_out
 from repro.topology import Mesh2D4
 
 
@@ -226,20 +228,21 @@ class TestFailureDegradation:
 
 
 class TestFanOut:
-    """Process fan-out sizing (regression: idle workers for short sweeps)."""
+    """Process fan-out sizing (regression: idle workers for short sweeps),
+    checked on the shared pool every parallel path runs through."""
 
     def test_chunk_empty_items(self):
-        assert _chunk([], 4) == []
+        assert _chunks([], 4) == []
 
     def test_chunk_fewer_items_than_workers(self):
-        chunks = _chunk([1, 2], 8)
+        chunks = _chunks([1, 2], 8)
         assert all(chunks)  # no empty chunks to spawn processes for
         assert sorted(x for c in chunks for x in c) == [1, 2]
 
     def test_pool_capped_at_chunk_count(self, monkeypatch):
         """Asking for more workers than sweep points must not size the
         pool beyond the actual chunk count."""
-        import repro.analysis.robustness as rob
+        import repro.sim.shard as shard
         seen = {}
 
         class FakePool:
@@ -252,13 +255,13 @@ class TestFanOut:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return [fn(job) for job in jobs]
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
-        monkeypatch.setattr(rob, "ProcessPoolExecutor", FakePool)
-        out = _fan_out(lambda p: p, [10, 20], workers=8,
-                       job_builder=lambda chunk: chunk,
-                       worker_fn=lambda chunk: chunk)
+        monkeypatch.setattr(shard, "ProcessPoolExecutor", FakePool)
+        out = fan_out(lambda chunk: chunk, [10, 20], workers=8)
         assert sorted(out) == [10, 20]
         assert seen["max_workers"] <= 2
 

@@ -23,7 +23,7 @@ from repro.core.symmetry import group_sources
 from repro.radio.energy import PAPER_PACKET_BITS, PAPER_RADIO_MODEL
 import repro.service.engine as engine_module
 from repro.service import (AsyncRuntime, Query, QueryEngine,
-                           SimulationRuntime, SyncRuntime, serve,
+                           SimulationRuntime, serve,
                            query_from_dict, query_to_dict, result_to_dict)
 from repro.sim.metrics import compute_metrics
 from repro.topology import Mesh2D4

@@ -61,3 +61,27 @@ def test_consistent_sizes_still_shard(call, plain, sharded):
     split = call(sharded, loss=loss, trials=8, workers=2)
     assert np.array_equal(base.first_rx, split.first_rx)
     assert np.array_equal(base.tx_count, split.tx_count)
+
+
+def test_shard_module_owns_the_only_process_pool():
+    """Every parallel path runs through :func:`repro.sim.shard.fan_out`:
+    no other module under ``src/`` imports ``concurrent.futures``."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    importers = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "concurrent" or m.startswith("concurrent.")
+                   for m in modules):
+                importers.append(path.relative_to(root).as_posix())
+    assert sorted(set(importers)) == ["sim/shard.py"]

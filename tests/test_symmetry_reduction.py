@@ -272,6 +272,24 @@ class TestSweepEquivalence:
         par = sweep_sources(topo, symmetry=True, workers=2)
         assert par.metrics == serial.metrics
 
+    def test_in_process_sweep_is_one_class_pass(self, monkeypatch):
+        """An in-process sweep batches every class of the shape through
+        one ``compile_classes`` call (the cross-class member batch)."""
+        import repro.analysis.sweep as sweep_mod
+        calls = []
+
+        def spy(topology, protocol, classes, **kw):
+            calls.append(len(classes))
+            return compile_classes(topology, protocol, classes, **kw)
+
+        monkeypatch.setattr(sweep_mod, "compile_classes", spy)
+        topo = Mesh2D4(9, 7)
+        groups, _ = group_sources(
+            topo, protocol_for(topo),
+            [topo.coord(i) for i in range(topo.num_nodes)])
+        sweep_sources(topo, workers=1)
+        assert calls == [len(groups)]
+
     def test_symmetry_reduces_compile_calls(self):
         topo = Mesh2D4(9, 7)
         before = compile_call_count()
@@ -282,14 +300,6 @@ class TestSweepEquivalence:
         direct_calls = compile_call_count() - before
         assert direct_calls == topo.num_nodes
         assert sym_calls < direct_calls / 2
-
-    def test_progress_monotonic_and_complete(self):
-        topo = Mesh2D4(6, 4)
-        calls = []
-        sweep_sources(topo, symmetry=True,
-                      progress=lambda d, t: calls.append((d, t)))
-        assert calls[-1] == (topo.num_nodes, topo.num_nodes)
-        assert [d for d, _ in calls] == sorted(d for d, _ in calls)
 
     def test_warm_class_profiles_skip_all_compiles(self, tmp_path):
         topo = Mesh2D4(6, 5)
